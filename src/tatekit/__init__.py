@@ -29,8 +29,6 @@ from .laurent import (
     det_laurent,
     gl_inverse,
     invert_series,
-    lp_add,
-    lp_mul,
     parse_laurent,
     parse_laurent_matrix,
     valuation,
@@ -70,8 +68,6 @@ from .detline import (
     cocycle_check,
     commutator,
     det_theory_coherence,
-    det_theory_eval,
-    dim_theory_eval,
     ext_inv,
     ext_mul,
     omega,

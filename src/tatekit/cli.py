@@ -137,12 +137,11 @@ def build_parser() -> argparse.ArgumentParser:
     def positive(text):
         value = int(text)
         if value < 1:
-            raise argparse.ArgumentTypeError("precision must be >= 1")
+            raise argparse.ArgumentTypeError("must be >= 1, got %d" % value)
         return value
 
     def common(p):
         p.add_argument("--field", default="Q", help="Q or Fp:<p> (default Q)")
-        p.add_argument("--precision", type=positive, default=16, help="series precision (default 16)")
         p.add_argument("--json", action="store_true", help="canonical JSON output")
 
     p_index = sub.add_parser("index", help="index of an automorphism at K_0")
@@ -156,6 +155,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_comm.add_argument("--f", required=True)
     p_comm.add_argument("--g", required=True)
     p_comm.add_argument("--mode", choices=["graded", "ungraded"], default="ungraded")
+    p_comm.add_argument(
+        "--precision", type=positive, default=16, help="series precision (default 16)"
+    )
     p_comm.set_defaults(func=cmd_commutator)
 
     p_tame = sub.add_parser("tame", help="tame symbol (closed formula)")
@@ -166,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run randomized verification suites")
     p_verify.add_argument("--suite", default="all", help="one of %s" % ((*SUITES, "all"),))
-    p_verify.add_argument("--cases", type=int, default=None, help="cases per suite")
+    p_verify.add_argument("--cases", type=positive, default=None, help="cases per suite")
     p_verify.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=cmd_verify)

@@ -41,6 +41,7 @@ from .lattice import (
     Lattice,
     TateSpace,
     act,
+    common_window,
     leq,
     meet,
     meet_all,
@@ -112,17 +113,8 @@ class LineIso:
         return "LineIso(%s)" % self.scalar
 
 
-def _check_space(*lattices):
-    space = lattices[0].space
-    for L in lattices[1:]:
-        if L.space != space:
-            raise SpaceMismatch("lattices on different spaces")
-    return space
-
-
 def rel_det(F1: Lattice, F2: Lattice) -> GradedLine:
     """The relative determinant line (F1|F2), graded Deligne-style."""
-    _check_space(F1, F2)
     N = meet(F1, F2)
     grade = quotient_dim_lattices(N, F2) - quotient_dim_lattices(N, F1)
     return GradedLine(grade, ("reldet", F1, F2))
@@ -133,6 +125,16 @@ def _desc_reps(sub_w, sup_w):
     return list(reversed(quotient_basis(sub_w, sup_w)))
 
 
+def _wedge_det(sub_w, sup_w, rows) -> Scalar:
+    """Determinant of ``rows`` in the canonical basis of det(sup_w/sub_w)."""
+    target = _desc_reps(sub_w, sup_w)
+    if len(rows) != len(target):
+        raise NotNested("delta needs nested lattices")
+    if not rows:
+        return sub_w.ctx.one()
+    return det(Matrix.from_rows(sub_w.ctx, [quotient_coords(sub_w, target, v) for v in rows]))
+
+
 def _delta(M: Lattice, N: Lattice, F: Lattice) -> Scalar:
     """Scalar of the concatenation det(N/M) (x) det(F/N) -> det(F/M).
 
@@ -140,19 +142,8 @@ def _delta(M: Lattice, N: Lattice, F: Lattice) -> Scalar:
     canonical map "wedge the lower quotient first, then lifts of the
     upper" in the canonical descending bases.
     """
-    space = _check_space(M, N, F)
-    a = max(M.a, N.a, F.a)
-    b = max(M.b, N.b, F.b)
-    wM, wN, wF = (X.window_subspace(a, b) for X in (M, N, F))
-    lower = _desc_reps(wM, wN)
-    upper = _desc_reps(wN, wF)
-    total = _desc_reps(wM, wF)
-    if len(lower) + len(upper) != len(total):
-        raise NotNested("delta needs nested lattices")
-    if not total:
-        return space.ctx.one()
-    rows = [quotient_coords(wM, total, v) for v in lower + upper]
-    return det(Matrix.from_rows(space.ctx, rows))
+    _, _, (wM, wN, wF) = common_window(M, N, F)
+    return _wedge_det(wM, wF, _desc_reps(wM, wN) + _desc_reps(wN, wF))
 
 
 def omega(
@@ -163,7 +154,6 @@ def omega(
     ``base`` may name any common sub-lattice to compute over; the result
     does not depend on it.  Graded mode inserts the Koszul swap sign.
     """
-    space = _check_space(F1, F2, F3)
     M = base if base is not None else meet_all([F1, F2, F3])
     for F in (F1, F2, F3):
         if not leq(M, F):
@@ -215,8 +205,6 @@ class DimensionTheory:
         raise AttributeError("DimensionTheory is immutable")
 
     def eval(self, L: Lattice) -> int:
-        if L.space != self.base.space:
-            raise SpaceMismatch("lattice on the wrong space")
         N = meet(L, self.base)
         return (
             self.value_at_base
@@ -226,10 +214,6 @@ class DimensionTheory:
 
     def shifted(self, k: int) -> "DimensionTheory":
         return DimensionTheory(self.base, self.value_at_base + k)
-
-
-def dim_theory_eval(theory: DimensionTheory, L: Lattice) -> int:
-    return theory.eval(L)
 
 
 class DeterminantTheory:
@@ -244,13 +228,7 @@ class DeterminantTheory:
         raise AttributeError("DeterminantTheory is immutable")
 
     def eval(self, L: Lattice) -> GradedLine:
-        if L.space != self.base.space:
-            raise SpaceMismatch("lattice on the wrong space")
         return rel_det(self.base, L)
-
-
-def det_theory_eval(theory: DeterminantTheory, L: Lattice) -> GradedLine:
-    return theory.eval(L)
 
 
 def det_theory_coherence_scalars(
@@ -279,54 +257,15 @@ def det_theory_coherence(
 # -- the determinant-line central extension ------------------------------
 
 
-def _apply_to_row(g: Automorphism, space: TateSpace, row, src_window, dst_window):
-    """Image of a window vector under g, reduced into the target window."""
-    a1, b1 = src_window
-    a2, b2 = dst_window
-    vec = row_to_vec(space, a1, b1, row)
-    if g.kind == Automorphism.MULT:
-        img = (g.series.mul_poly_mod(vec[0], a2),)
-    else:
-        img = tuple(
-            LaurentPoly(space.ctx, {e: c for e, c in p.terms.items() if e < a2})
-            for p in g.matrix.apply(list(vec))
-        )
-    return vec_to_row(space, a2, b2, img)
-
-
 def translation_scalar(g: Automorphism, F1: Lattice, F2: Lattice) -> Scalar:
     """Scalar of g_*: (F1|F2) -> (gF1|gF2) in canonical bases."""
-    space = _check_space(F1, F2)
     N = meet(F1, F2)
-    a1 = max(N.a, F1.a, F2.a)
-    b1 = max(N.b, F1.b, F2.b)
-    wN = N.window_subspace(a1, b1)
-    w1 = F1.window_subspace(a1, b1)
-    w2 = F2.window_subspace(a1, b1)
-    gN, gF1, gF2 = act(g, N), act(g, F1), act(g, F2)
-    a2 = max(gN.a, gF1.a, gF2.a)
-    b2 = max(gN.b, gF1.b, gF2.b)
-    twN = gN.window_subspace(a2, b2)
-    tw1 = gF1.window_subspace(a2, b2)
-    tw2 = gF2.window_subspace(a2, b2)
-    value = space.ctx.one()
-    for src_sub, src_sup, dst_sub, dst_sup, invert in (
-        (wN, w2, twN, tw2, False),
-        (wN, w1, twN, tw1, True),
-    ):
-        reps = _desc_reps(src_sub, src_sup)
-        target = _desc_reps(dst_sub, dst_sup)
-        if not reps:
-            continue
-        rows = [
-            quotient_coords(
-                dst_sub, target, _apply_to_row(g, space, r, (a1, b1), (a2, b2))
-            )
-            for r in reps
-        ]
-        d = det(Matrix.from_rows(space.ctx, rows))
-        value = value * (d.inverse() if invert else d)
-    return value
+    a1, b1, (wN, w1, w2) = common_window(N, F1, F2)
+    a2, b2, (twN, tw1, tw2) = common_window(act(g, N), act(g, F1), act(g, F2))
+    reps2, reps1 = _desc_reps(wN, w2), _desc_reps(wN, w1)
+    vecs = [row_to_vec(N.space, a1, b1, r) for r in reps2 + reps1]
+    rows = [vec_to_row(N.space, a2, b2, img) for img in g.image(vecs, a2)]
+    return _wedge_det(twN, tw2, rows[: len(reps2)]) / _wedge_det(twN, tw1, rows[len(reps2) :])
 
 
 def base_lattice(space: TateSpace) -> Lattice:
@@ -402,7 +341,7 @@ def commutator(
     x = (f, 1), y = (g, 1).  In graded mode the commutator also carries
     the reordering sign (-1)^(v(f) v(g)) of the graded lifts.
     """
-    if f.kind != Automorphism.MULT or g.kind != Automorphism.MULT:
+    if f.rank != 1 or g.rank != 1:
         raise NotMultiplicationAutomorphism("commutator needs MultBy units")
     if f.ctx != g.ctx:
         raise SpaceMismatch("units over different fields")
@@ -411,7 +350,7 @@ def commutator(
     y = ExtElement.lift(g, mode, space)
     word = ext_mul(ext_mul(ext_mul(x, y), ext_inv(x, precision)), ext_inv(y, precision))
     value = word.z
-    if mode == GRADED and (f.series.valuation % 2) and (g.series.valuation % 2):
+    if mode == GRADED and (f.det_valuation() % 2) and (g.det_valuation() % 2):
         value = -value
     return value
 

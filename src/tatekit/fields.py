@@ -15,18 +15,22 @@ from .errors import FieldMismatch, ZeroElement
 RATIONALS = "Q"
 PRIME_FIELD = "Fp"
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# psi_13, the least strong pseudoprime to every witness above
+# (Sorenson-Webster 2017): is_prime is exact below it and nowhere else.
+MODULUS_LIMIT = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test (trial division + Miller-Rabin).
 
-    The fixed witness set is known to be exact for every n < 3.3 * 10^24,
-    far beyond any modulus this package meets.
+    The fixed witness set is exact for every n < MODULUS_LIMIT (about
+    3.3 * 10^24); FieldCtx refuses larger moduli.
     """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
@@ -56,8 +60,10 @@ class FieldCtx:
             if modulus is not None:
                 raise ValueError("rationals carry no modulus")
         elif kind == PRIME_FIELD:
-            if modulus is None or not is_prime(modulus):
-                raise ValueError("prime field needs a prime modulus, got %r" % (modulus,))
+            if modulus is None or modulus >= MODULUS_LIMIT or not is_prime(modulus):
+                raise ValueError(
+                    "prime field needs a prime modulus below %d, got %r" % (MODULUS_LIMIT, modulus)
+                )
         else:
             raise ValueError("unknown field kind %r" % (kind,))
         object.__setattr__(self, "kind", kind)
@@ -92,13 +98,15 @@ class FieldCtx:
         if isinstance(value, str):
             if "/" in value:
                 num, den = value.split("/", 1)
+                if int(den) == 0:
+                    raise ZeroElement("zero denominator in %r" % value)
                 return self.scalar(Fraction(int(num), int(den)))
             value = int(value)
         if self.kind == RATIONALS:
             return Scalar(self, Fraction(value))
         if isinstance(value, Fraction):
             if value.denominator % self.modulus == 0:
-                raise ZeroDivisionError("denominator divisible by %d" % self.modulus)
+                raise ZeroElement("denominator divisible by %d" % self.modulus)
             num = value.numerator % self.modulus
             den = pow(value.denominator % self.modulus, self.modulus - 2, self.modulus)
             return Scalar(self, num * den % self.modulus)

@@ -13,9 +13,9 @@ t^a O^n <= L, and b the least with L <= t^-b O^n.
 
 from __future__ import annotations
 
-from .errors import InsufficientPrecision, NotNested, SpaceMismatch
+from .errors import NotNested, SpaceMismatch
 from .fields import FieldCtx
-from .laurent import Automorphism, LaurentPoly, gl_inverse
+from .laurent import Automorphism, LaurentPoly
 from .linalg import Subspace, quotient_basis, subspace_contains, subspace_intersect, subspace_sum
 
 
@@ -218,26 +218,31 @@ def _normalize(space, a, b, subspace):
     return a, b, subspace
 
 
-def _common_window(L: Lattice, M: Lattice):
-    if L.space != M.space:
-        raise SpaceMismatch("%r vs %r" % (L.space, M.space))
-    a, b = max(L.a, M.a), max(L.b, M.b)
-    return a, b, L.window_subspace(a, b), M.window_subspace(a, b)
+def common_window(*lattices):
+    """(a, b, subspaces): the smallest window holding all the lattices, which
+    must share one space, and each lattice as a subspace of it."""
+    space = lattices[0].space
+    for L in lattices[1:]:
+        if L.space != space:
+            raise SpaceMismatch("%r vs %r" % (space, L.space))
+    a = max(L.a for L in lattices)
+    b = max(L.b for L in lattices)
+    return a, b, [L.window_subspace(a, b) for L in lattices]
 
 
 def leq(L: Lattice, M: Lattice) -> bool:
     """Whether L <= M in the Sato Grassmannian order."""
-    a, b, wl, wm = _common_window(L, M)
+    _, _, (wl, wm) = common_window(L, M)
     return subspace_contains(wm, wl)
 
 
 def join(L: Lattice, M: Lattice) -> Lattice:
-    a, b, wl, wm = _common_window(L, M)
+    a, b, (wl, wm) = common_window(L, M)
     return Lattice(L.space, a, b, subspace_sum(wl, wm))
 
 
 def meet(L: Lattice, M: Lattice) -> Lattice:
-    a, b, wl, wm = _common_window(L, M)
+    a, b, (wl, wm) = common_window(L, M)
     return Lattice(L.space, a, b, subspace_intersect(wl, wm))
 
 
@@ -285,7 +290,7 @@ class LatticeQuotient:
 
 def quotient(L: Lattice, M: Lattice) -> LatticeQuotient:
     """The quotient M/L for L <= M."""
-    a, b, wl, wm = _common_window(L, M)
+    a, b, (wl, wm) = common_window(L, M)
     if not subspace_contains(wm, wl):
         raise NotNested("quotient needs L <= M")
     return LatticeQuotient(L.space, a, b, wl, quotient_basis(wl, wm))
@@ -300,34 +305,16 @@ def act(g: Automorphism, L: Lattice) -> Lattice:
     space = L.space
     if g.ctx != space.ctx or g.rank != space.rank:
         raise SpaceMismatch("automorphism of rank %d on %r" % (g.rank, space))
-    if g.kind == Automorphism.MULT:
-        s = g.series
-        if not s.exact and s.precision < L.a + L.b:
-            raise InsufficientPrecision(L.a + L.b, s.precision)
-        v = s.valuation
-        a2, b2 = L.a + v, L.b - v
-        rows = []
-        for vec in L.basis_vectors():
-            img = (s.mul_poly_mod(vec[0], a2),)
-            rows.append(vec_to_row(space, a2, b2, img))
-        sub = Subspace.from_rows(space.ctx, space.rank * (a2 + b2), rows)
-        return Lattice(space, a2, b2, sub)
-    m = g.matrix
-    minv = gl_inverse(m)
-    vg, vginv = m.min_valuation(), minv.min_valuation()
+    vg, vginv = g.valuations()
     a2, b2 = L.a - vginv, L.b - vg
-    vecs = [m.apply(list(vec)) for vec in L.basis_vectors()]
+    vecs = L.basis_vectors()
+    # t^e e_i with L.a <= e < a2 - v(g) lies in t^a O^n, outside the window
+    # basis, yet its image can reach below t^a2; the range is empty for MultBy.
+    n, zero = space.rank, LaurentPoly.zero(space.ctx)
     for e in range(L.a, a2 - vg):
-        for i in range(space.rank):
-            col = [m[j, i].shift(e) for j in range(space.rank)]
-            vecs.append(col)
-    rows = []
-    for vec in vecs:
-        reduced = tuple(
-            LaurentPoly(space.ctx, {e: c for e, c in p.terms.items() if e < a2})
-            for p in vec
-        )
-        rows.append(vec_to_row(space, a2, b2, reduced))
+        for i in range(n):
+            vecs.append([LaurentPoly.t(space.ctx, e) if j == i else zero for j in range(n)])
+    rows = [vec_to_row(space, a2, b2, img) for img in g.image(vecs, a2)]
     sub = Subspace.from_rows(space.ctx, space.rank * (a2 + b2), rows)
     return Lattice(space, a2, b2, sub)
 

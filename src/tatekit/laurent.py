@@ -91,9 +91,6 @@ class LaurentPoly:
                 out[e] = out[e] + p if e in out else p
         return LaurentPoly(self.ctx, out)
 
-    def scale(self, c: Scalar):
-        return LaurentPoly(self.ctx, {e: v * c for e, v in self.terms.items()})
-
     def shift(self, k: int):
         """Multiply by t^k."""
         return LaurentPoly(self.ctx, {e + k: c for e, c in self.terms.items()})
@@ -138,14 +135,6 @@ class LaurentPoly:
 
     def __repr__(self):
         return "LaurentPoly(%s)" % self
-
-
-def lp_add(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    return a + b
-
-
-def lp_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    return a * b
 
 
 def valuation(f) -> int:
@@ -373,7 +362,8 @@ class LaurentMatrix:
         for i in range(self.n):
             acc = LaurentPoly.zero(self.ctx)
             for k in range(self.n):
-                acc = acc + self[i, k] * vec[k]
+                if vec[k].terms:
+                    acc = acc + self[i, k] * vec[k]
             out.append(acc)
         return out
 
@@ -453,9 +443,13 @@ def gl_inverse(m: LaurentMatrix) -> LaurentMatrix:
 
 
 class Automorphism:
-    """An automorphism of k((t))^n: MultBy a unit (n=1) or monomial-det GL_n."""
+    """An automorphism of k((t))^n: MultBy a unit (n=1) or monomial-det GL_n.
 
-    __slots__ = ("kind", "series", "matrix")
+    Rank 1 has the single representation MultBy: ``gl`` turns a 1x1 matrix
+    into the multiplication by its entry.
+    """
+
+    __slots__ = ("kind", "series", "matrix", "_inverse")
 
     MULT = "mult"
     GL = "gl"
@@ -464,10 +458,13 @@ class Automorphism:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "series", series)
         object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "_inverse", None)
         if kind == self.MULT:
             if series is None or series.coeffs[0].is_zero():
                 raise ZeroElement("MultBy needs a unit series")
         elif kind == self.GL:
+            if matrix.n == 1:
+                raise ValueError("rank 1 is MultBy; build it with Automorphism.gl")
             d = det_laurent(matrix)
             if d.is_zero() or not d.is_monomial():
                 raise NotInvertibleInLaurentRing("determinant %s is not c*t^k" % d)
@@ -485,12 +482,15 @@ class Automorphism:
 
     @classmethod
     def gl(cls, matrix: LaurentMatrix) -> "Automorphism":
+        if matrix.n == 1:
+            entry = matrix[0, 0]
+            if not entry.is_monomial():
+                raise NotInvertibleInLaurentRing("determinant %s is not c*t^k" % entry)
+            return cls.mult_by(entry)
         return cls(cls.GL, matrix=matrix)
 
     @classmethod
     def identity(cls, ctx: FieldCtx, rank: int) -> "Automorphism":
-        if rank == 1:
-            return cls.mult_by(LaurentPoly.one(ctx))
         return cls.gl(LaurentMatrix.identity(ctx, rank))
 
     @property
@@ -512,23 +512,48 @@ class Automorphism:
             return self.series.valuation
         return det_laurent(self.matrix).valuation()
 
+    def _inverse_matrix(self) -> LaurentMatrix:
+        """gl_inverse of the matrix, computed on first use and kept."""
+        if self._inverse is None:
+            object.__setattr__(self, "_inverse", gl_inverse(self.matrix))
+        return self._inverse
+
+    def valuations(self):
+        """(v(g), v(g^-1)): the least t-exponents of g and of its inverse."""
+        if self.kind == self.MULT:
+            return self.series.valuation, -self.series.valuation
+        return self.matrix.min_valuation(), self._inverse_matrix().min_valuation()
+
+    def image(self, vecs, cutoff: int):
+        """g applied to a batch of Laurent vectors, modulo t^cutoff.
+
+        A truncated series is checked once, against the largest need of the
+        whole batch, so the precision that InsufficientPrecision names
+        suffices for every vector.  Matrix images may keep terms at or above
+        the cutoff; ``vec_to_row`` drops them.
+        """
+        if self.kind == self.GL:
+            return [self.matrix.apply(vec) for vec in vecs]
+        s = self.series
+        exps = [e for vec in vecs for e in vec[0].terms]
+        need = max((cutoff - e - s.valuation for e in exps), default=0)
+        if not s.exact and need > s.precision:
+            raise InsufficientPrecision(need, s.precision)
+        return [(s.mul_poly_mod(vec[0], cutoff),) for vec in vecs]
+
     def compose(self, other: "Automorphism") -> "Automorphism":
         """self after other, acting on the same space."""
         if self.ctx != other.ctx:
             raise FieldMismatch("%r vs %r" % (self.ctx, other.ctx))
         if self.rank != other.rank:
             raise SpaceMismatch("rank %d vs %d" % (self.rank, other.rank))
-        a, b = self, other
-        if a.kind == self.GL and b.kind == self.GL:
-            return Automorphism.gl(a.matrix * b.matrix)
-        # rank 1: promote any GL_1 factor to a multiplication
-        sa = a.series if a.kind == self.MULT else TruncSeries.from_poly(a.matrix[0, 0])
-        sb = b.series if b.kind == self.MULT else TruncSeries.from_poly(b.matrix[0, 0])
-        return Automorphism.mult_by(sa * sb)
+        if self.kind == self.GL:
+            return Automorphism.gl(self.matrix * other.matrix)
+        return Automorphism.mult_by(self.series * other.series)
 
     def inverse(self, precision: int | None = None) -> "Automorphism":
         if self.kind == self.GL:
-            return Automorphism.gl(gl_inverse(self.matrix))
+            return Automorphism.gl(self._inverse_matrix())
         return Automorphism.mult_by(self.series.inverse(precision))
 
     def __eq__(self, other):

@@ -72,11 +72,6 @@ class FinPoset:
         self._table = table
 
     @classmethod
-    def from_leq(cls, elements, leq):
-        elements = list(elements)
-        return cls(elements, [(x, y) for x in elements for y in elements if leq(x, y)])
-
-    @classmethod
     def chain(cls, n):
         """The ordinal [n] = {0 < ... < n}."""
         return cls(range(n + 1), [(i, i + 1) for i in range(n)])

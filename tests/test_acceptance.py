@@ -5,6 +5,7 @@ prints one PASS/FAIL line (run with ``pytest -s`` to see them) and enforces
 its runtime budget.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -59,6 +60,9 @@ from tatekit.verify import (
     rand_mult,
     rand_unit_poly,
 )
+
+
+VERIFY_SEED7_SHA256 = "f45184fb9f20cbd6b2e4a35322963193ce4a6be4b850d144d87ba415c3158955"
 
 
 def _finish(num, desc, ok, t0, limit):
@@ -333,4 +337,6 @@ def test_criterion_12_determinism(capsys):
     ok = code1 == 0 and code2 == 0 and out1 == out2
     report = json.loads(out1)
     ok = ok and report["passed"] and report["summary"]["fail"] == 0
+    # golden hash: the report must not drift across changes to the code
+    ok = ok and hashlib.sha256(out1.encode()).hexdigest() == VERIFY_SEED7_SHA256
     _finish(12, "verify --suite all --seed 7 is byte-identical and green", ok, t0, 600)

@@ -1,4 +1,7 @@
 import json
+import re
+
+import pytest
 
 from tatekit.cli import main
 
@@ -62,13 +65,18 @@ def test_tame(capsys):
 
 
 def test_parse_error_exit_2(capsys):
-    code, _, err = run(capsys, "index", "--f", "no&t^a(poly")
-    assert code == 2 and "error" in err
+    # zero denominators are typed errors too, not tracebacks
+    for argv in (["--f", "no&t^a(poly"], ["--f", "1/0*t"], ["--f", "1/5*t", "--field", "F5"]):
+        code, _, err = run(capsys, "index", *argv)
+        assert code == 2 and "error" in err
 
 
 def test_bad_field_exit_2(capsys):
     code, _, err = run(capsys, "index", "--field", "F8:", "--f", "t")
     assert code == 2
+    # psi_13: beyond the range where the primality test is exact
+    code, _, err = run(capsys, "index", "--field", "Fp:3317044064679887385961981", "--f", "t")
+    assert code == 2 and "modulus" in err
 
 
 def test_unknown_suite_exit_2(capsys):
@@ -83,6 +91,33 @@ def test_precision_exit_3(capsys):
     )
     assert code == 3
     assert "precision" in err and "--precision" in err
+
+
+def test_precision_hint_suffices(capsys):
+    code, _, err = run(capsys, "commutator", "--f", "1-t", "--g", "t^30", "--precision", "4")
+    assert code == 3
+    hint = re.search(r"--precision >= (\d+)", err).group(1)
+    code, out, _ = run(capsys, "commutator", "--f", "1-t", "--g", "t^30", "--precision", hint)
+    assert code == 0 and out.strip() == "1"
+    # the batch need never exceeds the old per-window check
+    code, _, _ = run(
+        capsys, "commutator", "--f", "t^-5+t^-3", "--g", "3*t^2-t^5", "--precision", "2"
+    )
+    assert code == 0
+
+
+def test_precision_only_on_commutator(capsys):
+    for cmd in (["index", "--f", "t"], ["tame", "--f", "t", "--g", "t"]):
+        with pytest.raises(SystemExit) as exc:
+            main(cmd + ["--precision", "4"])
+        assert exc.value.code == 2
+
+
+def test_verify_cases_must_be_positive(capsys):
+    for cases in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "lattice", "--cases", cases])
+        assert exc.value.code == 2
 
 
 def test_verify_suite_exit_codes(capsys):

@@ -16,8 +16,6 @@ from tatekit import (
     cocycle_check,
     commutator,
     det_theory_coherence,
-    det_theory_eval,
-    dim_theory_eval,
     ext_inv,
     ext_mul,
     join,
@@ -125,10 +123,10 @@ def test_cocycle_randomized_both_modes():
 
 def test_dim_theory():
     D = DimensionTheory(O, 0)
-    assert dim_theory_eval(D, O) == 0
+    assert D.eval(O) == 0
     for n in range(-3, 4):
-        assert dim_theory_eval(D, std_lattice(V, [n])) == -n
-    assert dim_theory_eval(D.shifted(5), tm2) == 7
+        assert D.eval(std_lattice(V, [n])) == -n
+    assert D.shifted(5).eval(tm2) == 7
     rng = random.Random(79)
     space = TateSpace(GF(5), 1)
     base = rand_lattice(space, rng, 2)
@@ -155,8 +153,8 @@ def test_dim_theories_differ_by_constant():
 
 def test_det_theory():
     theory = DeterminantTheory(O)
-    assert det_theory_eval(theory, O).grade == 0
-    assert det_theory_eval(theory, tm2).grade == 2
+    assert theory.eval(O).grade == 0
+    assert theory.eval(tm2).grade == 2
     s1, s2 = det_theory_coherence_scalars(theory, O, tm1, tm2, UNGRADED)
     assert str(s1) == "1" and str(s2) == "1"
     assert det_theory_coherence(theory, O, tm1, tm2, GRADED)

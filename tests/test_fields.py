@@ -7,14 +7,25 @@ from tatekit.errors import FieldMismatch, ZeroElement
 def test_primality():
     assert is_prime(2) and is_prime(5) and is_prime(97) and is_prime(2**31 - 1)
     assert not is_prime(1) and not is_prime(91) and not is_prime(561)
-
+    # psi_12 = 399165290221 * 798330580441 is a strong pseudoprime to 2..37
+    assert not is_prime(318665857834031151167461)
 
 def test_field_ctx_validation():
     with pytest.raises(ValueError):
         GF(6)
+    # psi_13 is a strong pseudoprime to every witness 2..41
+    with pytest.raises(ValueError):
+        GF(3317044064679887385961981)
     assert GF(5) == GF(5)
     assert GF(5) != GF(7)
     assert QQ != GF(5)
+
+
+def test_zero_denominator_is_typed():
+    with pytest.raises(ZeroElement):
+        QQ.scalar("1/0")
+    with pytest.raises(ZeroElement):
+        GF(5).scalar("1/5")
 
 
 def test_rational_arithmetic():

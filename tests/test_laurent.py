@@ -157,7 +157,9 @@ def test_compose_and_identity():
     tinv = Automorphism.mult_by(P("t^-1"))
     assert t.compose(tinv).is_identity()
     gl1 = Automorphism.gl(parse_laurent_matrix(QQ, "t"))
-    assert gl1.compose(tinv).is_identity()
+    assert gl1 == t and gl1.compose(tinv).is_identity()  # rank 1 is always MultBy
+    with pytest.raises(ValueError):
+        Automorphism(Automorphism.GL, matrix=parse_laurent_matrix(QQ, "t"))
     assert Automorphism.identity(QQ, 2).is_identity()
     u = Automorphism.mult_by(P("1-t"))
     ui = u.inverse(6)
