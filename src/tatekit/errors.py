@@ -49,6 +49,10 @@ class InsufficientPrecision(TateKitError):
         )
 
 
+class WindowTooLarge(TateKitError):
+    """A lattice window would exceed the dense-window dimension cap."""
+
+
 class SpaceMismatch(TateKitError):
     """Lattices or automorphisms of different Tate spaces were combined."""
 

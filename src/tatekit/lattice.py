@@ -8,15 +8,21 @@ t^-b O^n / t^a O^n.  Window slots are the monomials t^e e_i ordered by
 and lattice equality is literal equality of the stored data.
 
 Bounds are re-tightened after every operation: a is the least integer with
-t^a O^n <= L, and b the least with L <= t^-b O^n.
+t^a O^n <= L, and b the least with L <= t^-b O^n.  Windows are dense, so no
+window may exceed ``MAX_WINDOW_DIM`` slots; a larger one raises
+``WindowTooLarge`` before its rows are allocated.
 """
 
 from __future__ import annotations
 
-from .errors import NotNested, SpaceMismatch
+from functools import reduce
+
+from .errors import NotNested, SpaceMismatch, WindowTooLarge
 from .fields import FieldCtx
 from .laurent import Automorphism, LaurentPoly
-from .linalg import Subspace, quotient_basis, subspace_contains, subspace_intersect, subspace_sum
+from .linalg import Matrix, Subspace, quotient_basis, subspace_contains, subspace_intersect, subspace_sum
+
+MAX_WINDOW_DIM = 1024
 
 
 class TateSpace:
@@ -53,6 +59,21 @@ def _slot(space: TateSpace, a: int, b: int, e: int, i: int) -> int:
     return (e + b) * space.rank + i
 
 
+def _window_dim(space: TateSpace, a: int, b: int) -> int:
+    """Dimension of the window t^-b O^n / t^a O^n, at most MAX_WINDOW_DIM."""
+    dim = space.rank * (a + b)
+    if dim > MAX_WINDOW_DIM:
+        raise WindowTooLarge("window dimension %d exceeds the cap MAX_WINDOW_DIM=%d" % (dim, MAX_WINDOW_DIM))
+    return dim
+
+
+def _echelon(ctx: FieldCtx, dim: int, rows, pivots, units=()) -> Subspace:
+    """The span of RREF ``rows`` and of the unit rows at the later slots ``units``."""
+    zero, one = ctx.zero(), ctx.one()
+    rows = rows + [[one if j == s else zero for j in range(dim)] for s in units]
+    return Subspace(dim, Matrix(ctx, len(rows), dim, [x for row in rows for x in row]), [*pivots, *units])
+
+
 def row_to_vec(space: TateSpace, a: int, b: int, row):
     """Window coordinate row -> tuple of LaurentPoly coordinates."""
     polys = [dict() for _ in range(space.rank)]
@@ -83,11 +104,11 @@ class Lattice:
     __slots__ = ("space", "a", "b", "subspace")
 
     def __init__(self, space: TateSpace, a: int, b: int, subspace: Subspace):
-        n = space.rank
         if a + b < 0:
             raise ValueError("window bounds a=%d, b=%d overlap" % (a, b))
-        if subspace.ambient_dim != n * (a + b):
-            raise ValueError("subspace ambient %d != window dim %d" % (subspace.ambient_dim, n * (a + b)))
+        dim = _window_dim(space, a, b)
+        if subspace.ambient_dim != dim:
+            raise ValueError("subspace ambient %d != window dim %d" % (subspace.ambient_dim, dim))
         a, b, subspace = _normalize(space, a, b, subspace)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "a", a)
@@ -106,15 +127,9 @@ class Lattice:
         if len(shifts) != space.rank:
             raise ValueError("need one shift per coordinate")
         a, b = max(shifts), -min(shifts)
-        rows = []
-        dim = space.rank * (a + b)
-        for e in range(-b, a):
-            for i in range(space.rank):
-                if e >= shifts[i]:
-                    row = [space.ctx.zero()] * dim
-                    row[_slot(space, a, b, e, i)] = space.ctx.one()
-                    rows.append(row)
-        return cls(space, a, b, Subspace.from_rows(space.ctx, dim, rows))
+        dim = _window_dim(space, a, b)
+        units = [_slot(space, a, b, e, i) for e in range(-b, a) for i in range(space.rank) if e >= shifts[i]]
+        return cls(space, a, b, _echelon(space.ctx, dim, [], [], units))
 
     @property
     def ctx(self):
@@ -124,21 +139,13 @@ class Lattice:
         """This lattice as a subspace of the larger window (a2, b2)."""
         if a2 < self.a or b2 < self.b:
             raise ValueError("window must contain (%d, %d)" % (self.a, self.b))
-        n = self.space.rank
-        dim2 = n * (a2 + b2)
-        rows = []
-        shift = (b2 - self.b) * n
-        for row in self.subspace.rows():
-            new = [self.ctx.zero()] * dim2
-            for s, c in enumerate(row):
-                new[s + shift] = c
-            rows.append(new)
-        for e in range(self.a, a2):
-            for i in range(n):
-                new = [self.ctx.zero()] * dim2
-                new[_slot(self.space, a2, b2, e, i)] = self.ctx.one()
-                rows.append(new)
-        return Subspace.from_rows(self.ctx, dim2, rows)
+        dim2 = _window_dim(self.space, a2, b2)
+        # Shifted echelon rows, then the units of the new top blocks: still RREF.
+        shift = (b2 - self.b) * self.space.rank
+        pad = [self.ctx.zero()] * (dim2 - shift - self.subspace.ambient_dim)
+        rows = [[self.ctx.zero()] * shift + row + pad for row in self.subspace.rows()]
+        pivots = [p + shift for p in self.subspace.pivots]
+        return _echelon(self.ctx, dim2, rows, pivots, range(_slot(self.space, a2, b2, self.a, 0), dim2))
 
     def basis_vectors(self):
         """Representative Laurent vectors of L modulo t^a O^n."""
@@ -188,34 +195,24 @@ def lattice_from_json(ctx: FieldCtx, data: dict) -> Lattice:
 
 
 def _normalize(space, a, b, subspace):
-    n = space.rank
-    ctx = space.ctx
-    # Tighten b: drop the bottom exponent block while no basis vector meets it.
-    while a + b > 0:
-        rows = subspace.rows()
-        if any(not row[s].is_zero() for row in rows for s in range(n)):
-            break
-        b -= 1
-        dim = n * (a + b)
-        subspace = Subspace.from_rows(ctx, dim, [row[n:] for row in rows])
-    # Tighten a: absorb the top exponent block while it lies inside W.
-    while a + b > 0:
-        dim = n * (a + b)
-        units = []
-        for i in range(n):
-            u = [ctx.zero()] * dim
-            u[_slot(space, a, b, a - 1, i)] = ctx.one()
-            units.append(u)
-        if not all(subspace.contains_vector(u) for u in units):
-            break
-        a -= 1
-        keep = [
-            row[: n * (a + b)]
-            for row in subspace.rows()
-            if any(not c.is_zero() for c in row[: n * (a + b)])
-        ]
-        subspace = Subspace.from_rows(ctx, n * (a + b), keep)
-    return a, b, subspace
+    """Tight bounds read off the RREF pivots of W; slicing keeps the RREF.
+
+    b drops the leading blocks below the first pivot.  a drops the trailing
+    blocks whose slots are all pivots, which in RREF is exactly the condition
+    that W contains t^(a-1) O^n.
+    """
+    n, dim, piv = space.rank, subspace.ambient_dim, subspace.pivots
+    low = piv[0] // n if piv else a + b
+    run = 0
+    while run < len(piv) and piv[-1 - run] == dim - 1 - run:
+        run += 1
+    high = run // n
+    if not low and not high:
+        return a, b, subspace
+    keep = len(piv) - high * n
+    rows = [row[low * n : dim - high * n] for row in subspace.rows()[:keep]]
+    pivots = [p - low * n for p in piv[:keep]]
+    return a - high, b - low, _echelon(space.ctx, dim - (low + high) * n, rows, pivots)
 
 
 def common_window(*lattices):
@@ -247,17 +244,11 @@ def meet(L: Lattice, M: Lattice) -> Lattice:
 
 
 def join_all(lattices) -> Lattice:
-    out = lattices[0]
-    for x in lattices[1:]:
-        out = join(out, x)
-    return out
+    return reduce(join, lattices)
 
 
 def meet_all(lattices) -> Lattice:
-    out = lattices[0]
-    for x in lattices[1:]:
-        out = meet(out, x)
-    return out
+    return reduce(meet, lattices)
 
 
 class LatticeQuotient:
@@ -268,13 +259,12 @@ class LatticeQuotient:
     The choice is window-independent, so downstream scalars are stable.
     """
 
-    __slots__ = ("space", "a", "b", "sub_window", "reps")
+    __slots__ = ("space", "a", "b", "reps")
 
-    def __init__(self, space, a, b, sub_window: Subspace, reps):
+    def __init__(self, space, a, b, reps):
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "sub_window", sub_window)
         object.__setattr__(self, "reps", reps)
 
     def __setattr__(self, *a):
@@ -293,7 +283,7 @@ def quotient(L: Lattice, M: Lattice) -> LatticeQuotient:
     a, b, (wl, wm) = common_window(L, M)
     if not subspace_contains(wm, wl):
         raise NotNested("quotient needs L <= M")
-    return LatticeQuotient(L.space, a, b, wl, quotient_basis(wl, wm))
+    return LatticeQuotient(L.space, a, b, quotient_basis(wl, wm))
 
 
 def quotient_dim_lattices(L: Lattice, M: Lattice) -> int:
@@ -307,6 +297,7 @@ def act(g: Automorphism, L: Lattice) -> Lattice:
         raise SpaceMismatch("automorphism of rank %d on %r" % (g.rank, space))
     vg, vginv = g.valuations()
     a2, b2 = L.a - vginv, L.b - vg
+    dim = _window_dim(space, a2, b2)
     vecs = L.basis_vectors()
     # t^e e_i with L.a <= e < a2 - v(g) lies in t^a O^n, outside the window
     # basis, yet its image can reach below t^a2; the range is empty for MultBy.
@@ -315,8 +306,7 @@ def act(g: Automorphism, L: Lattice) -> Lattice:
         for i in range(n):
             vecs.append([LaurentPoly.t(space.ctx, e) if j == i else zero for j in range(n)])
     rows = [vec_to_row(space, a2, b2, img) for img in g.image(vecs, a2)]
-    sub = Subspace.from_rows(space.ctx, space.rank * (a2 + b2), rows)
-    return Lattice(space, a2, b2, sub)
+    return Lattice(space, a2, b2, Subspace.from_rows(space.ctx, dim, rows))
 
 
 class LatticeChain:

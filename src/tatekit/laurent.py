@@ -446,7 +446,8 @@ class Automorphism:
     """An automorphism of k((t))^n: MultBy a unit (n=1) or monomial-det GL_n.
 
     Rank 1 has the single representation MultBy: ``gl`` turns a 1x1 matrix
-    into the multiplication by its entry.
+    into the multiplication by its entry, which only has to be nonzero, as
+    every nonzero Laurent polynomial is a unit of k((t)).
     """
 
     __slots__ = ("kind", "series", "matrix", "_inverse")
@@ -483,10 +484,7 @@ class Automorphism:
     @classmethod
     def gl(cls, matrix: LaurentMatrix) -> "Automorphism":
         if matrix.n == 1:
-            entry = matrix[0, 0]
-            if not entry.is_monomial():
-                raise NotInvertibleInLaurentRing("determinant %s is not c*t^k" % entry)
-            return cls.mult_by(entry)
+            return cls.mult_by(matrix[0, 0])
         return cls(cls.GL, matrix=matrix)
 
     @classmethod

@@ -5,6 +5,12 @@ by their reduced row echelon basis, which is a canonical form: two subspaces
 are equal iff their stored bases are equal row for row.  Quotient bases are
 fixed by echelon completion, so every downstream determinant-line scalar is
 reproducible run to run.
+
+Only ``Subspace.from_rows`` (a ``Subspace`` built with ``pivots=None``) runs
+an elimination, through ``rref``.  Builders whose rows are already in reduced
+echelon form pass their pivots and skip it, and membership and quotient
+coordinates reduce a vector against the stored echelon rows instead of
+solving a system.
 """
 
 from __future__ import annotations
@@ -44,11 +50,6 @@ class Matrix:
     def identity(cls, ctx: FieldCtx, n: int) -> "Matrix":
         one, zero = ctx.one(), ctx.zero()
         return cls(ctx, n, n, [one if i == j else zero for i in range(n) for j in range(n)])
-
-    @classmethod
-    def zero(cls, ctx: FieldCtx, rows: int, cols: int) -> "Matrix":
-        z = ctx.zero()
-        return cls(ctx, rows, cols, [z] * (rows * cols))
 
     def __getitem__(self, ij):
         i, j = ij
@@ -134,7 +135,7 @@ def _rref_rows(ctx: FieldCtx, rows):
 def rref(m: Matrix):
     """Reduced row echelon form of ``m`` along with its pivot columns."""
     rows, pivots = _rref_rows(m.ctx, m.row_list())
-    return Matrix.from_rows(m.ctx, rows) if rows else m, pivots
+    return Matrix(m.ctx, m.rows, m.cols, [x for row in rows for x in row]), pivots
 
 
 def det(m: Matrix) -> Scalar:
@@ -167,29 +168,18 @@ def det(m: Matrix) -> Scalar:
     return acc if sign == 1 else -acc
 
 
-def solve_in_rowspace(rows, target):
-    """Coefficients c with sum_i c_i rows[i] = target, or None.
+def _reduce(rows, pivots, vec):
+    """``vec`` minus the rows of an RREF basis, each taken at its pivot.
 
-    ``rows`` is a list of equal-length Scalar rows (not necessarily echelon),
-    ``target`` a row of the same length.  The solution is unique whenever the
-    rows are independent, which is the only way this helper is used.
+    The remainder is zero at every pivot, and zero everywhere iff ``vec``
+    lies in the span of ``rows``.
     """
-    if not rows:
-        return [] if all(x.is_zero() for x in target) else None
-    ctx = rows[0][0].ctx
-    k = len(rows)
-    ncols = len(target)
-    # Augmented transposed system: columns are the unknown coefficients.
-    aug = []
-    for j in range(ncols):
-        aug.append([rows[i][j] for i in range(k)] + [target[j]])
-    red, pivots = _rref_rows(ctx, aug)
-    if k in pivots:  # pivot in the RHS column: inconsistent
-        return None
-    coeffs = [ctx.zero()] * k
-    for r, c in enumerate(pivots):
-        coeffs[c] = red[r][k]
-    return coeffs
+    vec = list(vec)
+    for row, p in zip(rows, pivots):
+        f = vec[p]
+        if not f.is_zero():
+            vec = [a - f * b for a, b in zip(vec, row)]
+    return vec
 
 
 class Subspace:
@@ -202,8 +192,9 @@ class Subspace:
             raise AmbientMismatch("basis cols %d != ambient %d" % (basis.cols, ambient_dim))
         if pivots is None:
             basis, pivots = rref(basis)
-            rows = [r for r in basis.row_list() if any(not x.is_zero() for x in r)]
-            basis = Matrix.from_rows(basis.ctx, rows) if rows else Matrix.zero(basis.ctx, 0, ambient_dim)
+            size = len(pivots) * ambient_dim
+            if len(basis.entries) != size:
+                basis = Matrix(basis.ctx, len(pivots), ambient_dim, basis.entries[:size])
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "pivots", tuple(pivots))
@@ -215,14 +206,11 @@ class Subspace:
     def from_rows(cls, ctx: FieldCtx, ambient_dim: int, rows) -> "Subspace":
         if not rows:
             return cls.zero(ctx, ambient_dim)
-        m = Matrix.from_rows(ctx, rows)
-        if m.cols != ambient_dim:
-            raise AmbientMismatch("rows of length %d in ambient %d" % (m.cols, ambient_dim))
-        return cls(ambient_dim, m)
+        return cls(ambient_dim, Matrix.from_rows(ctx, rows))
 
     @classmethod
     def zero(cls, ctx: FieldCtx, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Matrix.zero(ctx, 0, ambient_dim), ())
+        return cls(ambient_dim, Matrix(ctx, 0, ambient_dim, ()), ())
 
     @classmethod
     def full(cls, ctx: FieldCtx, ambient_dim: int) -> "Subspace":
@@ -240,17 +228,7 @@ class Subspace:
         return self.basis.row_list()
 
     def contains_vector(self, vec) -> bool:
-        vec = list(vec)
-        rows = self.rows()
-        piv = dict(zip(self.pivots, range(len(self.pivots))))
-        for c in range(self.ambient_dim):
-            if vec[c].is_zero():
-                continue
-            if c not in piv:
-                return False
-            f = vec[c]
-            vec = [a - f * b for a, b in zip(vec, rows[piv[c]])]
-        return True
+        return all(x.is_zero() for x in _reduce(self.rows(), self.pivots, vec))
 
     def _check(self, other: "Subspace"):
         if self.ambient_dim != other.ambient_dim:
@@ -333,13 +311,19 @@ def quotient_dim(sub: Subspace, sup: Subspace) -> int:
 def quotient_coords(sub: Subspace, reps, vec):
     """Coordinates of ``vec`` mod ``sub`` w.r.t. quotient representatives.
 
-    ``reps`` must be independent mod sub and vec must lie in sub + span(reps);
-    returns the rep coefficients, discarding the sub component.
+    ``reps`` are the rows ``quotient_basis(sub, sup)`` returns, in any order:
+    RREF rows of ``sup`` with leading entry 1, each zero at the leading
+    columns of the others and at the pivots of ``sub``.  ``vec`` is reduced by
+    ``sub``, then by ``reps`` at their leading columns; the multipliers of
+    that second pass are returned.  A non-zero remainder means ``vec`` lies
+    outside sub + span(reps) and raises ``NotContained``.
     """
-    coeffs = solve_in_rowspace(list(reps) + sub.rows(), list(vec))
-    if coeffs is None:
+    vec = _reduce(sub.rows(), sub.pivots, vec)
+    lead = [next(j for j, x in enumerate(row) if not x.is_zero()) for row in reps]
+    coeffs = [vec[j] for j in lead]
+    if not all(x.is_zero() for x in _reduce(reps, lead, vec)):
         raise NotContained("vector outside sub + span(reps)")
-    return coeffs[: len(reps)]
+    return coeffs
 
 
 def all_subspaces(ctx: FieldCtx, ambient_dim: int):

@@ -1,5 +1,6 @@
 import json
 import re
+import time
 
 import pytest
 
@@ -25,6 +26,23 @@ def test_index_identity_f5(capsys):
 def test_index_matrix(capsys):
     code, out, _ = run(capsys, "index", "--field", "Q", "--matrix", "t,0;0,t^2")
     assert code == 0 and out.strip() == "3"
+
+
+def test_index_matrix_rank_one_is_mult(capsys):
+    # a 1x1 matrix is the multiplication by its entry, which needs no monomial det
+    code, out, _ = run(capsys, "index", "--matrix", "1-t")
+    assert code == 0 and out == run(capsys, "index", "--f", "1-t")[1] and out.strip() == "0"
+    code, _, err = run(capsys, "index", "--matrix", "0")
+    assert code == 2 and "error" in err
+
+
+def test_window_cap_exit_2(capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "index", "--f", "t^5000")
+    assert code == 2 and "1024" in err
+    assert time.perf_counter() - start < 1.0
+    code, _, err = run(capsys, "commutator", "--f", "t^2000", "--g", "t")
+    assert code == 2 and "1024" in err
 
 
 def test_index_json_lattices(capsys):

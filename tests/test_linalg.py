@@ -9,7 +9,6 @@ from tatekit.linalg import (
     quotient_basis,
     quotient_coords,
     quotient_dim,
-    solve_in_rowspace,
     subspace_contains,
     subspace_intersect,
     subspace_sum,
@@ -146,10 +145,5 @@ def test_quotient_coords_roundtrip():
     vec = [F5.scalar(x) for x in (1, 1, 2, 3)]
     coords = quotient_coords(sub, reps, vec)
     assert [c.value for c in coords] == [2, 3]
-
-
-def test_solve_in_rowspace():
-    rows = [[QQ.scalar(1), QQ.scalar(2)], [QQ.scalar(0), QQ.scalar(1)]]
-    coeffs = solve_in_rowspace(rows, [QQ.scalar(2), QQ.scalar(5)])
-    assert [str(c) for c in coeffs] == ["2", "1"]
-    assert solve_in_rowspace([[QQ.scalar(1), QQ.scalar(0)]], [QQ.scalar(0), QQ.scalar(1)]) is None
+    with pytest.raises(NotContained):  # outside sub + span(reps)
+        quotient_coords(sub, reps[:1], vec)
