@@ -50,7 +50,7 @@ from .lattice import (
     std_lattice,
     vec_to_row,
 )
-from .linalg import Matrix, det, quotient_basis, quotient_coords
+from .linalg import Matrix, _quotient_coords, _quotient_reps, det
 
 UNGRADED = "ungraded"
 GRADED = "graded"
@@ -121,18 +121,19 @@ def rel_det(F1: Lattice, F2: Lattice) -> GradedLine:
 
 
 def _desc_reps(sub_w, sup_w):
-    """Quotient representatives in descending pivot order (wedge order)."""
-    return list(reversed(quotient_basis(sub_w, sup_w)))
+    """Raw quotient representatives in descending pivot order (wedge order)."""
+    return _quotient_reps(sub_w, sup_w)[0][::-1]
 
 
 def _wedge_det(sub_w, sup_w, rows) -> Scalar:
-    """Determinant of ``rows`` in the canonical basis of det(sup_w/sub_w)."""
-    target = _desc_reps(sub_w, sup_w)
+    """Determinant of the raw ``rows`` in the canonical basis of det(sup_w/sub_w)."""
+    target, lead = _quotient_reps(sub_w, sup_w)
     if len(rows) != len(target):
         raise NotNested("delta needs nested lattices")
     if not rows:
         return sub_w.ctx.one()
-    return det(Matrix.from_rows(sub_w.ctx, [quotient_coords(sub_w, target, v) for v in rows]))
+    coords = _quotient_coords(sub_w, target[::-1], lead[::-1], rows)
+    return det(Matrix._raw(sub_w.ctx, len(target), coords))
 
 
 def _delta(M: Lattice, N: Lattice, F: Lattice) -> Scalar:

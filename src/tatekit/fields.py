@@ -2,8 +2,10 @@
 
 A ``FieldCtx`` fixes the base field once; ``Scalar`` wraps either an
 arbitrary-precision ``Fraction`` (rationals) or a residue in ``[0, p)``
-(prime field).  Arithmetic between scalars of different contexts is a hard
-error, never a coercion.  All values are immutable and hashable.
+(prime field).  ``FieldCtx.raw`` checks and unboxes a value to that raw
+form, which is what ``linalg`` stores and computes with.  Arithmetic between
+scalars of different contexts is a hard error, never a coercion.  All values
+are immutable and hashable.
 """
 
 from __future__ import annotations
@@ -51,9 +53,12 @@ def is_prime(n: int) -> bool:
 
 
 class FieldCtx:
-    """The base field: either Q or F_p for a verified prime p."""
+    """The base field: either Q or F_p for a verified prime p.
 
-    __slots__ = ("kind", "modulus")
+    ``raw_zero`` and ``raw_one`` are the raw values of 0 and 1 (see ``raw``).
+    """
+
+    __slots__ = ("kind", "modulus", "raw_zero", "raw_one")
 
     def __init__(self, kind: str, modulus: int | None = None):
         if kind == RATIONALS:
@@ -68,12 +73,14 @@ class FieldCtx:
             raise ValueError("unknown field kind %r" % (kind,))
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "raw_zero", Fraction(0) if modulus is None else 0)
+        object.__setattr__(self, "raw_one", Fraction(1) if modulus is None else 1)
 
     def __setattr__(self, *a):
         raise AttributeError("FieldCtx is immutable")
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, FieldCtx)
             and self.kind == other.kind
             and self.modulus == other.modulus
@@ -91,26 +98,34 @@ class FieldCtx:
 
     def scalar(self, value) -> "Scalar":
         """Coerce an int, Fraction, or 'a/b' string into this field."""
+        raw = self.raw(value)
+        return value if isinstance(value, Scalar) else Scalar(self, raw)
+
+    def raw(self, value):
+        """The raw value of a Scalar of this field, an int, a Fraction or an
+        'a/b' string: a ``Fraction`` over Q, a residue in ``[0, p)`` over F_p.
+        """
         if isinstance(value, Scalar):
-            if value.ctx != self:
+            if value.ctx is not self and value.ctx != self:
                 raise FieldMismatch("scalar of %r used in %r" % (value.ctx, self))
-            return value
+            return value.value
         if isinstance(value, str):
             if "/" in value:
                 num, den = value.split("/", 1)
                 if int(den) == 0:
                     raise ZeroElement("zero denominator in %r" % value)
-                return self.scalar(Fraction(int(num), int(den)))
-            value = int(value)
+                value = Fraction(int(num), int(den))
+            else:
+                value = int(value)
         if self.kind == RATIONALS:
-            return Scalar(self, Fraction(value))
+            return value if type(value) is Fraction else Fraction(value)
         if isinstance(value, Fraction):
             if value.denominator % self.modulus == 0:
                 raise ZeroElement("denominator divisible by %d" % self.modulus)
             num = value.numerator % self.modulus
             den = pow(value.denominator % self.modulus, self.modulus - 2, self.modulus)
-            return Scalar(self, num * den % self.modulus)
-        return Scalar(self, value % self.modulus)
+            return num * den % self.modulus
+        return value % self.modulus
 
     def zero(self) -> "Scalar":
         return self.scalar(0)
@@ -152,7 +167,7 @@ class Scalar:
     def _check(self, other: "Scalar"):
         if not isinstance(other, Scalar):
             raise TypeError("expected Scalar, got %r" % (other,))
-        if other.ctx != self.ctx:
+        if other.ctx is not self.ctx and other.ctx != self.ctx:
             raise FieldMismatch("%r vs %r" % (self.ctx, other.ctx))
 
     def __add__(self, other):

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from functools import reduce
 
-from .errors import NotNested, SpaceMismatch, WindowTooLarge
+from .errors import FieldMismatch, NotContained, NotNested, SpaceMismatch, WindowTooLarge
 from .fields import FieldCtx
 from .laurent import Automorphism, LaurentPoly
-from .linalg import Matrix, Subspace, quotient_basis, subspace_contains, subspace_intersect, subspace_sum
+from .linalg import Matrix, Subspace, _quotient_reps, subspace_contains, subspace_intersect, subspace_sum
 
 MAX_WINDOW_DIM = 1024
 
@@ -68,17 +68,24 @@ def _window_dim(space: TateSpace, a: int, b: int) -> int:
 
 
 def _echelon(ctx: FieldCtx, dim: int, rows, pivots, units=()) -> Subspace:
-    """The span of RREF ``rows`` and of the unit rows at the later slots ``units``."""
-    zero, one = ctx.zero(), ctx.one()
-    rows = rows + [[one if j == s else zero for j in range(dim)] for s in units]
-    return Subspace(dim, Matrix(ctx, len(rows), dim, [x for row in rows for x in row]), [*pivots, *units])
+    """The span of raw RREF ``rows`` and of the unit rows at the later slots ``units``."""
+    zero, one = ctx.raw_zero, ctx.raw_one
+    rows = list(rows)
+    for s in units:
+        unit = [zero] * dim
+        unit[s] = one
+        rows.append(unit)
+    return Subspace(dim, Matrix._raw(ctx, dim, rows), [*pivots, *units])
 
 
 def row_to_vec(space: TateSpace, a: int, b: int, row):
-    """Window coordinate row -> tuple of LaurentPoly coordinates."""
+    """Window coordinate row -> tuple of LaurentPoly coordinates.
+
+    The row holds raw field values or Scalars; ``LaurentPoly`` coerces either.
+    """
     polys = [dict() for _ in range(space.rank)]
     for s, c in enumerate(row):
-        if c.is_zero():
+        if not c:  # a raw zero; a zero Scalar is dropped by LaurentPoly
             continue
         e, i = divmod(s, space.rank)
         polys[i][e - b] = c
@@ -86,15 +93,17 @@ def row_to_vec(space: TateSpace, a: int, b: int, row):
 
 
 def vec_to_row(space: TateSpace, a: int, b: int, vec):
-    """LaurentPoly coordinates -> window row, reducing modulo t^a O^n."""
-    row = [space.ctx.zero()] * (space.rank * (a + b))
+    """LaurentPoly coordinates -> raw window row, reducing modulo t^a O^n."""
+    row = [space.ctx.raw_zero] * (space.rank * (a + b))
     for i, poly in enumerate(vec):
+        if poly.ctx != space.ctx:
+            raise FieldMismatch("coordinate over %r in %r" % (poly.ctx, space))
         for e, c in poly.terms.items():
             if e >= a:
                 continue  # inside t^a O^n, dies in the window quotient
             if e < -b:
                 raise ValueError("vector outside t^-%d O^n window" % b)
-            row[_slot(space, a, b, e, i)] = c
+            row[_slot(space, a, b, e, i)] = c.value
     return row
 
 
@@ -139,11 +148,14 @@ class Lattice:
         """This lattice as a subspace of the larger window (a2, b2)."""
         if a2 < self.a or b2 < self.b:
             raise ValueError("window must contain (%d, %d)" % (self.a, self.b))
+        if a2 == self.a and b2 == self.b:
+            return self.subspace
         dim2 = _window_dim(self.space, a2, b2)
         # Shifted echelon rows, then the units of the new top blocks: still RREF.
         shift = (b2 - self.b) * self.space.rank
-        pad = [self.ctx.zero()] * (dim2 - shift - self.subspace.ambient_dim)
-        rows = [[self.ctx.zero()] * shift + row + pad for row in self.subspace.rows()]
+        zero = self.ctx.raw_zero
+        head, pad = [zero] * shift, [zero] * (dim2 - shift - self.subspace.ambient_dim)
+        rows = [head + row + pad for row in self.subspace.basis._data]
         pivots = [p + shift for p in self.subspace.pivots]
         return _echelon(self.ctx, dim2, rows, pivots, range(_slot(self.space, a2, b2, self.a, 0), dim2))
 
@@ -151,7 +163,7 @@ class Lattice:
         """Representative Laurent vectors of L modulo t^a O^n."""
         return [
             row_to_vec(self.space, self.a, self.b, row)
-            for row in self.subspace.rows()
+            for row in self.subspace.basis._data
         ]
 
     def contains_vector(self, vec) -> bool:
@@ -190,8 +202,7 @@ def lattice_from_json(ctx: FieldCtx, data: dict) -> Lattice:
     space = TateSpace(ctx, data["rank"])
     a, b = data["a"], data["b"]
     dim = space.rank * (a + b)
-    sub = Subspace.from_rows(ctx, dim, [[ctx.scalar(c) for c in row] for row in data["basis"]])
-    return Lattice(space, a, b, sub)
+    return Lattice(space, a, b, Subspace.from_rows(ctx, dim, data["basis"]))
 
 
 def _normalize(space, a, b, subspace):
@@ -210,7 +221,7 @@ def _normalize(space, a, b, subspace):
     if not low and not high:
         return a, b, subspace
     keep = len(piv) - high * n
-    rows = [row[low * n : dim - high * n] for row in subspace.rows()[:keep]]
+    rows = [row[low * n : dim - high * n] for row in subspace.basis._data[:keep]]
     pivots = [p - low * n for p in piv[:keep]]
     return a - high, b - low, _echelon(space.ctx, dim - (low + high) * n, rows, pivots)
 
@@ -255,7 +266,7 @@ class LatticeQuotient:
     """The finite quotient M/L with its canonical ordered basis.
 
     Representatives are the echelon completion of L inside M, in ascending
-    pivot order; they are window rows together with the window they live in.
+    pivot order; they are raw window rows together with the window they live in.
     The choice is window-independent, so downstream scalars are stable.
     """
 
@@ -279,11 +290,13 @@ class LatticeQuotient:
 
 
 def quotient(L: Lattice, M: Lattice) -> LatticeQuotient:
-    """The quotient M/L for L <= M."""
+    """The quotient M/L for L <= M; raises ``NotNested`` otherwise."""
     a, b, (wl, wm) = common_window(L, M)
-    if not subspace_contains(wm, wl):
-        raise NotNested("quotient needs L <= M")
-    return LatticeQuotient(L.space, a, b, quotient_basis(wl, wm))
+    try:
+        reps, _ = _quotient_reps(wl, wm)
+    except NotContained:
+        raise NotNested("quotient needs L <= M") from None
+    return LatticeQuotient(L.space, a, b, reps)
 
 
 def quotient_dim_lattices(L: Lattice, M: Lattice) -> int:
@@ -306,7 +319,7 @@ def act(g: Automorphism, L: Lattice) -> Lattice:
         for i in range(n):
             vecs.append([LaurentPoly.t(space.ctx, e) if j == i else zero for j in range(n)])
     rows = [vec_to_row(space, a2, b2, img) for img in g.image(vecs, a2)]
-    return Lattice(space, a2, b2, Subspace.from_rows(space.ctx, dim, rows))
+    return Lattice(space, a2, b2, Subspace._span(space.ctx, dim, rows))
 
 
 class LatticeChain:

@@ -1,10 +1,16 @@
 """Deterministic dense linear algebra over an exact field.
 
-Matrices are immutable row-major grids of ``Scalar``.  Subspaces are stored
-by their reduced row echelon basis, which is a canonical form: two subspaces
-are equal iff their stored bases are equal row for row.  Quotient bases are
-fixed by echelon completion, so every downstream determinant-line scalar is
-reproducible run to run.
+Matrices and subspaces store raw field values row by row (a ``Fraction``
+over Q, an int in ``[0, p)`` over F_p), and the kernel runs on them with one
+branch per field.  Values are checked and unboxed where they enter
+(``Matrix``, ``from_rows``, ``contains_vector``, ``quotient_coords``) and
+boxed into ``Scalar`` where they leave; values the kernel computes itself
+are not checked again.
+
+Subspaces are stored by their reduced row echelon basis, which is a
+canonical form: two subspaces are equal iff their stored bases are equal row
+for row.  Quotient bases are fixed by echelon completion, so every
+downstream determinant-line scalar is reproducible run to run.
 
 Only ``Subspace.from_rows`` (a ``Subspace`` built with ``pivots=None``) runs
 an elimination, through ``rref``.  Builders whose rows are already in reduced
@@ -15,12 +21,51 @@ solving a system.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import AmbientMismatch, FieldMismatch, NonSquare, NotContained
 from .fields import FieldCtx, Scalar
 
+# Kernel arithmetic on raw values; ``p`` is the field's modulus, None over Q.
+
+
+def _inv(p, x):
+    return Fraction(1) / x if p is None else pow(x, -1, p)
+
+
+def _neg(p, x):
+    return -x if p is None else -x % p
+
+
+def _mul(p, x, y):
+    return x * y if p is None else x * y % p
+
+
+def _submul(p, vec, f, row):
+    """``vec - f * row``; zero entries of ``row`` leave ``vec`` as it is."""
+    if p is None:
+        return [v - f * r if r else v for v, r in zip(vec, row)]
+    return [(v - f * r) % p if r else v for v, r in zip(vec, row)]
+
+
+def _scale(p, c, row):
+    if p is None:
+        return [c * x for x in row]
+    return [c * x % p for x in row]
+
+
+def _box(ctx: FieldCtx, row):
+    return [Scalar(ctx, x) for x in row]
+
+
+def _unbox(ctx: FieldCtx, vec):
+    return [ctx.raw(x) for x in vec]
+
 
 class Matrix:
-    __slots__ = ("ctx", "rows", "cols", "entries")
+    """An immutable matrix over ``ctx``; ``_data`` holds its raw rows."""
+
+    __slots__ = ("ctx", "rows", "cols", "_data")
 
     def __init__(self, ctx: FieldCtx, rows: int, cols: int, entries):
         entries = tuple(entries)
@@ -29,62 +74,73 @@ class Matrix:
         for e in entries:
             if not isinstance(e, Scalar) or e.ctx != ctx:
                 raise FieldMismatch("matrix entry outside %r" % (ctx,))
+        vals = [e.value for e in entries]
+        self._fill(ctx, cols, [vals[i * cols : (i + 1) * cols] for i in range(rows)])
+
+    def _fill(self, ctx, cols, data):
         object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rows", len(data))
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_data", tuple(data))
+
+    @classmethod
+    def _raw(cls, ctx: FieldCtx, cols: int, data) -> "Matrix":
+        """A matrix on raw rows the kernel computed; nothing is checked."""
+        m = object.__new__(cls)
+        m._fill(ctx, cols, data)
+        return m
 
     def __setattr__(self, *a):
         raise AttributeError("Matrix is immutable")
 
     @classmethod
     def from_rows(cls, ctx: FieldCtx, rows) -> "Matrix":
-        rows = [[ctx.scalar(x) for x in row] for row in rows]
+        rows = [_unbox(ctx, row) for row in rows]
         ncols = len(rows[0]) if rows else 0
         for row in rows:
             if len(row) != ncols:
                 raise ValueError("ragged rows")
-        return cls(ctx, len(rows), ncols, [x for row in rows for x in row])
+        return cls._raw(ctx, ncols, rows)
 
     @classmethod
     def identity(cls, ctx: FieldCtx, n: int) -> "Matrix":
-        one, zero = ctx.one(), ctx.zero()
-        return cls(ctx, n, n, [one if i == j else zero for i in range(n) for j in range(n)])
+        zero, one = ctx.raw_zero, ctx.raw_one
+        data = [[zero] * n for _ in range(n)]
+        for i, row in enumerate(data):
+            row[i] = one
+        return cls._raw(ctx, n, data)
+
+    @property
+    def entries(self):
+        return tuple(Scalar(self.ctx, x) for row in self._data for x in row)
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i * self.cols + j]
+        return Scalar(self.ctx, self._data[i][j])
 
     def row(self, i: int):
-        return list(self.entries[i * self.cols : (i + 1) * self.cols])
+        return _box(self.ctx, self._data[i])
 
     def row_list(self):
-        return [self.row(i) for i in range(self.rows)]
+        return [_box(self.ctx, row) for row in self._data]
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            self.ctx,
-            self.cols,
-            self.rows,
-            [self[i, j] for j in range(self.cols) for i in range(self.rows)],
-        )
+        return Matrix._raw(self.ctx, self.rows, [[row[j] for row in self._data] for j in range(self.cols)])
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.ctx != other.ctx:
             raise FieldMismatch("matrix product across fields")
         if self.cols != other.rows:
             raise ValueError("shape mismatch %dx%d * %dx%d" % (self.rows, self.cols, other.rows, other.cols))
-        zero = self.ctx.zero()
+        p, zero = self.ctx.modulus, self.ctx.raw_zero
         out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    if not ri[k].is_zero():
-                        acc = acc + ri[k] * other[k, j]
-                out.append(acc)
-        return Matrix(self.ctx, self.rows, other.cols, out)
+        for ri in self._data:
+            acc = [zero] * other.cols
+            for x, rk in zip(ri, other._data):
+                if x:
+                    acc = [a + x * b for a, b in zip(acc, rk)]
+            out.append(acc if p is None else [a % p for a in acc])
+        return Matrix._raw(self.ctx, other.cols, out)
 
     def __eq__(self, other):
         return (
@@ -92,39 +148,41 @@ class Matrix:
             and self.ctx == other.ctx
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self._data == other._data
         )
 
     def __hash__(self):
-        return hash((self.ctx, self.rows, self.cols, self.entries))
+        return hash((self.ctx, self.rows, self.cols, tuple(map(tuple, self._data))))
 
     def __repr__(self):
-        body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
+        body = "; ".join(" ".join(str(x) for x in row) for row in self.row_list())
         return "Matrix[%s]" % body
 
 
 def _rref_rows(ctx: FieldCtx, rows):
-    """In-place style Gauss-Jordan on a list of row lists; returns pivots."""
-    rows = [list(r) for r in rows]
+    """Gauss-Jordan on raw row lists; returns (rows, pivots).
+
+    Rows are replaced, never written in place, so the input lists survive.
+    """
+    p = ctx.modulus
+    rows = list(rows)
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots = []
     r = 0
     for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if not rows[i][c].is_zero():
-                piv = i
-                break
+        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
+        lead = rows[r][c]
+        if lead != 1:
+            rows[r] = _scale(p, _inv(p, lead), rows[r])
+        prow = rows[r]
         for i in range(nrows):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if f and i != r:
+                rows[i] = _submul(p, rows[i], f, prow)
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -134,51 +192,44 @@ def _rref_rows(ctx: FieldCtx, rows):
 
 def rref(m: Matrix):
     """Reduced row echelon form of ``m`` along with its pivot columns."""
-    rows, pivots = _rref_rows(m.ctx, m.row_list())
-    return Matrix(m.ctx, m.rows, m.cols, [x for row in rows for x in row]), pivots
+    rows, pivots = _rref_rows(m.ctx, m._data)
+    return Matrix._raw(m.ctx, m.cols, rows), pivots
 
 
 def det(m: Matrix) -> Scalar:
     """Determinant by fraction-preserving Gaussian elimination."""
     if m.rows != m.cols:
         raise NonSquare("det of %dx%d" % (m.rows, m.cols))
-    n = m.rows
-    if n == 0:
-        return m.ctx.one()
-    rows = m.row_list()
-    sign = 1
-    acc = m.ctx.one()
+    ctx, p, n = m.ctx, m.ctx.modulus, m.rows
+    rows = list(m._data)
+    acc = ctx.raw_one
     for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if not rows[i][c].is_zero():
-                piv = i
-                break
+        piv = next((i for i in range(c, n) if rows[i][c]), None)
         if piv is None:
-            return m.ctx.zero()
+            return ctx.zero()
         if piv != c:
             rows[c], rows[piv] = rows[piv], rows[c]
-            sign = -sign
-        acc = acc * rows[c][c]
-        inv = rows[c][c].inverse()
+            acc = _neg(p, acc)
+        lead = rows[c][c]
+        acc = _mul(p, acc, lead)
+        inv = _inv(p, lead)
         for i in range(c + 1, n):
-            if not rows[i][c].is_zero():
-                f = rows[i][c] * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return acc if sign == 1 else -acc
+            x = rows[i][c]
+            if x:
+                rows[i] = _submul(p, rows[i], _mul(p, x, inv), rows[c])
+    return Scalar(ctx, acc)
 
 
-def _reduce(rows, pivots, vec):
-    """``vec`` minus the rows of an RREF basis, each taken at its pivot.
+def _reduce(p, rows, pivots, vec):
+    """``vec`` minus the raw rows of an RREF basis, each taken at its pivot.
 
     The remainder is zero at every pivot, and zero everywhere iff ``vec``
     lies in the span of ``rows``.
     """
-    vec = list(vec)
-    for row, p in zip(rows, pivots):
-        f = vec[p]
-        if not f.is_zero():
-            vec = [a - f * b for a, b in zip(vec, row)]
+    for row, c in zip(rows, pivots):
+        f = vec[c]
+        if f:
+            vec = _submul(p, vec, f, row)
     return vec
 
 
@@ -192,9 +243,8 @@ class Subspace:
             raise AmbientMismatch("basis cols %d != ambient %d" % (basis.cols, ambient_dim))
         if pivots is None:
             basis, pivots = rref(basis)
-            size = len(pivots) * ambient_dim
-            if len(basis.entries) != size:
-                basis = Matrix(basis.ctx, len(pivots), ambient_dim, basis.entries[:size])
+            if basis.rows != len(pivots):
+                basis = Matrix._raw(basis.ctx, ambient_dim, basis._data[: len(pivots)])
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "pivots", tuple(pivots))
@@ -209,8 +259,15 @@ class Subspace:
         return cls(ambient_dim, Matrix.from_rows(ctx, rows))
 
     @classmethod
+    def _span(cls, ctx: FieldCtx, ambient_dim: int, rows) -> "Subspace":
+        """The span of raw rows the kernel computed, by one elimination."""
+        if not rows:
+            return cls.zero(ctx, ambient_dim)
+        return cls(ambient_dim, Matrix._raw(ctx, ambient_dim, rows))
+
+    @classmethod
     def zero(cls, ctx: FieldCtx, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Matrix(ctx, 0, ambient_dim, ()), ())
+        return cls(ambient_dim, Matrix._raw(ctx, ambient_dim, ()), ())
 
     @classmethod
     def full(cls, ctx: FieldCtx, ambient_dim: int) -> "Subspace":
@@ -227,8 +284,11 @@ class Subspace:
     def rows(self):
         return self.basis.row_list()
 
+    def _remainder(self, vec):
+        return _reduce(self.ctx.modulus, self.basis._data, self.pivots, vec)
+
     def contains_vector(self, vec) -> bool:
-        return all(x.is_zero() for x in _reduce(self.rows(), self.pivots, vec))
+        return not any(self._remainder(_unbox(self.ctx, vec)))
 
     def _check(self, other: "Subspace"):
         if self.ambient_dim != other.ambient_dim:
@@ -252,43 +312,59 @@ class Subspace:
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     a._check(b)
-    return Subspace.from_rows(a.ctx, a.ambient_dim, a.rows() + b.rows())
+    return Subspace._span(a.ctx, a.ambient_dim, a.basis._data + b.basis._data)
 
 
-def nullspace(m: Matrix):
-    """Basis rows of {x : m x = 0}, echelon over the free columns."""
+def _nullspace(m: Matrix):
+    """Raw basis rows of {x : m x = 0}, echelon over the free columns."""
     red, pivots = rref(m)
-    free = [c for c in range(m.cols) if c not in pivots]
+    ctx, p = m.ctx, m.ctx.modulus
+    zero, one = ctx.raw_zero, ctx.raw_one
     out = []
-    for f in free:
-        vec = [m.ctx.zero()] * m.cols
-        vec[f] = m.ctx.one()
-        for r, c in enumerate(pivots):
-            vec[c] = -red[r, f]
+    for f in (c for c in range(m.cols) if c not in pivots):
+        vec = [zero] * m.cols
+        vec[f] = one
+        for row, c in zip(red._data, pivots):
+            vec[c] = _neg(p, row[f])
         out.append(vec)
     return out
 
 
+def nullspace(m: Matrix):
+    """Basis rows of {x : m x = 0}, echelon over the free columns."""
+    return [_box(m.ctx, vec) for vec in _nullspace(m)]
+
+
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     a._check(b)
+    ctx, p = a.ctx, a.ctx.modulus
     if a.dim == 0 or b.dim == 0:
-        return Subspace.zero(a.ctx, a.ambient_dim)
-    stacked = Matrix.from_rows(a.ctx, a.rows() + b.rows())
+        return Subspace.zero(ctx, a.ambient_dim)
+    stacked = Matrix._raw(ctx, a.ambient_dim, a.basis._data + b.basis._data)
     vecs = []
-    for x in nullspace(stacked.transpose()):
-        alpha = x[: a.dim]
-        vec = [a.ctx.zero()] * a.ambient_dim
-        for coef, row in zip(alpha, a.rows()):
-            if not coef.is_zero():
-                vec = [v + coef * r for v, r in zip(vec, row)]
+    for x in _nullspace(stacked.transpose()):
+        vec = [ctx.raw_zero] * a.ambient_dim
+        for coef, row in zip(x[: a.dim], a.basis._data):
+            if coef:
+                vec = _submul(p, vec, _neg(p, coef), row)
         vecs.append(vec)
-    return Subspace.from_rows(a.ctx, a.ambient_dim, vecs)
+    return Subspace._span(ctx, a.ambient_dim, vecs)
 
 
 def subspace_contains(a: Subspace, b: Subspace) -> bool:
     """Whether every vector of b lies in a."""
     a._check(b)
-    return all(a.contains_vector(row) for row in b.rows())
+    return not any(any(a._remainder(row)) for row in b.basis._data)
+
+
+def _quotient_reps(sub: Subspace, sup: Subspace):
+    """(rows, pivots): the raw echelon rows of sup whose pivots are not
+    pivots of sub, ascending.  Raises ``NotContained`` unless sub <= sup."""
+    if not subspace_contains(sup, sub):
+        raise NotContained("quotient needs sub <= sup")
+    sub_piv = set(sub.pivots)
+    kept = [(row, c) for row, c in zip(sup.basis._data, sup.pivots) if c not in sub_piv]
+    return [row for row, _ in kept], [c for _, c in kept]
 
 
 def quotient_basis(sub: Subspace, sup: Subspace):
@@ -297,15 +373,25 @@ def quotient_basis(sub: Subspace, sup: Subspace):
     The representatives are the echelon rows of sup whose pivots are not
     pivots of sub; their classes form a basis of the quotient.
     """
-    sub._check(sup)
-    if not subspace_contains(sup, sub):
-        raise NotContained("quotient needs sub <= sup")
-    sub_piv = set(sub.pivots)
-    return [row for row, piv in zip(sup.rows(), sup.pivots) if piv not in sub_piv]
+    return [_box(sup.ctx, row) for row in _quotient_reps(sub, sup)[0]]
 
 
 def quotient_dim(sub: Subspace, sup: Subspace) -> int:
-    return len(quotient_basis(sub, sup))
+    return len(_quotient_reps(sub, sup)[0])
+
+
+def _quotient_coords(sub: Subspace, reps, lead, vecs):
+    """Raw coordinates of each raw vector in ``vecs`` mod ``sub``, with
+    ``reps`` the raw representatives and ``lead`` their leading columns."""
+    p = sub.ctx.modulus
+    out = []
+    for vec in vecs:
+        vec = sub._remainder(vec)
+        coeffs = [vec[j] for j in lead]
+        if any(_reduce(p, reps, lead, vec)):
+            raise NotContained("vector outside sub + span(reps)")
+        out.append(coeffs)
+    return out
 
 
 def quotient_coords(sub: Subspace, reps, vec):
@@ -318,12 +404,10 @@ def quotient_coords(sub: Subspace, reps, vec):
     that second pass are returned.  A non-zero remainder means ``vec`` lies
     outside sub + span(reps) and raises ``NotContained``.
     """
-    vec = _reduce(sub.rows(), sub.pivots, vec)
-    lead = [next(j for j, x in enumerate(row) if not x.is_zero()) for row in reps]
-    coeffs = [vec[j] for j in lead]
-    if not all(x.is_zero() for x in _reduce(reps, lead, vec)):
-        raise NotContained("vector outside sub + span(reps)")
-    return coeffs
+    ctx = sub.ctx
+    reps = [_unbox(ctx, row) for row in reps]
+    lead = [next(j for j, x in enumerate(row) if x) for row in reps]
+    return _box(ctx, _quotient_coords(sub, reps, lead, [_unbox(ctx, vec)])[0])
 
 
 def all_subspaces(ctx: FieldCtx, ambient_dim: int):

@@ -66,3 +66,26 @@ def test_scalar_canonical_and_hashable():
     assert QQ.scalar("2/4") == QQ.scalar("1/2")
     assert hash(QQ.scalar("2/4")) == hash(QQ.scalar("1/2"))
     assert len({GF(5).scalar(7), GF(5).scalar(2)}) == 1
+
+
+def test_field_ctx_identity_fast_path(monkeypatch):
+    from tatekit.fields import FieldCtx
+
+    a, b = GF(5), GF(5)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert (a.scalar(2) + b.scalar(4)).value == 1  # separately built, still one field
+    with pytest.raises(FieldMismatch):
+        a.scalar(1) - GF(7).scalar(1)
+    calls = []
+    original = FieldCtx.__eq__
+
+    def counting_eq(self, other):
+        calls.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(FieldCtx, "__eq__", counting_eq)
+    x, y = a.scalar(3), a.scalar(4)
+    assert [r.value for r in (x + y, x - y, x * y, x / y)] == [2, 4, 2, 2]
+    assert calls == []  # one context object: no structural compare
+    assert a == a and a == b
+    assert calls == [a, b]

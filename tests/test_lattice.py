@@ -154,3 +154,32 @@ def test_json_roundtrip():
         assert lattice_from_json(GF(5), L.to_json_dict()) == L
     d = O.to_json_dict()
     assert d == {"rank": 1, "a": 0, "b": 0, "basis": []}
+
+
+def test_quotient_checks_containment_once(monkeypatch):
+    import tatekit.linalg
+
+    V2 = TateSpace(QQ, 2)
+    L = Lattice(V2, 1, 1, Subspace.from_rows(QQ, 4, [[1, 0, 2, 0], [0, 1, 0, 3]]))
+    M = std_lattice(V2, [-2, -2])
+    rows_of_l = L.window_subspace(1, 2).dim
+    calls = []
+    reduce_rows = tatekit.linalg._reduce
+
+    def counting_reduce(*args):
+        calls.append(args)
+        return reduce_rows(*args)
+
+    monkeypatch.setattr(tatekit.linalg, "_reduce", counting_reduce)
+    assert quotient(L, M).dim == 4
+    assert len(calls) == rows_of_l == 2  # one reduction per row of L's window basis
+
+
+def test_quotient_of_non_nested_pair_is_not_nested():
+    from tatekit.errors import NotContained
+
+    Lp = Lattice(V, 1, 1, Subspace.from_rows(QQ, 2, [[1, 1]]))
+    for L, M in ((O, std_lattice(V, [1])), (Lp, O), (O, Lp)):
+        with pytest.raises(NotNested) as info:
+            quotient(L, M)
+        assert not isinstance(info.value, NotContained)
