@@ -40,15 +40,14 @@ from .laurent import Automorphism, LaurentPoly
 from .lattice import (
     Lattice,
     TateSpace,
+    _sparse,
     act,
     common_window,
     leq,
     meet,
     meet_all,
     quotient_dim_lattices,
-    row_to_vec,
     std_lattice,
-    vec_to_row,
 )
 from .linalg import Matrix, _quotient_coords, _quotient_reps, det
 
@@ -113,11 +112,14 @@ class LineIso:
         return "LineIso(%s)" % self.scalar
 
 
+def _grade(N: Lattice, F1: Lattice, F2: Lattice) -> int:
+    """The grade dim(F2/N) - dim(F1/N) of (F1|F2), with N = meet(F1, F2)."""
+    return quotient_dim_lattices(N, F2) - quotient_dim_lattices(N, F1)
+
+
 def rel_det(F1: Lattice, F2: Lattice) -> GradedLine:
     """The relative determinant line (F1|F2), graded Deligne-style."""
-    N = meet(F1, F2)
-    grade = quotient_dim_lattices(N, F2) - quotient_dim_lattices(N, F1)
-    return GradedLine(grade, ("reldet", F1, F2))
+    return GradedLine(_grade(meet(F1, F2), F1, F2), ("reldet", F1, F2))
 
 
 def _desc_reps(sub_w, sup_w):
@@ -164,9 +166,7 @@ def omega(
     den = _delta(M, n12, F1) * _delta(M, n23, F2) * _delta(M, n13, F3)
     value = num / den
     if mode == GRADED:
-        g12 = rel_det(F1, F2).grade
-        g23 = rel_det(F2, F3).grade
-        if g12 % 2 and g23 % 2:
+        if _grade(n12, F1, F2) % 2 and _grade(n23, F2, F3) % 2:
             value = -value
     elif mode != UNGRADED:
         raise ValueError("mode must be %r or %r" % (UNGRADED, GRADED))
@@ -264,8 +264,7 @@ def translation_scalar(g: Automorphism, F1: Lattice, F2: Lattice) -> Scalar:
     a1, b1, (wN, w1, w2) = common_window(N, F1, F2)
     a2, b2, (twN, tw1, tw2) = common_window(act(g, N), act(g, F1), act(g, F2))
     reps2, reps1 = _desc_reps(wN, w2), _desc_reps(wN, w1)
-    vecs = [row_to_vec(N.space, a1, b1, r) for r in reps2 + reps1]
-    rows = [vec_to_row(N.space, a2, b2, img) for img in g.image(vecs, a2)]
+    rows = g.image([_sparse(N.space, b1, r) for r in reps2 + reps1], a2, b2)
     return _wedge_det(twN, tw2, rows[: len(reps2)]) / _wedge_det(twN, tw1, rows[len(reps2) :])
 
 

@@ -78,17 +78,20 @@ def _echelon(ctx: FieldCtx, dim: int, rows, pivots, units=()) -> Subspace:
     return Subspace(dim, Matrix._raw(ctx, dim, rows), [*pivots, *units])
 
 
+def _sparse(space: TateSpace, b: int, row):
+    """Raw window row -> sparse vector: (e, i, c) for each nonzero c at t^e e_i."""
+    n = space.rank
+    return [(s // n - b, s % n, c) for s, c in enumerate(row) if c]
+
+
 def row_to_vec(space: TateSpace, a: int, b: int, row):
     """Window coordinate row -> tuple of LaurentPoly coordinates.
 
     The row holds raw field values or Scalars; ``LaurentPoly`` coerces either.
     """
     polys = [dict() for _ in range(space.rank)]
-    for s, c in enumerate(row):
-        if not c:  # a raw zero; a zero Scalar is dropped by LaurentPoly
-            continue
-        e, i = divmod(s, space.rank)
-        polys[i][e - b] = c
+    for e, i, c in _sparse(space, b, row):  # a zero Scalar is dropped by LaurentPoly
+        polys[i][e] = c
     return tuple(LaurentPoly(space.ctx, p) for p in polys)
 
 
@@ -98,12 +101,12 @@ def vec_to_row(space: TateSpace, a: int, b: int, vec):
     for i, poly in enumerate(vec):
         if poly.ctx != space.ctx:
             raise FieldMismatch("coordinate over %r in %r" % (poly.ctx, space))
-        for e, c in poly.terms.items():
+        for e, c in poly._terms.items():
             if e >= a:
                 continue  # inside t^a O^n, dies in the window quotient
             if e < -b:
                 raise ValueError("vector outside t^-%d O^n window" % b)
-            row[_slot(space, a, b, e, i)] = c.value
+            row[_slot(space, a, b, e, i)] = c
     return row
 
 
@@ -168,7 +171,7 @@ class Lattice:
 
     def contains_vector(self, vec) -> bool:
         """Membership of a Laurent polynomial vector."""
-        exps = [e for poly in vec for e in poly.terms]
+        exps = [e for poly in vec for e in poly._terms]
         lo = min(exps, default=0)
         b2 = max(self.b, -lo)
         w = self.window_subspace(self.a, b2)
@@ -311,15 +314,12 @@ def act(g: Automorphism, L: Lattice) -> Lattice:
     vg, vginv = g.valuations()
     a2, b2 = L.a - vginv, L.b - vg
     dim = _window_dim(space, a2, b2)
-    vecs = L.basis_vectors()
+    vecs = [_sparse(space, L.b, row) for row in L.subspace.basis._data]
     # t^e e_i with L.a <= e < a2 - v(g) lies in t^a O^n, outside the window
     # basis, yet its image can reach below t^a2; the range is empty for MultBy.
-    n, zero = space.rank, LaurentPoly.zero(space.ctx)
-    for e in range(L.a, a2 - vg):
-        for i in range(n):
-            vecs.append([LaurentPoly.t(space.ctx, e) if j == i else zero for j in range(n)])
-    rows = [vec_to_row(space, a2, b2, img) for img in g.image(vecs, a2)]
-    return Lattice(space, a2, b2, Subspace._span(space.ctx, dim, rows))
+    one = space.ctx.raw_one
+    vecs += [[(e, i, one)] for e in range(L.a, a2 - vg) for i in range(space.rank)]
+    return Lattice(space, a2, b2, Subspace._span(space.ctx, dim, g.image(vecs, a2, b2)))
 
 
 class LatticeChain:

@@ -1,15 +1,23 @@
 """Laurent polynomials, truncated Laurent series, and matrix automorphisms.
 
 ``LaurentPoly`` is exact arithmetic in k[t, 1/t].  ``TruncSeries`` carries a
-unit of k((t)) as (valuation, leading coefficient window): ``coeffs[0]`` is
-always nonzero, so the stored valuation is the true one, and ``exact`` marks
-series that are complete Laurent polynomials.  Every operation that would
-need coefficients beyond the window raises ``InsufficientPrecision`` instead
-of silently truncating.
+unit of k((t)) as (valuation, leading coefficient window): the first
+coefficient is always nonzero, so the stored valuation is the true one, and
+``exact`` marks series that are complete Laurent polynomials.  Every operation
+that would need coefficients beyond the window raises ``InsufficientPrecision``
+instead of silently truncating.
+
+Both store raw field values, as ``linalg`` does (a ``Fraction`` over Q, a
+residue in ``[0, p)`` over F_p), and their arithmetic runs on them with one
+branch on the field's modulus.  Caller input is checked once, through
+``FieldCtx.raw``, by the ``LaurentPoly`` and ``TruncSeries`` constructors;
+the polynomials and series computed here are built unchecked.  ``terms``,
+``coeffs``, ``coeff`` and ``leading_coeff`` box into ``Scalar`` on the way out.
 
 Automorphisms of k((t))^n come in two finitely presented flavours:
 multiplication by a unit series (n = 1) and GL_n over k[t, 1/t] with
 monomial determinant, so that the inverse is again of the same shape.
+``Automorphism.image`` maps raw window vectors straight to raw window rows.
 """
 
 from __future__ import annotations
@@ -25,23 +33,61 @@ from .errors import (
     ZeroElement,
 )
 from .fields import FieldCtx, Scalar
+from .linalg import _inv, _mul
 
 DEFAULT_PRECISION = 16
 
+# Arithmetic on raw term dicts (exponent -> raw value); ``p`` is the field's
+# modulus, None over Q.
+
+
+def _mac(acc, f, g):
+    """Add the product of the term dicts ``f`` and ``g`` into ``acc``, unreduced."""
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = e1 + e2
+            acc[e] = acc.get(e, 0) + c1 * c2
+
+
+def _reduced(p, acc):
+    """The nonzero entries of an accumulated term dict, reduced mod ``p``."""
+    if p is None:
+        return {e: c for e, c in acc.items() if c}
+    return {e: r for e, c in acc.items() if (r := c % p)}
+
+
+def _negated(p, f):
+    if p is None:
+        return {e: -c for e, c in f.items()}
+    return {e: p - c for e, c in f.items()}
+
+
+def _check_ctx(x, y):
+    if x.ctx is not y.ctx and x.ctx != y.ctx:
+        raise FieldMismatch("%r vs %r" % (x.ctx, y.ctx))
+
 
 class LaurentPoly:
-    """Element of k[t, 1/t]; ``terms`` maps exponent to nonzero Scalar."""
+    """Element of k[t, 1/t]; ``_terms`` maps exponent to nonzero raw value."""
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "_terms")
 
     def __init__(self, ctx: FieldCtx, terms):
         clean = {}
         for e, c in dict(terms).items():
-            c = ctx.scalar(c)
-            if not c.is_zero():
+            c = ctx.raw(c)
+            if c:
                 clean[int(e)] = c
         object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_terms", clean)
+
+    @classmethod
+    def _raw(cls, ctx: FieldCtx, terms) -> "LaurentPoly":
+        """A polynomial on nonzero raw terms computed here; nothing is checked."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "ctx", ctx)
+        object.__setattr__(f, "_terms", terms)
+        return f
 
     def __setattr__(self, *a):
         raise AttributeError("LaurentPoly is immutable")
@@ -58,78 +104,75 @@ class LaurentPoly:
     def t(cls, ctx, exponent=1, coeff=1):
         return cls(ctx, {exponent: coeff})
 
+    @property
+    def terms(self):
+        """Exponent -> nonzero Scalar, as a new dict."""
+        return {e: Scalar(self.ctx, c) for e, c in self._terms.items()}
+
     def is_zero(self):
-        return not self.terms
+        return not self._terms
 
     def is_one(self):
-        return set(self.terms) == {0} and self.terms[0].is_one()
-
-    def _check(self, other):
-        if self.ctx != other.ctx:
-            raise FieldMismatch("%r vs %r" % (self.ctx, other.ctx))
+        return len(self._terms) == 1 and self._terms.get(0) == 1
 
     def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out[e] + c if e in out else c
-        return LaurentPoly(self.ctx, out)
+        _check_ctx(self, other)
+        acc = dict(self._terms)
+        for e, c in other._terms.items():
+            acc[e] = acc.get(e, 0) + c
+        return LaurentPoly._raw(self.ctx, _reduced(self.ctx.modulus, acc))
 
     def __neg__(self):
-        return LaurentPoly(self.ctx, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._raw(self.ctx, _negated(self.ctx.modulus, self._terms))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        self._check(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                p = c1 * c2
-                out[e] = out[e] + p if e in out else p
-        return LaurentPoly(self.ctx, out)
+        _check_ctx(self, other)
+        acc = {}
+        _mac(acc, self._terms, other._terms)
+        return LaurentPoly._raw(self.ctx, _reduced(self.ctx.modulus, acc))
 
     def shift(self, k: int):
         """Multiply by t^k."""
-        return LaurentPoly(self.ctx, {e + k: c for e, c in self.terms.items()})
+        return LaurentPoly._raw(self.ctx, {e + k: c for e, c in self._terms.items()})
 
     def coeff(self, e: int) -> Scalar:
-        return self.terms.get(e, self.ctx.zero())
+        return Scalar(self.ctx, self._terms.get(e, self.ctx.raw_zero))
 
     def valuation(self) -> int:
-        if not self.terms:
+        if not self._terms:
             raise ZeroElement("valuation of 0")
-        return min(self.terms)
+        return min(self._terms)
 
     def degree(self) -> int:
-        if not self.terms:
+        if not self._terms:
             raise ZeroElement("degree of 0")
-        return max(self.terms)
+        return max(self._terms)
 
     def leading_coeff(self) -> Scalar:
-        return self.terms[self.valuation()]
+        return Scalar(self.ctx, self._terms[self.valuation()])
 
     def is_monomial(self):
-        return len(self.terms) == 1
+        return len(self._terms) == 1
 
     def __eq__(self, other):
         return (
             isinstance(other, LaurentPoly)
             and self.ctx == other.ctx
-            and self.terms == other.terms
+            and self._terms == other._terms
         )
 
     def __hash__(self):
-        return hash((self.ctx, tuple(sorted(self.terms.items(), key=lambda t: t[0]))))
+        return hash((self.ctx, frozenset(self._terms.items())))
 
     def __str__(self):
-        if not self.terms:
+        if not self._terms:
             return "0"
         parts = []
-        for e in sorted(self.terms):
-            c = self.terms[e]
+        for e in sorted(self._terms):
+            c = Scalar(self.ctx, self._terms[e])
             parts.append(str(c) if e == 0 else "%s*t^%d" % (c, e))
         return " + ".join(parts)
 
@@ -145,21 +188,32 @@ def valuation(f) -> int:
 
 
 class TruncSeries:
-    """Unit of k((t)) known through ``len(coeffs)`` leading coefficients."""
+    """Unit of k((t)) known through its ``precision`` leading raw coefficients."""
 
-    __slots__ = ("ctx", "valuation", "coeffs", "exact")
+    __slots__ = ("ctx", "valuation", "_coeffs", "exact")
 
     def __init__(self, ctx: FieldCtx, valuation: int, coeffs, exact: bool):
-        coeffs = [ctx.scalar(c) for c in coeffs]
+        coeffs = [ctx.raw(c) for c in coeffs]
         if exact:
-            while len(coeffs) > 1 and coeffs[-1].is_zero():
+            while len(coeffs) > 1 and not coeffs[-1]:
                 coeffs.pop()
-        if not coeffs or coeffs[0].is_zero():
+        if not coeffs or not coeffs[0]:
             raise ZeroElement("series leading coefficient must be nonzero")
+        self._fill(ctx, int(valuation), coeffs, bool(exact))
+
+    def _fill(self, ctx, valuation, coeffs, exact):
         object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "valuation", int(valuation))
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-        object.__setattr__(self, "exact", bool(exact))
+        object.__setattr__(self, "valuation", valuation)
+        object.__setattr__(self, "_coeffs", tuple(coeffs))
+        object.__setattr__(self, "exact", exact)
+
+    @classmethod
+    def _raw(cls, ctx: FieldCtx, valuation: int, coeffs, exact: bool) -> "TruncSeries":
+        """A series on raw coefficients computed here, the first one nonzero
+        and, when exact, the last one too; nothing is checked."""
+        s = object.__new__(cls)
+        s._fill(ctx, valuation, coeffs, exact)
+        return s
 
     def __setattr__(self, *a):
         raise AttributeError("TruncSeries is immutable")
@@ -168,78 +222,74 @@ class TruncSeries:
     def from_poly(cls, f: LaurentPoly) -> "TruncSeries":
         if f.is_zero():
             raise ZeroElement("series from zero polynomial")
-        v, d = f.valuation(), f.degree()
-        return cls(f.ctx, v, [f.coeff(e) for e in range(v, d + 1)], exact=True)
+        v, d, zero = f.valuation(), f.degree(), f.ctx.raw_zero
+        return cls._raw(f.ctx, v, [f._terms.get(e, zero) for e in range(v, d + 1)], True)
 
     @property
     def precision(self) -> int:
-        return len(self.coeffs)
+        return len(self._coeffs)
+
+    @property
+    def coeffs(self):
+        """The known coefficients as Scalars, from t^valuation up."""
+        return tuple(Scalar(self.ctx, c) for c in self._coeffs)
 
     def coeff(self, e: int) -> Scalar:
         i = e - self.valuation
         if i < 0:
             return self.ctx.zero()
-        if i < len(self.coeffs):
-            return self.coeffs[i]
+        if i < len(self._coeffs):
+            return Scalar(self.ctx, self._coeffs[i])
         if self.exact:
             return self.ctx.zero()
-        raise InsufficientPrecision(i + 1, len(self.coeffs))
+        raise InsufficientPrecision(i + 1, len(self._coeffs))
 
     def to_poly(self) -> LaurentPoly:
         if not self.exact:
-            raise InsufficientPrecision(len(self.coeffs) + 1, len(self.coeffs))
-        return LaurentPoly(
-            self.ctx, {self.valuation + i: c for i, c in enumerate(self.coeffs)}
-        )
+            raise InsufficientPrecision(len(self._coeffs) + 1, len(self._coeffs))
+        v = self.valuation
+        return LaurentPoly._raw(self.ctx, {v + i: c for i, c in enumerate(self._coeffs) if c})
 
     def leading_coeff(self) -> Scalar:
-        return self.coeffs[0]
+        return Scalar(self.ctx, self._coeffs[0])
 
     def is_monomial(self):
-        return self.exact and len(self.coeffs) == 1
+        return self.exact and len(self._coeffs) == 1
 
     def is_one(self):
-        return self.exact and self.valuation == 0 and len(self.coeffs) == 1 and self.coeffs[0].is_one()
+        return self.is_monomial() and self.valuation == 0 and self._coeffs[0] == 1
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
-        if self.ctx != other.ctx:
-            raise FieldMismatch("%r vs %r" % (self.ctx, other.ctx))
-        v = self.valuation + other.valuation
+        _check_ctx(self, other)
         if self.exact and other.exact:
             return TruncSeries.from_poly(self.to_poly() * other.to_poly())
-        known = min(
-            len(s.coeffs) for s in (self, other) if not s.exact
-        )
+        known = min(len(s._coeffs) for s in (self, other) if not s.exact)
+        p, zero = self.ctx.modulus, self.ctx.raw_zero
+        a, b = self._coeffs, other._coeffs
         out = []
         for k in range(known):
-            acc = self.ctx.zero()
-            for i in range(k + 1):
-                a = self.coeffs[i] if i < len(self.coeffs) else self.ctx.zero()
-                b = other.coeffs[k - i] if k - i < len(other.coeffs) else self.ctx.zero()
-                acc = acc + a * b
-            out.append(acc)
-        return TruncSeries(self.ctx, v, out, exact=False)
+            acc = zero
+            for i in range(max(0, k + 1 - len(b)), min(k + 1, len(a))):
+                acc += a[i] * b[k - i]
+            out.append(acc if p is None else acc % p)
+        return TruncSeries._raw(self.ctx, self.valuation + other.valuation, out, False)
 
     def inverse(self, precision: int | None = None) -> "TruncSeries":
         """Multiplicative inverse, computed by the geometric recurrence."""
+        u = self._coeffs
         if precision is None:
-            precision = len(self.coeffs) if not self.exact else max(
-                DEFAULT_PRECISION, len(self.coeffs)
-            )
-        if not self.exact and precision > len(self.coeffs):
-            raise InsufficientPrecision(precision, len(self.coeffs))
-        u = list(self.coeffs) + [self.ctx.zero()] * max(0, precision - len(self.coeffs))
-        inv0 = u[0].inverse()
+            precision = len(u) if not self.exact else max(DEFAULT_PRECISION, len(u))
+        if not self.exact and precision > len(u):
+            raise InsufficientPrecision(precision, len(u))
+        p, zero = self.ctx.modulus, self.ctx.raw_zero
+        inv0 = _inv(p, u[0])
         out = [inv0]
-        for k in range(1, precision):
-            acc = self.ctx.zero()
-            for j in range(1, k + 1):
-                acc = acc + u[j] * out[k - j]
-            out.append(-acc * inv0)
-        exact = self.is_monomial()
-        if exact:
-            out = out[:1]
-        return TruncSeries(self.ctx, -self.valuation, out, exact=exact)
+        for k in range(1, 1 if self.is_monomial() else precision):
+            acc = zero
+            for j in range(1, min(k + 1, len(u))):
+                acc += u[j] * out[k - j]
+            out.append(-acc * inv0 if p is None else -acc * inv0 % p)
+        return TruncSeries._raw(self.ctx, -self.valuation, out, self.is_monomial())
 
     def mul_poly_mod(self, poly: LaurentPoly, cutoff: int) -> LaurentPoly:
         """The product (self * poly) reduced modulo t^cutoff.
@@ -249,41 +299,39 @@ class TruncSeries:
         """
         if poly.is_zero():
             return poly
-        need = max(cutoff - e - self.valuation for e in poly.terms)
-        if not self.exact and need > len(self.coeffs):
-            raise InsufficientPrecision(need, len(self.coeffs))
-        out = {}
-        for e, c in poly.terms.items():
-            top = cutoff - e - self.valuation
-            for i in range(min(top, len(self.coeffs))):
-                if self.coeffs[i].is_zero():
-                    continue
-                x = e + self.valuation + i
-                p = c * self.coeffs[i]
-                out[x] = out[x] + p if x in out else p
-        return LaurentPoly(self.ctx, out)
+        _check_ctx(self, poly)
+        v = self.valuation
+        need = max(cutoff - e - v for e in poly._terms)
+        if not self.exact and need > len(self._coeffs):
+            raise InsufficientPrecision(need, len(self._coeffs))
+        acc = {}
+        for e, c in poly._terms.items():
+            for i, d in enumerate(self._coeffs[: max(0, cutoff - e - v)]):
+                if d:
+                    acc[e + v + i] = acc.get(e + v + i, 0) + c * d
+        return LaurentPoly._raw(self.ctx, _reduced(self.ctx.modulus, acc))
 
     def __eq__(self, other):
         return (
             isinstance(other, TruncSeries)
             and self.ctx == other.ctx
             and self.valuation == other.valuation
-            and self.coeffs == other.coeffs
+            and self._coeffs == other._coeffs
             and self.exact == other.exact
         )
 
     def __hash__(self):
-        return hash((self.ctx, self.valuation, self.coeffs, self.exact))
+        return hash((self.ctx, self.valuation, self._coeffs, self.exact))
 
     def __str__(self):
         body = " + ".join(
-            "%s*t^%d" % (c, self.valuation + i)
-            for i, c in enumerate(self.coeffs)
-            if not c.is_zero()
+            "%s*t^%d" % (Scalar(self.ctx, c), self.valuation + i)
+            for i, c in enumerate(self._coeffs)
+            if c
         )
         if not body:
             body = "0*t^%d" % self.valuation
-        return body if self.exact else body + " + O(t^%d)" % (self.valuation + len(self.coeffs))
+        return body if self.exact else body + " + O(t^%d)" % (self.valuation + len(self._coeffs))
 
     def __repr__(self):
         return "TruncSeries(%s)" % self
@@ -342,29 +390,38 @@ class LaurentMatrix:
         i, j = ij
         return self.entries[i * self.n + j]
 
+    def _term_rows(self):
+        """The entries' raw term dicts, row by row."""
+        n = self.n
+        return [[f._terms for f in self.entries[i * n : (i + 1) * n]] for i in range(n)]
+
     def __mul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         if self.ctx != other.ctx:
             raise FieldMismatch("matrix product across fields")
         if self.n != other.n:
             raise SpaceMismatch("rank %d vs %d" % (self.n, other.n))
+        n, p = self.n, self.ctx.modulus
+        rows, cols = self._term_rows(), list(zip(*other._term_rows()))
         out = []
-        for i in range(self.n):
-            for j in range(self.n):
-                acc = LaurentPoly.zero(self.ctx)
-                for k in range(self.n):
-                    acc = acc + self[i, k] * other[k, j]
-                out.append(acc)
-        return LaurentMatrix(self.ctx, self.n, out)
+        for row in rows:
+            for col in cols:
+                acc = {}
+                for f, g in zip(row, col):
+                    _mac(acc, f, g)
+                out.append(LaurentPoly._raw(self.ctx, _reduced(p, acc)))
+        return LaurentMatrix(self.ctx, n, out)
 
     def apply(self, vec):
         """Image of a vector of LaurentPoly coordinates."""
+        for f in vec:
+            if f._terms:
+                _check_ctx(self, f)
         out = []
-        for i in range(self.n):
-            acc = LaurentPoly.zero(self.ctx)
-            for k in range(self.n):
-                if vec[k].terms:
-                    acc = acc + self[i, k] * vec[k]
-            out.append(acc)
+        for row in self._term_rows():
+            acc = {}
+            for f, x in zip(row, vec):
+                _mac(acc, f, x._terms)
+            out.append(LaurentPoly._raw(self.ctx, _reduced(self.ctx.modulus, acc)))
         return out
 
     def is_identity(self):
@@ -393,53 +450,61 @@ class LaurentMatrix:
         )
 
 
-def _minor(m: LaurentMatrix, drop_i: int, drop_j: int) -> LaurentMatrix:
-    rows = []
-    for i in range(m.n):
-        if i == drop_i:
-            continue
-        rows.append([m[i, j] for j in range(m.n) if j != drop_j])
-    return LaurentMatrix.from_rows(m.ctx, rows)
+def _cofactor(ctx: FieldCtx, rows, i: int, j: int):
+    """(-1)^(i+j) times the determinant of the raw term-dict matrix ``rows``
+    without row i and column j."""
+    d = _det(ctx, [row[:j] + row[j + 1 :] for k, row in enumerate(rows) if k != i])
+    return d if (i + j) % 2 == 0 else _negated(ctx.modulus, d)
+
+
+def _det(ctx: FieldCtx, rows):
+    """Raw terms of the determinant of a square matrix of raw term dicts, by
+    cofactor expansion along the first row (matrices here are small)."""
+    if not rows:
+        return {0: ctx.raw_one}
+    if len(rows) == 1:
+        return rows[0][0]
+    acc = {}
+    for j, f in enumerate(rows[0]):
+        if f:
+            _mac(acc, f, _cofactor(ctx, rows, 0, j))
+    return _reduced(ctx.modulus, acc)
 
 
 def det_laurent(m: LaurentMatrix) -> LaurentPoly:
     """Determinant by cofactor expansion (matrices here are small)."""
-    if m.n == 0:
-        return LaurentPoly.one(m.ctx)
-    if m.n == 1:
-        return m[0, 0]
-    acc = LaurentPoly.zero(m.ctx)
-    for j in range(m.n):
-        if m[0, j].is_zero():
-            continue
-        cof = det_laurent(_minor(m, 0, j))
-        term = m[0, j] * cof
-        acc = acc + (term if j % 2 == 0 else -term)
-    return acc
+    return LaurentPoly._raw(m.ctx, _det(m.ctx, m._term_rows()))
 
 
 def adjugate(m: LaurentMatrix) -> LaurentMatrix:
-    out = []
-    for i in range(m.n):
-        row = []
-        for j in range(m.n):
-            cof = det_laurent(_minor(m, j, i))
-            row.append(cof if (i + j) % 2 == 0 else -cof)
-        out.append(row)
-    return LaurentMatrix.from_rows(m.ctx, out)
+    rows, n = m._term_rows(), m.n
+    return LaurentMatrix(
+        m.ctx, n, [LaurentPoly._raw(m.ctx, _cofactor(m.ctx, rows, j, i)) for i in range(n) for j in range(n)]
+    )
+
+
+def _unit_det(m: LaurentMatrix) -> LaurentPoly:
+    """det_laurent(m), which must be a unit c*t^k of k[t, 1/t]."""
+    d = det_laurent(m)
+    if not d.is_monomial():
+        raise NotInvertibleInLaurentRing("determinant %s is not c*t^k" % d)
+    return d
+
+
+def _inverse_with_det(m: LaurentMatrix, d: LaurentPoly):
+    """(m^-1, det(m^-1)) from the unit determinant d = c*t^k of m."""
+    ((k, c),) = d._terms.items()
+    p, inv = m.ctx.modulus, _inv(m.ctx.modulus, c)
+    entries = [
+        LaurentPoly._raw(m.ctx, {e - k: _mul(p, x, inv) for e, x in f._terms.items()})
+        for f in adjugate(m).entries
+    ]
+    return LaurentMatrix(m.ctx, m.n, entries), LaurentPoly._raw(m.ctx, {-k: inv})
 
 
 def gl_inverse(m: LaurentMatrix) -> LaurentMatrix:
     """Exact inverse; requires the determinant to be a unit c*t^k."""
-    d = det_laurent(m)
-    if d.is_zero() or not d.is_monomial():
-        raise NotInvertibleInLaurentRing("determinant %s is not c*t^k" % d)
-    e = d.valuation()
-    inv_mono = LaurentPoly.t(m.ctx, -e, d.leading_coeff().inverse().value)
-    adj = adjugate(m)
-    return LaurentMatrix(
-        m.ctx, m.n, [p * inv_mono for p in adj.entries]
-    )
+    return _inverse_with_det(m, _unit_det(m))[0]
 
 
 class Automorphism:
@@ -447,30 +512,43 @@ class Automorphism:
 
     Rank 1 has the single representation MultBy: ``gl`` turns a 1x1 matrix
     into the multiplication by its entry, which only has to be nonzero, as
-    every nonzero Laurent polynomial is a unit of k((t)).
+    every nonzero Laurent polynomial is a unit of k((t)).  A GL automorphism
+    keeps its determinant, and its inverse once computed; the hash is kept
+    on first use.
     """
 
-    __slots__ = ("kind", "series", "matrix", "_inverse")
+    __slots__ = ("kind", "series", "matrix", "_det", "_inverse", "_hash")
 
     MULT = "mult"
     GL = "gl"
 
     def __init__(self, kind, series=None, matrix=None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "series", series)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "_inverse", None)
+        det = None
         if kind == self.MULT:
-            if series is None or series.coeffs[0].is_zero():
+            if series is None or not series._coeffs[0]:
                 raise ZeroElement("MultBy needs a unit series")
         elif kind == self.GL:
             if matrix.n == 1:
                 raise ValueError("rank 1 is MultBy; build it with Automorphism.gl")
-            d = det_laurent(matrix)
-            if d.is_zero() or not d.is_monomial():
-                raise NotInvertibleInLaurentRing("determinant %s is not c*t^k" % d)
+            det = _unit_det(matrix)
         else:
             raise ValueError("unknown automorphism kind %r" % kind)
+        self._fill(kind, series, matrix, det)
+
+    def _fill(self, kind, series, matrix, det):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "series", series)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "_det", det)
+        object.__setattr__(self, "_inverse", None)
+        object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _gl(cls, matrix: LaurentMatrix, det: LaurentPoly) -> "Automorphism":
+        """GL by a matrix whose determinant ``det`` is known to be c*t^k."""
+        g = object.__new__(cls)
+        g._fill(cls.GL, None, matrix, det)
+        return g
 
     def __setattr__(self, *a):
         raise AttributeError("Automorphism is immutable")
@@ -508,36 +586,64 @@ class Automorphism:
         """t-valuation of the determinant (the winding-number oracle)."""
         if self.kind == self.MULT:
             return self.series.valuation
-        return det_laurent(self.matrix).valuation()
+        return self._det.valuation()
 
-    def _inverse_matrix(self) -> LaurentMatrix:
-        """gl_inverse of the matrix, computed on first use and kept."""
+    def _gl_inverse(self) -> "Automorphism":
+        """The inverse of a GL automorphism, computed on first use and kept."""
         if self._inverse is None:
-            object.__setattr__(self, "_inverse", gl_inverse(self.matrix))
+            object.__setattr__(self, "_inverse", Automorphism._gl(*_inverse_with_det(self.matrix, self._det)))
         return self._inverse
 
     def valuations(self):
         """(v(g), v(g^-1)): the least t-exponents of g and of its inverse."""
         if self.kind == self.MULT:
             return self.series.valuation, -self.series.valuation
-        return self.matrix.min_valuation(), self._inverse_matrix().min_valuation()
+        return self.matrix.min_valuation(), self._gl_inverse().matrix.min_valuation()
 
-    def image(self, vecs, cutoff: int):
-        """g applied to a batch of Laurent vectors, modulo t^cutoff.
+    def image(self, vecs, a: int, b: int):
+        """g applied to a batch of sparse raw vectors, as raw window rows.
 
-        A truncated series is checked once, against the largest need of the
-        whole batch, so the precision that InsufficientPrecision names
-        suffices for every vector.  Matrix images may keep terms at or above
-        the cutoff; ``vec_to_row`` drops them.
+        A vector is a list of triples (e, i, c): the raw coefficient c of
+        t^e in coordinate i.  Each image is reduced modulo t^a O^n and
+        returned as a row of the window t^-b O^n / t^a O^n in the slot order
+        of ``lattice`` (t^e e_i at slot (e + b) * n + i); an image with a
+        nonzero term below t^-b raises ValueError.  A truncated series is
+        checked once, against the largest need of the whole batch, so the
+        precision that InsufficientPrecision names suffices for every vector.
         """
-        if self.kind == self.GL:
-            return [self.matrix.apply(vec) for vec in vecs]
-        s = self.series
-        exps = [e for vec in vecs for e in vec[0].terms]
-        need = max((cutoff - e - s.valuation for e in exps), default=0)
-        if not s.exact and need > s.precision:
-            raise InsufficientPrecision(need, s.precision)
-        return [(s.mul_poly_mod(vec[0], cutoff),) for vec in vecs]
+        exps = [e for vec in vecs for e, _, _ in vec]
+        if self.kind == self.MULT:
+            s = self.series
+            need = a - min(exps) - s.valuation if exps else 0
+            if not s.exact and need > s.precision:
+                raise InsufficientPrecision(need, s.precision)
+            n, low = 1, s.valuation
+            entries = [[(s.valuation + i, c) for i, c in enumerate(s._coeffs) if c]]
+        else:
+            n, low = self.matrix.n, self.matrix.min_valuation()
+            entries = [sorted(f._terms.items()) for f in self.matrix.entries]
+        p, zero = self.ctx.modulus, self.ctx.raw_zero
+        # Rows start at t^lo, low enough for every image term; the slots
+        # below t^-b must come out zero.
+        lo = min(-b, min(exps, default=0) + low)
+        head = (-b - lo) * n
+        rows = []
+        for vec in vecs:
+            row = [zero] * ((a - lo) * n)
+            for e, k, c in vec:
+                for i in range(n):
+                    for f, d in entries[i * n + k]:
+                        if e + f >= a:
+                            break
+                        row[(e + f - lo) * n + i] += c * d
+            if p is not None:
+                row = [x % p for x in row]
+            if head:
+                if any(row[:head]):
+                    raise ValueError("vector outside t^-%d O^n window" % b)
+                row = row[head:]
+            rows.append(row)
+        return rows
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         """self after other, acting on the same space."""
@@ -546,12 +652,12 @@ class Automorphism:
         if self.rank != other.rank:
             raise SpaceMismatch("rank %d vs %d" % (self.rank, other.rank))
         if self.kind == self.GL:
-            return Automorphism.gl(self.matrix * other.matrix)
+            return Automorphism._gl(self.matrix * other.matrix, self._det * other._det)
         return Automorphism.mult_by(self.series * other.series)
 
     def inverse(self, precision: int | None = None) -> "Automorphism":
         if self.kind == self.GL:
-            return Automorphism.gl(self._inverse_matrix())
+            return self._gl_inverse()
         return Automorphism.mult_by(self.series.inverse(precision))
 
     def __eq__(self, other):
@@ -563,7 +669,9 @@ class Automorphism:
         )
 
     def __hash__(self):
-        return hash((self.kind, self.series, self.matrix))
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.kind, self.series, self.matrix)))
+        return self._hash
 
     def __repr__(self):
         if self.kind == self.MULT:

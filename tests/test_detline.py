@@ -96,6 +96,30 @@ def test_omega_base_independence():
             assert omega(*Fs, mode=mode) == omega(*Fs, mode=mode, base=deep)
 
 
+def test_graded_omega_sign_reuses_the_meets(monkeypatch):
+    """The Koszul sign matches the rel_det grades, and graded mode makes no
+    meet call beyond ungraded mode: it reads the grades off meets omega holds."""
+    import tatekit.detline as detline
+
+    calls = []
+    real = detline.meet
+    monkeypatch.setattr(detline, "meet", lambda L, M: calls.append(1) or real(L, M))
+    rng = random.Random(79)
+    signs = set()
+    for trial in range(20):
+        space = TateSpace(GF(3) if trial % 2 else QQ, 1 + trial % 3 // 2)
+        Fs = [rand_lattice(space, rng, 3) for _ in range(3)]
+        calls.clear()
+        plain = omega(*Fs, mode=UNGRADED)
+        ungraded_meets = len(calls)
+        calls.clear()
+        graded = omega(*Fs, mode=GRADED)
+        assert len(calls) == ungraded_meets
+        odd = rel_det(Fs[0], Fs[1]).grade % 2 == 1 and rel_det(Fs[1], Fs[2]).grade % 2 == 1
+        assert graded == (-plain if odd else plain)
+        signs.add(odd)
+    assert signs == {True, False}
+
 def test_omega_iso_and_line_iso_compose():
     iso = omega_iso(O, tm1, tm2)
     assert iso.target == rel_det(O, tm2)

@@ -165,3 +165,30 @@ def test_compose_and_identity():
     ui = u.inverse(6)
     prod = u.compose(ui)
     assert prod.series.valuation == 0 and prod.series.coeffs[0].is_one()
+
+
+def test_automorphism_keeps_its_determinant(monkeypatch):
+    import tatekit.laurent as laurent
+
+    calls = []
+    real = laurent.det_laurent
+    monkeypatch.setattr(laurent, "det_laurent", lambda m: calls.append(m) or real(m))
+    m = parse_laurent_matrix(QQ, "t,1+t;0,t")
+    g = Automorphism.gl(m)
+    assert g.det_valuation() == 2
+    gi = g.inverse()
+    assert len(calls) == 1  # the constructor's validation only
+    assert gi.det_valuation() == -2 and g.compose(g).det_valuation() == 4 and len(calls) == 1
+    monkeypatch.undo()
+    assert gi.matrix == gl_inverse(m) and gi == Automorphism.gl(gl_inverse(m))
+    assert g.compose(gi).is_identity() and g.compose(g) == Automorphism.gl(m * m)
+
+
+def test_automorphism_hash_is_computed_once(monkeypatch):
+    calls = []
+    real = LaurentMatrix.__hash__
+    monkeypatch.setattr(LaurentMatrix, "__hash__", lambda m: calls.append(m) or real(m))
+    m = parse_laurent_matrix(QQ, "t,1+t;0,t")
+    g = Automorphism.gl(m)
+    assert hash(g) == hash(g) and len(calls) == 1
+    assert hash(Automorphism.gl(parse_laurent_matrix(QQ, "t,1+t;0,t"))) == hash(g)
