@@ -15,7 +15,7 @@ from .detline import closed_commutator_formula, commutator, tame_symbol
 from .errors import InsufficientPrecision, TateKitError
 from .fields import GF, QQ, FieldCtx
 from .index_map import index0
-from .lattice import TateSpace, act, join, std_lattice
+from .lattice import MAX_WINDOW_DIM, TateSpace, act, join, std_lattice
 from .laurent import Automorphism, parse_laurent, parse_laurent_matrix
 from .verify import SUITES, run_suites
 
@@ -53,7 +53,7 @@ def cmd_index(args) -> int:
     space = TateSpace(ctx, g.rank)
     value = index0(g, space)
     if args.json:
-        L = std_lattice(space, [0] * space.rank)
+        L = std_lattice(space, 0)
         gL = act(g, L)
         N = join(L, gL)
         print(
@@ -106,9 +106,6 @@ def cmd_tame(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.suite not in SUITES and args.suite != "all":
-        print("unknown suite %r; choose from %s" % (args.suite, (*SUITES, "all")), file=sys.stderr)
-        return EXIT_USAGE
     report = run_suites(args.suite, cases=args.cases, seed=args.seed)
     if args.json:
         print(_dumps(report))
@@ -134,11 +131,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def positive(text):
-        value = int(text)
-        if value < 1:
-            raise argparse.ArgumentTypeError("must be >= 1, got %d" % value)
-        return value
+    def positive(cap=None):
+        """An argparse type for ints from 1 up to ``cap``; argparse names a
+        type by its __name__ in errors, so the inner function keeps this one."""
+
+        def positive(text):
+            value = int(text)
+            if value < 1:
+                raise argparse.ArgumentTypeError("must be >= 1, got %d" % value)
+            if cap is not None and value > cap:
+                # The need Automorphism.image checks is at most a window dimension.
+                raise argparse.ArgumentTypeError("must be <= MAX_WINDOW_DIM=%d, got %d" % (cap, value))
+            return value
+
+        return positive
 
     def common(p):
         p.add_argument("--field", default="Q", help="Q or Fp:<p> (default Q)")
@@ -156,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_comm.add_argument("--g", required=True)
     p_comm.add_argument("--mode", choices=["graded", "ungraded"], default="ungraded")
     p_comm.add_argument(
-        "--precision", type=positive, default=16, help="series precision (default 16)"
+        "--precision", type=positive(MAX_WINDOW_DIM), default=16, help="series precision (default 16)"
     )
     p_comm.set_defaults(func=cmd_commutator)
 
@@ -168,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run randomized verification suites")
     p_verify.add_argument("--suite", default="all", help="one of %s" % ((*SUITES, "all"),))
-    p_verify.add_argument("--cases", type=positive, default=None, help="cases per suite")
+    p_verify.add_argument("--cases", type=positive(), default=None, help="cases per suite")
     p_verify.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=cmd_verify)

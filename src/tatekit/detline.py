@@ -45,7 +45,6 @@ from .lattice import (
     common_window,
     leq,
     meet,
-    meet_all,
     quotient_dim_lattices,
     std_lattice,
 )
@@ -155,13 +154,14 @@ def omega(
     """Scalar of (F1|F2) (x) (F2|F3) -> (F1|F3) in canonical bases.
 
     ``base`` may name any common sub-lattice to compute over; the result
-    does not depend on it.  Graded mode inserts the Koszul swap sign.
+    does not depend on it.  Without it, the meet of all three is used, which
+    is below each of them by construction.  Graded mode inserts the Koszul
+    swap sign.
     """
-    M = base if base is not None else meet_all([F1, F2, F3])
-    for F in (F1, F2, F3):
-        if not leq(M, F):
-            raise NotNested("base must be a common sub-lattice")
+    if base is not None and not all(leq(base, F) for F in (F1, F2, F3)):
+        raise NotNested("base must be a common sub-lattice")
     n12, n23, n13 = meet(F1, F2), meet(F2, F3), meet(F1, F3)
+    M = base if base is not None else meet(n12, F3)
     num = _delta(M, n12, F2) * _delta(M, n23, F3) * _delta(M, n13, F1)
     den = _delta(M, n12, F1) * _delta(M, n23, F2) * _delta(M, n13, F3)
     value = num / den
@@ -206,12 +206,7 @@ class DimensionTheory:
         raise AttributeError("DimensionTheory is immutable")
 
     def eval(self, L: Lattice) -> int:
-        N = meet(L, self.base)
-        return (
-            self.value_at_base
-            + quotient_dim_lattices(N, L)
-            - quotient_dim_lattices(N, self.base)
-        )
+        return self.value_at_base + _grade(meet(L, self.base), self.base, L)
 
     def shifted(self, k: int) -> "DimensionTheory":
         return DimensionTheory(self.base, self.value_at_base + k)
@@ -268,11 +263,6 @@ def translation_scalar(g: Automorphism, F1: Lattice, F2: Lattice) -> Scalar:
     return _wedge_det(twN, tw2, rows[: len(reps2)]) / _wedge_det(twN, tw1, rows[len(reps2) :])
 
 
-def base_lattice(space: TateSpace) -> Lattice:
-    """The extension's anchor: the standard lattice O^n."""
-    return std_lattice(space, [0] * space.rank)
-
-
 def cocycle_sigma(g: Automorphism, h: Automorphism, space: TateSpace, mode: str) -> Scalar:
     """The 2-cocycle of the determinant-line extension at base O^n.
 
@@ -280,7 +270,7 @@ def cocycle_sigma(g: Automorphism, h: Automorphism, space: TateSpace, mode: str)
     (L0|gL0) (x) g_*(L0|hL0); its inverse direction is the composition
     scalar tau_g * omega, and associativity is the omega cocycle.
     """
-    L0 = base_lattice(space)
+    L0 = std_lattice(space, 0)
     hL0 = act(h, L0)
     gL0 = act(g, L0)
     ghL0 = act(g, hL0)

@@ -53,6 +53,10 @@ class WindowTooLarge(TateKitError):
     """A lattice window would exceed the dense-window dimension cap."""
 
 
+class RankTooLarge(TateKitError):
+    """A GL automorphism would exceed the rank cap of the cofactor determinant."""
+
+
 class SpaceMismatch(TateKitError):
     """Lattices or automorphisms of different Tate spaces were combined."""
 

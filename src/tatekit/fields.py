@@ -3,7 +3,9 @@
 A ``FieldCtx`` fixes the base field once; ``Scalar`` wraps either an
 arbitrary-precision ``Fraction`` (rationals) or a residue in ``[0, p)``
 (prime field).  ``FieldCtx.raw`` checks and unboxes a value to that raw
-form, which is what ``linalg`` stores and computes with.  Arithmetic between
+form, which is what ``linalg`` and ``laurent`` store and compute with.  The
+raw helpers ``_norm``, ``_mul``, ``_neg`` and ``_inv`` are the one definition
+of the field operations on it; ``Scalar`` calls them too.  Arithmetic between
 scalars of different contexts is a hard error, never a coercion.  All values
 are immutable and hashable.
 """
@@ -50,6 +52,26 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+# Arithmetic on raw values (see ``FieldCtx.raw``); ``p`` is the field's
+# modulus, None over Q.
+
+
+def _norm(p, x):
+    return x if p is None else x % p
+
+
+def _inv(p, x):
+    return Fraction(1) / x if p is None else pow(x, -1, p)
+
+
+def _neg(p, x):
+    return -x if p is None else -x % p
+
+
+def _mul(p, x, y):
+    return x * y if p is None else x * y % p
 
 
 class FieldCtx:
@@ -119,13 +141,12 @@ class FieldCtx:
                 value = int(value)
         if self.kind == RATIONALS:
             return value if type(value) is Fraction else Fraction(value)
+        p = self.modulus
         if isinstance(value, Fraction):
-            if value.denominator % self.modulus == 0:
-                raise ZeroElement("denominator divisible by %d" % self.modulus)
-            num = value.numerator % self.modulus
-            den = pow(value.denominator % self.modulus, self.modulus - 2, self.modulus)
-            return num * den % self.modulus
-        return value % self.modulus
+            if value.denominator % p == 0:
+                raise ZeroElement("denominator divisible by %d" % p)
+            return _mul(p, value.numerator, _inv(p, value.denominator))
+        return value % p
 
     def zero(self) -> "Scalar":
         return self.scalar(0)
@@ -172,34 +193,23 @@ class Scalar:
 
     def __add__(self, other):
         self._check(other)
-        if self.ctx.kind == RATIONALS:
-            return Scalar(self.ctx, self.value + other.value)
-        return Scalar(self.ctx, (self.value + other.value) % self.ctx.modulus)
+        return Scalar(self.ctx, _norm(self.ctx.modulus, self.value + other.value))
 
     def __sub__(self, other):
         self._check(other)
-        if self.ctx.kind == RATIONALS:
-            return Scalar(self.ctx, self.value - other.value)
-        return Scalar(self.ctx, (self.value - other.value) % self.ctx.modulus)
+        return Scalar(self.ctx, _norm(self.ctx.modulus, self.value - other.value))
 
     def __mul__(self, other):
         self._check(other)
-        if self.ctx.kind == RATIONALS:
-            return Scalar(self.ctx, self.value * other.value)
-        return Scalar(self.ctx, self.value * other.value % self.ctx.modulus)
+        return Scalar(self.ctx, _mul(self.ctx.modulus, self.value, other.value))
 
     def __neg__(self):
-        if self.ctx.kind == RATIONALS:
-            return Scalar(self.ctx, -self.value)
-        return Scalar(self.ctx, (-self.value) % self.ctx.modulus)
+        return Scalar(self.ctx, _neg(self.ctx.modulus, self.value))
 
     def inverse(self) -> "Scalar":
         if self.is_zero():
             raise ZeroElement("inverse of zero")
-        if self.ctx.kind == RATIONALS:
-            return Scalar(self.ctx, 1 / self.value)
-        p = self.ctx.modulus
-        return Scalar(self.ctx, pow(self.value, p - 2, p))
+        return Scalar(self.ctx, _inv(self.ctx.modulus, self.value))
 
     def __truediv__(self, other):
         self._check(other)
@@ -207,15 +217,9 @@ class Scalar:
 
     def __pow__(self, n: int):
         if n < 0:
-            return self.inverse() ** (-n)
-        out = self.ctx.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+            return self.inverse() ** -n
+        p = self.ctx.modulus
+        return Scalar(self.ctx, self.value**n if p is None else pow(self.value, n, p))
 
     def is_zero(self) -> bool:
         return self.value == 0

@@ -24,7 +24,7 @@ from itertools import combinations
 from .errors import ChainTooLong, DegenerateChain, NotNested, SpaceMismatch, UnknownFace
 from .lattice import Lattice, TateSpace, act, join, join_all, leq, quotient_dim_lattices, std_lattice
 from .laurent import Automorphism
-from .simplicial import nonempty_subsets, subset_degeneracy
+from .simplicial import nonempty_subsets, subset_degeneracy, subset_face
 
 IndexValue = int
 
@@ -33,7 +33,7 @@ DEFAULT_CHAIN_CAP = 4
 
 def index0(g: Automorphism, space: TateSpace) -> IndexValue:
     """Index with the canonical choices L = O^n and N = L + gL."""
-    L = std_lattice(space, [0] * space.rank)
+    L = std_lattice(space, 0)
     gL = act(g, L)
     N = join(L, gL)
     return quotient_dim_lattices(gL, N) - quotient_dim_lattices(L, N)
@@ -77,19 +77,9 @@ class AutChain:
         return "AutChain(k=%d on %r)" % (len(self.autos), self.space)
 
 
-def _face_chain(chain, i):
-    """d_i of a chain of composable automorphisms."""
-    k = len(chain)
-    if i == 0:
-        return chain[1:]
-    if i == k:
-        return chain[:-1]
-    merged = chain[i].compose(chain[i - 1])
-    return chain[: i - 1] + (merged,) + chain[i + 1 :]
-
-
 def _subchain(chain, kept):
-    """The chain seen by an iterated face keeping the given vertices."""
+    """The chain seen by an iterated face keeping the given vertices; the
+    face d_i of a chain keeps every vertex but i."""
     out = []
     for lo, hi in zip(kept, kept[1:]):
         g = chain[lo]
@@ -102,7 +92,7 @@ def _subchain(chain, kept):
 class _FamilyBuilder:
     def __init__(self, space: TateSpace):
         self.space = space
-        self.base = std_lattice(space, [0] * space.rank)
+        self.base = std_lattice(space, 0)
         self.memo = {}
 
     def lattice(self, chain, I) -> Lattice:
@@ -126,7 +116,8 @@ class _FamilyBuilder:
             elif len(I) <= m:
                 i = min(set(range(m + 1)) - I)
                 if i < m:
-                    val = self.lattice(_face_chain(chain, i), subset_degeneracy(I, i))
+                    face = _subchain(chain, [j for j in range(m + 1) if j != i])
+                    val = self.lattice(face, subset_degeneracy(I, i))
                 else:
                     val = act(chain[-1], self.lattice(chain[:-1], I))
             else:
@@ -253,8 +244,7 @@ def verify_family(family: LatticeFamily):
         for i in range(m + 1):
             lower_kept = _drop_vertex(kept, i)
             for J in nonempty_subsets(m - 1):
-                lifted = frozenset(x if x < i else x + 1 for x in J)
-                top = family.lattice(kept, lifted)
+                top = family.lattice(kept, subset_face(J, i))
                 low = family.lattice(lower_kept, J)
                 if i < m:
                     ok = top == low

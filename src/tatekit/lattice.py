@@ -204,8 +204,7 @@ class Lattice:
 def lattice_from_json(ctx: FieldCtx, data: dict) -> Lattice:
     space = TateSpace(ctx, data["rank"])
     a, b = data["a"], data["b"]
-    dim = space.rank * (a + b)
-    return Lattice(space, a, b, Subspace.from_rows(ctx, dim, data["basis"]))
+    return Lattice(space, a, b, Subspace.from_rows(ctx, _window_dim(space, a, b), data["basis"]))
 
 
 def _normalize(space, a, b, subspace):
@@ -259,10 +258,6 @@ def meet(L: Lattice, M: Lattice) -> Lattice:
 
 def join_all(lattices) -> Lattice:
     return reduce(join, lattices)
-
-
-def meet_all(lattices) -> Lattice:
-    return reduce(meet, lattices)
 
 
 class LatticeQuotient:

@@ -29,13 +29,17 @@ from .errors import (
     InsufficientPrecision,
     NonSquare,
     NotInvertibleInLaurentRing,
+    RankTooLarge,
     SpaceMismatch,
     ZeroElement,
 )
-from .fields import FieldCtx, Scalar
-from .linalg import _inv, _mul
+from .fields import FieldCtx, Scalar, _inv, _mul, _norm
 
 DEFAULT_PRECISION = 16
+
+# The cofactor determinant that validates a GL automorphism is factorial in
+# its rank.
+MAX_GL_RANK = 8
 
 # Arithmetic on raw term dicts (exponent -> raw value); ``p`` is the field's
 # modulus, None over Q.
@@ -271,7 +275,7 @@ class TruncSeries:
             acc = zero
             for i in range(max(0, k + 1 - len(b)), min(k + 1, len(a))):
                 acc += a[i] * b[k - i]
-            out.append(acc if p is None else acc % p)
+            out.append(_norm(p, acc))
         return TruncSeries._raw(self.ctx, self.valuation + other.valuation, out, False)
 
     def inverse(self, precision: int | None = None) -> "TruncSeries":
@@ -288,7 +292,7 @@ class TruncSeries:
             acc = zero
             for j in range(1, min(k + 1, len(u))):
                 acc += u[j] * out[k - j]
-            out.append(-acc * inv0 if p is None else -acc * inv0 % p)
+            out.append(_mul(p, -acc, inv0))
         return TruncSeries._raw(self.ctx, -self.valuation, out, self.is_monomial())
 
     def mul_poly_mod(self, poly: LaurentPoly, cutoff: int) -> LaurentPoly:
@@ -530,6 +534,8 @@ class Automorphism:
         elif kind == self.GL:
             if matrix.n == 1:
                 raise ValueError("rank 1 is MultBy; build it with Automorphism.gl")
+            if matrix.n > MAX_GL_RANK:
+                raise RankTooLarge("GL rank %d exceeds the cap MAX_GL_RANK=%d" % (matrix.n, MAX_GL_RANK))
             det = _unit_det(matrix)
         else:
             raise ValueError("unknown automorphism kind %r" % kind)

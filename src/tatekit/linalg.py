@@ -12,33 +12,22 @@ canonical form: two subspaces are equal iff their stored bases are equal row
 for row.  Quotient bases are fixed by echelon completion, so every
 downstream determinant-line scalar is reproducible run to run.
 
-Only ``Subspace.from_rows`` (a ``Subspace`` built with ``pivots=None``) runs
-an elimination, through ``rref``.  Builders whose rows are already in reduced
-echelon form pass their pivots and skip it, and membership and quotient
-coordinates reduce a vector against the stored echelon rows instead of
-solving a system.
+Two builders run an elimination, each exactly one, through ``rref``:
+``Subspace.from_rows`` (a ``Subspace`` built with ``pivots=None``, as
+``subspace_sum`` builds its span) and ``subspace_intersect``, whose
+Zassenhaus elimination leaves the meet in echelon form.  Builders whose rows
+are already in reduced echelon form pass their pivots and skip it, and
+membership and quotient coordinates reduce a vector against the stored
+echelon rows instead of solving a system.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import AmbientMismatch, FieldMismatch, NonSquare, NotContained
-from .fields import FieldCtx, Scalar
+from .fields import FieldCtx, Scalar, _inv, _mul, _neg
 
-# Kernel arithmetic on raw values; ``p`` is the field's modulus, None over Q.
-
-
-def _inv(p, x):
-    return Fraction(1) / x if p is None else pow(x, -1, p)
-
-
-def _neg(p, x):
-    return -x if p is None else -x % p
-
-
-def _mul(p, x, y):
-    return x * y if p is None else x * y % p
+# Row kernels on raw values; ``p`` is the field's modulus, None over Q.  They
+# keep ``% p`` inline: one function call per entry would dominate.
 
 
 def _submul(p, vec, f, row):
@@ -123,9 +112,6 @@ class Matrix:
 
     def row_list(self):
         return [_box(self.ctx, row) for row in self._data]
-
-    def transpose(self) -> "Matrix":
-        return Matrix._raw(self.ctx, self.rows, [[row[j] for row in self._data] for j in range(self.cols)])
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.ctx != other.ctx:
@@ -315,40 +301,39 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     return Subspace._span(a.ctx, a.ambient_dim, a.basis._data + b.basis._data)
 
 
-def _nullspace(m: Matrix):
-    """Raw basis rows of {x : m x = 0}, echelon over the free columns."""
+def nullspace(m: Matrix):
+    """Basis rows of {x : m x = 0}, echelon over the free columns."""
     red, pivots = rref(m)
     ctx, p = m.ctx, m.ctx.modulus
-    zero, one = ctx.raw_zero, ctx.raw_one
     out = []
     for f in (c for c in range(m.cols) if c not in pivots):
-        vec = [zero] * m.cols
-        vec[f] = one
+        vec = [ctx.raw_zero] * m.cols
+        vec[f] = ctx.raw_one
         for row, c in zip(red._data, pivots):
             vec[c] = _neg(p, row[f])
-        out.append(vec)
+        out.append(_box(ctx, vec))
     return out
 
 
-def nullspace(m: Matrix):
-    """Basis rows of {x : m x = 0}, echelon over the free columns."""
-    return [_box(m.ctx, vec) for vec in _nullspace(m)]
-
-
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
+    """a ∩ b by one Zassenhaus elimination of [a | 0 ; b | b].
+
+    The [a | 0] rows are already echelon, so eliminating with them only
+    reduces the left half of each [b | b] row by ``a``; ``rref`` then runs on
+    those rows alone.  The rows of its result whose left half is zero are,
+    on their right half, exactly the RREF basis of a ∩ b, with their pivots
+    shifted by the ambient dimension: nothing is recombined or eliminated
+    again.
+    """
     a._check(b)
-    ctx, p = a.ctx, a.ctx.modulus
+    ctx, n = a.ctx, a.ambient_dim
     if a.dim == 0 or b.dim == 0:
-        return Subspace.zero(ctx, a.ambient_dim)
-    stacked = Matrix._raw(ctx, a.ambient_dim, a.basis._data + b.basis._data)
-    vecs = []
-    for x in _nullspace(stacked.transpose()):
-        vec = [ctx.raw_zero] * a.ambient_dim
-        for coef, row in zip(x[: a.dim], a.basis._data):
-            if coef:
-                vec = _submul(p, vec, _neg(p, coef), row)
-        vecs.append(vec)
-    return Subspace._span(ctx, a.ambient_dim, vecs)
+        return Subspace.zero(ctx, n)
+    rows = [a._remainder(row) + row for row in b.basis._data]
+    red, pivots = rref(Matrix._raw(ctx, 2 * n, rows))
+    k = next((i for i, c in enumerate(pivots) if c >= n), len(pivots))
+    meet = [row[n:] for row in red._data[k : len(pivots)]]
+    return Subspace(n, Matrix._raw(ctx, n, meet), [c - n for c in pivots[k:]])
 
 
 def subspace_contains(a: Subspace, b: Subspace) -> bool:

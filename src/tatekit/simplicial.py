@@ -297,14 +297,17 @@ def order_graph(poset: FinPoset) -> OrientedGraph:
     return OrientedGraph(poset.elements, edges)
 
 
-def _count_oriented_paths(tree_edges, x, z):
+def _tree_path(edges, x, z):
+    """The edges of the oriented path x -> z in a tree, or None if there is
+    none; in a tree such a path is unique when it exists."""
     if x == z:
-        return 1
-    total = 0
-    for (a, b) in tree_edges:
+        return []
+    for a, b in edges:
         if a == x:
-            total += _count_oriented_paths(tree_edges, b, z)
-    return total
+            rest = _tree_path(edges, b, z)
+            if rest is not None:
+                return [(a, b), *rest]
+    return None
 
 
 def is_admissible_tree(graph: OrientedGraph, tree_edges) -> bool:
@@ -340,18 +343,8 @@ def is_admissible_tree(graph: OrientedGraph, tree_edges) -> bool:
                 stack.append(w)
     if len(seen) != len(verts):
         return False
-    for x in verts:
-        for y in verts:
-            ok = False
-            for z in verts:
-                px = _count_oriented_paths(tree_edges, x, z)
-                py = _count_oriented_paths(tree_edges, y, z)
-                if px == 1 and py == 1:
-                    ok = True
-                    break
-            if not ok:
-                return False
-    return True
+    reach = {x: {z for z in verts if _tree_path(tree_edges, x, z) is not None} for x in verts}
+    return all(reach[x] & reach[y] for x in verts for y in verts)
 
 
 class BasedPoset:
@@ -453,23 +446,13 @@ def k0_reconstruct(frame: FramedPoset, d0: int, edge_dims: dict):
     verts = frame.poset.elements
     out = {}
 
-    def path_sum(x, z):
-        if x == z:
-            return 0
-        for (a, b) in frame.tree_edges:
-            if a == x:
-                rest = path_sum(b, z)
-                if rest is not None:
-                    return edge_dims[(a, b)] + rest
-        return None
-
     for x in verts:
         val = None
         for z in verts:
-            up_x = path_sum(x, z)
-            up_0 = path_sum(x0, z)
+            up_x = _tree_path(frame.tree_edges, x, z)
+            up_0 = _tree_path(frame.tree_edges, x0, z)
             if up_x is not None and up_0 is not None:
-                val = d0 + up_0 - up_x
+                val = d0 + sum(edge_dims[e] for e in up_0) - sum(edge_dims[e] for e in up_x)
                 break
         if val is None:
             raise FrameMismatch("no common tree target for %r" % (x,))

@@ -100,12 +100,15 @@ def rand_lattice(space: TateSpace, rng: random.Random, bound=3) -> Lattice:
     dim = space.rank * (a + b)
     nrows = rng.randint(0, dim)
     rows = [[rand_scalar(ctx, rng) for _ in range(dim)] for _ in range(nrows)]
-    sub = Subspace.from_rows(ctx, dim, rows) if rows else Subspace.zero(ctx, dim)
-    return Lattice(space, a, b, sub)
+    return Lattice(space, a, b, Subspace.from_rows(ctx, dim, rows))
 
 
 def rand_gl(ctx: FieldCtx, n: int, rng: random.Random) -> Automorphism:
     """Random GL_n over k[t,1/t] with monomial determinant: L * D * U."""
+
+    def monomial():
+        return LaurentPoly(ctx, {rng.randint(-2, 2): rand_scalar(ctx, rng, nonzero=True)})
+
     lower = [[LaurentPoly.zero(ctx) for _ in range(n)] for _ in range(n)]
     upper = [[LaurentPoly.zero(ctx) for _ in range(n)] for _ in range(n)]
     for i in range(n):
@@ -113,20 +116,10 @@ def rand_gl(ctx: FieldCtx, n: int, rng: random.Random) -> Automorphism:
         upper[i][i] = LaurentPoly.one(ctx)
         for j in range(i):
             if rng.random() < 0.6:
-                lower[i][j] = LaurentPoly(
-                    ctx, {rng.randint(-2, 2): rand_scalar(ctx, rng, nonzero=True)}
-                )
+                lower[i][j] = monomial()
             if rng.random() < 0.6:
-                upper[j][i] = LaurentPoly(
-                    ctx, {rng.randint(-2, 2): rand_scalar(ctx, rng, nonzero=True)}
-                )
-    diag = LaurentMatrix.diagonal(
-        ctx,
-        [
-            LaurentPoly(ctx, {rng.randint(-2, 2): rand_scalar(ctx, rng, nonzero=True)})
-            for _ in range(n)
-        ],
-    )
+                upper[j][i] = monomial()
+    diag = LaurentMatrix.diagonal(ctx, [monomial() for _ in range(n)])
     m = LaurentMatrix.from_rows(ctx, lower) * diag * LaurentMatrix.from_rows(ctx, upper)
     return Automorphism.gl(m)
 
@@ -260,12 +253,11 @@ def suite_index(cases=50, seed=0):
 
 
 def _random_chain(rng: random.Random, length: int):
+    ctx = GF(3)
     if rng.random() < 0.5:
-        ctx = GF(3)
         space = TateSpace(ctx, 1)
         autos = [rand_mult(ctx, rng, -2, 2) for _ in range(length)]
     else:
-        ctx = GF(3)
         space = TateSpace(ctx, 2)
         autos = [rand_gl(ctx, 2, rng) for _ in range(length)]
     autos = [g for g in autos if not g.is_identity()]
@@ -454,17 +446,10 @@ _SUITE_FUNCS = {
     "simplicial": suite_simplicial,
 }
 
-_DEFAULT_CASES = {
-    "lattice": 25,
-    "index": 50,
-    "family": 10,
-    "detline": 25,
-    "simplicial": 15,
-}
-
 
 def run_suites(suite="all", cases=None, seed=0):
-    """Run one named suite (or all) and assemble a deterministic report."""
+    """Run one named suite (or all) and assemble a deterministic report;
+    ``cases=None`` runs each suite at its own default case count."""
     if suite == "all":
         names = list(SUITES)
     elif suite in _SUITE_FUNCS:
@@ -473,8 +458,8 @@ def run_suites(suite="all", cases=None, seed=0):
         raise ValueError("unknown suite %r; choose from %s" % (suite, (*SUITES, "all")))
     checks = []
     for name in names:
-        n = cases if cases is not None else _DEFAULT_CASES[name]
-        checks.extend(_SUITE_FUNCS[name](cases=n, seed=seed))
+        run = _SUITE_FUNCS[name]
+        checks.extend(run(seed=seed) if cases is None else run(cases=cases, seed=seed))
     passed = sum(1 for c in checks if c["status"] == "pass")
     return {
         "suite": suite,

@@ -102,6 +102,32 @@ def test_unknown_suite_exit_2(capsys):
     assert code == 2 and "unknown suite" in err
 
 
+def test_unknown_suite_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "bogus")
+    assert code == 2 and out == "" and err.startswith("error: unknown suite 'bogus'")
+
+
+def test_precision_cap_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["commutator", "--f", "t", "--g", "1+t", "--precision", "1025"])
+    assert exc.value.code == 2
+    assert "MAX_WINDOW_DIM=1024" in capsys.readouterr().err
+    code, out, _ = run(capsys, "commutator", "--f", "t", "--g", "1+t", "--precision", "1024")
+    assert code == 0 and out.strip() == "1"
+
+
+def test_gl_rank_cap_exit_2(capsys):
+    # a dense rank-9 matrix is refused before its cofactor determinant runs
+    dense = ";".join(",".join("1+t" if i == j else "t" for j in range(9)) for i in range(9))
+    start = time.perf_counter()
+    code, _, err = run(capsys, "index", "--matrix", dense)
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and err.startswith("error: ") and "MAX_GL_RANK=8" in err
+    eight = ";".join(",".join("t" if i == j else "0" for j in range(8)) for i in range(8))
+    code, out, _ = run(capsys, "index", "--matrix", eight)
+    assert code == 0 and out.strip() == "8"
+
+
 def test_precision_exit_3(capsys):
     # inverting 1-t at precision 1 starves the commutator's lattice action
     code, _, err = run(

@@ -120,6 +120,29 @@ def test_graded_omega_sign_reuses_the_meets(monkeypatch):
         signs.add(odd)
     assert signs == {True, False}
 
+def test_omega_meets_once_and_checks_only_a_given_base(monkeypatch):
+    """Without ``base`` omega makes four meets (three pairwise, then the triple
+    meet from one of them) and no leq call; a given base is still checked."""
+    import tatekit.detline as detline
+
+    meets, leqs = [], []
+    real_meet, real_leq = detline.meet, detline.leq
+    monkeypatch.setattr(detline, "meet", lambda L, M: meets.append(1) or real_meet(L, M))
+    monkeypatch.setattr(detline, "leq", lambda L, M: leqs.append(1) or real_leq(L, M))
+    rng = random.Random(83)
+    for trial in range(10):
+        space = TateSpace(GF(5) if trial % 2 else QQ, 1)
+        Fs = [rand_lattice(space, rng, 3) for _ in range(3)]
+        meets.clear()
+        leqs.clear()
+        value = omega(*Fs, mode=UNGRADED)
+        assert (len(meets), len(leqs)) == (4, 0)
+        assert value == omega(*Fs, mode=UNGRADED, base=std_lattice(space, [5]))
+        assert len(leqs) == 3
+    with pytest.raises(NotNested):
+        omega(tO, tm1, tm2, base=O)  # O is not below tO
+
+
 def test_omega_iso_and_line_iso_compose():
     iso = omega_iso(O, tm1, tm2)
     assert iso.target == rel_det(O, tm2)

@@ -89,3 +89,18 @@ def test_field_ctx_identity_fast_path(monkeypatch):
     assert calls == []  # one context object: no structural compare
     assert a == a and a == b
     assert calls == [a, b]
+
+
+def test_pow_matches_repeated_multiplication():
+    for ctx in (QQ, GF(2), GF(1000003)):
+        for x in (ctx.scalar(0), ctx.scalar(1), ctx.scalar(-1), ctx.scalar("3/7"), ctx.scalar(5)):
+            acc = ctx.one()
+            for n in range(8):
+                assert x**n == acc and type((x**n).value) is type(ctx.raw_one)
+                if not x.is_zero():
+                    assert x**-n == acc.inverse()
+                acc = acc * x
+    for ctx in (QQ, GF(2), GF(1000003)):
+        assert ctx.zero() ** 0 == ctx.one()
+        with pytest.raises(ZeroElement):
+            ctx.zero() ** -1

@@ -97,6 +97,27 @@ def test_choice_independence():
             assert index0_with(g, L, N) == want
 
 
+def ref_face_chain(chain, i):
+    """d_i of a chain of composable automorphisms, written out case by case."""
+    k = len(chain)
+    if i == 0:
+        return chain[1:]
+    if i == k:
+        return chain[:-1]
+    return chain[: i - 1] + (chain[i].compose(chain[i - 1]),) + chain[i + 1 :]
+
+
+def test_subchain_without_one_vertex_is_the_face():
+    from tatekit.index_map import _subchain
+
+    rng = random.Random(89)
+    for k in range(1, 5):
+        for ctx, rank in ((GF(3), 1), (QQ, 1), (GF(5), 2), (QQ, 2)):
+            chain = tuple(rand_mult(ctx, rng, -2, 2) if rank == 1 else rand_gl(ctx, 2, rng) for _ in range(k))
+            for i in range(k + 1):
+                assert _subchain(chain, [j for j in range(k + 1) if j != i]) == ref_face_chain(chain, i)
+
+
 def test_build_family_single_mult():
     fam = build_family(AutChain(V, [t]))
     assert fam.lattice((0, 1), [0]) == std_lattice(V, [1])  # g L0

@@ -156,6 +156,18 @@ def test_json_roundtrip():
     assert d == {"rank": 1, "a": 0, "b": 0, "basis": []}
 
 
+def test_lattice_from_json_checks_the_cap_first(monkeypatch):
+    from tatekit.errors import WindowTooLarge
+
+    def no_rows(*args):
+        raise AssertionError("rows built for a window above the cap")
+
+    monkeypatch.setattr(Subspace, "from_rows", no_rows)
+    for rank, a, b in ((1, 1025, 0), (2, 300, 300), (3, 0, 342)):
+        with pytest.raises(WindowTooLarge, match="1024"):
+            lattice_from_json(QQ, {"rank": rank, "a": a, "b": b, "basis": []})
+
+
 def test_quotient_checks_containment_once(monkeypatch):
     import tatekit.linalg
 

@@ -64,6 +64,21 @@ def test_subspace_sum_disjoint_pivots():
     assert subspace_sum(s1, s2) == Subspace.from_rows(QQ, 3, [[1, 0, 0], [0, 1, 0]])
 
 
+def test_subspace_intersect_runs_one_elimination(monkeypatch):
+    import tatekit.linalg as linalg
+
+    a = Subspace.from_rows(QQ, 4, [[1, 2, 0, 0], [0, 0, 1, 1], [0, 1, 0, 5]])
+    b = Subspace.from_rows(QQ, 4, [[1, 2, 1, 1], [0, 3, 0, 15], [1, 0, 0, 0]])
+    calls = []
+    real = linalg._rref_rows
+    monkeypatch.setattr(linalg, "_rref_rows", lambda ctx, rows: calls.append(len(rows[0])) or real(ctx, rows))
+    meet = subspace_intersect(a, b)
+    assert calls == [8]  # one elimination, of the 2n-column Zassenhaus matrix
+    want = [[1, 2, 1, 1], [0, 1, 0, 5]]
+    assert meet.dim == 2 and all(meet.contains_vector(v) and a.contains_vector(v) for v in want)
+    assert meet == Subspace.from_rows(QQ, 4, want) and meet.pivots == (0, 1)
+
+
 def test_subspace_intersect_f2():
     F2 = GF(2)
     a = Subspace.from_rows(F2, 2, [[1, 1]])
