@@ -18,6 +18,13 @@ Conventions (fixed once, used everywhere):
   (F1|F2)(x)(F2|F3) -> (F1|F3) in canonical bases; in graded mode the
   Koszul sign (-1)^(grade(F1|F2)*grade(F2|F3)) is inserted for the middle
   contraction.
+* Pivot parity: an echelon row is 1 at its own pivot and 0 at every other
+  pivot of its subspace, so for window subspaces M <= N <= F with pivot sets
+  P(M) <= P(N) <= P(F) the concatenation det(N/M) (x) det(F/N) -> det(F/M)
+  is the sign (-1)^s of a shuffle, s = #{(x, y) : x in P(N) - P(M),
+  y in P(F) - P(N), x < y}.  Window padding adds pivots to all three sets
+  alike, so s does not depend on the window, and ``omega`` is always +-1: a
+  product of six such signs, read off the pivots in one common window.
 * Extension elements multiply by (g, z)(h, w) = (gh, z*w*sigma(g,h)) where
   sigma(g,h) is the scalar of the canonical identification of (L0|ghL0)
   with (L0|gL0) (x) g(L0|hL0); the direction is fixed so that the
@@ -28,6 +35,8 @@ Conventions (fixed once, used everywhere):
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from .errors import (
     ModeMismatch,
     NotMultiplicationAutomorphism,
@@ -37,18 +46,8 @@ from .errors import (
 )
 from .fields import Scalar
 from .laurent import Automorphism, LaurentPoly
-from .lattice import (
-    Lattice,
-    TateSpace,
-    _sparse,
-    act,
-    common_window,
-    leq,
-    meet,
-    quotient_dim_lattices,
-    std_lattice,
-)
-from .linalg import Matrix, _quotient_coords, _quotient_reps, det
+from .lattice import Lattice, TateSpace, _sparse, act, common_window, leq, std_lattice
+from .linalg import Matrix, _quotient_coords, _quotient_reps, det, subspace_contains, subspace_intersect
 
 UNGRADED = "ungraded"
 GRADED = "graded"
@@ -111,14 +110,16 @@ class LineIso:
         return "LineIso(%s)" % self.scalar
 
 
-def _grade(N: Lattice, F1: Lattice, F2: Lattice) -> int:
-    """The grade dim(F2/N) - dim(F1/N) of (F1|F2), with N = meet(F1, F2)."""
-    return quotient_dim_lattices(N, F2) - quotient_dim_lattices(N, F1)
+def _grade(F1: Lattice, F2: Lattice) -> int:
+    """The grade dim(F2/N) - dim(F1/N) of (F1|F2), with N = meet(F1, F2): the
+    dimension difference of F2 and F1 in any common window."""
+    _, _, (w1, w2) = common_window(F1, F2)
+    return w2.dim - w1.dim
 
 
 def rel_det(F1: Lattice, F2: Lattice) -> GradedLine:
     """The relative determinant line (F1|F2), graded Deligne-style."""
-    return GradedLine(_grade(meet(F1, F2), F1, F2), ("reldet", F1, F2))
+    return GradedLine(_grade(F1, F2), ("reldet", F1, F2))
 
 
 def _desc_reps(sub_w, sup_w):
@@ -129,48 +130,43 @@ def _desc_reps(sub_w, sup_w):
 def _wedge_det(sub_w, sup_w, rows) -> Scalar:
     """Determinant of the raw ``rows`` in the canonical basis of det(sup_w/sub_w)."""
     target, lead = _quotient_reps(sub_w, sup_w)
-    if len(rows) != len(target):
-        raise NotNested("delta needs nested lattices")
-    if not rows:
-        return sub_w.ctx.one()
     coords = _quotient_coords(sub_w, target[::-1], lead[::-1], rows)
     return det(Matrix._raw(sub_w.ctx, len(target), coords))
 
 
-def _delta(M: Lattice, N: Lattice, F: Lattice) -> Scalar:
-    """Scalar of the concatenation det(N/M) (x) det(F/N) -> det(F/M).
-
-    All three lattices must be nested M <= N <= F.  This realizes the
-    canonical map "wedge the lower quotient first, then lifts of the
-    upper" in the canonical descending bases.
-    """
-    _, _, (wM, wN, wF) = common_window(M, N, F)
-    return _wedge_det(wM, wF, _desc_reps(wM, wN) + _desc_reps(wN, wF))
+def _shuffle(M, N, F) -> int:
+    """The exponent s of the sign of det(N/M) (x) det(F/N) -> det(F/M) for
+    window subspaces M <= N <= F (see the pivot-parity convention)."""
+    in_m, in_n = set(M.pivots), set(N.pivots)
+    lower = [c for c in N.pivots if c not in in_m]
+    upper = [c for c in F.pivots if c not in in_n]
+    return sum(len(upper) - bisect_right(upper, x) for x in lower)
 
 
 def omega(
     F1: Lattice, F2: Lattice, F3: Lattice, mode: str = UNGRADED, base: Lattice | None = None
 ) -> Scalar:
-    """Scalar of (F1|F2) (x) (F2|F3) -> (F1|F3) in canonical bases.
+    """Scalar of (F1|F2) (x) (F2|F3) -> (F1|F3) in canonical bases, always +-1.
 
     ``base`` may name any common sub-lattice to compute over; the result
     does not depend on it.  Without it, the meet of all three is used, which
     is below each of them by construction.  Graded mode inserts the Koszul
     swap sign.
     """
-    if base is not None and not all(leq(base, F) for F in (F1, F2, F3)):
+    _, _, (w1, w2, w3, *wb) = common_window(F1, F2, F3, *([] if base is None else [base]))
+    if wb and not all(subspace_contains(w, wb[0]) for w in (w1, w2, w3)):
         raise NotNested("base must be a common sub-lattice")
-    n12, n23, n13 = meet(F1, F2), meet(F2, F3), meet(F1, F3)
-    M = base if base is not None else meet(n12, F3)
-    num = _delta(M, n12, F2) * _delta(M, n23, F3) * _delta(M, n13, F1)
-    den = _delta(M, n12, F1) * _delta(M, n23, F2) * _delta(M, n13, F3)
-    value = num / den
+    n12, n23, n13 = subspace_intersect(w1, w2), subspace_intersect(w2, w3), subspace_intersect(w1, w3)
+    M = wb[0] if wb else subspace_intersect(n12, w3)
+    # The three numerator and three denominator concatenations, each a sign.
+    triples = ((n12, w2), (n23, w3), (n13, w1), (n12, w1), (n23, w2), (n13, w3))
+    s = sum(_shuffle(M, N, F) for N, F in triples)
     if mode == GRADED:
-        if _grade(n12, F1, F2) % 2 and _grade(n23, F2, F3) % 2:
-            value = -value
+        s += (w2.dim - w1.dim) * (w3.dim - w2.dim)
     elif mode != UNGRADED:
         raise ValueError("mode must be %r or %r" % (UNGRADED, GRADED))
-    return value
+    one = F1.ctx.one()
+    return -one if s % 2 else one
 
 
 def omega_iso(F1: Lattice, F2: Lattice, F3: Lattice, mode: str = UNGRADED) -> LineIso:
@@ -206,7 +202,7 @@ class DimensionTheory:
         raise AttributeError("DimensionTheory is immutable")
 
     def eval(self, L: Lattice) -> int:
-        return self.value_at_base + _grade(meet(L, self.base), self.base, L)
+        return self.value_at_base + _grade(self.base, L)
 
     def shifted(self, k: int) -> "DimensionTheory":
         return DimensionTheory(self.base, self.value_at_base + k)
@@ -255,11 +251,12 @@ def det_theory_coherence(
 
 def translation_scalar(g: Automorphism, F1: Lattice, F2: Lattice) -> Scalar:
     """Scalar of g_*: (F1|F2) -> (gF1|gF2) in canonical bases."""
-    N = meet(F1, F2)
-    a1, b1, (wN, w1, w2) = common_window(N, F1, F2)
-    a2, b2, (twN, tw1, tw2) = common_window(act(g, N), act(g, F1), act(g, F2))
+    _, b1, (w1, w2) = common_window(F1, F2)
+    a2, b2, (tw1, tw2) = common_window(act(g, F1), act(g, F2))
+    # g is a bijection, so g(F1 ∩ F2) = gF1 ∩ gF2.
+    wN, twN = subspace_intersect(w1, w2), subspace_intersect(tw1, tw2)
     reps2, reps1 = _desc_reps(wN, w2), _desc_reps(wN, w1)
-    rows = g.image([_sparse(N.space, b1, r) for r in reps2 + reps1], a2, b2)
+    rows = g.image([_sparse(F1.space, b1, r) for r in reps2 + reps1], a2, b2)
     return _wedge_det(twN, tw2, rows[: len(reps2)]) / _wedge_det(twN, tw1, rows[len(reps2) :])
 
 

@@ -126,6 +126,7 @@ class FieldCtx:
     def raw(self, value):
         """The raw value of a Scalar of this field, an int, a Fraction or an
         'a/b' string: a ``Fraction`` over Q, a residue in ``[0, p)`` over F_p.
+        Any other type, a float included, raises ``TypeError``.
         """
         if isinstance(value, Scalar):
             if value.ctx is not self and value.ctx != self:
@@ -139,6 +140,8 @@ class FieldCtx:
                 value = Fraction(int(num), int(den))
             else:
                 value = int(value)
+        elif not isinstance(value, (int, Fraction)):
+            raise TypeError("%r is not a Scalar, int, Fraction or str" % (value,))
         if self.kind == RATIONALS:
             return value if type(value) is Fraction else Fraction(value)
         p = self.modulus

@@ -97,6 +97,8 @@ def row_to_vec(space: TateSpace, a: int, b: int, row):
 
 def vec_to_row(space: TateSpace, a: int, b: int, vec):
     """LaurentPoly coordinates -> raw window row, reducing modulo t^a O^n."""
+    if len(vec) != space.rank:
+        raise SpaceMismatch("vector of %d coordinates in %r" % (len(vec), space))
     row = [space.ctx.raw_zero] * (space.rank * (a + b))
     for i, poly in enumerate(vec):
         if poly.ctx != space.ctx:
@@ -119,6 +121,8 @@ class Lattice:
         if a + b < 0:
             raise ValueError("window bounds a=%d, b=%d overlap" % (a, b))
         dim = _window_dim(space, a, b)
+        if subspace.ctx is not space.ctx and subspace.ctx != space.ctx:
+            raise FieldMismatch("subspace over %r in %r" % (subspace.ctx, space))
         if subspace.ambient_dim != dim:
             raise ValueError("subspace ambient %d != window dim %d" % (subspace.ambient_dim, dim))
         a, b, subspace = _normalize(space, a, b, subspace)

@@ -273,8 +273,14 @@ class Subspace:
     def _remainder(self, vec):
         return _reduce(self.ctx.modulus, self.basis._data, self.pivots, vec)
 
+    def _vector(self, vec):
+        """A caller's vector of k^ambient_dim, unboxed."""
+        if len(vec) != self.ambient_dim:
+            raise AmbientMismatch("vector of length %d in k^%d" % (len(vec), self.ambient_dim))
+        return _unbox(self.ctx, vec)
+
     def contains_vector(self, vec) -> bool:
-        return not any(self._remainder(_unbox(self.ctx, vec)))
+        return not any(self._remainder(self._vector(vec)))
 
     def _check(self, other: "Subspace"):
         if self.ambient_dim != other.ambient_dim:
@@ -387,12 +393,13 @@ def quotient_coords(sub: Subspace, reps, vec):
     columns of the others and at the pivots of ``sub``.  ``vec`` is reduced by
     ``sub``, then by ``reps`` at their leading columns; the multipliers of
     that second pass are returned.  A non-zero remainder means ``vec`` lies
-    outside sub + span(reps) and raises ``NotContained``.
+    outside sub + span(reps) and raises ``NotContained``; a vector or
+    representative whose length is not the ambient dimension raises
+    ``AmbientMismatch``.
     """
-    ctx = sub.ctx
-    reps = [_unbox(ctx, row) for row in reps]
+    reps = [sub._vector(row) for row in reps]
     lead = [next(j for j, x in enumerate(row) if x) for row in reps]
-    return _box(ctx, _quotient_coords(sub, reps, lead, [_unbox(ctx, vec)])[0])
+    return _box(sub.ctx, _quotient_coords(sub, reps, lead, [sub._vector(vec)])[0])
 
 
 def all_subspaces(ctx: FieldCtx, ambient_dim: int):

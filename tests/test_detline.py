@@ -1,7 +1,10 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tatekit import (
     GF,
@@ -28,12 +31,15 @@ from tatekit import (
 from tatekit.detline import (
     GRADED,
     UNGRADED,
+    _shuffle,
     closed_commutator_formula,
     det_theory_coherence_scalars,
     omega_iso,
     translation_scalar,
 )
 from tatekit.errors import ModeMismatch, NotMultiplicationAutomorphism, NotNested
+from tatekit.lattice import common_window, leq, meet, quotient_dim_lattices
+from tatekit.linalg import Matrix, _quotient_coords, _quotient_reps, det
 from tatekit.verify import rand_lattice, rand_mult, rand_unit_poly
 
 V = TateSpace(QQ, 1)
@@ -45,6 +51,90 @@ tm2 = std_lattice(V, [-2])
 
 def mult(text, ctx=QQ):
     return Automorphism.mult_by(parse_laurent(ctx, text))
+
+
+# -- reference: omega by explicit determinants ------------------------------
+#
+# This is how omega was computed before it read the sign off the pivots: six
+# concatenation scalars, each the determinant of the concatenated echelon
+# representatives in the canonical descending basis of the outer quotient.
+
+
+def ref_desc_reps(sub_w, sup_w):
+    return _quotient_reps(sub_w, sup_w)[0][::-1]
+
+
+def ref_delta(M, N, F):
+    """Scalar of det(N/M) (x) det(F/N) -> det(F/M) for nested M <= N <= F."""
+    _, _, (wM, wN, wF) = common_window(M, N, F)
+    rows = ref_desc_reps(wM, wN) + ref_desc_reps(wN, wF)
+    target, lead = _quotient_reps(wM, wF)
+    assert len(rows) == len(target)
+    if not rows:
+        return M.ctx.one()
+    coords = _quotient_coords(wM, target[::-1], lead[::-1], rows)
+    return det(Matrix._raw(M.ctx, len(target), coords))
+
+
+def ref_grade(F1, F2):
+    N = meet(F1, F2)
+    return quotient_dim_lattices(N, F2) - quotient_dim_lattices(N, F1)
+
+
+def ref_omega(F1, F2, F3, mode=UNGRADED, base=None):
+    if base is not None and not all(leq(base, F) for F in (F1, F2, F3)):
+        raise NotNested("base must be a common sub-lattice")
+    n12, n23, n13 = meet(F1, F2), meet(F2, F3), meet(F1, F3)
+    M = base if base is not None else meet(n12, F3)
+    num = ref_delta(M, n12, F2) * ref_delta(M, n23, F3) * ref_delta(M, n13, F1)
+    den = ref_delta(M, n12, F1) * ref_delta(M, n23, F2) * ref_delta(M, n13, F3)
+    value = num / den
+    if mode == GRADED and ref_grade(F1, F2) % 2 and ref_grade(F2, F3) % 2:
+        value = -value
+    return value
+
+
+DIFF_FIELDS = [GF(2), GF(3), GF(1000003), QQ]
+DIFF_SETTINGS = settings(max_examples=150, deadline=None)
+
+
+@st.composite
+def spaces_and_lattices(draw, count):
+    """A Tate space and ``count`` of its lattices, each spanned in one window
+    by a subset of a shared pool of sparse vectors, so that meets and pivot
+    interleavings are seldom trivial."""
+    space = TateSpace(draw(st.sampled_from(DIFF_FIELDS)), draw(st.integers(1, 3)))
+    a = draw(st.integers(-2, 2))
+    b = draw(st.integers(2 - a, 4 - a))
+    dim = space.rank * (a + b)
+    entry = st.sampled_from([0, 0, 1, -1, 2])
+    pool = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=2, max_size=dim))
+    out = []
+    for _ in range(count):
+        keep = draw(st.lists(st.booleans(), min_size=len(pool), max_size=len(pool)))
+        rows = [v for v, k in zip(pool, keep) if k]
+        out.append(Lattice(space, a, b, Subspace.from_rows(space.ctx, dim, rows)))
+    return space, out
+
+
+@DIFF_SETTINGS
+@given(spaces_and_lattices(3))
+def test_shuffle_parity_matches_the_determinant(case):
+    """On nested M <= N <= F the pivot shuffle parity is the concatenation
+    determinant, and that determinant is +-1."""
+    space, (X, Y, Z) = case
+    M, N, F = meet(X, Y), X, join(X, Z)
+    _, _, (wM, wN, wF) = common_window(M, N, F)
+    one = space.ctx.one()
+    assert ref_delta(M, N, F) == (-one if _shuffle(wM, wN, wF) % 2 else one)
+
+
+@DIFF_SETTINGS
+@given(spaces_and_lattices(4), st.sampled_from([UNGRADED, GRADED]), st.booleans())
+def test_omega_matches_the_determinant_reference(case, mode, with_base):
+    space, (F1, F2, F3, X) = case
+    base = meet(meet(meet(F1, F2), F3), X) if with_base else None
+    assert omega(F1, F2, F3, mode, base) == ref_omega(F1, F2, F3, mode, base)
 
 
 def test_rel_det_nested():
@@ -96,49 +186,81 @@ def test_omega_base_independence():
             assert omega(*Fs, mode=mode) == omega(*Fs, mode=mode, base=deep)
 
 
-def test_graded_omega_sign_reuses_the_meets(monkeypatch):
-    """The Koszul sign matches the rel_det grades, and graded mode makes no
-    meet call beyond ungraded mode: it reads the grades off meets omega holds."""
+# Calls omega may make, by the name detline holds them under.
+OMEGA_COUNTED = (
+    "common_window",
+    "subspace_intersect",
+    "subspace_contains",
+    "_quotient_reps",
+    "_quotient_coords",
+    "det",
+)
+
+
+def _count_omega_calls(monkeypatch):
+    """Count the OMEGA_COUNTED calls and Lattice constructions."""
     import tatekit.detline as detline
 
-    calls = []
-    real = detline.meet
-    monkeypatch.setattr(detline, "meet", lambda L, M: calls.append(1) or real(L, M))
+    calls = Counter()
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in OMEGA_COUNTED:
+        monkeypatch.setattr(detline, name, counted(name, getattr(detline, name)))
+    monkeypatch.setattr(Lattice, "__init__", counted("Lattice", Lattice.__init__))
+    return calls
+
+
+def test_graded_omega_sign_reuses_the_meets(monkeypatch):
+    """The Koszul sign matches the rel_det grades, and graded mode makes no
+    call beyond ungraded mode: it reads the grades off the window subspaces
+    omega already holds."""
     rng = random.Random(79)
-    signs = set()
+    Fss = []
     for trial in range(20):
         space = TateSpace(GF(3) if trial % 2 else QQ, 1 + trial % 3 // 2)
-        Fs = [rand_lattice(space, rng, 3) for _ in range(3)]
+        Fss.append([rand_lattice(space, rng, 3) for _ in range(3)])
+    calls = _count_omega_calls(monkeypatch)
+    signs = set()
+    for Fs in Fss:
         calls.clear()
         plain = omega(*Fs, mode=UNGRADED)
-        ungraded_meets = len(calls)
+        ungraded_calls = dict(calls)
         calls.clear()
         graded = omega(*Fs, mode=GRADED)
-        assert len(calls) == ungraded_meets
+        assert dict(calls) == ungraded_calls
         odd = rel_det(Fs[0], Fs[1]).grade % 2 == 1 and rel_det(Fs[1], Fs[2]).grade % 2 == 1
         assert graded == (-plain if odd else plain)
         signs.add(odd)
     assert signs == {True, False}
 
-def test_omega_meets_once_and_checks_only_a_given_base(monkeypatch):
-    """Without ``base`` omega makes four meets (three pairwise, then the triple
-    meet from one of them) and no leq call; a given base is still checked."""
-    import tatekit.detline as detline
 
-    meets, leqs = [], []
-    real_meet, real_leq = detline.meet, detline.leq
-    monkeypatch.setattr(detline, "meet", lambda L, M: meets.append(1) or real_meet(L, M))
-    monkeypatch.setattr(detline, "leq", lambda L, M: leqs.append(1) or real_leq(L, M))
+def test_omega_meets_once_and_checks_only_a_given_base(monkeypatch):
+    """omega makes one common_window call and meets each pair once: four
+    subspace_intersect calls without ``base`` (three pairwise, then the triple
+    meet from one of them), three with it.  It builds no Lattice and makes no
+    quotient or determinant call; only a given base is checked for containment,
+    and one that is not below raises NotNested."""
     rng = random.Random(83)
+    cases = []
     for trial in range(10):
-        space = TateSpace(GF(5) if trial % 2 else QQ, 1)
-        Fs = [rand_lattice(space, rng, 3) for _ in range(3)]
-        meets.clear()
-        leqs.clear()
-        value = omega(*Fs, mode=UNGRADED)
-        assert (len(meets), len(leqs)) == (4, 0)
-        assert value == omega(*Fs, mode=UNGRADED, base=std_lattice(space, [5]))
-        assert len(leqs) == 3
+        space = TateSpace(GF(5) if trial % 2 else QQ, 1 + trial % 3)
+        cases.append(([rand_lattice(space, rng, 3) for _ in range(3)], std_lattice(space, 5)))
+    calls = _count_omega_calls(monkeypatch)
+    for Fs, deep in cases:
+        for mode in (UNGRADED, GRADED):
+            calls.clear()
+            value = omega(*Fs, mode=mode)
+            assert dict(calls) == {"common_window": 1, "subspace_intersect": 4}
+            calls.clear()
+            assert omega(*Fs, mode=mode, base=deep) == value
+            assert dict(calls) == {"common_window": 1, "subspace_intersect": 3, "subspace_contains": 3}
+            assert value in (Fs[0].ctx.one(), -Fs[0].ctx.one())
     with pytest.raises(NotNested):
         omega(tO, tm1, tm2, base=O)  # O is not below tO
 

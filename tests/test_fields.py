@@ -104,3 +104,17 @@ def test_pow_matches_repeated_multiplication():
         assert ctx.zero() ** 0 == ctx.one()
         with pytest.raises(ZeroElement):
             ctx.zero() ** -1
+
+
+def test_raw_accepts_only_exact_values():
+    from decimal import Decimal
+    from fractions import Fraction
+
+    for ctx in (QQ, GF(5)):
+        assert ctx.raw(3) == ctx.raw("3") == ctx.raw(ctx.scalar(3))
+        assert ctx.raw(Fraction(1, 2)) == ctx.raw("1/2")
+        for bad in (0.5, 0.1, 2.0, Decimal("0.5"), 1j, None, [1]):
+            with pytest.raises(TypeError):
+                ctx.raw(bad)
+            with pytest.raises(TypeError):
+                ctx.scalar(bad)

@@ -20,7 +20,7 @@ from tatekit import (
     quotient,
     std_lattice,
 )
-from tatekit.errors import InsufficientPrecision, NotNested, SpaceMismatch
+from tatekit.errors import FieldMismatch, InsufficientPrecision, NotNested, SpaceMismatch
 from tatekit.laurent import invert_series
 from tatekit.verify import rand_gl, rand_lattice, rand_mult
 
@@ -195,3 +195,26 @@ def test_quotient_of_non_nested_pair_is_not_nested():
         with pytest.raises(NotNested) as info:
             quotient(L, M)
         assert not isinstance(info.value, NotContained)
+
+
+def test_contains_vector_needs_one_coordinate_per_rank():
+    L = std_lattice(V, [-1])
+    zero, tinv, one = (parse_laurent(QQ, x) for x in ("0", "t^-1", "1"))
+    assert L.contains_vector((tinv,)) and not std_lattice(V, [0]).contains_vector((tinv,))
+    for vec in ((zero, tinv), (tinv, one), ()):
+        with pytest.raises(SpaceMismatch):
+            L.contains_vector(vec)
+    V2 = TateSpace(QQ, 2)
+    with pytest.raises(SpaceMismatch):
+        std_lattice(V2, 0).contains_vector((one,))
+
+
+def test_lattice_rejects_a_subspace_over_another_field():
+    F5 = GF(5)
+    with pytest.raises(FieldMismatch):
+        Lattice(TateSpace(QQ, 1), 1, 1, Subspace.from_rows(F5, 2, [[1, 2]]))
+    with pytest.raises(FieldMismatch):
+        Lattice(TateSpace(GF(7), 1), 1, 1, Subspace.from_rows(F5, 2, [[1, 2]]))
+    # A separately built context of the same field is the same field.
+    L = Lattice(TateSpace(GF(5), 1), 1, 1, Subspace.from_rows(F5, 2, [[1, 2]]))
+    assert L.subspace.dim == 1 and L.ctx == F5

@@ -162,3 +162,22 @@ def test_quotient_coords_roundtrip():
     assert [c.value for c in coords] == [2, 3]
     with pytest.raises(NotContained):  # outside sub + span(reps)
         quotient_coords(sub, reps[:1], vec)
+
+
+def test_wrong_length_vectors_are_ambient_mismatches():
+    sub = Subspace.from_rows(QQ, 3, [[1, 0, 0], [0, 1, 0]])
+    assert sub.contains_vector([1, 2, 0]) and not sub.contains_vector([1, 2, 3])
+    for vec in ([1, 2], [], [1, 2, 0, 0]):
+        with pytest.raises(AmbientMismatch):
+            sub.contains_vector(vec)
+    F5 = GF(5)
+    sub = Subspace.from_rows(F5, 3, [[1, 1, 0]])
+    sup = Subspace.full(F5, 3)
+    reps = quotient_basis(sub, sup)
+    assert [c.value for c in quotient_coords(sub, reps, [1, 1, 2])] == [0, 2]
+    with pytest.raises(AmbientMismatch):
+        quotient_coords(sub, reps, [1, 1, 2, 4])  # the 4th entry was dropped before
+    with pytest.raises(AmbientMismatch):
+        quotient_coords(sub, reps, [1, 1])
+    with pytest.raises(AmbientMismatch):
+        quotient_coords(sub, [row + [F5.one()] for row in reps], [1, 1, 2])
