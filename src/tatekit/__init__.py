@@ -27,7 +27,6 @@ from .laurent import (
     LaurentPoly,
     TruncSeries,
     det_laurent,
-    gl_inverse,
     invert_series,
     parse_laurent,
     parse_laurent_matrix,
@@ -42,7 +41,6 @@ from .lattice import (
     lattice_from_json,
     leq,
     meet,
-    quotient,
     quotient_dim_lattices,
     std_lattice,
 )
@@ -64,7 +62,6 @@ from .detline import (
     DimensionTheory,
     ExtElement,
     GradedLine,
-    LineIso,
     cocycle_check,
     commutator,
     det_theory_coherence,

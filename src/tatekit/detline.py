@@ -13,7 +13,7 @@ Conventions (fixed once, used everywhere):
   nested monomial chain reproduces the basis of C/A on the nose, so the
   canonical composition scalar on nested monomial triples is exactly 1.
 * (F1|F2) is based on N = meet(F1, F2) as e(N,F1)^dual (x) e(N,F2); its
-  grade is dim(F2/N) - dim(F1/N).
+  grade is dim(F2/N) - dim(F1/N) = vdim(F2) - vdim(F1).
 * ``omega(F1,F2,F3)`` is the scalar of the composition isomorphism
   (F1|F2)(x)(F2|F3) -> (F1|F3) in canonical bases; in graded mode the
   Koszul sign (-1)^(grade(F1|F2)*grade(F2|F3)) is inserted for the middle
@@ -46,7 +46,7 @@ from .errors import (
 )
 from .fields import Scalar
 from .laurent import Automorphism, LaurentPoly
-from .lattice import Lattice, TateSpace, _sparse, act, common_window, leq, std_lattice
+from .lattice import Lattice, TateSpace, _same_space, _sparse, act, common_window, leq, std_lattice
 from .linalg import Matrix, _quotient_coords, _quotient_reps, det, subspace_contains, subspace_intersect
 
 UNGRADED = "ungraded"
@@ -79,47 +79,11 @@ class GradedLine:
         return "GradedLine(grade=%d, %r)" % (self.grade, self.tag)
 
 
-def tensor(l1: GradedLine, l2: GradedLine) -> GradedLine:
-    return GradedLine(l1.grade + l2.grade, ("tensor", l1.tag, l2.tag))
-
-
-class LineIso:
-    """A scalar-valued isomorphism between graded lines (canonical bases)."""
-
-    __slots__ = ("source", "target", "scalar")
-
-    def __init__(self, source: GradedLine, target: GradedLine, scalar: Scalar):
-        if scalar.is_zero():
-            raise ZeroElement("line isomorphisms have nonzero scalar")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "scalar", scalar)
-
-    def __setattr__(self, *a):
-        raise AttributeError("LineIso is immutable")
-
-    def compose(self, then: "LineIso") -> "LineIso":
-        if self.target != then.source:
-            raise ValueError("isomorphisms do not compose")
-        return LineIso(self.source, then.target, self.scalar * then.scalar)
-
-    def inverse(self) -> "LineIso":
-        return LineIso(self.target, self.source, self.scalar.inverse())
-
-    def __repr__(self):
-        return "LineIso(%s)" % self.scalar
-
-
-def _grade(F1: Lattice, F2: Lattice) -> int:
-    """The grade dim(F2/N) - dim(F1/N) of (F1|F2), with N = meet(F1, F2): the
-    dimension difference of F2 and F1 in any common window."""
-    _, _, (w1, w2) = common_window(F1, F2)
-    return w2.dim - w1.dim
-
-
 def rel_det(F1: Lattice, F2: Lattice) -> GradedLine:
-    """The relative determinant line (F1|F2), graded Deligne-style."""
-    return GradedLine(_grade(F1, F2), ("reldet", F1, F2))
+    """The relative determinant line (F1|F2), graded Deligne-style; its grade
+    dim(F2/N) - dim(F1/N) over N = meet(F1, F2) is vdim(F2) - vdim(F1)."""
+    _same_space(F1, F2)
+    return GradedLine(F2.vdim - F1.vdim, ("reldet", F1, F2))
 
 
 def _desc_reps(sub_w, sup_w):
@@ -162,19 +126,11 @@ def omega(
     triples = ((n12, w2), (n23, w3), (n13, w1), (n12, w1), (n23, w2), (n13, w3))
     s = sum(_shuffle(M, N, F) for N, F in triples)
     if mode == GRADED:
-        s += (w2.dim - w1.dim) * (w3.dim - w2.dim)
+        s += (F2.vdim - F1.vdim) * (F3.vdim - F2.vdim)
     elif mode != UNGRADED:
         raise ValueError("mode must be %r or %r" % (UNGRADED, GRADED))
     one = F1.ctx.one()
     return -one if s % 2 else one
-
-
-def omega_iso(F1: Lattice, F2: Lattice, F3: Lattice, mode: str = UNGRADED) -> LineIso:
-    return LineIso(
-        tensor(rel_det(F1, F2), rel_det(F2, F3)),
-        rel_det(F1, F3),
-        omega(F1, F2, F3, mode),
-    )
 
 
 def cocycle_check(
@@ -202,7 +158,8 @@ class DimensionTheory:
         raise AttributeError("DimensionTheory is immutable")
 
     def eval(self, L: Lattice) -> int:
-        return self.value_at_base + _grade(self.base, L)
+        _same_space(self.base, L)
+        return self.value_at_base + L.vdim - self.base.vdim
 
     def shifted(self, k: int) -> "DimensionTheory":
         return DimensionTheory(self.base, self.value_at_base + k)

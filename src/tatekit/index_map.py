@@ -7,7 +7,9 @@ and for all, so index values are plain ints.  The index of g is
 
 for any lattice L and any enclosing lattice N >= L, gL; the value does not
 depend on the choices, and the same number arises as the Euler
-characteristic dim(L/N') - dim(gL/N') over a common sub-lattice N'.
+characteristic dim(L/N') - dim(gL/N') over a common sub-lattice N'.  Both
+are vdim(L) - vdim(gL) (``Lattice.vdim``) once the nesting is checked;
+``index0`` forms the canonical N = L + gL, whose window is capped.
 
 ``build_family`` replays the inductive construction of the simplicial
 section: lattices L_{k,I} indexed by non-empty subsets I of [k] for a chain
@@ -19,10 +21,11 @@ identities and reports each one.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
 
 from .errors import ChainTooLong, DegenerateChain, NotNested, SpaceMismatch, UnknownFace
-from .lattice import Lattice, TateSpace, act, join, join_all, leq, quotient_dim_lattices, std_lattice
+from .lattice import Lattice, TateSpace, act, join, leq, quotient_dim_lattices, std_lattice
 from .laurent import Automorphism
 from .simplicial import nonempty_subsets, subset_degeneracy, subset_face
 
@@ -35,8 +38,8 @@ def index0(g: Automorphism, space: TateSpace) -> IndexValue:
     """Index with the canonical choices L = O^n and N = L + gL."""
     L = std_lattice(space, 0)
     gL = act(g, L)
-    N = join(L, gL)
-    return quotient_dim_lattices(gL, N) - quotient_dim_lattices(L, N)
+    N = join(L, gL)  # holds L and gL by construction
+    return (N.vdim - gL.vdim) - (N.vdim - L.vdim)
 
 
 def index0_with(g: Automorphism, L: Lattice, N: Lattice) -> IndexValue:
@@ -44,7 +47,7 @@ def index0_with(g: Automorphism, L: Lattice, N: Lattice) -> IndexValue:
     gL = act(g, L)
     if not (leq(L, N) and leq(gL, N)):
         raise NotNested("N must contain L and gL")
-    return quotient_dim_lattices(gL, N) - quotient_dim_lattices(L, N)
+    return L.vdim - gL.vdim
 
 
 def euler0(g: Automorphism, L: Lattice, N: Lattice) -> IndexValue:
@@ -53,7 +56,7 @@ def euler0(g: Automorphism, L: Lattice, N: Lattice) -> IndexValue:
     gL = act(g, L)
     if not (leq(N, L) and leq(N, gL)):
         raise NotNested("N must be a common sub-lattice of L and gL")
-    return quotient_dim_lattices(N, L) - quotient_dim_lattices(N, gL)
+    return L.vdim - gL.vdim
 
 
 def check_additivity(g: Automorphism, h: Automorphism, space: TateSpace) -> bool:
@@ -122,7 +125,7 @@ class _FamilyBuilder:
                     val = act(chain[-1], self.lattice(chain[:-1], I))
             else:
                 proper = [J for J in nonempty_subsets(m) if len(J) <= m]
-                val = join_all([self.lattice(chain, J) for J in proper])
+                val = reduce(join, [self.lattice(chain, J) for J in proper])
         self.memo[key] = val
         return val
 

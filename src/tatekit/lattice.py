@@ -11,16 +11,19 @@ Bounds are re-tightened after every operation: a is the least integer with
 t^a O^n <= L, and b the least with L <= t^-b O^n.  Windows are dense, so no
 window may exceed ``MAX_WINDOW_DIM`` slots; a larger one raises
 ``WindowTooLarge`` before its rows are allocated.
+
+The virtual dimension ``vdim(L) = dim W - n*a`` is the dimension theory that
+is 0 at O^n: dim(L/N) - dim(O^n/N) for any common sub-lattice N.  Every
+lattice dimension is a difference of it, dim(M/L) = vdim(M) - vdim(L) for
+L <= M, read off the stored bounds with no window and no elimination.
 """
 
 from __future__ import annotations
 
-from functools import reduce
-
-from .errors import FieldMismatch, NotContained, NotNested, SpaceMismatch, WindowTooLarge
+from .errors import FieldMismatch, NotNested, SpaceMismatch, WindowTooLarge
 from .fields import FieldCtx
 from .laurent import Automorphism, LaurentPoly
-from .linalg import Matrix, Subspace, _quotient_reps, subspace_contains, subspace_intersect, subspace_sum
+from .linalg import Matrix, Subspace, subspace_contains, subspace_intersect, subspace_sum
 
 MAX_WINDOW_DIM = 1024
 
@@ -151,6 +154,11 @@ class Lattice:
     def ctx(self):
         return self.space.ctx
 
+    @property
+    def vdim(self) -> int:
+        """dim(L/N) - dim(O^n/N) for any common sub-lattice N of L and O^n."""
+        return self.subspace.dim - self.space.rank * self.a
+
     def window_subspace(self, a2: int, b2: int) -> Subspace:
         """This lattice as a subspace of the larger window (a2, b2)."""
         if a2 < self.a or b2 < self.b:
@@ -206,6 +214,11 @@ class Lattice:
 
 
 def lattice_from_json(ctx: FieldCtx, data: dict) -> Lattice:
+    """The lattice ``to_json_dict`` encoded; a missing key or a rank or bound
+    that is not an int raises ValueError naming the field."""
+    for key in ("rank", "a", "b", "basis"):
+        if key not in data or (key != "basis" and type(data[key]) is not int):
+            raise ValueError("lattice JSON field %r is missing or not an int" % key)
     space = TateSpace(ctx, data["rank"])
     a, b = data["a"], data["b"]
     return Lattice(space, a, b, Subspace.from_rows(ctx, _window_dim(space, a, b), data["basis"]))
@@ -232,13 +245,18 @@ def _normalize(space, a, b, subspace):
     return a - high, b - low, _echelon(space.ctx, dim - (low + high) * n, rows, pivots)
 
 
-def common_window(*lattices):
-    """(a, b, subspaces): the smallest window holding all the lattices, which
-    must share one space, and each lattice as a subspace of it."""
+def _same_space(*lattices):
+    """Raise ``SpaceMismatch`` unless the lattices share one space."""
     space = lattices[0].space
     for L in lattices[1:]:
         if L.space != space:
             raise SpaceMismatch("%r vs %r" % (space, L.space))
+
+
+def common_window(*lattices):
+    """(a, b, subspaces): the smallest window holding all the lattices, which
+    must share one space, and each lattice as a subspace of it."""
+    _same_space(*lattices)
     a = max(L.a for L in lattices)
     b = max(L.b for L in lattices)
     return a, b, [L.window_subspace(a, b) for L in lattices]
@@ -260,49 +278,11 @@ def meet(L: Lattice, M: Lattice) -> Lattice:
     return Lattice(L.space, a, b, subspace_intersect(wl, wm))
 
 
-def join_all(lattices) -> Lattice:
-    return reduce(join, lattices)
-
-
-class LatticeQuotient:
-    """The finite quotient M/L with its canonical ordered basis.
-
-    Representatives are the echelon completion of L inside M, in ascending
-    pivot order; they are raw window rows together with the window they live in.
-    The choice is window-independent, so downstream scalars are stable.
-    """
-
-    __slots__ = ("space", "a", "b", "reps")
-
-    def __init__(self, space, a, b, reps):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "reps", reps)
-
-    def __setattr__(self, *a):
-        raise AttributeError("LatticeQuotient is immutable")
-
-    @property
-    def dim(self) -> int:
-        return len(self.reps)
-
-    def rep_vectors(self):
-        return [row_to_vec(self.space, self.a, self.b, r) for r in self.reps]
-
-
-def quotient(L: Lattice, M: Lattice) -> LatticeQuotient:
-    """The quotient M/L for L <= M; raises ``NotNested`` otherwise."""
-    a, b, (wl, wm) = common_window(L, M)
-    try:
-        reps, _ = _quotient_reps(wl, wm)
-    except NotContained:
-        raise NotNested("quotient needs L <= M") from None
-    return LatticeQuotient(L.space, a, b, reps)
-
-
 def quotient_dim_lattices(L: Lattice, M: Lattice) -> int:
-    return quotient(L, M).dim
+    """dim(M/L) for L <= M; raises ``NotNested`` otherwise."""
+    if not leq(L, M):
+        raise NotNested("quotient needs L <= M")
+    return M.vdim - L.vdim
 
 
 def act(g: Automorphism, L: Lattice) -> Lattice:
@@ -347,10 +327,8 @@ class LatticeChain:
         return self.lattices[i]
 
     def quotient_dims(self):
-        return [
-            quotient_dim_lattices(L, M)
-            for L, M in zip(self.lattices, self.lattices[1:])
-        ]
+        """dim(L_(i+1)/L_i) for each step; the chain is nested by construction."""
+        return [M.vdim - L.vdim for L, M in zip(self.lattices, self.lattices[1:])]
 
 
 def std_lattice(space: TateSpace, shifts) -> Lattice:

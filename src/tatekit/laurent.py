@@ -506,11 +506,6 @@ def _inverse_with_det(m: LaurentMatrix, d: LaurentPoly):
     return LaurentMatrix(m.ctx, m.n, entries), LaurentPoly._raw(m.ctx, {-k: inv})
 
 
-def gl_inverse(m: LaurentMatrix) -> LaurentMatrix:
-    """Exact inverse; requires the determinant to be a unit c*t^k."""
-    return _inverse_with_det(m, _unit_det(m))[0]
-
-
 class Automorphism:
     """An automorphism of k((t))^n: MultBy a unit (n=1) or monomial-det GL_n.
 

@@ -307,20 +307,6 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     return Subspace._span(a.ctx, a.ambient_dim, a.basis._data + b.basis._data)
 
 
-def nullspace(m: Matrix):
-    """Basis rows of {x : m x = 0}, echelon over the free columns."""
-    red, pivots = rref(m)
-    ctx, p = m.ctx, m.ctx.modulus
-    out = []
-    for f in (c for c in range(m.cols) if c not in pivots):
-        vec = [ctx.raw_zero] * m.cols
-        vec[f] = ctx.raw_one
-        for row, c in zip(red._data, pivots):
-            vec[c] = _neg(p, row[f])
-        out.append(_box(ctx, vec))
-    return out
-
-
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     """a ∩ b by one Zassenhaus elimination of [a | 0 ; b | b].
 
@@ -395,10 +381,15 @@ def quotient_coords(sub: Subspace, reps, vec):
     that second pass are returned.  A non-zero remainder means ``vec`` lies
     outside sub + span(reps) and raises ``NotContained``; a vector or
     representative whose length is not the ambient dimension raises
-    ``AmbientMismatch``.
+    ``AmbientMismatch``, and one that breaks the conditions above raises
+    ``ValueError``.
     """
     reps = [sub._vector(row) for row in reps]
-    lead = [next(j for j, x in enumerate(row) if x) for row in reps]
+    lead = [next((j for j, x in enumerate(row) if x), None) for row in reps]
+    for k, (row, c) in enumerate(zip(reps, lead)):
+        zero_at = [*sub.pivots, *lead[:k], *lead[k + 1 :]]
+        if c is None or row[c] != 1 or any(row[j] for j in zero_at if j is not None):
+            raise ValueError("representative (%s) is not an echelon quotient row" % ", ".join(map(str, _box(sub.ctx, row))))
     return _box(sub.ctx, _quotient_coords(sub, reps, lead, [sub._vector(vec)])[0])
 
 

@@ -34,12 +34,11 @@ from tatekit.detline import (
     _shuffle,
     closed_commutator_formula,
     det_theory_coherence_scalars,
-    omega_iso,
     translation_scalar,
 )
-from tatekit.errors import ModeMismatch, NotMultiplicationAutomorphism, NotNested
+from tatekit.errors import ModeMismatch, NotMultiplicationAutomorphism, NotNested, SpaceMismatch, WindowTooLarge
 from tatekit.lattice import common_window, leq, meet, quotient_dim_lattices
-from tatekit.linalg import Matrix, _quotient_coords, _quotient_reps, det
+from tatekit.linalg import Matrix, _quotient_coords, _quotient_reps, det, quotient_dim
 from tatekit.verify import rand_lattice, rand_mult, rand_unit_poly
 
 V = TateSpace(QQ, 1)
@@ -77,8 +76,10 @@ def ref_delta(M, N, F):
 
 
 def ref_grade(F1, F2):
-    N = meet(F1, F2)
-    return quotient_dim_lattices(N, F2) - quotient_dim_lattices(N, F1)
+    """dim(F2/N) - dim(F1/N) over N = meet(F1, F2), as counted before
+    ``vdim``: quotient representatives in one common window."""
+    _, _, (wN, w1, w2) = common_window(meet(F1, F2), F1, F2)
+    return quotient_dim(wN, w2) - quotient_dim(wN, w1)
 
 
 def ref_omega(F1, F2, F3, mode=UNGRADED, base=None):
@@ -135,6 +136,37 @@ def test_omega_matches_the_determinant_reference(case, mode, with_base):
     space, (F1, F2, F3, X) = case
     base = meet(meet(meet(F1, F2), F3), X) if with_base else None
     assert omega(F1, F2, F3, mode, base) == ref_omega(F1, F2, F3, mode, base)
+
+
+@DIFF_SETTINGS
+@given(spaces_and_lattices(2), st.integers(-3, 3))
+def test_grades_match_the_window_count(case, value):
+    _, (F1, F2) = case
+    assert rel_det(F1, F2).grade == ref_grade(F1, F2)
+    assert DimensionTheory(F1, value).eval(F2) == value + ref_grade(F1, F2)
+
+
+def test_grades_make_no_window(monkeypatch):
+    """rel_det and DimensionTheory.eval read the grade off vdim: no
+    common_window call, and so no window cap on a wide pair."""
+    rng = random.Random(107)
+    pairs = []
+    for trial in range(10):
+        space = TateSpace(GF(5) if trial % 2 else QQ, 1 + trial % 3)
+        pairs.append((rand_lattice(space, rng, 3), rand_lattice(space, rng, 3)))
+    calls = _count_omega_calls(monkeypatch)
+    for F1, F2 in pairs:
+        rel_det(F1, F2)
+        DimensionTheory(F1, 2).eval(F2)
+    assert dict(calls) == {}
+    far, near = std_lattice(V, [600]), std_lattice(V, [-600])
+    assert rel_det(far, near).grade == 1200 and DimensionTheory(far).eval(near) == 1200
+    with pytest.raises(WindowTooLarge):
+        quotient_dim_lattices(far, near)
+    with pytest.raises(SpaceMismatch):
+        rel_det(O, std_lattice(TateSpace(GF(5), 1), 0))
+    with pytest.raises(SpaceMismatch):
+        DimensionTheory(O).eval(std_lattice(TateSpace(QQ, 2), 0))
 
 
 def test_rel_det_nested():
@@ -265,15 +297,6 @@ def test_omega_meets_once_and_checks_only_a_given_base(monkeypatch):
         omega(tO, tm1, tm2, base=O)  # O is not below tO
 
 
-def test_omega_iso_and_line_iso_compose():
-    iso = omega_iso(O, tm1, tm2)
-    assert iso.target == rel_det(O, tm2)
-    roundtrip = iso.compose(iso.inverse())
-    assert str(roundtrip.scalar) == "1"
-    with pytest.raises(ValueError):
-        iso.compose(iso)
-
-
 def test_cocycle_examples():
     tm3 = std_lattice(V, [-3])
     assert cocycle_check(O, tm1, tm2, tm3)
@@ -300,8 +323,6 @@ def test_dim_theory():
     space = TateSpace(GF(5), 1)
     base = rand_lattice(space, rng, 2)
     D2 = DimensionTheory(base, 3)
-    from tatekit import quotient_dim_lattices
-
     for _ in range(30):
         L = rand_lattice(space, rng, 2)
         M = join(L, rand_lattice(space, rng, 2))

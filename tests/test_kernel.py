@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from tatekit import GF, QQ, Matrix, Subspace, det, quotient_basis, quotient_coords, rref
 from tatekit.errors import FieldMismatch, NotContained
-from tatekit.linalg import nullspace, subspace_contains, subspace_intersect, subspace_sum
+from tatekit.linalg import subspace_contains, subspace_intersect, subspace_sum
 
 FIELDS = [GF(2), GF(3), GF(1000003), QQ]
 SETTINGS = settings(max_examples=80, deadline=None)
@@ -166,15 +166,6 @@ def test_det_matches_reference(case):
     value = det(Matrix.from_rows(ctx, rows))
     assert value == ref_det(ctx, rows)
     assert_fractions(ctx, [value])
-
-
-@SETTINGS
-@given(matrices())
-def test_nullspace_matches_reference(case):
-    ctx, rows = case
-    vecs = nullspace(Matrix.from_rows(ctx, rows))
-    assert vecs == ref_nullspace(ctx, rows, len(rows[0]))
-    assert_fractions(ctx, [x for v in vecs for x in v])
 
 
 @SETTINGS

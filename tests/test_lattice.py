@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tatekit import (
     GF,
@@ -17,15 +19,34 @@ from tatekit import (
     meet,
     parse_laurent,
     parse_laurent_matrix,
-    quotient,
+    quotient_basis,
+    quotient_dim_lattices,
     std_lattice,
 )
-from tatekit.errors import FieldMismatch, InsufficientPrecision, NotNested, SpaceMismatch
+from tatekit.errors import FieldMismatch, InsufficientPrecision, NotContained, NotNested, SpaceMismatch
+from tatekit.lattice import common_window, row_to_vec
 from tatekit.laurent import invert_series
+from tatekit.linalg import quotient_dim
 from tatekit.verify import rand_gl, rand_lattice, rand_mult
 
 V = TateSpace(QQ, 1)
 O = std_lattice(V, [0])
+
+
+def ref_quotient_dim(L, M):
+    """dim(M/L) as counted before ``vdim``: the quotient representatives of
+    L in M in their common window; NotNested unless L <= M."""
+    _, _, (wl, wm) = common_window(L, M)
+    try:
+        return quotient_dim(wl, wm)
+    except NotContained:
+        raise NotNested("quotient needs L <= M") from None
+
+
+def quotient_reps(L, M):
+    """The canonical representatives of M/L as Laurent vectors."""
+    a, b, (wl, wm) = common_window(L, M)
+    return [row_to_vec(L.space, a, b, row) for row in quotient_basis(wl, wm)]
 
 
 def test_std_lattice_bounds():
@@ -61,15 +82,14 @@ def test_join_meet_nonmonomial():
 
 def test_quotient():
     tm2 = std_lattice(V, [-2])
-    q = quotient(O, tm2)
-    assert q.dim == 2
-    reps = [str(v[0]) for v in q.rep_vectors()]
+    assert quotient_dim_lattices(O, tm2) == 2
+    reps = [str(v[0]) for v in quotient_reps(O, tm2)]
     assert reps == ["1*t^-2", "1*t^-1"]
-    assert quotient(O, O).dim == 0
+    assert quotient_dim_lattices(O, O) == 0
     V2 = TateSpace(QQ, 2)
-    assert quotient(std_lattice(V2, [1, 1]), std_lattice(V2, [0, 0])).dim == 2
+    assert quotient_dim_lattices(std_lattice(V2, [1, 1]), std_lattice(V2, [0, 0])) == 2
     with pytest.raises(NotNested):
-        quotient(std_lattice(V, [-1]), O)
+        quotient_dim_lattices(std_lattice(V, [-1]), O)
 
 
 def test_act_mult():
@@ -126,17 +146,12 @@ def test_normalization_idempotent():
 def test_quotient_basis_window_independent():
     L = std_lattice(V, [1])
     M = std_lattice(V, [-1])
-    q1 = quotient(L, M)
     # recompute inside a strictly larger window
     big_sub = M.window_subspace(3, 3)
     small_sub = L.window_subspace(3, 3)
-    from tatekit.linalg import quotient_basis
-
     reps = quotient_basis(small_sub, big_sub)
-    from tatekit.lattice import row_to_vec
-
     vecs = [str(row_to_vec(V, 3, 3, r)[0]) for r in reps]
-    assert vecs == [str(v[0]) for v in q1.rep_vectors()]
+    assert vecs == [str(v[0]) for v in quotient_reps(L, M)]
 
 
 def test_lattice_chain():
@@ -148,12 +163,31 @@ def test_lattice_chain():
 
 def test_json_roundtrip():
     rng = random.Random(31)
-    space = TateSpace(GF(5), 2)
-    for _ in range(10):
-        L = rand_lattice(space, rng, 2)
-        assert lattice_from_json(GF(5), L.to_json_dict()) == L
+    for ctx, rank in ((GF(5), 2), (QQ, 1), (GF(3), 3)):
+        space = TateSpace(ctx, rank)
+        for _ in range(10):
+            L = rand_lattice(space, rng, 2)
+            assert lattice_from_json(ctx, L.to_json_dict()) == L
     d = O.to_json_dict()
     assert d == {"rank": 1, "a": 0, "b": 0, "basis": []}
+
+
+@pytest.mark.parametrize(
+    "field, data",
+    [
+        ("rank", {"a": 0, "b": 0, "basis": []}),
+        ("a", {"rank": 1, "b": 0, "basis": []}),
+        ("b", {"rank": 1, "a": 0, "basis": []}),
+        ("basis", {"rank": 1, "a": 0, "b": 0}),
+        ("a", {"rank": 1, "a": "1", "b": 0, "basis": []}),
+        ("a", {"rank": 1, "a": True, "b": 0, "basis": []}),
+        ("rank", {"rank": True, "a": 0, "b": 0, "basis": []}),
+        ("b", {"rank": 1, "a": 0, "b": 1.0, "basis": []}),
+    ],
+)
+def test_lattice_from_json_rejects_malformed_fields(field, data):
+    with pytest.raises(ValueError, match=repr(field)):
+        lattice_from_json(QQ, data)
 
 
 def test_lattice_from_json_checks_the_cap_first(monkeypatch):
@@ -183,7 +217,7 @@ def test_quotient_checks_containment_once(monkeypatch):
         return reduce_rows(*args)
 
     monkeypatch.setattr(tatekit.linalg, "_reduce", counting_reduce)
-    assert quotient(L, M).dim == 4
+    assert quotient_dim_lattices(L, M) == 4
     assert len(calls) == rows_of_l == 2  # one reduction per row of L's window basis
 
 
@@ -193,8 +227,52 @@ def test_quotient_of_non_nested_pair_is_not_nested():
     Lp = Lattice(V, 1, 1, Subspace.from_rows(QQ, 2, [[1, 1]]))
     for L, M in ((O, std_lattice(V, [1])), (Lp, O), (O, Lp)):
         with pytest.raises(NotNested) as info:
-            quotient(L, M)
+            quotient_dim_lattices(L, M)
         assert not isinstance(info.value, NotContained)
+
+
+DIFF_FIELDS = [GF(2), GF(3), GF(1000003), QQ]
+
+
+@st.composite
+def lattices(draw, space):
+    """A lattice of ``space`` in a window of its own, at most 3 blocks wide."""
+    a = draw(st.integers(-2, 2))
+    b = draw(st.integers(-a, 3 - a))
+    dim = space.rank * (a + b)
+    row = st.lists(st.sampled_from([0, 0, 1, -1, 2]), min_size=dim, max_size=dim)
+    rows = draw(st.lists(row, max_size=dim))
+    return Lattice(space, a, b, Subspace.from_rows(space.ctx, dim, rows))
+
+
+@st.composite
+def lattice_pairs(draw):
+    space = TateSpace(draw(st.sampled_from(DIFF_FIELDS)), draw(st.integers(1, 3)))
+    return space, draw(lattices(space)), draw(lattices(space))
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattice_pairs(), st.randoms(use_true_random=False))
+def test_quotient_dims_and_vdim_match_the_window_count(case, rng):
+    """Quotient dimensions read off vdim equal the count of quotient
+    representatives on join and meet pairs, a non-nested pair still raises
+    NotNested, and g moves vdim by -v(det g)."""
+    space, L, M = case
+    for sub, sup in ((meet(L, M), L), (meet(L, M), M), (L, join(L, M)), (M, join(L, M))):
+        assert quotient_dim_lattices(sub, sup) == ref_quotient_dim(sub, sup) == sup.vdim - sub.vdim
+    if not leq(L, M):
+        with pytest.raises(NotNested):
+            quotient_dim_lattices(L, M)
+    g = rand_mult(space.ctx, rng, -3, 3) if space.rank == 1 else rand_gl(space.ctx, space.rank, rng)
+    assert act(g, L).vdim - L.vdim == -g.det_valuation()
+
+
+def test_vdim_is_zero_at_o_and_counts_std_shifts():
+    assert O.vdim == 0
+    for n in range(-3, 4):
+        assert std_lattice(V, [n]).vdim == -n
+    V3 = TateSpace(GF(3), 3)
+    assert std_lattice(V3, [2, -1, 0]).vdim == -1
 
 
 def test_contains_vector_needs_one_coordinate_per_rank():

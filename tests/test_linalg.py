@@ -164,6 +164,30 @@ def test_quotient_coords_roundtrip():
         quotient_coords(sub, reps[:1], vec)
 
 
+# quotient_coords over Q with sub = span{(1,0,0)}: a representative that is
+# not an echelon row of a quotient raises ValueError naming it.
+E1 = Subspace.from_rows(QQ, 3, [[1, 0, 0]])
+
+
+def test_quotient_coords_rejects_a_zero_representative():
+    with pytest.raises(ValueError, match=r"\(0, 0, 0\)"):
+        quotient_coords(E1, [[0, 0, 0]], [0, 1, 0])
+
+
+def test_quotient_coords_rejects_duplicated_representatives():
+    with pytest.raises(ValueError, match=r"\(0, 1, 0\)"):
+        quotient_coords(E1, [[0, 1, 0], [0, 1, 0]], [0, 1, 0])
+
+
+def test_quotient_coords_rejects_a_representative_nonzero_at_another_lead():
+    with pytest.raises(ValueError, match=r"\(0, 1, 1\)"):
+        quotient_coords(E1, [[0, 1, 1], [0, 0, 1]], [0, 1, 0])
+    assert [str(c) for c in quotient_coords(E1, [[0, 1, 0], [0, 0, 1]], [0, 1, 1])] == ["1", "1"]
+    for reps in ([[0, 2, 0]], [[1, 1, 0]], [[0, 1, 0], [0, 0, 0]]):  # lead not 1, at sub's pivot, zero
+        with pytest.raises(ValueError):
+            quotient_coords(E1, reps, [0, 1, 0])
+
+
 def test_wrong_length_vectors_are_ambient_mismatches():
     sub = Subspace.from_rows(QQ, 3, [[1, 0, 0], [0, 1, 0]])
     assert sub.contains_vector([1, 2, 0]) and not sub.contains_vector([1, 2, 3])
