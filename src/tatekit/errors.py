@@ -50,7 +50,7 @@ class InsufficientPrecision(TateKitError):
 
 
 class WindowTooLarge(TateKitError):
-    """A lattice window would exceed the dense-window dimension cap."""
+    """A lattice window would exceed the window dimension cap."""
 
 
 class RankTooLarge(TateKitError):

@@ -188,6 +188,16 @@ def verify_family(family: LatticeFamily):
     verified identity, deterministic in order.
     """
     report = []
+    # g_k-translates of lower-face entries: hypothesis (b) for I and the last
+    # face identity for J = I need the same one.  A lower face is shared by
+    # upper faces with different last arrows, so the arrow is in the key.
+    translates = {}
+
+    def translate(g, lower_kept, I):
+        key = (g, lower_kept, I)
+        if key not in translates:
+            translates[key] = act(g, family.lattice(lower_kept, I))
+        return translates[key]
 
     def record(check, simplex, ok, detail=""):
         report.append(
@@ -224,8 +234,7 @@ def verify_family(family: LatticeFamily):
                         "" if ok else "face value disagrees",
                     )
                 else:
-                    lower = family.lattice(_drop_vertex(kept, m), I)
-                    ok = here == act(sub[-1], lower)
+                    ok = here == translate(sub[-1], _drop_vertex(kept, m), I)
                     record(
                         "hypothesis_b",
                         "%s I=%s" % (tag, sorted(I)),
@@ -248,11 +257,10 @@ def verify_family(family: LatticeFamily):
             lower_kept = _drop_vertex(kept, i)
             for J in nonempty_subsets(m - 1):
                 top = family.lattice(kept, subset_face(J, i))
-                low = family.lattice(lower_kept, J)
                 if i < m:
-                    ok = top == low
+                    ok = top == family.lattice(lower_kept, J)
                 else:
-                    ok = top == act(sub[-1], low)
+                    ok = top == translate(sub[-1], lower_kept, J)
                 record(
                     "face_identity_d%d" % i,
                     "%s J=%s" % (tag, sorted(J)),

@@ -5,12 +5,15 @@ A lattice is an open bounded k-subspace L with t^a O^n <= L <= t^-b O^n
 finite-dimensional subspace W = L / t^a O^n of the window quotient
 t^-b O^n / t^a O^n.  Window slots are the monomials t^e e_i ordered by
 (exponent ascending, coordinate ascending), so W's echelon form is canonical
-and lattice equality is literal equality of the stored data.
+and lattice equality is literal equality of the stored data.  Window rows are
+the sparse ``{slot: nonzero raw value}`` rows of ``linalg``; embedding,
+normalising and acting re-key and slice them by slot and never build a dense
+row.
 
 Bounds are re-tightened after every operation: a is the least integer with
-t^a O^n <= L, and b the least with L <= t^-b O^n.  Windows are dense, so no
-window may exceed ``MAX_WINDOW_DIM`` slots; a larger one raises
-``WindowTooLarge`` before its rows are allocated.
+t^a O^n <= L, and b the least with L <= t^-b O^n.  No window may exceed
+``MAX_WINDOW_DIM`` slots, a resource limit on the echelon rows a window can
+hold; a larger one raises ``WindowTooLarge`` before its rows are built.
 
 The virtual dimension ``vdim(L) = dim W - n*a`` is the dimension theory that
 is 0 at O^n: dim(L/N) - dim(O^n/N) for any common sub-lattice N.  Every
@@ -72,37 +75,35 @@ def _window_dim(space: TateSpace, a: int, b: int) -> int:
 
 def _echelon(ctx: FieldCtx, dim: int, rows, pivots, units=()) -> Subspace:
     """The span of raw RREF ``rows`` and of the unit rows at the later slots ``units``."""
-    zero, one = ctx.raw_zero, ctx.raw_one
-    rows = list(rows)
-    for s in units:
-        unit = [zero] * dim
-        unit[s] = one
-        rows.append(unit)
+    one = ctx.raw_one
+    rows = [*rows, *[{s: one} for s in units]]
     return Subspace(dim, Matrix._raw(ctx, dim, rows), [*pivots, *units])
 
 
 def _sparse(space: TateSpace, b: int, row):
-    """Raw window row -> sparse vector: (e, i, c) for each nonzero c at t^e e_i."""
+    """Sparse raw window row -> sparse vector: (e, i, c) for each c at t^e e_i."""
     n = space.rank
-    return [(s // n - b, s % n, c) for s, c in enumerate(row) if c]
+    return [(s // n - b, s % n, c) for s, c in row.items()]
 
 
 def row_to_vec(space: TateSpace, a: int, b: int, row):
-    """Window coordinate row -> tuple of LaurentPoly coordinates.
+    """Dense window coordinate row -> tuple of LaurentPoly coordinates.
 
     The row holds raw field values or Scalars; ``LaurentPoly`` coerces either.
     """
-    polys = [dict() for _ in range(space.rank)]
-    for e, i, c in _sparse(space, b, row):  # a zero Scalar is dropped by LaurentPoly
-        polys[i][e] = c
+    n = space.rank
+    polys = [dict() for _ in range(n)]
+    for s, c in enumerate(row):
+        if c:  # a zero Scalar is dropped by LaurentPoly
+            polys[s % n][s // n - b] = c
     return tuple(LaurentPoly(space.ctx, p) for p in polys)
 
 
 def vec_to_row(space: TateSpace, a: int, b: int, vec):
-    """LaurentPoly coordinates -> raw window row, reducing modulo t^a O^n."""
+    """LaurentPoly coordinates -> sparse raw window row, reducing modulo t^a O^n."""
     if len(vec) != space.rank:
         raise SpaceMismatch("vector of %d coordinates in %r" % (len(vec), space))
-    row = [space.ctx.raw_zero] * (space.rank * (a + b))
+    row = {}
     for i, poly in enumerate(vec):
         if poly.ctx != space.ctx:
             raise FieldMismatch("coordinate over %r in %r" % (poly.ctx, space))
@@ -166,20 +167,17 @@ class Lattice:
         if a2 == self.a and b2 == self.b:
             return self.subspace
         dim2 = _window_dim(self.space, a2, b2)
-        # Shifted echelon rows, then the units of the new top blocks: still RREF.
+        # Re-keyed echelon rows, then the units of the new top blocks: still RREF.
         shift = (b2 - self.b) * self.space.rank
-        zero = self.ctx.raw_zero
-        head, pad = [zero] * shift, [zero] * (dim2 - shift - self.subspace.ambient_dim)
-        rows = [head + row + pad for row in self.subspace.basis._data]
+        rows = self.subspace.basis._data
+        if shift:
+            rows = [{c + shift: x for c, x in row.items()} for row in rows]
         pivots = [p + shift for p in self.subspace.pivots]
         return _echelon(self.ctx, dim2, rows, pivots, range(_slot(self.space, a2, b2, self.a, 0), dim2))
 
     def basis_vectors(self):
         """Representative Laurent vectors of L modulo t^a O^n."""
-        return [
-            row_to_vec(self.space, self.a, self.b, row)
-            for row in self.subspace.basis._data
-        ]
+        return [row_to_vec(self.space, self.a, self.b, row) for row in self.subspace.rows()]
 
     def contains_vector(self, vec) -> bool:
         """Membership of a Laurent polynomial vector."""
@@ -187,7 +185,7 @@ class Lattice:
         lo = min(exps, default=0)
         b2 = max(self.b, -lo)
         w = self.window_subspace(self.a, b2)
-        return w.contains_vector(vec_to_row(self.space, self.a, b2, vec))
+        return not w._remainder(vec_to_row(self.space, self.a, b2, vec))
 
     def to_json_dict(self) -> dict:
         return {
@@ -229,7 +227,8 @@ def _normalize(space, a, b, subspace):
 
     b drops the leading blocks below the first pivot.  a drops the trailing
     blocks whose slots are all pivots, which in RREF is exactly the condition
-    that W contains t^(a-1) O^n.
+    that W contains t^(a-1) O^n.  The kept rows hold no slot in either, so
+    slicing drops the rows of those pivots and re-keys the rest.
     """
     n, dim, piv = space.rank, subspace.ambient_dim, subspace.pivots
     low = piv[0] // n if piv else a + b
@@ -239,9 +238,11 @@ def _normalize(space, a, b, subspace):
     high = run // n
     if not low and not high:
         return a, b, subspace
-    keep = len(piv) - high * n
-    rows = [row[low * n : dim - high * n] for row in subspace.basis._data[:keep]]
-    pivots = [p - low * n for p in piv[:keep]]
+    keep, off = len(piv) - high * n, low * n
+    rows = subspace.basis._data[:keep]
+    if off:
+        rows = [{c - off: x for c, x in row.items()} for row in rows]
+    pivots = [p - off for p in piv[:keep]]
     return a - high, b - low, _echelon(space.ctx, dim - (low + high) * n, rows, pivots)
 
 

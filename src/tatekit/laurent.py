@@ -602,47 +602,44 @@ class Automorphism:
         return self.matrix.min_valuation(), self._gl_inverse().matrix.min_valuation()
 
     def image(self, vecs, a: int, b: int):
-        """g applied to a batch of sparse raw vectors, as raw window rows.
+        """g applied to a batch of sparse raw vectors, as sparse raw window rows.
 
         A vector is a list of triples (e, i, c): the raw coefficient c of
         t^e in coordinate i.  Each image is reduced modulo t^a O^n and
-        returned as a row of the window t^-b O^n / t^a O^n in the slot order
-        of ``lattice`` (t^e e_i at slot (e + b) * n + i); an image with a
-        nonzero term below t^-b raises ValueError.  A truncated series is
-        checked once, against the largest need of the whole batch, so the
-        precision that InsufficientPrecision names suffices for every vector.
+        returned as a ``{slot: nonzero raw value}`` row of the window
+        t^-b O^n / t^a O^n in the slot order of ``lattice`` (t^e e_i at slot
+        (e + b) * n + i); an image with a nonzero term below t^-b raises
+        ValueError.  A truncated series is checked once, against the largest
+        need of the whole batch, so the precision that InsufficientPrecision
+        names suffices for every vector.
         """
-        exps = [e for vec in vecs for e, _, _ in vec]
         if self.kind == self.MULT:
             s = self.series
+            exps = [e for vec in vecs for e, _, _ in vec]
             need = a - min(exps) - s.valuation if exps else 0
             if not s.exact and need > s.precision:
                 raise InsufficientPrecision(need, s.precision)
-            n, low = 1, s.valuation
+            n = 1
             entries = [[(s.valuation + i, c) for i, c in enumerate(s._coeffs) if c]]
         else:
-            n, low = self.matrix.n, self.matrix.min_valuation()
+            n = self.matrix.n
             entries = [sorted(f._terms.items()) for f in self.matrix.entries]
-        p, zero = self.ctx.modulus, self.ctx.raw_zero
-        # Rows start at t^lo, low enough for every image term; the slots
-        # below t^-b must come out zero.
-        lo = min(-b, min(exps, default=0) + low)
-        head = (-b - lo) * n
+        p = self.ctx.modulus
         rows = []
         for vec in vecs:
-            row = [zero] * ((a - lo) * n)
+            acc = {}
             for e, k, c in vec:
                 for i in range(n):
                     for f, d in entries[i * n + k]:
                         if e + f >= a:
                             break
-                        row[(e + f - lo) * n + i] += c * d
+                        slot = (e + f + b) * n + i
+                        acc[slot] = acc.get(slot, 0) + c * d
             if p is not None:
-                row = [x % p for x in row]
-            if head:
-                if any(row[:head]):
-                    raise ValueError("vector outside t^-%d O^n window" % b)
-                row = row[head:]
+                acc = {slot: x % p for slot, x in acc.items()}
+            row = {slot: x for slot, x in acc.items() if x}
+            if row and min(row) < 0:  # a term below t^-b
+                raise ValueError("vector outside t^-%d O^n window" % b)
             rows.append(row)
         return rows
 

@@ -1,24 +1,27 @@
-"""Deterministic dense linear algebra over an exact field.
+"""Deterministic sparse linear algebra over an exact field.
 
-Matrices and subspaces store raw field values row by row (a ``Fraction``
-over Q, an int in ``[0, p)`` over F_p), and the kernel runs on them with one
-branch per field.  Values are checked and unboxed where they enter
-(``Matrix``, ``from_rows``, ``contains_vector``, ``quotient_coords``) and
-boxed into ``Scalar`` where they leave; values the kernel computes itself
-are not checked again.
+Matrices and subspaces store each row as a dict ``{column: nonzero raw
+value}`` (a ``Fraction`` over Q, an int in ``[0, p)`` over F_p): no zero is
+stored, every key lies in ``[0, cols)``, and equality and hashing read the
+sorted items.  The kernel iterates nonzeros only, with one branch per field.
+Values are checked and unboxed where they enter (``Matrix``, ``from_rows``,
+``contains_vector``, ``quotient_coords``) and leave as dense rows of
+``Scalar`` (``entries``, ``m[i, j]``, ``row``, ``row_list``,
+``Subspace.rows``); values the kernel computes itself are not checked again.
 
 Subspaces are stored by their reduced row echelon basis, which is a
 canonical form: two subspaces are equal iff their stored bases are equal row
 for row.  Quotient bases are fixed by echelon completion, so every
 downstream determinant-line scalar is reproducible run to run.
 
-Two builders run an elimination, each exactly one, through ``rref``:
+Two builders run an elimination, each at most one, through ``rref``:
 ``Subspace.from_rows`` (a ``Subspace`` built with ``pivots=None``, as
 ``subspace_sum`` builds its span) and ``subspace_intersect``, whose
-Zassenhaus elimination leaves the meet in echelon form.  Builders whose rows
-are already in reduced echelon form pass their pivots and skip it, and
-membership and quotient coordinates reduce a vector against the stored
-echelon rows instead of solving a system.
+Zassenhaus elimination leaves the meet in echelon form and which skips it
+when one operand contains the other.  Builders whose rows are already in
+reduced echelon form pass their pivots and skip it, and membership and
+quotient coordinates reduce a vector against the stored echelon rows instead
+of solving a system.
 """
 
 from __future__ import annotations
@@ -26,33 +29,47 @@ from __future__ import annotations
 from .errors import AmbientMismatch, FieldMismatch, NonSquare, NotContained
 from .fields import FieldCtx, Scalar, _inv, _mul, _neg
 
-# Row kernels on raw values; ``p`` is the field's modulus, None over Q.  They
-# keep ``% p`` inline: one function call per entry would dominate.
+# Row kernels on sparse raw rows; ``p`` is the field's modulus, None over Q.
+# They keep ``% p`` inline: one function call per entry would dominate.
 
 
 def _submul(p, vec, f, row):
-    """``vec - f * row``; zero entries of ``row`` leave ``vec`` as it is."""
-    if p is None:
-        return [v - f * r if r else v for v, r in zip(vec, row)]
-    return [(v - f * r) % p if r else v for v, r in zip(vec, row)]
+    """``vec -= f * row`` in place; an entry that cancels is deleted."""
+    get = vec.get
+    for j, r in row.items():
+        x = get(j, 0) - f * r
+        if p is not None:
+            x %= p
+        if x:
+            vec[j] = x
+        else:
+            del vec[j]
 
 
 def _scale(p, c, row):
     if p is None:
-        return [c * x for x in row]
-    return [c * x % p for x in row]
+        return {j: c * x for j, x in row.items()}
+    return {j: c * x % p for j, x in row.items()}
 
 
-def _box(ctx: FieldCtx, row):
-    return [Scalar(ctx, x) for x in row]
+def _box(ctx: FieldCtx, cols: int, row):
+    """A sparse raw row as a dense list of ``cols`` Scalars."""
+    zero = ctx.raw_zero
+    return [Scalar(ctx, row.get(j, zero)) for j in range(cols)]
 
 
 def _unbox(ctx: FieldCtx, vec):
-    return [ctx.raw(x) for x in vec]
+    """A caller's dense vector as a sparse raw row, each entry checked."""
+    out = {}
+    for j, x in enumerate(vec):
+        x = ctx.raw(x)
+        if x:
+            out[j] = x
+    return out
 
 
 class Matrix:
-    """An immutable matrix over ``ctx``; ``_data`` holds its raw rows."""
+    """An immutable matrix over ``ctx``; ``_data`` holds its sparse raw rows."""
 
     __slots__ = ("ctx", "rows", "cols", "_data")
 
@@ -63,8 +80,11 @@ class Matrix:
         for e in entries:
             if not isinstance(e, Scalar) or e.ctx != ctx:
                 raise FieldMismatch("matrix entry outside %r" % (ctx,))
-        vals = [e.value for e in entries]
-        self._fill(ctx, cols, [vals[i * cols : (i + 1) * cols] for i in range(rows)])
+        data = [
+            {j: e.value for j, e in enumerate(entries[i * cols : (i + 1) * cols]) if e.value}
+            for i in range(rows)
+        ]
+        self._fill(ctx, cols, data)
 
     def _fill(self, ctx, cols, data):
         object.__setattr__(self, "ctx", ctx)
@@ -74,7 +94,7 @@ class Matrix:
 
     @classmethod
     def _raw(cls, ctx: FieldCtx, cols: int, data) -> "Matrix":
-        """A matrix on raw rows the kernel computed; nothing is checked."""
+        """A matrix on sparse raw rows the kernel computed; nothing is checked."""
         m = object.__new__(cls)
         m._fill(ctx, cols, data)
         return m
@@ -84,48 +104,50 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, ctx: FieldCtx, rows) -> "Matrix":
-        rows = [_unbox(ctx, row) for row in rows]
+        rows = [list(row) for row in rows]
+        data = [_unbox(ctx, row) for row in rows]
         ncols = len(rows[0]) if rows else 0
         for row in rows:
             if len(row) != ncols:
                 raise ValueError("ragged rows")
-        return cls._raw(ctx, ncols, rows)
+        return cls._raw(ctx, ncols, data)
 
     @classmethod
     def identity(cls, ctx: FieldCtx, n: int) -> "Matrix":
-        zero, one = ctx.raw_zero, ctx.raw_one
-        data = [[zero] * n for _ in range(n)]
-        for i, row in enumerate(data):
-            row[i] = one
-        return cls._raw(ctx, n, data)
+        one = ctx.raw_one
+        return cls._raw(ctx, n, [{i: one} for i in range(n)])
 
     @property
     def entries(self):
-        return tuple(Scalar(self.ctx, x) for row in self._data for x in row)
+        return tuple(x for row in self.row_list() for x in row)
 
     def __getitem__(self, ij):
         i, j = ij
-        return Scalar(self.ctx, self._data[i][j])
+        if not -self.cols <= j < self.cols:
+            raise IndexError("column %d of %d" % (j, self.cols))
+        return Scalar(self.ctx, self._data[i].get(j % self.cols, self.ctx.raw_zero))
 
     def row(self, i: int):
-        return _box(self.ctx, self._data[i])
+        return _box(self.ctx, self.cols, self._data[i])
 
     def row_list(self):
-        return [_box(self.ctx, row) for row in self._data]
+        return [_box(self.ctx, self.cols, row) for row in self._data]
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.ctx != other.ctx:
             raise FieldMismatch("matrix product across fields")
         if self.cols != other.rows:
             raise ValueError("shape mismatch %dx%d * %dx%d" % (self.rows, self.cols, other.rows, other.cols))
-        p, zero = self.ctx.modulus, self.ctx.raw_zero
+        p = self.ctx.modulus
         out = []
         for ri in self._data:
-            acc = [zero] * other.cols
-            for x, rk in zip(ri, other._data):
-                if x:
-                    acc = [a + x * b for a, b in zip(acc, rk)]
-            out.append(acc if p is None else [a % p for a in acc])
+            acc = {}
+            for k, x in ri.items():
+                for j, y in other._data[k].items():
+                    acc[j] = acc.get(j, 0) + x * y
+            if p is not None:
+                acc = {j: v % p for j, v in acc.items()}
+            out.append({j: v for j, v in acc.items() if v})
         return Matrix._raw(self.ctx, other.cols, out)
 
     def __eq__(self, other):
@@ -138,7 +160,7 @@ class Matrix:
         )
 
     def __hash__(self):
-        return hash((self.ctx, self.rows, self.cols, tuple(map(tuple, self._data))))
+        return hash((self.ctx, self.rows, self.cols, tuple(tuple(sorted(row.items())) for row in self._data)))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.row_list())
@@ -146,39 +168,40 @@ class Matrix:
 
 
 def _rref_rows(ctx: FieldCtx, rows):
-    """Gauss-Jordan on raw row lists; returns (rows, pivots).
+    """Gauss-Jordan on sparse raw rows; returns (rows, pivots) of the nonzero
+    RREF rows, ascending by pivot.
 
-    Rows are replaced, never written in place, so the input lists survive.
+    Rows enter one at a time: each is reduced by the rows so far, normalised
+    at its leading column, and that new pivot is cleared from the earlier
+    rows.  Only rows holding more than their pivot can have a nonzero there,
+    so only those are visited.  RREF is unique, so the result equals
+    column-by-column elimination.  The input dicts are not modified.
     """
     p = ctx.modulus
-    rows = list(rows)
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if piv is None:
+    basis = {}  # pivot -> row; the rows are RREF among themselves
+    wide = []  # pivots whose row holds more than its pivot
+    for row in rows:
+        vec = _reduce(p, basis, row)
+        if not vec:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        lead = rows[r][c]
-        if lead != 1:
-            rows[r] = _scale(p, _inv(p, lead), rows[r])
-        prow = rows[r]
-        for i in range(nrows):
-            f = rows[i][c]
-            if f and i != r:
-                rows[i] = _submul(p, rows[i], f, prow)
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+        c = min(vec)
+        # A fresh dict: later pivots are cleared from the stored rows in place.
+        vec = dict(vec) if vec[c] == 1 else _scale(p, _inv(p, vec[c]), vec)
+        for d in wide:
+            f = basis[d].get(c)
+            if f:
+                _submul(p, basis[d], f, vec)
+        basis[c] = vec
+        if len(vec) > 1:
+            wide.append(c)
+    pivots = sorted(basis)
+    return [basis[c] for c in pivots], pivots
 
 
 def rref(m: Matrix):
-    """Reduced row echelon form of ``m`` along with its pivot columns."""
+    """Reduced row echelon form of ``m`` (zero rows last) and its pivot columns."""
     rows, pivots = _rref_rows(m.ctx, m._data)
+    rows += [{} for _ in range(m.rows - len(rows))]
     return Matrix._raw(m.ctx, m.cols, rows), pivots
 
 
@@ -190,39 +213,46 @@ def det(m: Matrix) -> Scalar:
     rows = list(m._data)
     acc = ctx.raw_one
     for c in range(n):
-        piv = next((i for i in range(c, n) if rows[i][c]), None)
+        piv = next((i for i in range(c, n) if c in rows[i]), None)
         if piv is None:
             return ctx.zero()
         if piv != c:
             rows[c], rows[piv] = rows[piv], rows[c]
             acc = _neg(p, acc)
-        lead = rows[c][c]
+        prow = rows[c]
+        lead = prow[c]
         acc = _mul(p, acc, lead)
         inv = _inv(p, lead)
         for i in range(c + 1, n):
-            x = rows[i][c]
+            x = rows[i].get(c)
             if x:
-                rows[i] = _submul(p, rows[i], _mul(p, x, inv), rows[c])
+                rows[i] = dict(rows[i])
+                _submul(p, rows[i], _mul(p, x, inv), prow)
     return Scalar(ctx, acc)
 
 
-def _reduce(p, rows, pivots, vec):
-    """``vec`` minus the raw rows of an RREF basis, each taken at its pivot.
+def _reduce(p, at, vec):
+    """``vec`` minus the rows of an RREF basis, each taken at its pivot;
+    ``at`` maps each pivot to its row.
 
-    The remainder is zero at every pivot, and zero everywhere iff ``vec``
-    lies in the span of ``rows``.
+    A row is zero at the other pivots, so only the pivots ``vec`` holds are
+    visited.  The remainder is zero at every pivot, and empty iff ``vec``
+    lies in the span.  ``vec`` itself is not modified.
     """
-    for row, c in zip(rows, pivots):
-        f = vec[c]
-        if f:
-            vec = _submul(p, vec, f, row)
+    hits = [c for c in vec if c in at]
+    if not hits:
+        return vec
+    vec = dict(vec)
+    for c in hits:
+        _submul(p, vec, vec[c], at[c])
     return vec
 
 
 class Subspace:
-    """A subspace of k^ambient_dim in canonical reduced echelon form."""
+    """A subspace of k^ambient_dim in canonical reduced echelon form;
+    ``_at`` maps each pivot to its echelon row, for reductions."""
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    __slots__ = ("ambient_dim", "basis", "pivots", "_at")
 
     def __init__(self, ambient_dim: int, basis: Matrix, pivots=None):
         if basis.cols != ambient_dim:
@@ -234,6 +264,7 @@ class Subspace:
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "pivots", tuple(pivots))
+        object.__setattr__(self, "_at", dict(zip(self.pivots, basis._data)))
 
     def __setattr__(self, *a):
         raise AttributeError("Subspace is immutable")
@@ -246,7 +277,7 @@ class Subspace:
 
     @classmethod
     def _span(cls, ctx: FieldCtx, ambient_dim: int, rows) -> "Subspace":
-        """The span of raw rows the kernel computed, by one elimination."""
+        """The span of sparse raw rows the kernel computed, by one elimination."""
         if not rows:
             return cls.zero(ctx, ambient_dim)
         return cls(ambient_dim, Matrix._raw(ctx, ambient_dim, rows))
@@ -271,7 +302,7 @@ class Subspace:
         return self.basis.row_list()
 
     def _remainder(self, vec):
-        return _reduce(self.ctx.modulus, self.basis._data, self.pivots, vec)
+        return _reduce(self.ctx.modulus, self._at, vec)
 
     def _vector(self, vec):
         """A caller's vector of k^ambient_dim, unboxed."""
@@ -280,7 +311,7 @@ class Subspace:
         return _unbox(self.ctx, vec)
 
     def contains_vector(self, vec) -> bool:
-        return not any(self._remainder(self._vector(vec)))
+        return not self._remainder(self._vector(vec))
 
     def _check(self, other: "Subspace"):
         if self.ambient_dim != other.ambient_dim:
@@ -308,30 +339,36 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    """a ∩ b by one Zassenhaus elimination of [a | 0 ; b | b].
+    """a ∩ b by one Zassenhaus elimination of [a | 0 ; b | b], b the smaller.
 
     The [a | 0] rows are already echelon, so eliminating with them only
-    reduces the left half of each [b | b] row by ``a``; ``rref`` then runs on
-    those rows alone.  The rows of its result whose left half is zero are,
-    on their right half, exactly the RREF basis of a ∩ b, with their pivots
-    shifted by the ambient dimension: nothing is recombined or eliminated
-    again.
+    reduces the left half of each [b | b] row by ``a``.  If every left half
+    reduces to zero, b <= a and the meet is b, with no elimination.
+    Otherwise ``rref`` runs on those rows alone; the rows of its result whose
+    left half is zero are, on their right half, exactly the RREF basis of
+    a ∩ b, with their pivots shifted by the ambient dimension: nothing is
+    recombined or eliminated again.
     """
     a._check(b)
     ctx, n = a.ctx, a.ambient_dim
     if a.dim == 0 or b.dim == 0:
         return Subspace.zero(ctx, n)
-    rows = [a._remainder(row) + row for row in b.basis._data]
+    if b.dim > a.dim:
+        a, b = b, a
+    left = [a._remainder(row) for row in b.basis._data]
+    if not any(left):
+        return b
+    rows = [{**lo, **{c + n: x for c, x in row.items()}} for lo, row in zip(left, b.basis._data)]
     red, pivots = rref(Matrix._raw(ctx, 2 * n, rows))
     k = next((i for i, c in enumerate(pivots) if c >= n), len(pivots))
-    meet = [row[n:] for row in red._data[k : len(pivots)]]
+    meet = [{c - n: x for c, x in row.items()} for row in red._data[k : len(pivots)]]
     return Subspace(n, Matrix._raw(ctx, n, meet), [c - n for c in pivots[k:]])
 
 
 def subspace_contains(a: Subspace, b: Subspace) -> bool:
     """Whether every vector of b lies in a."""
     a._check(b)
-    return not any(any(a._remainder(row)) for row in b.basis._data)
+    return not any(a._remainder(row) for row in b.basis._data)
 
 
 def _quotient_reps(sub: Subspace, sup: Subspace):
@@ -339,8 +376,7 @@ def _quotient_reps(sub: Subspace, sup: Subspace):
     pivots of sub, ascending.  Raises ``NotContained`` unless sub <= sup."""
     if not subspace_contains(sup, sub):
         raise NotContained("quotient needs sub <= sup")
-    sub_piv = set(sub.pivots)
-    kept = [(row, c) for row, c in zip(sup.basis._data, sup.pivots) if c not in sub_piv]
+    kept = [(row, c) for row, c in zip(sup.basis._data, sup.pivots) if c not in sub._at]
     return [row for row, _ in kept], [c for _, c in kept]
 
 
@@ -350,7 +386,7 @@ def quotient_basis(sub: Subspace, sup: Subspace):
     The representatives are the echelon rows of sup whose pivots are not
     pivots of sub; their classes form a basis of the quotient.
     """
-    return [_box(sup.ctx, row) for row in _quotient_reps(sub, sup)[0]]
+    return [_box(sup.ctx, sup.ambient_dim, row) for row in _quotient_reps(sub, sup)[0]]
 
 
 def quotient_dim(sub: Subspace, sup: Subspace) -> int:
@@ -358,16 +394,18 @@ def quotient_dim(sub: Subspace, sup: Subspace) -> int:
 
 
 def _quotient_coords(sub: Subspace, reps, lead, vecs):
-    """Raw coordinates of each raw vector in ``vecs`` mod ``sub``, with
-    ``reps`` the raw representatives and ``lead`` their leading columns."""
+    """Sparse raw coordinates of each sparse raw vector in ``vecs`` mod
+    ``sub``, with ``reps`` the raw representatives and ``lead`` their leading
+    columns."""
     p = sub.ctx.modulus
+    at = dict(zip(lead, reps))
+    pos = {j: k for k, j in enumerate(lead)}
     out = []
     for vec in vecs:
         vec = sub._remainder(vec)
-        coeffs = [vec[j] for j in lead]
-        if any(_reduce(p, reps, lead, vec)):
+        out.append({pos[j]: x for j, x in vec.items() if j in pos})
+        if _reduce(p, at, vec):
             raise NotContained("vector outside sub + span(reps)")
-        out.append(coeffs)
     return out
 
 
@@ -385,12 +423,15 @@ def quotient_coords(sub: Subspace, reps, vec):
     ``ValueError``.
     """
     reps = [sub._vector(row) for row in reps]
-    lead = [next((j for j, x in enumerate(row) if x), None) for row in reps]
+    lead = [min(row, default=None) for row in reps]
     for k, (row, c) in enumerate(zip(reps, lead)):
         zero_at = [*sub.pivots, *lead[:k], *lead[k + 1 :]]
-        if c is None or row[c] != 1 or any(row[j] for j in zero_at if j is not None):
-            raise ValueError("representative (%s) is not an echelon quotient row" % ", ".join(map(str, _box(sub.ctx, row))))
-    return _box(sub.ctx, _quotient_coords(sub, reps, lead, [sub._vector(vec)])[0])
+        if c is None or row[c] != 1 or any(j in row for j in zero_at):
+            raise ValueError(
+                "representative (%s) is not an echelon quotient row"
+                % ", ".join(map(str, _box(sub.ctx, sub.ambient_dim, row)))
+            )
+    return _box(sub.ctx, len(reps), _quotient_coords(sub, reps, lead, [sub._vector(vec)])[0])
 
 
 def all_subspaces(ctx: FieldCtx, ambient_dim: int):

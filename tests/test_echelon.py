@@ -60,13 +60,15 @@ def _combine(ctx, dim, coeffs, rows):
 def _reference_window(L, a2, b2):
     """The eliminating path: L's vectors and the new units, through from_rows."""
     space, n = L.space, L.space.rank
+    dim = n * (a2 + b2)
     rows = [vec_to_row(space, a2, b2, v) for v in L.basis_vectors()]
     zero = LaurentPoly.zero(L.ctx)
     for e in range(L.a, a2):
         for i in range(n):
             unit = [LaurentPoly.t(L.ctx, e) if j == i else zero for j in range(n)]
             rows.append(vec_to_row(space, a2, b2, unit))
-    return Subspace.from_rows(L.ctx, n * (a2 + b2), rows)
+    dense = [[row.get(j, 0) for j in range(dim)] for row in rows]  # vec_to_row rows are sparse
+    return Subspace.from_rows(L.ctx, dim, dense)
 
 
 @SETTINGS

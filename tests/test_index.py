@@ -24,6 +24,7 @@ from tatekit import (
     verify_family,
 )
 from tatekit.errors import ChainTooLong, DegenerateChain, NotNested, UnknownFace
+from tatekit.simplicial import nonempty_subsets
 from tatekit.verify import rand_gl, rand_lattice, rand_mult, rand_unit_poly
 
 V = TateSpace(QQ, 1)
@@ -205,3 +206,27 @@ def test_family_verification_randomized():
             continue
         fam = build_family(AutChain(space, autos))
         assert family_passes(verify_family(fam))
+
+
+def test_verify_family_computes_each_translate_once(monkeypatch):
+    import tatekit.index_map as index_map
+
+    rng = random.Random(67)
+    ctx = GF(5)
+    space = TateSpace(ctx, 2)
+    fam = build_family(AutChain(space, [rand_gl(ctx, 2, rng) for _ in range(3)]))
+    calls = []
+    real = index_map.act
+    monkeypatch.setattr(index_map, "act", lambda g, L: calls.append((g, L)) or real(g, L))
+    report = verify_family(fam)
+    assert family_passes(report)
+    # One translate per (last arrow, lower face, subset I of the lower face):
+    # hypothesis (b) for I and the last face identity for J = I share it.
+    pairs = {
+        (fam.subchains[kept][-1], kept[:-1], I)
+        for kept in fam.faces()
+        if len(kept) > 1
+        for I in nonempty_subsets(len(kept) - 2)
+    }
+    assert len(calls) == len(pairs) == sum(2 ** (len(kept) - 1) - 1 for kept in fam.faces() if len(kept) > 1)
+    assert sum(r["check"] == "hypothesis_b" for r in report) == len(calls)

@@ -5,7 +5,8 @@ The reference below is the ``Scalar`` arithmetic that ``LaurentPoly``,
 written on dicts (exponent -> Scalar) and coefficient lists; every operation
 must agree with it exactly, and every rational it returns must hold a
 ``Fraction``.  ``Automorphism.image`` is checked against the round trip it
-replaced: ``row_to_vec``, the reference product, ``vec_to_row``.
+replaced: ``row_to_vec``, the reference product, ``vec_to_row`` (both
+sides are sparse ``{slot: value}`` rows).
 """
 
 from fractions import Fraction
@@ -226,6 +227,11 @@ def assert_raw_fractions(ctx, rows):
         assert all(type(x) is Fraction for row in rows for x in row)
 
 
+def sparse_vec(space, b, row):
+    """The ``image`` input for a dense raw window row."""
+    return _sparse(space, b, {j: x for j, x in enumerate(row) if x})
+
+
 # -- differential tests --------------------------------------------------------
 
 
@@ -343,7 +349,7 @@ def _image_case(data, ctx, rank, low):
 def _check_image(g, space, rows, src, dst, ref_images):
     """``g.image`` on the sparse source rows against ``vec_to_row`` of ``ref_images``."""
     (a1, b1), (a2, b2) = src, dst
-    vecs = [_sparse(space, b1, row) for row in rows]
+    vecs = [sparse_vec(space, b1, row) for row in rows]
     try:
         want = [vec_to_row(space, a2, b2, [LaurentPoly(space.ctx, f) for f in img]) for img in ref_images]
     except ValueError:
@@ -352,7 +358,7 @@ def _check_image(g, space, rows, src, dst, ref_images):
         return
     got = g.image(vecs, a2, b2)
     assert got == want
-    assert_raw_fractions(space.ctx, got)
+    assert_raw_fractions(space.ctx, [row.values() for row in got])
 
 
 @SETTINGS
@@ -381,7 +387,7 @@ def test_mult_image_matches_round_trip(data):
     need = max((dst[0] - e - s.valuation for f in vecs for e in f), default=0)
     if not s.exact and need > s.precision:
         with pytest.raises(InsufficientPrecision) as err:
-            g.image([_sparse(space, src[1], row) for row in rows], *dst)
+            g.image([sparse_vec(space, src[1], row) for row in rows], *dst)
         assert err.value.required == need
         return
     images = [[ref_mul_poly_mod(rs, f, dst[0]) if f else {}] for f in vecs]

@@ -70,8 +70,8 @@ def test_subspace_intersect_runs_one_elimination(monkeypatch):
     a = Subspace.from_rows(QQ, 4, [[1, 2, 0, 0], [0, 0, 1, 1], [0, 1, 0, 5]])
     b = Subspace.from_rows(QQ, 4, [[1, 2, 1, 1], [0, 3, 0, 15], [1, 0, 0, 0]])
     calls = []
-    real = linalg._rref_rows
-    monkeypatch.setattr(linalg, "_rref_rows", lambda ctx, rows: calls.append(len(rows[0])) or real(ctx, rows))
+    real = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m.cols) or real(m))
     meet = subspace_intersect(a, b)
     assert calls == [8]  # one elimination, of the 2n-column Zassenhaus matrix
     want = [[1, 2, 1, 1], [0, 1, 0, 5]]

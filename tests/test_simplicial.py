@@ -24,7 +24,7 @@ from tatekit import (
 )
 from tatekit.errors import FrameMismatch
 from tatekit.simplicial import ex_degeneracy, ex_face, sd_maps_into_poset
-from tatekit.verify import rand_admissible_diagram, rand_filtered_poset
+from tatekit.verify import _same_families, rand_admissible_diagram, rand_filtered_poset
 
 
 def _canon(fams):
@@ -101,6 +101,17 @@ def test_ex_agrees_with_sd_maps():
     for P in posets:
         for n in (0, 1, 2):
             assert _canon(ex_poset(P, n)) == _canon(sd_maps_into_poset(P, n))
+
+
+def test_families_compare_as_multisets():
+    J, K = frozenset([0]), frozenset([1])
+    f, g = {J: 0, K: 1}, {J: 1, K: 1}
+    assert _same_families([f, g], [g, f])
+    assert not _same_families([f, f, g], [f, g, g])  # multiplicity counts
+    assert not _same_families([f], [f, f])
+    # Distinct values that print alike stay distinct.
+    assert not _same_families([{J: 1}], [{J: "1"}])
+    assert _same_families(ex_poset(FinPoset.chain(2), 1), list(reversed(sd_maps_into_poset(FinPoset.chain(2), 1))))
 
 
 def test_ex_face_degeneracy_are_simplicial():

@@ -1,0 +1,228 @@
+"""The sparse-row kernel of ``linalg`` against the dense raw kernel it replaced.
+
+The reference below is the raw-value Gauss-Jordan, reduction and Zassenhaus
+meet that ``linalg`` ran on dense row lists before its rows became
+``{column: nonzero raw value}`` dicts.  Inputs are window-shaped, as the
+lattice layer builds them: mostly unit rows, a few sparse rows, some repeated
+or combined.  Every result must equal the reference, and every stored row
+must keep the invariants: no stored zero, keys in ``[0, cols)``, a
+``Fraction`` for every rational, and equality and hashing independent of the
+order the keys were inserted in.
+"""
+
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import tatekit.linalg as linalg
+from tatekit import GF, QQ, Matrix, Subspace, TateSpace, act, rref
+from tatekit.fields import _inv
+from tatekit.linalg import subspace_contains, subspace_intersect, subspace_sum
+from tatekit.verify import rand_gl, rand_lattice, rand_mult
+
+FIELDS = [GF(2), GF(3), GF(1000003), QQ]
+SETTINGS = settings(max_examples=120, deadline=None)
+
+
+# -- dense raw reference -------------------------------------------------------
+
+
+def _dense_submul(p, vec, f, row):
+    if p is None:
+        return [v - f * r if r else v for v, r in zip(vec, row)]
+    return [(v - f * r) % p if r else v for v, r in zip(vec, row)]
+
+
+def ref_dense_rref_rows(ctx, rows):
+    """Column-by-column Gauss-Jordan on dense raw rows; (rows, pivots)."""
+    p = ctx.modulus
+    rows = list(rows)
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        lead = rows[r][c]
+        if lead != 1:
+            inv = _inv(p, lead)
+            rows[r] = [inv * x for x in rows[r]] if p is None else [inv * x % p for x in rows[r]]
+        prow = rows[r]
+        for i in range(nrows):
+            f = rows[i][c]
+            if f and i != r:
+                rows[i] = _dense_submul(p, rows[i], f, prow)
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def ref_dense_reduce(p, rows, pivots, vec):
+    for row, c in zip(rows, pivots):
+        f = vec[c]
+        if f:
+            vec = _dense_submul(p, vec, f, row)
+    return vec
+
+
+def ref_dense_basis(ctx, rows):
+    red, pivots = ref_dense_rref_rows(ctx, rows)
+    return red[: len(pivots)], pivots
+
+
+def ref_dense_intersect(ctx, n, rows_a, piv_a, rows_b):
+    """The Zassenhaus meet of two dense RREF bases, eliminated in full."""
+    if not rows_a or not rows_b:
+        return [], []
+    p = ctx.modulus
+    rows = [ref_dense_reduce(p, rows_a, piv_a, row) + row for row in rows_b]
+    red, pivots = ref_dense_rref_rows(ctx, rows)
+    k = next((i for i, c in enumerate(pivots) if c >= n), len(pivots))
+    return [row[n:] for row in red[k : len(pivots)]], [c - n for c in pivots[k:]]
+
+
+# -- inputs --------------------------------------------------------------------
+
+
+def values(ctx):
+    if ctx == QQ:
+        return st.fractions(-3, 3, max_denominator=4).filter(bool)
+    return st.integers(1, ctx.modulus - 1)
+
+
+@st.composite
+def window_rows(draw, ctx, dim):
+    """Dense raw rows of k^dim: mostly unit rows, a few sparse ones."""
+    rows = []
+    for _ in range(draw(st.integers(0, dim + 2))):
+        row = [ctx.raw_zero] * dim
+        kind = draw(st.integers(0, 9))
+        if kind < 6:  # a unit row
+            row[draw(st.integers(0, dim - 1))] = ctx.raw_one
+        elif kind < 9:  # a sparse row
+            for _ in range(draw(st.integers(1, 3))):
+                row[draw(st.integers(0, dim - 1))] = ctx.raw(draw(values(ctx)))
+        elif rows:  # a combination of two earlier rows
+            x, y = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            c = ctx.raw(draw(values(ctx)))
+            row = [ctx.raw(u + c * v) for u, v in zip(x, y)]
+        rows.append(row)
+    return rows
+
+
+@st.composite
+def cases(draw, count=1):
+    ctx = draw(st.sampled_from(FIELDS))
+    dim = draw(st.integers(1, 16))
+    return ctx, dim, [draw(window_rows(ctx, dim)) for _ in range(count)]
+
+
+def sparse(row):
+    return {j: x for j, x in enumerate(row) if x}
+
+
+def dense(ctx, dim, row):
+    return [row.get(j, ctx.raw_zero) for j in range(dim)]
+
+
+def assert_invariants(m):
+    """No stored zero, keys in [0, cols), raw values of the field, and a
+    hash and equality that ignore key insertion order."""
+    ctx = m.ctx
+    for row in m._data:
+        assert type(row) is dict
+        for j, x in row.items():
+            assert 0 <= j < m.cols and x
+            if ctx == QQ:
+                assert type(x) is Fraction
+            else:
+                assert type(x) is int and 0 < x < ctx.modulus
+    shuffled = Matrix._raw(ctx, m.cols, [dict(reversed(row.items())) for row in m._data])
+    assert shuffled == m and hash(shuffled) == hash(m)
+
+
+def boxed(ctx, rows):
+    return [[ctx.scalar(x) for x in row] for row in rows]
+
+
+# -- differential tests --------------------------------------------------------
+
+
+@SETTINGS
+@given(cases())
+def test_rref_matches_dense_reference(case):
+    ctx, dim, (rows,) = case
+    if not rows:
+        return
+    m = Matrix.from_rows(ctx, boxed(ctx, rows))
+    assert_invariants(m)
+    red, pivots = rref(m)
+    ref_rows, ref_pivots = ref_dense_rref_rows(ctx, rows)
+    assert red.rows == m.rows and pivots == ref_pivots
+    assert [dense(ctx, dim, row) for row in red._data] == ref_rows
+    assert_invariants(red)
+    got_rows, got_pivots = linalg._rref_rows(ctx, [sparse(row) for row in rows])
+    assert got_pivots == ref_pivots and got_rows == [sparse(row) for row in ref_rows[: len(ref_pivots)]]
+
+
+@SETTINGS
+@given(cases(count=2))
+def test_meet_sum_and_membership_match_dense_reference(case):
+    ctx, dim, (rows_a, rows_b) = case
+    p = ctx.modulus
+    a = Subspace.from_rows(ctx, dim, boxed(ctx, rows_a))
+    b = Subspace.from_rows(ctx, dim, boxed(ctx, rows_b))
+    ref_a, piv_a = ref_dense_basis(ctx, rows_a)
+    ref_b, piv_b = ref_dense_basis(ctx, rows_b)
+    for s, ref in ((a, ref_a), (b, ref_b)):
+        assert [dense(ctx, dim, row) for row in s.basis._data] == ref
+        assert_invariants(s.basis)
+    for x, y, ref_x, piv_x, ref_y in ((a, b, ref_a, piv_a, ref_b), (b, a, ref_b, piv_b, ref_a)):
+        meet = subspace_intersect(x, y)
+        want_rows, want_piv = ref_dense_intersect(ctx, dim, ref_x, piv_x, ref_y)
+        assert [dense(ctx, dim, row) for row in meet.basis._data] == want_rows
+        assert list(meet.pivots) == want_piv
+        assert_invariants(meet.basis)
+        for row in ref_y:
+            rest = ref_dense_reduce(p, ref_x, piv_x, row)
+            assert dense(ctx, dim, x._remainder(sparse(row))) == rest
+        assert subspace_contains(x, y) == all(not any(ref_dense_reduce(p, ref_x, piv_x, r)) for r in ref_y)
+    total = subspace_sum(a, b)
+    assert [dense(ctx, dim, row) for row in total.basis._data] == ref_dense_basis(ctx, rows_a + rows_b)[0]
+    assert_invariants(total.basis)
+
+
+@SETTINGS
+@given(cases(count=2))
+def test_nested_meet_runs_no_elimination(case):
+    ctx, dim, (rows_a, rows_b) = case
+    big = Subspace.from_rows(ctx, dim, boxed(ctx, rows_a + rows_b))
+    small = Subspace.from_rows(ctx, dim, boxed(ctx, rows_b))
+    real, calls = linalg.rref, []
+    linalg.rref = lambda m: calls.append(m.cols) or real(m)
+    try:
+        meets = [subspace_intersect(big, small), subspace_intersect(small, big)]
+    finally:
+        linalg.rref = real
+    assert calls == []
+    assert meets == [small, small] and all(m.pivots == small.pivots for m in meets)
+
+
+def test_window_lattices_keep_invariants():
+    rng = random.Random(71)
+    for ctx in FIELDS:
+        for rank in (1, 2, 3):
+            space = TateSpace(ctx, rank)
+            for _ in range(6):
+                L = rand_lattice(space, rng, 2)
+                g = rand_mult(ctx, rng, -2, 2) if rank == 1 else rand_gl(ctx, rank, rng)
+                for s in (L.subspace, L.window_subspace(L.a + 2, L.b + 1), act(g, L).subspace):
+                    assert_invariants(s.basis)
+                    assert s == Subspace.from_rows(ctx, s.ambient_dim, s.rows())
