@@ -12,6 +12,11 @@ Conventions (fixed once, used everywhere):
   order.  With this order, concatenating the bases of B/A and C/B for a
   nested monomial chain reproduces the basis of C/A on the nose, so the
   canonical composition scalar on nested monomial triples is exactly 1.
+  ``translation_scalar`` takes both its source and its target
+  representatives in *ascending* order instead: that reverses the rows and
+  the columns of each coordinate matrix A, and det(JAJ) = det(A) for the
+  order-reversing permutation J, so the scalar is the same.  For a rank-1
+  translation the ascending matrix is upper triangular.
 * (F1|F2) is based on N = meet(F1, F2) as e(N,F1)^dual (x) e(N,F2); its
   grade is dim(F2/N) - dim(F1/N) = vdim(F2) - vdim(F1).
 * ``omega(F1,F2,F3)`` is the scalar of the composition isomorphism
@@ -86,15 +91,11 @@ def rel_det(F1: Lattice, F2: Lattice) -> GradedLine:
     return GradedLine(F2.vdim - F1.vdim, ("reldet", F1, F2))
 
 
-def _desc_reps(sub_w, sup_w):
-    """Raw quotient representatives in descending pivot order (wedge order)."""
-    return _quotient_reps(sub_w, sup_w)[0][::-1]
-
-
 def _wedge_det(sub_w, sup_w, rows) -> Scalar:
-    """Determinant of the raw ``rows`` in the canonical basis of det(sup_w/sub_w)."""
+    """Determinant of the raw ``rows`` against the quotient representatives of
+    sup_w/sub_w, both taken in ascending pivot order (see the conventions)."""
     target, lead = _quotient_reps(sub_w, sup_w)
-    coords = _quotient_coords(sub_w, target[::-1], lead[::-1], rows)
+    coords = _quotient_coords(sub_w, target, lead, rows)
     return det(Matrix._raw(sub_w.ctx, len(target), coords))
 
 
@@ -212,7 +213,7 @@ def translation_scalar(g: Automorphism, F1: Lattice, F2: Lattice) -> Scalar:
     a2, b2, (tw1, tw2) = common_window(act(g, F1), act(g, F2))
     # g is a bijection, so g(F1 ∩ F2) = gF1 ∩ gF2.
     wN, twN = subspace_intersect(w1, w2), subspace_intersect(tw1, tw2)
-    reps2, reps1 = _desc_reps(wN, w2), _desc_reps(wN, w1)
+    reps2, reps1 = _quotient_reps(wN, w2)[0], _quotient_reps(wN, w1)[0]
     rows = g.image([_sparse(F1.space, b1, r) for r in reps2 + reps1], a2, b2)
     return _wedge_det(twN, tw2, rows[: len(reps2)]) / _wedge_det(twN, tw1, rows[len(reps2) :])
 
@@ -261,13 +262,19 @@ class ExtElement:
         return "ExtElement(%r, z=%s, %s)" % (self.g, self.z, self.mode)
 
 
-def ext_mul(x: ExtElement, y: ExtElement) -> ExtElement:
+def _mul_z(x: ExtElement, y: ExtElement) -> Scalar:
+    """The z-part of ``ext_mul(x, y)``, without composing x.g and y.g."""
     if x.mode != y.mode:
         raise ModeMismatch("graded and ungraded elements cannot be multiplied")
     if x.space != y.space:
         raise SpaceMismatch("extension elements on different spaces")
     sigma = cocycle_sigma(x.g, y.g, x.space, x.mode)
-    return ExtElement(x.g.compose(y.g), x.z * y.z * sigma, x.mode, x.space)
+    return x.z * y.z * sigma
+
+
+def ext_mul(x: ExtElement, y: ExtElement) -> ExtElement:
+    z = _mul_z(x, y)
+    return ExtElement(x.g.compose(y.g), z, x.mode, x.space)
 
 
 def ext_inv(x: ExtElement, precision: int | None = None) -> ExtElement:
@@ -292,8 +299,8 @@ def commutator(
     space = TateSpace(f.ctx, 1)
     x = ExtElement.lift(f, mode, space)
     y = ExtElement.lift(g, mode, space)
-    word = ext_mul(ext_mul(ext_mul(x, y), ext_inv(x, precision)), ext_inv(y, precision))
-    value = word.z
+    # Only the z-part of the word is read, so its last factor is not composed.
+    value = _mul_z(ext_mul(ext_mul(x, y), ext_inv(x, precision)), ext_inv(y, precision))
     if mode == GRADED and (f.det_valuation() % 2) and (g.det_valuation() % 2):
         value = -value
     return value

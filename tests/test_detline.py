@@ -36,10 +36,10 @@ from tatekit.detline import (
     det_theory_coherence_scalars,
     translation_scalar,
 )
-from tatekit.errors import ModeMismatch, NotMultiplicationAutomorphism, NotNested, SpaceMismatch, WindowTooLarge
-from tatekit.lattice import common_window, leq, meet, quotient_dim_lattices
-from tatekit.linalg import Matrix, _quotient_coords, _quotient_reps, det, quotient_dim
-from tatekit.verify import rand_lattice, rand_mult, rand_unit_poly
+from tatekit.errors import InsufficientPrecision, ModeMismatch, NotMultiplicationAutomorphism, NotNested, SpaceMismatch, WindowTooLarge
+from tatekit.lattice import _sparse, act, common_window, leq, meet, quotient_dim_lattices
+from tatekit.linalg import Matrix, _quotient_coords, _quotient_reps, det, quotient_dim, subspace_intersect
+from tatekit.verify import rand_gl, rand_lattice, rand_mult, rand_unit_poly, suite_detline
 
 V = TateSpace(QQ, 1)
 O = std_lattice(V, [0])
@@ -63,16 +63,18 @@ def ref_desc_reps(sub_w, sup_w):
     return _quotient_reps(sub_w, sup_w)[0][::-1]
 
 
+def ref_wedge_det(sub_w, sup_w, rows):
+    """Determinant of ``rows`` in the canonical descending basis of sup_w/sub_w."""
+    target, lead = _quotient_reps(sub_w, sup_w)
+    assert len(rows) == len(target)
+    coords = _quotient_coords(sub_w, target[::-1], lead[::-1], rows)
+    return det(Matrix._raw(sub_w.ctx, len(target), coords))
+
+
 def ref_delta(M, N, F):
     """Scalar of det(N/M) (x) det(F/N) -> det(F/M) for nested M <= N <= F."""
     _, _, (wM, wN, wF) = common_window(M, N, F)
-    rows = ref_desc_reps(wM, wN) + ref_desc_reps(wN, wF)
-    target, lead = _quotient_reps(wM, wF)
-    assert len(rows) == len(target)
-    if not rows:
-        return M.ctx.one()
-    coords = _quotient_coords(wM, target[::-1], lead[::-1], rows)
-    return det(Matrix._raw(M.ctx, len(target), coords))
+    return ref_wedge_det(wM, wF, ref_desc_reps(wM, wN) + ref_desc_reps(wN, wF))
 
 
 def ref_grade(F1, F2):
@@ -370,6 +372,85 @@ def test_translation_scalar_scaling():
     assert str(translation_scalar(c, tO, O)) == "3"
     assert str(translation_scalar(c, O, tO)) == "1/3"
     assert str(translation_scalar(mult("t"), O, tm1)) == "1"
+
+
+# -- reference: the translation scalar in the canonical descending basis ----
+#
+# This is how translation_scalar was computed before it took both sides in
+# ascending pivot order: source and target representatives in the canonical
+# descending wedge order.
+
+
+def ref_translation_scalar(g, F1, F2):
+    _, b1, (w1, w2) = common_window(F1, F2)
+    a2, b2, (tw1, tw2) = common_window(act(g, F1), act(g, F2))
+    wN, twN = subspace_intersect(w1, w2), subspace_intersect(tw1, tw2)
+    reps2, reps1 = ref_desc_reps(wN, w2), ref_desc_reps(wN, w1)
+    rows = g.image([_sparse(F1.space, b1, r) for r in reps2 + reps1], a2, b2)
+    return ref_wedge_det(twN, tw2, rows[: len(reps2)]) / ref_wedge_det(twN, tw1, rows[len(reps2) :])
+
+
+@DIFF_SETTINGS
+@given(spaces_and_lattices(2), st.integers(0, 2**32 - 1))
+def test_translation_scalar_matches_the_descending_reference(case, seed):
+    space, (F1, F2) = case
+    rng = random.Random(seed)
+    if space.rank == 1 and rng.random() < 0.5:
+        g = rand_mult(space.ctx, rng, -3, 3)
+    else:
+        g = rand_gl(space.ctx, space.rank, rng)
+    assert translation_scalar(g, F1, F2) == ref_translation_scalar(g, F1, F2)
+
+
+def test_commutator_composes_twice_and_translates_triangularly(monkeypatch):
+    """The word's last product is never composed, and in ascending order every
+    rank-1 translation matrix is upper triangular: det eliminates nothing."""
+    import tatekit.detline as detline
+
+    calls, sizes = [], []
+    compose = Automorphism.compose
+
+    def counted(self, other):
+        calls.append(1)
+        return compose(self, other)
+
+    def triangular_det(m):
+        for i, row in enumerate(m._data):
+            assert min(row) == i, "row %d starts at column %d" % (i, min(row))
+        sizes.append(m.rows)
+        return det(m)
+
+    monkeypatch.setattr(Automorphism, "compose", counted)
+    monkeypatch.setattr(detline, "det", triangular_det)
+    cases = [
+        (QQ, "2*t^9+t^12", "3*t^2-t^5", 15),
+        (QQ, "t^-7+5*t^-4", "1-t+2*t^3", 12),
+        (GF(1000003), "4*t^11-t^13", "7*t^-3+t", 18),
+        (GF(3), "t^5+2*t^6", "2*t^-2", 10),
+    ]
+    for ctx, f, g, precision in cases:
+        fp, gp = parse_laurent(ctx, f), parse_laurent(ctx, g)
+        fa, ga = Automorphism.mult_by(fp), Automorphism.mult_by(gp)
+        for mode, want in ((UNGRADED, closed_commutator_formula(fp, gp)), (GRADED, tame_symbol(fp, gp))):
+            calls.clear()
+            assert commutator(fa, ga, mode, precision) == want
+            assert len(calls) == 2
+    assert max(sizes) >= 9
+    # The detline suite's extension products are rank-1 translations too.
+    assert {c["status"] for c in suite_detline(cases=4, seed=7)} == {"pass"}
+
+
+@pytest.mark.parametrize("ctx", [QQ, GF(1000003)])
+@pytest.mark.parametrize("mode", [UNGRADED, GRADED])
+def test_commutator_precision_hint_suffices(ctx, mode):
+    for f, g, precision in (("1-t^2", "t^2", 1), ("1-t", "t^30", 4), ("t^-5+t^-3", "3*t^2-t^5+t^7", 1)):
+        fp, gp = parse_laurent(ctx, f), parse_laurent(ctx, g)
+        fa, ga = Automorphism.mult_by(fp), Automorphism.mult_by(gp)
+        with pytest.raises(InsufficientPrecision) as exc:
+            commutator(fa, ga, mode, precision)
+        assert exc.value.required > precision
+        want = tame_symbol(fp, gp) if mode == GRADED else closed_commutator_formula(fp, gp)
+        assert commutator(fa, ga, mode, exc.value.required) == want
 
 
 def test_ext_unit_and_mul():
