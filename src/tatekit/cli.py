@@ -3,11 +3,6 @@
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 insufficient series precision.  JSON output is canonical (sorted keys,
 fixed separators), so identical invocations are byte-identical.
-
-The parser is built once per process, on the first ``main`` call, and
-reused; ``main`` dispatches through this module's ``cmd_*`` names at call
-time.  Help width and ``sys.stderr`` are read when argparse formats and
-prints, so reuse changes no output.
 """
 
 from __future__ import annotations
@@ -160,6 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     g_index = p_index.add_mutually_exclusive_group()
     g_index.add_argument("--f", help="unit of k((t)), e.g. '1*t^1' or '1-t'")
     g_index.add_argument("--matrix", help="rows ';'-separated, entries ','-separated, e.g. 't,0;0,t^2'")
+    p_index.set_defaults(func=cmd_index)
 
     p_comm = sub.add_parser("commutator", help="determinant-line commutator of two units")
     common(p_comm)
@@ -169,30 +165,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_comm.add_argument(
         "--precision", type=positive(MAX_WINDOW_DIM), default=16, help="series precision (default 16)"
     )
+    p_comm.set_defaults(func=cmd_commutator)
 
     p_tame = sub.add_parser("tame", help="tame symbol (closed formula)")
     common(p_tame)
     p_tame.add_argument("--f", required=True)
     p_tame.add_argument("--g", required=True)
+    p_tame.set_defaults(func=cmd_tame)
 
     p_verify = sub.add_parser("verify", help="run randomized verification suites")
     p_verify.add_argument("--suite", default="all", help="one of %s" % ((*SUITES, "all"),))
     p_verify.add_argument("--cases", type=positive(), default=None, help="cases per suite")
     p_verify.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
     p_verify.add_argument("--json", action="store_true")
+    p_verify.set_defaults(func=cmd_verify)
     return parser
 
 
-_parser = None
-
-
 def main(argv=None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        return globals()["cmd_" + args.command](args)
+        return args.func(args)
     except InsufficientPrecision as exc:
         print("error: %s (rerun with --precision >= %d)" % (exc, exc.required), file=sys.stderr)
         return EXIT_PRECISION
