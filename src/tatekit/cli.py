@@ -1,14 +1,18 @@
 """Command-line interface: index, commutator, tame, verify.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
+Exit codes: 0 success, 1 verification failure, 2 usage or parse error, a
+value above a documented limit, or output that cannot be written (a closed
+pipe or a full disk: one ``error:`` line on stderr, no traceback),
 3 insufficient series precision.  JSON output is canonical (sorted keys,
-fixed separators), so identical invocations are byte-identical.
+fixed separators), so identical invocations are byte-identical.  Exact
+answers print in full, past Python's int-to-str digit limit too.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .detline import closed_commutator_formula, commutator, tame_symbol
@@ -27,6 +31,20 @@ EXIT_PRECISION = 3
 
 def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _text(value) -> str:
+    """``str(value)`` in full.  Python's int-to-str digit limit (4300 digits
+    by default on 3.11+ and 3.10.7+; older builds have none) is lifted for
+    this one conversion only, so parsing input stays under it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(value)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _parse_field(text: str) -> FieldCtx:
@@ -76,22 +94,23 @@ def cmd_commutator(args) -> int:
     f = parse_laurent(ctx, args.f)
     g = parse_laurent(ctx, args.g)
     fa, ga = Automorphism.mult_by(f), Automorphism.mult_by(g)
-    value = commutator(fa, ga, args.mode, precision=args.precision)
+    # The formula first: its size limit refuses an input before any work.
     formula = (
         tame_symbol(f, g) if args.mode == "graded" else closed_commutator_formula(f, g)
     )
+    value = commutator(fa, ga, args.mode, precision=args.precision)
     if args.json:
         print(
             _dumps(
                 {
-                    "commutator": {"value": str(value), "mode": args.mode},
-                    "formula": str(formula),
+                    "commutator": {"value": _text(value), "mode": args.mode},
+                    "formula": _text(formula),
                     "match": value == formula,
                 }
             )
         )
     else:
-        print(value)
+        print(_text(value))
     return EXIT_OK
 
 
@@ -99,9 +118,9 @@ def cmd_tame(args) -> int:
     ctx = _parse_field(args.field)
     value = tame_symbol(parse_laurent(ctx, args.f), parse_laurent(ctx, args.g))
     if args.json:
-        print(_dumps({"tame_symbol": str(value)}))
+        print(_dumps({"tame_symbol": _text(value)}))
     else:
-        print(value)
+        print(_text(value))
     return EXIT_OK
 
 
@@ -186,12 +205,23 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except InsufficientPrecision as exc:
         print("error: %s (rerun with --precision >= %d)" % (exc, exc.required), file=sys.stderr)
         return EXIT_PRECISION
     except (ValueError, TateKitError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        # stdout is closed or full.  Point it at devnull so that the flush at
+        # interpreter exit finds nowhere to fail (the recipe of the signal
+        # module's docs for SIGPIPE).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: cannot write output: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -43,6 +43,7 @@ from __future__ import annotations
 from bisect import bisect_right
 
 from .errors import (
+    FormulaTooLarge,
     ModeMismatch,
     NotMultiplicationAutomorphism,
     NotNested,
@@ -56,6 +57,7 @@ from .linalg import Matrix, _quotient_coords, _quotient_reps, det, subspace_cont
 
 UNGRADED = "ungraded"
 GRADED = "graded"
+MAX_FORMULA_BITS = 1 << 19  # the size limit of closed_commutator_formula over Q
 
 
 class GradedLine:
@@ -307,11 +309,28 @@ def commutator(
 
 
 def closed_commutator_formula(f: LaurentPoly, g: LaurentPoly) -> Scalar:
-    """(f^v(g) / g^v(f)) evaluated at 0: leading-coefficient arithmetic."""
+    """(f^v(g) / g^v(f)) evaluated at 0: leading-coefficient arithmetic.
+
+    Over Q the valuations are limited by the size of the answer: raises
+    ``FormulaTooLarge`` when |v(g)|*h(a) + |v(f)|*h(b) exceeds
+    ``MAX_FORMULA_BITS`` (about 158,000 decimal digits), where a, b are the
+    leading coefficients and h is the bit length of numerator plus
+    denominator.  Over F_p the powers are taken mod p and nothing is limited.
+    """
     if f.is_zero() or g.is_zero():
         raise ZeroElement("tame symbol of zero")
     p, q = f.valuation(), g.valuation()
     a, b = f.leading_coeff(), g.leading_coeff()
+    if a.ctx.modulus is None:
+        bits = sum(
+            abs(e) * (c.value.numerator.bit_length() + c.value.denominator.bit_length())
+            for c, e in ((a, q), (b, p))
+        )
+        if bits > MAX_FORMULA_BITS:
+            raise FormulaTooLarge(
+                "closed formula needs up to %d bits, over the limit MAX_FORMULA_BITS=%d"
+                % (bits, MAX_FORMULA_BITS)
+            )
     return (a ** q) * (b ** p).inverse()
 
 
@@ -319,7 +338,8 @@ def tame_symbol(f: LaurentPoly, g: LaurentPoly) -> Scalar:
     """The tame symbol (-1)^(v(f)v(g)) (f^v(g)/g^v(f))(0).
 
     Closed form; serves as the independent oracle for the graded-mode
-    commutator of the central extension.
+    commutator of the central extension.  Limited as
+    ``closed_commutator_formula`` is.
     """
     value = closed_commutator_formula(f, g)
     if (f.valuation() % 2) and (g.valuation() % 2):

@@ -53,6 +53,10 @@ class WindowTooLarge(TateKitError):
     """A lattice window would exceed the window dimension cap."""
 
 
+class FormulaTooLarge(TateKitError):
+    """A closed tame-symbol formula over Q would exceed its size limit."""
+
+
 class RankTooLarge(TateKitError):
     """A GL automorphism would exceed the rank cap of the cofactor determinant."""
 

@@ -327,10 +327,6 @@ class LatticeChain:
     def __getitem__(self, i):
         return self.lattices[i]
 
-    def quotient_dims(self):
-        """dim(L_(i+1)/L_i) for each step; the chain is nested by construction."""
-        return [M.vdim - L.vdim for L, M in zip(self.lattices, self.lattices[1:])]
-
 
 def std_lattice(space: TateSpace, shifts) -> Lattice:
     return Lattice.std(space, shifts)

@@ -432,24 +432,3 @@ def quotient_coords(sub: Subspace, reps, vec):
                 % ", ".join(map(str, _box(sub.ctx, sub.ambient_dim, row)))
             )
     return _box(sub.ctx, len(reps), _quotient_coords(sub, reps, lead, [sub._vector(vec)])[0])
-
-
-def all_subspaces(ctx: FieldCtx, ambient_dim: int):
-    """Every subspace of k^ambient_dim (tiny prime fields only)."""
-    if ctx.kind != "Fp":
-        raise ValueError("enumeration needs a finite field")
-    vectors = [[]]
-    for _ in range(ambient_dim):
-        vectors = [v + [x] for v in vectors for x in ctx.elements()]
-    seen = set()
-    out = []
-    from itertools import combinations
-
-    nonzero = [v for v in vectors if any(not x.is_zero() for x in v)]
-    for r in range(ambient_dim + 1):
-        for combo in combinations(nonzero, r):
-            s = Subspace.from_rows(ctx, ambient_dim, list(combo))
-            if s.dim == r and s not in seen:
-                seen.add(s)
-                out.append(s)
-    return out

@@ -70,6 +70,8 @@ class FinPoset:
                     )
         self._idx = idx
         self._table = table
+        # Bit j of _up[i] is set when elements[i] <= elements[j].
+        self._up = [sum(1 << j for j, le in enumerate(row) if le) for row in table]
 
     @classmethod
     def chain(cls, n):
@@ -220,27 +222,48 @@ def sd_ordinal(n: int) -> FinPoset:
     return FinPoset(subsets, [(I, J) for I in subsets for J in subsets if I < J])
 
 
+def _monotone(poset: FinPoset, subsets, lt):
+    """Families over ``subsets`` as tuples of element indices, x_I <= x_J
+    whenever lt(I, J) (such I must come before J), in lexicographic order of
+    ``poset.elements``: the candidates at J are the AND of the up-sets of the
+    x_I, read off in ascending bit order."""
+    up = poset._up
+    everything = (1 << len(up)) - 1
+    rows = [()]
+    for J in subsets:
+        below = [i for i, I in enumerate(subsets) if lt(I, J)]
+        nxt = []
+        for row in rows:
+            mask = everything
+            for i in below:
+                mask &= up[row[i]]
+            while mask:
+                low = mask & -mask
+                nxt.append(row + (low.bit_length() - 1,))
+                mask ^= low
+        rows = nxt
+    return rows
+
+
+def _as_families(poset: FinPoset, subsets, rows):
+    elements = poset.elements
+    return [dict(zip(subsets, (elements[x] for x in row))) for row in rows]
+
+
+def _ex_rows(poset: FinPoset, n: int):
+    """``ex_poset`` as (subsets, rows of element indices over the subsets)."""
+    subsets = nonempty_subsets(n)
+    return subsets, _monotone(poset, subsets, lambda I, J: I < J and len(I) == len(J) - 1)
+
+
 def ex_poset(poset: FinPoset, n: int):
     """Ex of the nerve of a poset in level n: weakly monotone families (x_I).
 
     Families are returned as dicts over the non-empty subsets of [n],
-    enumerated in a deterministic order.
+    enumerated in a deterministic order.  Monotonicity is imposed along the
+    covering relations I < J, |I| = |J| - 1, only.
     """
-    subsets = nonempty_subsets(n)
-    preds = {
-        J: [I for I in subsets if I < J and len(I) == len(J) - 1] for J in subsets
-    }
-    families = [{}]
-    for J in subsets:
-        nxt = []
-        for fam in families:
-            for x in poset.elements:
-                if all(poset.leq(fam[I], x) for I in preds[J]):
-                    g = dict(fam)
-                    g[J] = x
-                    nxt.append(g)
-        families = nxt
-    return families
+    return _as_families(poset, *_ex_rows(poset, n))
 
 
 def ex_face(family: dict, i: int, n: int) -> dict:
@@ -253,28 +276,25 @@ def ex_degeneracy(family: dict, i: int, n: int) -> dict:
     return {J: family[subset_degeneracy(J, i)] for J in nonempty_subsets(n + 1)}
 
 
+def _sd_map_rows(poset: FinPoset, n: int):
+    """``sd_maps_into_poset`` as (subsets, rows of element indices)."""
+    sd = sd_ordinal(n)
+    return sd.elements, _monotone(poset, sd.elements, sd.lt)
+
+
 def sd_maps_into_poset(poset: FinPoset, n: int):
     """Brute-force simplicial-set maps sd(Delta^n) -> nerve(poset).
 
     A map out of the nerve of sd([n]) is a vertex assignment that sends
     every 1-simplex of the subdivision to a 1-simplex of the target nerve;
     higher simplices impose nothing new over a poset.  Used as the
-    independent oracle for ``ex_poset``.
+    independent oracle for ``ex_poset``: it imposes x_I <= x_J along every
+    strict relation I < J of the poset ``sd_ordinal(n)``, where ``ex_poset``
+    imposes only the covering relations of the subset lattice.  The two
+    share the enumeration kernel; the dict-per-family brute force both
+    replaced is kept in the tests as their reference.
     """
-    sd = sd_ordinal(n)
-    subsets = sd.elements
-    out = [{}]
-    for J in subsets:
-        nxt = []
-        below = [I for I in subsets if sd.lt(I, J)]
-        for fam in out:
-            for x in poset.elements:
-                if all(poset.leq(fam[I], x) for I in below if I in fam):
-                    g = dict(fam)
-                    g[J] = x
-                    nxt.append(g)
-        out = nxt
-    return out
+    return _as_families(poset, *_sd_map_rows(poset, n))
 
 
 class OrientedGraph:

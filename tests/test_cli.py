@@ -1,10 +1,16 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 
 import pytest
 
 from tatekit.cli import main
+from tatekit.detline import MAX_FORMULA_BITS
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(capsys, *argv):
@@ -206,3 +212,87 @@ def test_index_f_and_matrix_are_exclusive(capsys):
         main(["index", "--f=t", "--matrix=t^2"])
     assert exc.value.code == 2
     assert "not allowed with argument" in capsys.readouterr().err.splitlines()[-1]
+
+
+def cli_process(*argv, stdout):
+    """``python -m tatekit.cli`` in a child process, stderr piped, stdout
+    block-buffered as by default (PYTHONUNBUFFERED would make every print
+    write at once, and the flush paths would go untested)."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.Popen(
+        [sys.executable, "-m", "tatekit.cli", *argv], stdout=stdout, stderr=subprocess.PIPE, env=env, text=True
+    )
+
+
+def assert_one_error_line(err):
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_exits_2_without_traceback():
+    with open("/dev/full", "w") as full:
+        proc = cli_process("index", "--f", "t", stdout=full)
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert_one_error_line(err)
+    assert "[Errno 28]" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("verify", "--suite", "all", "--seed", "7", "--json"), ("index", "--f", "t")],
+    ids=["large-verify-report", "one-line"],
+)
+def test_closed_pipe_exits_2_without_traceback(argv):
+    # The reader is gone before anything is written.  A large report fails
+    # inside print; a short answer fails only when main flushes stdout, and
+    # then again at interpreter exit unless stdout was pointed at devnull.
+    proc = cli_process(*argv, stdout=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 2
+    assert_one_error_line(err)
+    assert "[Errno 32]" in err
+
+
+def test_long_exact_answers_print_in_full(capsys):
+    code, out, _ = run(capsys, "tame", "--f", "2+t", "--g", "t^100000")
+    digits = out.strip()
+    # 2^100000 has 30103 digits; compare its ends without converting it.
+    assert code == 0 and len(digits) == 30103
+    assert int(digits[:20]) == 2**100000 // 10**30083
+    assert int(digits[-20:]) == pow(2, 100000, 10**20)
+    code, out, _ = run(capsys, "tame", "--f", "2+t", "--g", "t^100000", "--json")
+    assert code == 0 and json.loads(out)["tame_symbol"] == digits
+    # Over Q through the commutator: 1000000007^600 has 5401 digits.
+    code, out, _ = run(capsys, "commutator", "--f", "1000000007+t", "--g", "t^600", "--precision", "601", "--json")
+    data = json.loads(out)
+    assert code == 0 and data["match"] is True
+    value = data["commutator"]["value"]
+    assert len(value) == 5401 and int(value[-18:]) == pow(1000000007, 600, 10**18)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="Python without a digit limit")
+def test_digit_limit_is_lifted_for_printing_only(capsys):
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert run(capsys, "tame", "--f", "2+t", "--g", "t^100000")[0] == 0
+        assert sys.get_int_max_str_digits() == 4300
+        code, _, err = run(capsys, "tame", "--f", "1" * 5000 + "+t", "--g", "t")
+        assert code == 2 and "4300" in err
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def test_closed_formula_limit_exits_2_quickly(capsys):
+    for cmd in ("tame", "commutator"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, cmd, "--f", "3*t^7+t^9", "--g", "t^99999999")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == "" and "MAX_FORMULA_BITS=%d" % MAX_FORMULA_BITS in err
+    # Over F_p the powers are modular: no limit applies.
+    code, out, _ = run(capsys, "tame", "--field", "F5", "--f", "3*t^7+t^9", "--g", "t^99999999")
+    assert code == 0 and out.strip() == str(-pow(3, 99999999, 5) % 5)

