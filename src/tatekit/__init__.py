@@ -14,7 +14,6 @@ from .linalg import (
     Subspace,
     det,
     quotient_basis,
-    quotient_coords,
     quotient_dim,
     rref,
     subspace_contains,

@@ -203,8 +203,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:  # after --help, or a usage error on stderr
+            sys.stdout.flush()
+            raise
         code = args.func(args)
         sys.stdout.flush()
         return code

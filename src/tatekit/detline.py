@@ -53,7 +53,7 @@ from .errors import (
 from .fields import Scalar
 from .laurent import Automorphism, LaurentPoly
 from .lattice import Lattice, TateSpace, _same_space, _sparse, act, common_window, leq, std_lattice
-from .linalg import Matrix, _quotient_coords, _quotient_reps, det, subspace_contains, subspace_intersect
+from .linalg import Matrix, _quotient_coords, _quotient_reps, det, subspace_intersect
 
 UNGRADED = "ungraded"
 GRADED = "graded"
@@ -104,27 +104,21 @@ def _wedge_det(sub_w, sup_w, rows) -> Scalar:
 def _shuffle(M, N, F) -> int:
     """The exponent s of the sign of det(N/M) (x) det(F/N) -> det(F/M) for
     window subspaces M <= N <= F (see the pivot-parity convention)."""
-    in_m, in_n = set(M.pivots), set(N.pivots)
-    lower = [c for c in N.pivots if c not in in_m]
-    upper = [c for c in F.pivots if c not in in_n]
+    lower = [c for c in N._at if c not in M._at]
+    upper = [c for c in F._at if c not in N._at]
     return sum(len(upper) - bisect_right(upper, x) for x in lower)
 
 
-def omega(
-    F1: Lattice, F2: Lattice, F3: Lattice, mode: str = UNGRADED, base: Lattice | None = None
-) -> Scalar:
+def omega(F1: Lattice, F2: Lattice, F3: Lattice, mode: str = UNGRADED) -> Scalar:
     """Scalar of (F1|F2) (x) (F2|F3) -> (F1|F3) in canonical bases, always +-1.
 
-    ``base`` may name any common sub-lattice to compute over; the result
-    does not depend on it.  Without it, the meet of all three is used, which
-    is below each of them by construction.  Graded mode inserts the Koszul
-    swap sign.
+    It is computed over the meet of all three, which is below each of them by
+    construction; over any common sub-lattice the result would be the same.
+    Graded mode inserts the Koszul swap sign.
     """
-    _, _, (w1, w2, w3, *wb) = common_window(F1, F2, F3, *([] if base is None else [base]))
-    if wb and not all(subspace_contains(w, wb[0]) for w in (w1, w2, w3)):
-        raise NotNested("base must be a common sub-lattice")
+    _, _, (w1, w2, w3) = common_window(F1, F2, F3)
     n12, n23, n13 = subspace_intersect(w1, w2), subspace_intersect(w2, w3), subspace_intersect(w1, w3)
-    M = wb[0] if wb else subspace_intersect(n12, w3)
+    M = subspace_intersect(n12, w3)
     # The three numerator and three denominator concatenations, each a sign.
     triples = ((n12, w2), (n23, w3), (n13, w1), (n12, w1), (n23, w2), (n13, w3))
     s = sum(_shuffle(M, N, F) for N, F in triples)

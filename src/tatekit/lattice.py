@@ -6,9 +6,10 @@ finite-dimensional subspace W = L / t^a O^n of the window quotient
 t^-b O^n / t^a O^n.  Window slots are the monomials t^e e_i ordered by
 (exponent ascending, coordinate ascending), so W's echelon form is canonical
 and lattice equality is literal equality of the stored data.  Window rows are
-the sparse ``{slot: nonzero raw value}`` rows of ``linalg``; embedding,
-normalising and acting re-key and slice them by slot and never build a dense
-row.
+the sparse ``{slot: nonzero raw value}`` rows of ``linalg``, held in W's
+pivot map.  Embedding and normalising re-key and slice that map by a slot
+offset and add unit rows, which keeps it in reduced echelon form: neither
+eliminates, and no dense row is built.
 
 Bounds are re-tightened after every operation: a is the least integer with
 t^a O^n <= L, and b the least with L <= t^-b O^n.  No window may exceed
@@ -23,10 +24,12 @@ L <= M, read off the stored bounds with no window and no elimination.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .errors import FieldMismatch, NotNested, SpaceMismatch, WindowTooLarge
 from .fields import FieldCtx
 from .laurent import Automorphism, LaurentPoly
-from .linalg import Matrix, Subspace, subspace_contains, subspace_intersect, subspace_sum
+from .linalg import Subspace, subspace_contains, subspace_intersect, subspace_sum
 
 MAX_WINDOW_DIM = 1024
 
@@ -73,11 +76,11 @@ def _window_dim(space: TateSpace, a: int, b: int) -> int:
     return dim
 
 
-def _echelon(ctx: FieldCtx, dim: int, rows, pivots, units=()) -> Subspace:
-    """The span of raw RREF ``rows`` and of the unit rows at the later slots ``units``."""
-    one = ctx.raw_one
-    rows = [*rows, *[{s: one} for s in units]]
-    return Subspace(dim, Matrix._raw(ctx, dim, rows), [*pivots, *units])
+def _rekey(items, off):
+    """The pivot-map ``items`` with every slot moved by ``off``, as a fresh map."""
+    if not off:
+        return dict(items)
+    return {c + off: {j + off: x for j, x in row.items()} for c, row in items}
 
 
 def _sparse(space: TateSpace, b: int, row):
@@ -147,9 +150,9 @@ class Lattice:
         if len(shifts) != space.rank:
             raise ValueError("need one shift per coordinate")
         a, b = max(shifts), -min(shifts)
-        dim = _window_dim(space, a, b)
+        dim, one = _window_dim(space, a, b), space.ctx.raw_one
         units = [_slot(space, a, b, e, i) for e in range(-b, a) for i in range(space.rank) if e >= shifts[i]]
-        return cls(space, a, b, _echelon(space.ctx, dim, [], [], units))
+        return cls(space, a, b, Subspace(space.ctx, dim, {s: {s: one} for s in units}))
 
     @property
     def ctx(self):
@@ -166,14 +169,12 @@ class Lattice:
             raise ValueError("window must contain (%d, %d)" % (self.a, self.b))
         if a2 == self.a and b2 == self.b:
             return self.subspace
-        dim2 = _window_dim(self.space, a2, b2)
+        dim2, one = _window_dim(self.space, a2, b2), self.ctx.raw_one
         # Re-keyed echelon rows, then the units of the new top blocks: still RREF.
-        shift = (b2 - self.b) * self.space.rank
-        rows = self.subspace.basis._data
-        if shift:
-            rows = [{c + shift: x for c, x in row.items()} for row in rows]
-        pivots = [p + shift for p in self.subspace.pivots]
-        return _echelon(self.ctx, dim2, rows, pivots, range(_slot(self.space, a2, b2, self.a, 0), dim2))
+        at = _rekey(self.subspace._at.items(), (b2 - self.b) * self.space.rank)
+        for s in range(_slot(self.space, a2, b2, self.a, 0), dim2):
+            at[s] = {s: one}
+        return Subspace(self.ctx, dim2, at)
 
     def basis_vectors(self):
         """Representative Laurent vectors of L modulo t^a O^n."""
@@ -230,20 +231,18 @@ def _normalize(space, a, b, subspace):
     that W contains t^(a-1) O^n.  The kept rows hold no slot in either, so
     slicing drops the rows of those pivots and re-keys the rest.
     """
-    n, dim, piv = space.rank, subspace.ambient_dim, subspace.pivots
-    low = piv[0] // n if piv else a + b
+    n, dim, at = space.rank, subspace.ambient_dim, subspace._at
+    low = next(iter(at), dim) // n
     run = 0
-    while run < len(piv) and piv[-1 - run] == dim - 1 - run:
+    for c in reversed(at):
+        if c != dim - 1 - run:
+            break
         run += 1
     high = run // n
     if not low and not high:
         return a, b, subspace
-    keep, off = len(piv) - high * n, low * n
-    rows = subspace.basis._data[:keep]
-    if off:
-        rows = [{c - off: x for c, x in row.items()} for row in rows]
-    pivots = [p - off for p in piv[:keep]]
-    return a - high, b - low, _echelon(space.ctx, dim - (low + high) * n, rows, pivots)
+    kept = _rekey(islice(at.items(), len(at) - high * n), -low * n)
+    return a - high, b - low, Subspace(space.ctx, dim - (low + high) * n, kept)
 
 
 def _same_space(*lattices):
@@ -294,7 +293,7 @@ def act(g: Automorphism, L: Lattice) -> Lattice:
     vg, vginv = g.valuations()
     a2, b2 = L.a - vginv, L.b - vg
     dim = _window_dim(space, a2, b2)
-    vecs = [_sparse(space, L.b, row) for row in L.subspace.basis._data]
+    vecs = [_sparse(space, L.b, row) for row in L.subspace._at.values()]
     # t^e e_i with L.a <= e < a2 - v(g) lies in t^a O^n, outside the window
     # basis, yet its image can reach below t^a2; the range is empty for MultBy.
     one = space.ctx.raw_one

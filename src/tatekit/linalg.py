@@ -5,23 +5,24 @@ value}`` (a ``Fraction`` over Q, an int in ``[0, p)`` over F_p): no zero is
 stored, every key lies in ``[0, cols)``, and equality and hashing read the
 sorted items.  The kernel iterates nonzeros only, with one branch per field.
 Values are checked and unboxed where they enter (``Matrix``, ``from_rows``,
-``contains_vector``, ``quotient_coords``) and leave as dense rows of
-``Scalar`` (``entries``, ``m[i, j]``, ``row``, ``row_list``,
-``Subspace.rows``); values the kernel computes itself are not checked again.
+``contains_vector``) and leave as dense rows of ``Scalar`` (``entries``,
+``m[i, j]``, ``row_list``, ``Subspace.rows``, ``quotient_basis``); values the
+kernel computes itself are not checked again.
 
-Subspaces are stored by their reduced row echelon basis, which is a
-canonical form: two subspaces are equal iff their stored bases are equal row
-for row.  Quotient bases are fixed by echelon completion, so every
-downstream determinant-line scalar is reproducible run to run.
+A subspace is its pivot map ``_at``: each pivot column mapped to its reduced
+row echelon row, in ascending pivot order.  That is a canonical form, so two
+subspaces are equal iff their maps are equal, and the pivots, the dimension,
+the boxed rows and the ``basis`` matrix are all read off it.  Quotient bases
+are fixed by echelon completion, so every downstream determinant-line scalar
+is reproducible run to run.
 
-Two builders run an elimination, each at most one, through ``rref``:
-``Subspace.from_rows`` (a ``Subspace`` built with ``pivots=None``, as
-``subspace_sum`` builds its span) and ``subspace_intersect``, whose
-Zassenhaus elimination leaves the meet in echelon form and which skips it
-when one operand contains the other.  Builders whose rows are already in
-reduced echelon form pass their pivots and skip it, and membership and
-quotient coordinates reduce a vector against the stored echelon rows instead
-of solving a system.
+Three builders run an elimination, each at most one, through ``rref``:
+``Subspace.from_rows`` and ``Subspace._span`` (as ``subspace_sum`` builds its
+span), and ``subspace_intersect``, whose Zassenhaus elimination leaves the
+meet in echelon form and which skips it when one operand contains the other.
+Builders whose rows are already in reduced echelon form fill a pivot map
+directly, and membership and quotient coordinates reduce a vector against the
+stored echelon rows instead of solving a system.
 """
 
 from __future__ import annotations
@@ -126,9 +127,6 @@ class Matrix:
         if not -self.cols <= j < self.cols:
             raise IndexError("column %d of %d" % (j, self.cols))
         return Scalar(self.ctx, self._data[i].get(j % self.cols, self.ctx.raw_zero))
-
-    def row(self, i: int):
-        return _box(self.ctx, self.cols, self._data[i])
 
     def row_list(self):
         return [_box(self.ctx, self.cols, row) for row in self._data]
@@ -249,57 +247,61 @@ def _reduce(p, at, vec):
 
 
 class Subspace:
-    """A subspace of k^ambient_dim in canonical reduced echelon form;
-    ``_at`` maps each pivot to its echelon row, for reductions."""
+    """A subspace of k^ambient_dim in canonical reduced echelon form.
 
-    __slots__ = ("ambient_dim", "basis", "pivots", "_at")
+    ``_at`` is its only store: it maps each pivot to its sparse raw RREF row
+    and is filled in ascending pivot order.  The constructor takes such a map
+    as it is and checks nothing; ``from_rows`` spans arbitrary rows."""
 
-    def __init__(self, ambient_dim: int, basis: Matrix, pivots=None):
-        if basis.cols != ambient_dim:
-            raise AmbientMismatch("basis cols %d != ambient %d" % (basis.cols, ambient_dim))
-        if pivots is None:
-            basis, pivots = rref(basis)
-            if basis.rows != len(pivots):
-                basis = Matrix._raw(basis.ctx, ambient_dim, basis._data[: len(pivots)])
+    __slots__ = ("ctx", "ambient_dim", "_at")
+
+    def __init__(self, ctx: FieldCtx, ambient_dim: int, at):
+        object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "pivots", tuple(pivots))
-        object.__setattr__(self, "_at", dict(zip(self.pivots, basis._data)))
+        object.__setattr__(self, "_at", at)
 
     def __setattr__(self, *a):
         raise AttributeError("Subspace is immutable")
 
     @classmethod
     def from_rows(cls, ctx: FieldCtx, ambient_dim: int, rows) -> "Subspace":
-        if not rows:
-            return cls.zero(ctx, ambient_dim)
-        return cls(ambient_dim, Matrix.from_rows(ctx, rows))
+        m = Matrix.from_rows(ctx, rows)
+        if m.rows and m.cols != ambient_dim:
+            raise AmbientMismatch("basis cols %d != ambient %d" % (m.cols, ambient_dim))
+        return cls._span(ctx, ambient_dim, m._data)
 
     @classmethod
     def _span(cls, ctx: FieldCtx, ambient_dim: int, rows) -> "Subspace":
-        """The span of sparse raw rows the kernel computed, by one elimination."""
+        """The span of sparse raw rows, by one elimination."""
         if not rows:
             return cls.zero(ctx, ambient_dim)
-        return cls(ambient_dim, Matrix._raw(ctx, ambient_dim, rows))
+        red, pivots = rref(Matrix._raw(ctx, ambient_dim, rows))
+        return cls(ctx, ambient_dim, dict(zip(pivots, red._data)))
 
     @classmethod
     def zero(cls, ctx: FieldCtx, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Matrix._raw(ctx, ambient_dim, ()), ())
+        return cls(ctx, ambient_dim, {})
 
     @classmethod
     def full(cls, ctx: FieldCtx, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Matrix.identity(ctx, ambient_dim), tuple(range(ambient_dim)))
+        one = ctx.raw_one
+        return cls(ctx, ambient_dim, {i: {i: one} for i in range(ambient_dim)})
 
     @property
-    def ctx(self) -> FieldCtx:
-        return self.basis.ctx
+    def pivots(self):
+        return tuple(self._at)
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self._at)
+
+    @property
+    def basis(self) -> Matrix:
+        """The echelon rows as a matrix, built on each call."""
+        return Matrix._raw(self.ctx, self.ambient_dim, self._at.values())
 
     def rows(self):
-        return self.basis.row_list()
+        return [_box(self.ctx, self.ambient_dim, row) for row in self._at.values()]
 
     def _remainder(self, vec):
         return _reduce(self.ctx.modulus, self._at, vec)
@@ -322,12 +324,13 @@ class Subspace:
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
+            and self.ctx == other.ctx
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self._at == other._at
         )
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ctx, self.ambient_dim, tuple(tuple(sorted(row.items())) for row in self._at.values())))
 
     def __repr__(self):
         return "Subspace(dim %d of k^%d)" % (self.dim, self.ambient_dim)
@@ -335,7 +338,7 @@ class Subspace:
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     a._check(b)
-    return Subspace._span(a.ctx, a.ambient_dim, a.basis._data + b.basis._data)
+    return Subspace._span(a.ctx, a.ambient_dim, [*a._at.values(), *b._at.values()])
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -345,7 +348,7 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     reduces the left half of each [b | b] row by ``a``.  If every left half
     reduces to zero, b <= a and the meet is b, with no elimination.
     Otherwise ``rref`` runs on those rows alone; the rows of its result whose
-    left half is zero are, on their right half, exactly the RREF basis of
+    left half is zero are, on their right half, exactly the RREF rows of
     a ∩ b, with their pivots shifted by the ambient dimension: nothing is
     recombined or eliminated again.
     """
@@ -355,20 +358,19 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
         return Subspace.zero(ctx, n)
     if b.dim > a.dim:
         a, b = b, a
-    left = [a._remainder(row) for row in b.basis._data]
+    left = [a._remainder(row) for row in b._at.values()]
     if not any(left):
         return b
-    rows = [{**lo, **{c + n: x for c, x in row.items()}} for lo, row in zip(left, b.basis._data)]
+    rows = [{**lo, **{c + n: x for c, x in row.items()}} for lo, row in zip(left, b._at.values())]
     red, pivots = rref(Matrix._raw(ctx, 2 * n, rows))
-    k = next((i for i, c in enumerate(pivots) if c >= n), len(pivots))
-    meet = [{c - n: x for c, x in row.items()} for row in red._data[k : len(pivots)]]
-    return Subspace(n, Matrix._raw(ctx, n, meet), [c - n for c in pivots[k:]])
+    meet = zip(pivots, red._data)
+    return Subspace(ctx, n, {c - n: {j - n: x for j, x in row.items()} for c, row in meet if c >= n})
 
 
 def subspace_contains(a: Subspace, b: Subspace) -> bool:
     """Whether every vector of b lies in a."""
     a._check(b)
-    return not any(a._remainder(row) for row in b.basis._data)
+    return not any(a._remainder(row) for row in b._at.values())
 
 
 def _quotient_reps(sub: Subspace, sup: Subspace):
@@ -376,8 +378,8 @@ def _quotient_reps(sub: Subspace, sup: Subspace):
     pivots of sub, ascending.  Raises ``NotContained`` unless sub <= sup."""
     if not subspace_contains(sup, sub):
         raise NotContained("quotient needs sub <= sup")
-    kept = [(row, c) for row, c in zip(sup.basis._data, sup.pivots) if c not in sub._at]
-    return [row for row, _ in kept], [c for _, c in kept]
+    lead = [c for c in sup._at if c not in sub._at]
+    return [sup._at[c] for c in lead], lead
 
 
 def quotient_basis(sub: Subspace, sup: Subspace):
@@ -396,7 +398,9 @@ def quotient_dim(sub: Subspace, sup: Subspace) -> int:
 def _quotient_coords(sub: Subspace, reps, lead, vecs):
     """Sparse raw coordinates of each sparse raw vector in ``vecs`` mod
     ``sub``, with ``reps`` the raw representatives and ``lead`` their leading
-    columns."""
+    columns: the multipliers of ``reps`` after ``sub`` has reduced the vector.
+    A non-zero remainder means the vector lies outside sub + span(reps) and
+    raises ``NotContained``."""
     p = sub.ctx.modulus
     at = dict(zip(lead, reps))
     pos = {j: k for k, j in enumerate(lead)}
@@ -407,28 +411,3 @@ def _quotient_coords(sub: Subspace, reps, lead, vecs):
         if _reduce(p, at, vec):
             raise NotContained("vector outside sub + span(reps)")
     return out
-
-
-def quotient_coords(sub: Subspace, reps, vec):
-    """Coordinates of ``vec`` mod ``sub`` w.r.t. quotient representatives.
-
-    ``reps`` are the rows ``quotient_basis(sub, sup)`` returns, in any order:
-    RREF rows of ``sup`` with leading entry 1, each zero at the leading
-    columns of the others and at the pivots of ``sub``.  ``vec`` is reduced by
-    ``sub``, then by ``reps`` at their leading columns; the multipliers of
-    that second pass are returned.  A non-zero remainder means ``vec`` lies
-    outside sub + span(reps) and raises ``NotContained``; a vector or
-    representative whose length is not the ambient dimension raises
-    ``AmbientMismatch``, and one that breaks the conditions above raises
-    ``ValueError``.
-    """
-    reps = [sub._vector(row) for row in reps]
-    lead = [min(row, default=None) for row in reps]
-    for k, (row, c) in enumerate(zip(reps, lead)):
-        zero_at = [*sub.pivots, *lead[:k], *lead[k + 1 :]]
-        if c is None or row[c] != 1 or any(j in row for j in zero_at):
-            raise ValueError(
-                "representative (%s) is not an echelon quotient row"
-                % ", ".join(map(str, _box(sub.ctx, sub.ambient_dim, row)))
-            )
-    return _box(sub.ctx, len(reps), _quotient_coords(sub, reps, lead, [sub._vector(vec)])[0])

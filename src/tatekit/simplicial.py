@@ -38,7 +38,8 @@ def nonempty_subsets(n):
 
 
 class FinPoset:
-    """Finite poset given by elements and a relation table, validated."""
+    """Finite poset given by elements and a relation, validated; stored as
+    one up-set bitmask per element."""
 
     def __init__(self, elements, leq_pairs):
         """``leq_pairs`` is an iterable of (x, y) with x <= y; reflexivity is
@@ -48,30 +49,23 @@ class FinPoset:
         if len(idx) != len(self.elements):
             raise ValueError("duplicate poset elements")
         n = len(self.elements)
-        table = [[False] * n for _ in range(n)]
-        for i in range(n):
-            table[i][i] = True
+        # Bit j of _up[i] is set when elements[i] <= elements[j].
+        up = [1 << i for i in range(n)]
         for x, y in leq_pairs:
-            table[idx[x]][idx[y]] = True
-        # transitive closure (Floyd-Warshall on a tiny table)
+            up[idx[x]] |= 1 << idx[y]
+        # Transitive closure (Warshall, one bitmask per row).
         for k in range(n):
             for i in range(n):
-                if table[i][k]:
-                    row_k = table[k]
-                    row_i = table[i]
-                    for j in range(n):
-                        if row_k[j]:
-                            row_i[j] = True
+                if up[i] >> k & 1:
+                    up[i] |= up[k]
         for i in range(n):
-            for j in range(n):
-                if i != j and table[i][j] and table[j][i]:
+            for j in range(i + 1, n):
+                if up[i] >> j & 1 and up[j] >> i & 1:
                     raise ValueError(
                         "antisymmetry fails for %r, %r" % (self.elements[i], self.elements[j])
                     )
         self._idx = idx
-        self._table = table
-        # Bit j of _up[i] is set when elements[i] <= elements[j].
-        self._up = [sum(1 << j for j, le in enumerate(row) if le) for row in table]
+        self._up = up
 
     @classmethod
     def chain(cls, n):
@@ -79,7 +73,7 @@ class FinPoset:
         return cls(range(n + 1), [(i, i + 1) for i in range(n)])
 
     def leq(self, x, y) -> bool:
-        return self._table[self._idx[x]][self._idx[y]]
+        return bool(self._up[self._idx[x]] >> self._idx[y] & 1)
 
     def lt(self, x, y) -> bool:
         return x != y and self.leq(x, y)

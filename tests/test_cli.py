@@ -240,6 +240,27 @@ def test_full_stdout_exits_2_without_traceback():
     assert "[Errno 28]" in err
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [("--help",), ("index", "-h")], ids=["help", "subcommand-help"])
+def test_help_to_full_stdout_exits_2_without_traceback(argv):
+    # argparse buffers the help and exits; the failure would surface only in
+    # the flush at interpreter exit (exit 120) unless main flushes first.
+    with open("/dev/full", "w") as full:
+        proc = cli_process(*argv, stdout=full)
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert_one_error_line(err)
+    assert "[Errno 28]" in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: tatekit") and "commutator" in out
+
+
 @pytest.mark.parametrize(
     "argv",
     [("verify", "--suite", "all", "--seed", "7", "--json"), ("index", "--f", "t")],

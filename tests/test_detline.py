@@ -145,7 +145,7 @@ def test_shuffle_parity_matches_the_determinant(case):
 def test_omega_matches_the_determinant_reference(case, mode, with_base):
     space, (F1, F2, F3, X) = case
     base = meet(meet(meet(F1, F2), F3), X) if with_base else None
-    assert omega(F1, F2, F3, mode, base) == ref_omega(F1, F2, F3, mode, base)
+    assert omega(F1, F2, F3, mode) == ref_omega(F1, F2, F3, mode, base)
 
 
 @DIFF_SETTINGS
@@ -225,14 +225,13 @@ def test_omega_base_independence():
         Fs = [rand_lattice(space, rng, 3) for _ in range(3)]
         deep = std_lattice(space, [5])
         for mode in (UNGRADED, GRADED):
-            assert omega(*Fs, mode=mode) == omega(*Fs, mode=mode, base=deep)
+            assert omega(*Fs, mode=mode) == ref_omega(*Fs, mode=mode, base=deep)
 
 
 # Calls omega may make, by the name detline holds them under.
 OMEGA_COUNTED = (
     "common_window",
     "subspace_intersect",
-    "subspace_contains",
     "_quotient_reps",
     "_quotient_coords",
     "det",
@@ -284,10 +283,9 @@ def test_graded_omega_sign_reuses_the_meets(monkeypatch):
 
 def test_omega_meets_once_and_checks_only_a_given_base(monkeypatch):
     """omega makes one common_window call and meets each pair once: four
-    subspace_intersect calls without ``base`` (three pairwise, then the triple
-    meet from one of them), three with it.  It builds no Lattice and makes no
-    quotient or determinant call; only a given base is checked for containment,
-    and one that is not below raises NotNested."""
+    subspace_intersect calls (three pairwise, then the triple meet from one of
+    them).  It builds no Lattice and makes no quotient or determinant call;
+    its value is the reference's over a deeper base."""
     rng = random.Random(83)
     cases = []
     for trial in range(10):
@@ -299,12 +297,8 @@ def test_omega_meets_once_and_checks_only_a_given_base(monkeypatch):
             calls.clear()
             value = omega(*Fs, mode=mode)
             assert dict(calls) == {"common_window": 1, "subspace_intersect": 4}
-            calls.clear()
-            assert omega(*Fs, mode=mode, base=deep) == value
-            assert dict(calls) == {"common_window": 1, "subspace_intersect": 3, "subspace_contains": 3}
+            assert value == ref_omega(*Fs, mode=mode, base=deep)
             assert value in (Fs[0].ctx.one(), -Fs[0].ctx.one())
-    with pytest.raises(NotNested):
-        omega(tO, tm1, tm2, base=O)  # O is not below tO
 
 
 def test_cocycle_examples():

@@ -3,8 +3,9 @@
 ``Subspace.from_rows`` runs a Gauss-Jordan elimination; window embedding,
 normalisation, ``Lattice.std``, membership and quotient coordinates build
 their results from rows already in reduced echelon form.  These tests check
-that both paths give the same canonical data, and that the echelon builders
-never eliminate.
+that both paths give the same canonical data, that the echelon builders
+never eliminate, and that every subspace the lattice layer builds keeps the
+pivot-map invariant of ``Subspace._at``.
 """
 
 import pytest
@@ -12,12 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tatekit.linalg
-from tatekit import GF, QQ, Lattice, Subspace, TateSpace, quotient_basis, quotient_coords, std_lattice
+from tatekit import GF, QQ, Lattice, Subspace, TateSpace, act, join, meet, std_lattice
 from tatekit.errors import NotContained
 from tatekit.lattice import row_to_vec, vec_to_row
 from tatekit.laurent import LaurentPoly
+from tatekit.linalg import _box, _quotient_coords, _quotient_reps, subspace_intersect
+from tatekit.verify import rand_gl, rand_lattice, rand_mult
 
 FIELDS = [GF(2), GF(3), GF(5), QQ]
+PIVOT_FIELDS = [GF(2), GF(3), GF(1000003), QQ]
 SETTINGS = settings(max_examples=60, deadline=None)
 
 
@@ -48,6 +52,11 @@ def nested_subspaces(draw):
     combos = _rows(draw, ctx, draw(st.integers(0, sup.dim)), sup.dim)
     sub = Subspace.from_rows(ctx, dim, [_combine(ctx, dim, c, sup.rows()) for c in combos])
     return sub, sup, ctx
+
+
+def quotient_coords(sub, reps, lead, vec):
+    """The boxed coordinates ``_quotient_coords`` gives a boxed ``vec``."""
+    return _box(sub.ctx, len(reps), _quotient_coords(sub, reps, lead, [sub._vector(vec)])[0])
 
 
 def _combine(ctx, dim, coeffs, rows):
@@ -95,18 +104,18 @@ def test_normalize_reembedded_lattice(case):
 @given(nested_subspaces(), st.data())
 def test_quotient_coords_reconstructs(case, data):
     sub, sup, ctx = case
-    reps = quotient_basis(sub, sup)
+    reps, lead = _quotient_reps(sub, sup)
     if data.draw(st.booleans()):
-        reps = list(reversed(reps))  # the wedge order detline uses
+        reps, lead = reps[::-1], lead[::-1]  # the wedge order detline uses
     dim = sup.ambient_dim
     vec = _combine(ctx, dim, _rows(data.draw, ctx, 1, sup.dim)[0], sup.rows())
-    coords = quotient_coords(sub, reps, vec)
-    diff = [x - y for x, y in zip(vec, _combine(ctx, dim, coords, reps))]
+    coords = quotient_coords(sub, reps, lead, vec)
+    diff = [x - y for x, y in zip(vec, _combine(ctx, dim, coords, [_box(ctx, dim, row) for row in reps]))]
     assert sub.contains_vector(diff)
     outside = _rows(data.draw, ctx, 1, dim)[0]
     if not sup.contains_vector(outside):
         with pytest.raises(NotContained):
-            quotient_coords(sub, reps, outside)
+            quotient_coords(sub, reps, lead, outside)
 
 
 def test_echelon_builders_do_not_eliminate(monkeypatch):
@@ -124,5 +133,31 @@ def test_echelon_builders_do_not_eliminate(monkeypatch):
     assert Lattice(V, 3, 2, w) == L
     assert std_lattice(V, [2, -1]).subspace.dim == 3
     assert w.contains_vector(w.rows()[0]) and L.contains_vector(row_to_vec(V, L.a, L.b, L.subspace.rows()[1]))
-    reps = quotient_basis(sub, sup)
-    assert [str(c) for c in quotient_coords(sub, reps, vec)] == ["3"]  # vec = 2*sub + 3*rep
+    assert [str(c) for c in quotient_coords(sub, *_quotient_reps(sub, sup), vec)] == ["3"]  # vec = 2*sub + 3*rep
+
+
+def assert_pivot_map(s):
+    """``_at``, a Subspace's one store: pivots strictly ascending in insertion
+    order, each row 1 at its pivot (its least key) and zero at every other
+    pivot, and the canonical form that ``from_rows`` rebuilds."""
+    pivots = list(s._at)
+    assert all(c < d for c, d in zip(pivots, pivots[1:]))
+    for c, row in s._at.items():
+        assert min(row) == c and row[c] == 1
+        assert not any(d in row for d in pivots if d != c)
+    again = Subspace.from_rows(s.ctx, s.ambient_dim, s.rows())
+    assert again == s and again.pivots == s.pivots
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(PIVOT_FIELDS), st.integers(1, 2), st.randoms(use_true_random=False))
+def test_every_builder_keeps_the_pivot_map_invariant(ctx, rank, rng):
+    space = TateSpace(ctx, rank)
+    L, M = rand_lattice(space, rng, 2), rand_lattice(space, rng, 2)  # normalised by Lattice(...)
+    g = rand_mult(ctx, rng, -2, 2) if rank == 1 else rand_gl(ctx, rank, rng)
+    std = Lattice.std(space, [rng.randint(-2, 2) for _ in range(rank)])
+    a, b = max(L.a, M.a) + rng.randint(0, 2), max(L.b, M.b) + rng.randint(0, 2)
+    wl, wm = L.window_subspace(a, b), M.window_subspace(a, b)
+    built = [L, M, std, Lattice(space, a, b, wl), act(g, L), meet(L, M), join(L, M)]
+    for s in [wl, wm, subspace_intersect(wl, wm), *(lat.subspace for lat in built)]:
+        assert_pivot_map(s)

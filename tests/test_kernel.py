@@ -12,9 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tatekit import GF, QQ, Matrix, Subspace, det, quotient_basis, quotient_coords, rref
+from tatekit import GF, QQ, Matrix, Subspace, det, quotient_basis, rref
 from tatekit.errors import FieldMismatch, NotContained
-from tatekit.linalg import subspace_contains, subspace_intersect, subspace_sum
+from tatekit.linalg import (
+    _box,
+    _quotient_coords,
+    _quotient_reps,
+    subspace_contains,
+    subspace_intersect,
+    subspace_sum,
+)
 
 FIELDS = [GF(2), GF(3), GF(1000003), QQ]
 SETTINGS = settings(max_examples=80, deadline=None)
@@ -139,6 +146,11 @@ def subspace_pairs(draw):
     return ctx, dim, rows_a, rows_b
 
 
+def quotient_coords(sub, reps, lead, vec):
+    """The boxed coordinates ``_quotient_coords`` gives a boxed ``vec``."""
+    return _box(sub.ctx, len(reps), _quotient_coords(sub, reps, lead, [sub._vector(vec)])[0])
+
+
 def assert_fractions(ctx, scalars):
     if ctx == QQ:
         assert all(type(x.value) is Fraction for x in scalars)
@@ -195,8 +207,9 @@ def test_membership_and_quotient_coords_match_reference(case):
     reps = quotient_basis(sub, sup)
     assert reps == [row for row, c in zip(sup_rows, sup_piv) if c not in sub_piv]
     lead = [next(j for j, x in enumerate(row) if not x.is_zero()) for row in reps]
+    raw = _quotient_reps(sub, sup)[0]
     for vec in rows_a:
-        coords = quotient_coords(sub, reps, vec)
+        coords = quotient_coords(sub, raw, lead, vec)
         rest = ref_reduce(sub_rows, sub_piv, vec)
         assert coords == [rest[j] for j in lead]
         assert all(x.is_zero() for x in ref_reduce(reps, lead, rest))
@@ -215,12 +228,12 @@ def test_foreign_field_vectors_are_rejected():
     F5, F7 = GF(5), GF(7)
     sub = Subspace.from_rows(F5, 2, [[1, 0]])
     sup = Subspace.full(F5, 2)
-    reps = quotient_basis(sub, sup)
+    reps, lead = _quotient_reps(sub, sup)
     for bad in ([F7.scalar(1), F7.scalar(0)], [QQ.scalar(1), F5.scalar(0)]):
         with pytest.raises(FieldMismatch):
             sub.contains_vector(bad)
         with pytest.raises(FieldMismatch):
-            quotient_coords(sub, reps, bad)
+            quotient_coords(sub, reps, lead, bad)
         with pytest.raises(FieldMismatch):
             Subspace.from_rows(F5, 2, [bad])
         with pytest.raises(FieldMismatch):
@@ -228,4 +241,4 @@ def test_foreign_field_vectors_are_rejected():
     with pytest.raises(FieldMismatch):
         Matrix(F5, 1, 2, [F5.scalar(1), F7.scalar(1)])
     with pytest.raises(NotContained):
-        quotient_coords(sub, [], [F5.scalar(0), F5.scalar(1)])
+        quotient_coords(sub, [], [], [F5.scalar(0), F5.scalar(1)])
