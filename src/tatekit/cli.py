@@ -143,8 +143,17 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report["passed"] else EXIT_VERIFY_FAIL
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose help output lets a write error through to
+    ``main``: argparse's own writer swallows it, so unbuffered help into a
+    full disk would exit 0 with nothing printed.  Subparsers share the class."""
+
+    def print_help(self, file=None):
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tatekit",
         description="Exact lattice calculus on k((t))^n: indices, determinant lines, tame symbols.",
     )

@@ -205,8 +205,13 @@ def det_theory_coherence(
 
 def translation_scalar(g: Automorphism, F1: Lattice, F2: Lattice) -> Scalar:
     """Scalar of g_*: (F1|F2) -> (gF1|gF2) in canonical bases."""
+    return _translation_scalar(g, F1, F2, act(g, F1), act(g, F2))
+
+
+def _translation_scalar(g, F1, F2, gF1, gF2) -> Scalar:
+    """``translation_scalar`` with the translates gF1 and gF2 already built."""
     _, b1, (w1, w2) = common_window(F1, F2)
-    a2, b2, (tw1, tw2) = common_window(act(g, F1), act(g, F2))
+    a2, b2, (tw1, tw2) = common_window(gF1, gF2)
     # g is a bijection, so g(F1 ∩ F2) = gF1 ∩ gF2.
     wN, twN = subspace_intersect(w1, w2), subspace_intersect(tw1, tw2)
     reps2, reps1 = _quotient_reps(wN, w2)[0], _quotient_reps(wN, w1)[0]
@@ -225,7 +230,7 @@ def cocycle_sigma(g: Automorphism, h: Automorphism, space: TateSpace, mode: str)
     hL0 = act(h, L0)
     gL0 = act(g, L0)
     ghL0 = act(g, hL0)
-    tau = translation_scalar(g, L0, hL0)
+    tau = _translation_scalar(g, L0, hL0, gL0, ghL0)
     w = omega(L0, gL0, ghL0, mode)
     return (tau * w).inverse()
 

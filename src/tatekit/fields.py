@@ -1,8 +1,11 @@
 """Exact scalar arithmetic over the rationals and prime fields.
 
-A ``FieldCtx`` fixes the base field once; ``Scalar`` wraps either an
-arbitrary-precision ``Fraction`` (rationals) or a residue in ``[0, p)``
-(prime field).  ``FieldCtx.raw`` checks and unboxes a value to that raw
+A ``FieldCtx`` fixes the base field once; ``Scalar`` wraps its raw value:
+over F_p a residue in ``[0, p)``, over Q the canonical form ``_canon``
+defines, an ``int`` when the value is integral and a ``Fraction`` with
+denominator > 1 otherwise.  Both types compare and hash alike, so the form
+never shows in a result; it only spares ``Fraction`` arithmetic on the many
+integral values.  ``FieldCtx.raw`` checks and unboxes a value to that raw
 form, which is what ``linalg`` and ``laurent`` store and compute with.  The
 raw helpers ``_norm``, ``_mul``, ``_neg`` and ``_inv`` are the one definition
 of the field operations on it; ``Scalar`` calls them too.  Arithmetic between
@@ -58,12 +61,18 @@ def is_prime(n: int) -> bool:
 # modulus, None over Q.
 
 
+def _canon(x):
+    """The canonical raw form of a rational int or Fraction: an ``int`` when
+    it is integral, else a ``Fraction`` (whose denominator is then > 1)."""
+    return x.numerator if x.denominator == 1 else x
+
+
 def _norm(p, x):
-    return x if p is None else x % p
+    return _canon(x) if p is None else x % p
 
 
 def _inv(p, x):
-    return Fraction(1) / x if p is None else pow(x, -1, p)
+    return _canon(Fraction(x.denominator, x.numerator)) if p is None else pow(x, -1, p)
 
 
 def _neg(p, x):
@@ -71,7 +80,7 @@ def _neg(p, x):
 
 
 def _mul(p, x, y):
-    return x * y if p is None else x * y % p
+    return _canon(x * y) if p is None else x * y % p
 
 
 class FieldCtx:
@@ -95,8 +104,8 @@ class FieldCtx:
             raise ValueError("unknown field kind %r" % (kind,))
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "raw_zero", Fraction(0) if modulus is None else 0)
-        object.__setattr__(self, "raw_one", Fraction(1) if modulus is None else 1)
+        object.__setattr__(self, "raw_zero", 0)
+        object.__setattr__(self, "raw_one", 1)
 
     def __setattr__(self, *a):
         raise AttributeError("FieldCtx is immutable")
@@ -125,8 +134,9 @@ class FieldCtx:
 
     def raw(self, value):
         """The raw value of a Scalar of this field, an int, a Fraction or an
-        'a/b' string: a ``Fraction`` over Q, a residue in ``[0, p)`` over F_p.
-        Any other type, a float included, raises ``TypeError``.
+        'a/b' string: over Q an ``int`` if it is integral and a ``Fraction``
+        otherwise (see ``_canon``), over F_p a residue in ``[0, p)``.  Any
+        other type, a float included, raises ``TypeError``.
         """
         if isinstance(value, Scalar):
             if value.ctx is not self and value.ctx != self:
@@ -143,7 +153,7 @@ class FieldCtx:
         elif not isinstance(value, (int, Fraction)):
             raise TypeError("%r is not a Scalar, int, Fraction or str" % (value,))
         if self.kind == RATIONALS:
-            return value if type(value) is Fraction else Fraction(value)
+            return _canon(value)
         p = self.modulus
         if isinstance(value, Fraction):
             if value.denominator % p == 0:
@@ -174,9 +184,9 @@ def GF(p: int) -> FieldCtx:
 class Scalar:
     """An element of a fixed FieldCtx.
 
-    Rationals are stored as a reduced ``Fraction`` (positive denominator is
-    what ``Fraction`` guarantees); prime-field elements as residues in
-    ``[0, p)``.
+    ``value`` is the raw value of ``FieldCtx.raw``: over Q an ``int`` when
+    the value is integral and otherwise a reduced ``Fraction``, whose
+    denominator is positive and > 1; over F_p a residue in ``[0, p)``.
     """
 
     __slots__ = ("ctx", "value")
@@ -222,7 +232,7 @@ class Scalar:
         if n < 0:
             return self.inverse() ** -n
         p = self.ctx.modulus
-        return Scalar(self.ctx, self.value**n if p is None else pow(self.value, n, p))
+        return Scalar(self.ctx, _canon(self.value**n) if p is None else pow(self.value, n, p))
 
     def is_zero(self) -> bool:
         return self.value == 0
@@ -241,10 +251,6 @@ class Scalar:
         return hash((self.ctx, self.value))
 
     def __str__(self):
-        if self.ctx.kind == RATIONALS and self.value.denominator != 1:
-            return "%d/%d" % (self.value.numerator, self.value.denominator)
-        if self.ctx.kind == RATIONALS:
-            return str(self.value.numerator)
         return str(self.value)
 
     def __repr__(self):

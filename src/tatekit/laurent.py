@@ -7,9 +7,11 @@ coefficient is always nonzero, so the stored valuation is the true one, and
 that would need coefficients beyond the window raises ``InsufficientPrecision``
 instead of silently truncating.
 
-Both store raw field values, as ``linalg`` does (a ``Fraction`` over Q, a
-residue in ``[0, p)`` over F_p), and their arithmetic runs on them with one
-branch on the field's modulus.  Caller input is checked once, through
+Both store raw field values, as ``linalg`` does (over Q an ``int`` when
+integral and a ``Fraction`` otherwise, see ``fields._canon``; over F_p a
+residue in ``[0, p)``), and their arithmetic runs on them with one branch on
+the field's modulus: where the F_p branch reduces ``% p``, the Q branch makes
+the value canonical.  Caller input is checked once, through
 ``FieldCtx.raw``, by the ``LaurentPoly`` and ``TruncSeries`` constructors;
 the polynomials and series computed here are built unchecked.  ``terms``,
 ``coeffs``, ``coeff`` and ``leading_coeff`` box into ``Scalar`` on the way out.
@@ -33,7 +35,7 @@ from .errors import (
     SpaceMismatch,
     ZeroElement,
 )
-from .fields import FieldCtx, Scalar, _inv, _mul, _norm
+from .fields import FieldCtx, Scalar, _canon, _inv, _mul, _norm
 
 DEFAULT_PRECISION = 16
 
@@ -54,9 +56,10 @@ def _mac(acc, f, g):
 
 
 def _reduced(p, acc):
-    """The nonzero entries of an accumulated term dict, reduced mod ``p``."""
+    """The nonzero entries of an accumulated term dict, reduced mod ``p`` or,
+    over Q, made canonical."""
     if p is None:
-        return {e: c for e, c in acc.items() if c}
+        return {e: _canon(c) for e, c in acc.items() if c}
     return {e: r for e, c in acc.items() if (r := c % p)}
 
 
@@ -635,9 +638,10 @@ class Automorphism:
                             break
                         slot = (e + f + b) * n + i
                         acc[slot] = acc.get(slot, 0) + c * d
-            if p is not None:
-                acc = {slot: x % p for slot, x in acc.items()}
-            row = {slot: x for slot, x in acc.items() if x}
+            if p is None:
+                row = {slot: _canon(x) for slot, x in acc.items() if x}
+            else:
+                row = {slot: r for slot, x in acc.items() if (r := x % p)}
             if row and min(row) < 0:  # a term below t^-b
                 raise ValueError("vector outside t^-%d O^n window" % b)
             rows.append(row)

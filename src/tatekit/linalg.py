@@ -1,9 +1,11 @@
 """Deterministic sparse linear algebra over an exact field.
 
 Matrices and subspaces store each row as a dict ``{column: nonzero raw
-value}`` (a ``Fraction`` over Q, an int in ``[0, p)`` over F_p): no zero is
-stored, every key lies in ``[0, cols)``, and equality and hashing read the
-sorted items.  The kernel iterates nonzeros only, with one branch per field.
+value}`` (over Q the canonical form of ``fields._canon``, an ``int`` when
+integral and a ``Fraction`` otherwise; over F_p an int in ``[0, p)``): no zero
+is stored, every key lies in ``[0, cols)``, and equality and hashing read the
+sorted items.  The kernel iterates nonzeros only, with one branch per field;
+where the F_p branch reduces ``% p``, the Q branch makes the value canonical.
 Values are checked and unboxed where they enter (``Matrix``, ``from_rows``,
 ``contains_vector``) and leave as dense rows of ``Scalar`` (``entries``,
 ``m[i, j]``, ``row_list``, ``Subspace.rows``, ``quotient_basis``); values the
@@ -27,11 +29,14 @@ stored echelon rows instead of solving a system.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from .errors import AmbientMismatch, FieldMismatch, NonSquare, NotContained
-from .fields import FieldCtx, Scalar, _inv, _mul, _neg
+from .fields import FieldCtx, Scalar, _canon, _inv, _mul, _neg
 
 # Row kernels on sparse raw rows; ``p`` is the field's modulus, None over Q.
-# They keep ``% p`` inline: one function call per entry would dominate.
+# They keep ``% p`` inline, and ``_submul`` calls ``_canon`` only on a
+# non-int: one function call per entry would dominate.
 
 
 def _submul(p, vec, f, row):
@@ -41,6 +46,8 @@ def _submul(p, vec, f, row):
         x = get(j, 0) - f * r
         if p is not None:
             x %= p
+        elif type(x) is not int:
+            x = _canon(x)
         if x:
             vec[j] = x
         else:
@@ -49,7 +56,7 @@ def _submul(p, vec, f, row):
 
 def _scale(p, c, row):
     if p is None:
-        return {j: c * x for j, x in row.items()}
+        return {j: _canon(c * x) for j, x in row.items()}
     return {j: c * x % p for j, x in row.items()}
 
 
@@ -143,9 +150,10 @@ class Matrix:
             for k, x in ri.items():
                 for j, y in other._data[k].items():
                     acc[j] = acc.get(j, 0) + x * y
-            if p is not None:
-                acc = {j: v % p for j, v in acc.items()}
-            out.append({j: v for j, v in acc.items() if v})
+            if p is None:
+                out.append({j: _canon(v) for j, v in acc.items() if v})
+            else:
+                out.append({j: r for j, v in acc.items() if (r := v % p)})
         return Matrix._raw(self.ctx, other.cols, out)
 
     def __eq__(self, other):
@@ -204,29 +212,37 @@ def rref(m: Matrix):
 
 
 def det(m: Matrix) -> Scalar:
-    """Determinant by fraction-preserving Gaussian elimination."""
+    """Determinant by sparse row echelon elimination.
+
+    Each row is reduced by the stored row at its leading column until its
+    leading column is a new one, and is stored there; a row that cancels
+    makes the determinant 0.  Adding multiples of rows keeps the
+    determinant, so it is the product of the leading entries, signed by the
+    parity of the permutation of leading columns: of its inversions, counted
+    as each row meets the stored rows that lead at a later column.  A row
+    whose leading column is new is not reduced, so triangular input costs
+    O(nonzeros).
+    """
     if m.rows != m.cols:
         raise NonSquare("det of %dx%d" % (m.rows, m.cols))
-    ctx, p, n = m.ctx, m.ctx.modulus, m.rows
-    rows = list(m._data)
-    acc = ctx.raw_one
-    for c in range(n):
-        piv = next((i for i in range(c, n) if c in rows[i]), None)
-        if piv is None:
+    ctx, p = m.ctx, m.ctx.modulus
+    at, cols, inversions, acc = {}, [], 0, ctx.raw_one
+    for vec in m._data:
+        c = min(vec, default=None)
+        if c in at:
+            vec = dict(vec)
+        while c in at:
+            prow = at[c]
+            _submul(p, vec, _mul(p, vec[c], _inv(p, prow[c])), prow)
+            c = min(vec, default=None)
+        if c is None:
             return ctx.zero()
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            acc = _neg(p, acc)
-        prow = rows[c]
-        lead = prow[c]
-        acc = _mul(p, acc, lead)
-        inv = _inv(p, lead)
-        for i in range(c + 1, n):
-            x = rows[i].get(c)
-            if x:
-                rows[i] = dict(rows[i])
-                _submul(p, rows[i], _mul(p, x, inv), prow)
-    return Scalar(ctx, acc)
+        at[c] = vec
+        k = bisect_right(cols, c)
+        inversions += len(cols) - k
+        cols.insert(k, c)
+        acc = _mul(p, acc, vec[c])
+    return Scalar(ctx, _neg(p, acc) if inversions % 2 else acc)
 
 
 def _reduce(p, at, vec):

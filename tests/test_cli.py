@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -6,6 +8,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tatekit.cli import main
 from tatekit.detline import MAX_FORMULA_BITS
@@ -214,12 +218,15 @@ def test_index_f_and_matrix_are_exclusive(capsys):
     assert "not allowed with argument" in capsys.readouterr().err.splitlines()[-1]
 
 
-def cli_process(*argv, stdout):
+def cli_process(*argv, stdout, unbuffered=False):
     """``python -m tatekit.cli`` in a child process, stderr piped, stdout
     block-buffered as by default (PYTHONUNBUFFERED would make every print
-    write at once, and the flush paths would go untested)."""
+    write at once, and the flush paths would go untested), or unbuffered
+    when asked."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.Popen(
         [sys.executable, "-m", "tatekit.cli", *argv], stdout=stdout, stderr=subprocess.PIPE, env=env, text=True
     )
@@ -243,14 +250,17 @@ def test_full_stdout_exits_2_without_traceback():
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("argv", [("--help",), ("index", "-h")], ids=["help", "subcommand-help"])
 def test_help_to_full_stdout_exits_2_without_traceback(argv):
-    # argparse buffers the help and exits; the failure would surface only in
-    # the flush at interpreter exit (exit 120) unless main flushes first.
-    with open("/dev/full", "w") as full:
-        proc = cli_process(*argv, stdout=full)
-        _, err = proc.communicate(timeout=60)
-    assert proc.returncode == 2
-    assert_one_error_line(err)
-    assert "[Errno 28]" in err
+    # Buffered, argparse's help write succeeds and it exits; the failure would
+    # surface only in the flush at interpreter exit (exit 120) unless main
+    # flushes first.  Unbuffered, the write itself fails, and argparse's own
+    # writer would swallow the error and exit 0.
+    for unbuffered in (False, True):
+        with open("/dev/full", "w") as full:
+            proc = cli_process(*argv, stdout=full, unbuffered=unbuffered)
+            _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 2, unbuffered
+        assert_one_error_line(err)
+        assert "[Errno 28]" in err
 
 
 def test_help_exits_0(capsys):
@@ -317,3 +327,93 @@ def test_closed_formula_limit_exits_2_quickly(capsys):
     # Over F_p the powers are modular: no limit applies.
     code, out, _ = run(capsys, "tame", "--field", "F5", "--f", "3*t^7+t^9", "--g", "t^99999999")
     assert code == 0 and out.strip() == str(-pow(3, 99999999, 5) % 5)
+
+
+# -- the exit-code contract under random argument vectors ---------------------
+
+def mostly(valid, invalid):
+    """Draws from ``valid`` about four times as often as from ``invalid``."""
+    return st.sampled_from(valid * 4 + invalid)
+
+
+FIELDS = mostly(["Q", "Fp:2", "Fp:3", "F5", "Fp:1000003"], ["Fp:4", "F1", "Fp:x", "R", ""])
+COEFFS = ["", "1", "2", "-3", "7", "1/2", "-2/3", "+5"]
+TERMS = ["{c}*t^{e}", "{c}t^{e}", "{c}*t", "t^{e}", "{c}1"]
+BAD_TERMS = ["{c}*t^", "t^{e}^2", "*", "{c}t^{e}t", "3/0*t^{e}", "x*t", "1/*t", "0", ""]
+
+
+@st.composite
+def laurent_texts(draw, exponents):
+    """A Laurent expression from the CLI term grammar; about one in seven
+    has one malformed or zero term (a dangling ``^`` or operator, a bad
+    coefficient or a zero denominator)."""
+    n = draw(st.integers(1, 4))
+    bad = draw(st.integers(-6 * n, n - 1))  # the malformed term, if >= 0
+    text = ""
+    for k in range(n):
+        term = draw(st.sampled_from(BAD_TERMS if k == bad else TERMS)).format(c=draw(st.sampled_from(COEFFS)), e=draw(exponents))
+        text += (draw(st.sampled_from([" + ", "+", "-", " - "])) if k else "") + term
+    return text
+
+
+@st.composite
+def matrix_texts(draw):
+    n = draw(st.integers(1, 3))
+    entry = st.one_of(
+        st.sampled_from(["0", "1", "t", "t^-1", "2*t^2", "1+t", "1/2", "-t^3"]),
+        laurent_texts(st.integers(-3, 3)),
+    )
+    return ";".join(",".join(draw(entry) for _ in range(n)) for _ in range(draw(st.sampled_from([n, n, n + 1]))))
+
+
+@st.composite
+def argvs(draw):
+    """A random ``tatekit`` argument vector: a command with random options,
+    or no command at all."""
+    poly = laurent_texts(st.sampled_from([*range(-40, 41), 2000, -2000, 5000]))
+    field = ["--field", draw(FIELDS)] if draw(st.booleans()) else []
+    json_flag = ["--json"] if draw(st.booleans()) else []
+    command = draw(mostly(["index", "commutator", "tame", "verify"], ["frob", None]))
+    if command == "index":
+        # "--f=" keeps a leading "-" from reading as an option; at times both
+        # or neither of the exclusive options is given.
+        choice = draw(mostly(["f", "matrix"], ["both", "none"]))
+        args = ["--f=" + draw(poly)] if choice in ("f", "both") else []
+        args += ["--matrix=" + draw(matrix_texts())] if choice in ("matrix", "both") else []
+        return ["index", *field, *args, *json_flag]
+    if command in ("commutator", "tame"):
+        args = [command, *field, "--f=" + draw(poly), "--g=" + draw(poly), *json_flag]
+        if command == "commutator":
+            args += ["--mode", draw(mostly(["graded", "ungraded"], ["both"]))]
+            if draw(st.booleans()):
+                args += ["--precision", draw(mostly([str(k) for k in range(1, 90, 7)], ["0", "-1", "x", "2000"]))]
+        return args
+    if command == "verify":
+        return [
+            "verify",
+            "--suite",
+            draw(mostly(["lattice", "index", "family", "detline", "simplicial", "all"], ["bogus"])),
+            "--cases",
+            draw(mostly(["1", "2"], ["0", "x"])),
+            "--seed",
+            str(draw(st.integers(0, 10**6))),
+            *json_flag,
+        ]
+    return [command, *json_flag] if command else []
+
+
+@settings(max_examples=150, deadline=None)
+@given(argvs())
+def test_random_argv_keeps_the_exit_code_contract(argv):
+    """Every input exits 0, 2 or 3, or 1 from ``verify`` alone, and never
+    with an uncaught exception or a traceback on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: --help or a usage error
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+    assert code != 1 or argv[0] == "verify", argv
+    assert "Traceback" not in err.getvalue()
+    assert code == 0 or err.getvalue().strip(), argv

@@ -405,16 +405,22 @@ def test_translation_scalar_matches_the_descending_reference(case, seed):
 
 
 def test_commutator_composes_twice_and_translates_triangularly(monkeypatch):
-    """The word's last product is never composed, and in ascending order every
-    rank-1 translation matrix is upper triangular: det eliminates nothing."""
+    """The word's last product is never composed, each of its five cocycles
+    acts three times (the translation reuses the translates), and in
+    ascending order every rank-1 translation matrix is upper triangular:
+    det eliminates nothing."""
     import tatekit.detline as detline
 
-    calls, sizes = [], []
-    compose = Automorphism.compose
+    calls, acts, sizes = [], [], []
+    compose, act = Automorphism.compose, detline.act
 
     def counted(self, other):
         calls.append(1)
         return compose(self, other)
+
+    def counted_act(g, L):
+        acts.append(1)
+        return act(g, L)
 
     def triangular_det(m):
         for i, row in enumerate(m._data):
@@ -424,6 +430,7 @@ def test_commutator_composes_twice_and_translates_triangularly(monkeypatch):
 
     monkeypatch.setattr(Automorphism, "compose", counted)
     monkeypatch.setattr(detline, "det", triangular_det)
+    monkeypatch.setattr(detline, "act", counted_act)
     cases = [
         (QQ, "2*t^9+t^12", "3*t^2-t^5", 15),
         (QQ, "t^-7+5*t^-4", "1-t+2*t^3", 12),
@@ -435,8 +442,9 @@ def test_commutator_composes_twice_and_translates_triangularly(monkeypatch):
         fa, ga = Automorphism.mult_by(fp), Automorphism.mult_by(gp)
         for mode, want in ((UNGRADED, closed_commutator_formula(fp, gp)), (GRADED, tame_symbol(fp, gp))):
             calls.clear()
+            acts.clear()
             assert commutator(fa, ga, mode, precision) == want
-            assert len(calls) == 2
+            assert len(calls) == 2 and len(acts) == 15
     assert max(sizes) >= 9
     # The detline suite's extension products are rank-1 translations too.
     assert {c["status"] for c in suite_detline(cases=4, seed=7)} == {"pass"}

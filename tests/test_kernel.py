@@ -3,7 +3,8 @@
 The reference below is the ``Scalar`` Gauss-Jordan, reduction and
 determinant that ``linalg`` ran before it stored raw values; every public
 operation built on the kernel must agree with it exactly, and every rational
-it returns must hold a ``Fraction``.
+it returns must hold the canonical raw form: an ``int`` exactly when it is
+integral, a ``Fraction`` otherwise.
 """
 
 from fractions import Fraction
@@ -151,9 +152,15 @@ def quotient_coords(sub, reps, lead, vec):
     return _box(sub.ctx, len(reps), _quotient_coords(sub, reps, lead, [sub._vector(vec)])[0])
 
 
-def assert_fractions(ctx, scalars):
+def canonical(x):
+    """Whether a raw rational is in canonical form: an int exactly when it is
+    integral, a Fraction otherwise, never a float."""
+    return type(x) is (int if x.denominator == 1 else Fraction)
+
+
+def assert_canonical(ctx, scalars):
     if ctx == QQ:
-        assert all(type(x.value) is Fraction for x in scalars)
+        assert all(canonical(x.value) for x in scalars)
 
 
 # -- differential tests --------------------------------------------------------
@@ -166,7 +173,7 @@ def test_rref_matches_reference(case):
     red, pivots = rref(Matrix.from_rows(ctx, rows))
     ref_rows, ref_pivots = ref_rref(ctx, rows)
     assert red.row_list() == ref_rows and pivots == ref_pivots
-    assert_fractions(ctx, red.entries)
+    assert_canonical(ctx, red.entries)
     sub = Subspace.from_rows(ctx, len(rows[0]), rows)
     assert sub.rows() == ref_rows[: len(ref_pivots)] and list(sub.pivots) == ref_pivots
 
@@ -177,7 +184,7 @@ def test_det_matches_reference(case):
     ctx, rows = case
     value = det(Matrix.from_rows(ctx, rows))
     assert value == ref_det(ctx, rows)
-    assert_fractions(ctx, [value])
+    assert_canonical(ctx, [value])
 
 
 @SETTINGS
@@ -190,7 +197,7 @@ def test_sum_and_intersection_match_reference(case):
     meet = subspace_intersect(a, b)
     ref_a, ref_b = ref_basis(ctx, rows_a)[0], ref_basis(ctx, rows_b)[0] if rows_b else []
     assert (meet.rows(), list(meet.pivots)) == ref_intersect(ctx, dim, ref_a, ref_b)
-    assert_fractions(ctx, [x for s in (total, meet) for row in s.rows() for x in row])
+    assert_canonical(ctx, [x for s in (total, meet) for row in s.rows() for x in row])
 
 
 @SETTINGS
@@ -213,15 +220,25 @@ def test_membership_and_quotient_coords_match_reference(case):
         rest = ref_reduce(sub_rows, sub_piv, vec)
         assert coords == [rest[j] for j in lead]
         assert all(x.is_zero() for x in ref_reduce(reps, lead, rest))
-        assert_fractions(ctx, coords)
-    assert_fractions(ctx, [x for row in reps for x in row])
+        assert_canonical(ctx, coords)
+    assert_canonical(ctx, [x for row in reps for x in row])
 
 
 def test_values_over_q_stay_fractions():
+    """Over Q every raw value is canonical: an int exactly when it is
+    integral, a Fraction otherwise."""
     m = Matrix.from_rows(QQ, [[2, 1], [1, 1]])
-    assert all(type(x.value) is Fraction for x in m.entries + rref(m)[0].entries)
-    assert type(det(m).value) is Fraction and type(QQ.raw(3)) is Fraction
-    assert [type(x.value) for x in (m * m).entries] == [Fraction] * 4
+    assert [type(x.value) for x in m.entries + rref(m)[0].entries] == [int] * 8
+    assert [type(x.value) for x in (m * m).entries] == [int] * 4
+    assert det(m) == QQ.one() and type(det(m).value) is int
+    assert QQ.raw(Fraction(6, 3)) == 2 and type(QQ.raw(Fraction(6, 3))) is int and type(QQ.raw(3)) is int
+    assert QQ.raw("1/2") == Fraction(1, 2) and type(QQ.raw("1/2")) is Fraction
+    assert [type(x.value) for x in rref(Matrix.from_rows(QQ, [[2, 1]]))[0].entries] == [int, Fraction]
+    a, b = Matrix.from_rows(QQ, [["1/2", "1/2"], [0, 3]]), Matrix.from_rows(QQ, [[1, 0], [1, 2]])
+    assert [x.value for x in (a * b).entries] == [1, 1, 3, 6]
+    assert all(canonical(x.value) for x in (a * b).entries + (det(a), det(a).inverse()))
+    h = QQ.scalar("1/2")
+    assert [type(x.value) for x in (h + h, h * QQ.scalar(2), h**0, h.inverse(), h * h)] == [int] * 4 + [Fraction]
 
 
 def test_foreign_field_vectors_are_rejected():

@@ -3,8 +3,9 @@
 The reference below is the ``Scalar`` arithmetic that ``LaurentPoly``,
 ``TruncSeries`` and ``LaurentMatrix`` ran before they stored raw values,
 written on dicts (exponent -> Scalar) and coefficient lists; every operation
-must agree with it exactly, and every rational it returns must hold a
-``Fraction``.  ``Automorphism.image`` is checked against the round trip it
+must agree with it exactly, and every rational it returns must hold the
+canonical raw form: an ``int`` exactly when it is integral, a ``Fraction``
+otherwise.  ``Automorphism.image`` is checked against the round trip it
 replaced: ``row_to_vec``, the reference product, ``vec_to_row`` (both
 sides are sparse ``{slot: value}`` rows).
 """
@@ -217,14 +218,20 @@ def laurent_matrix(ctx, rows):
     return LaurentMatrix.from_rows(ctx, [[LaurentPoly(ctx, f) for f in row] for row in rows])
 
 
-def assert_fractions(ctx, scalars):
-    if ctx == QQ:
-        assert all(type(x.value) is Fraction for x in scalars)
+def canonical(x):
+    """Whether a raw rational is in canonical form: an int exactly when it is
+    integral, a Fraction otherwise, never a float."""
+    return type(x) is (int if x.denominator == 1 else Fraction)
 
 
-def assert_raw_fractions(ctx, rows):
+def assert_canonical(ctx, scalars):
     if ctx == QQ:
-        assert all(type(x) is Fraction for row in rows for x in row)
+        assert all(canonical(x.value) for x in scalars)
+
+
+def assert_raw_canonical(ctx, rows):
+    if ctx == QQ:
+        assert all(canonical(x) for row in rows for x in row)
 
 
 def sparse_vec(space, b, row):
@@ -253,7 +260,7 @@ def test_poly_ring_ops_match_reference(data):
     ]
     for got, want in cases:
         assert got.terms == want and got == LaurentPoly(ctx, want)
-        assert_fractions(ctx, got.terms.values())
+        assert_canonical(ctx, got.terms.values())
     assert str(f * g) == str(LaurentPoly(ctx, ref_mul(rf, rg)))
 
 
@@ -266,7 +273,7 @@ def test_series_ops_match_reference(data):
     assert (s.valuation, list(s.coeffs), s.exact) == rs
     prod = s * t
     assert (prod.valuation, list(prod.coeffs), prod.exact) == ref_series_mul(ctx, rs, rt)
-    assert_fractions(ctx, prod.coeffs)
+    assert_canonical(ctx, prod.coeffs)
 
     precision = data.draw(st.integers(1, 8))
     want = ref_inverse(ctx, rs, precision)
@@ -277,7 +284,7 @@ def test_series_ops_match_reference(data):
     else:
         inv = s.inverse(precision)
         assert (inv.valuation, list(inv.coeffs), inv.exact) == want
-        assert_fractions(ctx, inv.coeffs)
+        assert_canonical(ctx, inv.coeffs)
 
     raw_f = data.draw(term_dicts(ctx).filter(lambda d: any(d.values())))
     f, cutoff = LaurentPoly(ctx, raw_f), data.draw(st.integers(-4, 8))
@@ -289,7 +296,7 @@ def test_series_ops_match_reference(data):
     else:
         got = s.mul_poly_mod(f, cutoff)
         assert got.terms == want
-        assert_fractions(ctx, got.terms.values())
+        assert_canonical(ctx, got.terms.values())
 
 
 @SETTINGS
@@ -319,7 +326,7 @@ def test_matrix_ops_match_reference(data):
     inv = kernel_inverse(u)
     assert [f.terms for f in inv.entries] == [f for row in ref_gl_inverse(ctx, U) for f in row]
     assert det_laurent(u).terms == ref_det(ctx, U)
-    assert_fractions(ctx, [c for f in inv.entries + (det_laurent(u),) for c in f.terms.values()])
+    assert_canonical(ctx, [c for f in inv.entries + (det_laurent(u),) for c in f.terms.values()])
 
 
 def kernel_inverse(m):
@@ -358,7 +365,7 @@ def _check_image(g, space, rows, src, dst, ref_images):
         return
     got = g.image(vecs, a2, b2)
     assert got == want
-    assert_raw_fractions(space.ctx, [row.values() for row in got])
+    assert_raw_canonical(space.ctx, [row.values() for row in got])
 
 
 @SETTINGS
@@ -392,3 +399,30 @@ def test_mult_image_matches_round_trip(data):
         return
     images = [[ref_mul_poly_mod(rs, f, dst[0]) if f else {}] for f in vecs]
     _check_image(g, space, rows, src, dst, images)
+
+
+def test_fractions_that_cancel_are_stored_as_ints():
+    """Every producer over Q makes an integral result an int, even when it
+    is a sum or product of Fractions: polynomial and series arithmetic, the
+    series inverse, the GL inverse and ``image``."""
+    h = Fraction(1, 2)
+    f = LaurentPoly(QQ, {0: h, 1: h})  # (1 + t) / 2
+    series = TruncSeries(QQ, 0, [h, -h, h], False)
+    halves = [LaurentPoly(QQ, {0: h}), LaurentPoly(QQ, {0: h})]
+    g = Automorphism.gl(LaurentMatrix.from_rows(QQ, [halves, [LaurentPoly.zero(QQ), LaurentPoly.one(QQ)]]))
+
+    def by_slot(row):
+        return [row[s] for s in sorted(row)]
+
+    raws = [
+        list((f * LaurentPoly(QQ, {0: 2}))._terms.values()),
+        list((f + f)._terms.values()),
+        list((series * TruncSeries(QQ, 0, [2, 4, 6], False))._coeffs),
+        list(series.inverse()._coeffs),  # 2 / (1 - t + t^2) = 2 + 2t + 0t^2 + O(t^3)
+        list(TruncSeries.from_poly(f).inverse(3)._coeffs),
+        by_slot(Automorphism.mult_by(f).image([[(0, 0, 1), (-1, 0, 1)]], 2, 1)[0]),  # t^-1, 1, t
+        by_slot(g.image([[(0, 0, 1), (0, 1, 1)]], 1, 0)[0]),
+        *[list(e._terms.values()) for e in g.inverse().matrix.entries],
+    ]
+    assert raws == [[1, 1], [1, 1], [1, 1, 2], [2, 2, 0], [2, -2, 2], [h, 1, h], [1, 1], [2], [-1], [], [1]]
+    assert_raw_canonical(QQ, raws)

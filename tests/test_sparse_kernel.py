@@ -5,8 +5,9 @@ meet that ``linalg`` ran on dense row lists before its rows became
 ``{column: nonzero raw value}`` dicts.  Inputs are window-shaped, as the
 lattice layer builds them: mostly unit rows, a few sparse rows, some repeated
 or combined.  Every result must equal the reference, and every stored row
-must keep the invariants: no stored zero, keys in ``[0, cols)``, a
-``Fraction`` for every rational, and equality and hashing independent of the
+must keep the invariants: no stored zero, keys in ``[0, cols)``, every
+rational in canonical form (an ``int`` exactly when it is integral, a
+``Fraction`` otherwise), and equality and hashing independent of the
 order the keys were inserted in.
 """
 
@@ -17,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tatekit.linalg as linalg
-from tatekit import GF, QQ, Matrix, Subspace, TateSpace, act, rref
-from tatekit.fields import _inv
+from tatekit import GF, QQ, Matrix, Scalar, Subspace, TateSpace, act, det, rref
+from tatekit.fields import _inv, _mul, _neg
 from tatekit.linalg import subspace_contains, subspace_intersect, subspace_sum
 from tatekit.verify import rand_gl, rand_lattice, rand_mult
 
@@ -88,6 +89,32 @@ def ref_dense_intersect(ctx, n, rows_a, piv_a, rows_b):
     return [row[n:] for row in red[k : len(pivots)]], [c - n for c in pivots[k:]]
 
 
+def ref_pivot_det(ctx, rows):
+    """The column-pivoting determinant on sparse raw rows that ``det`` ran
+    before its row echelon elimination: for each column, the first row at or
+    below it holding that column is swapped up and clears the rows below."""
+    p, n = ctx.modulus, len(rows)
+    rows = list(rows)
+    acc = ctx.raw_one
+    for c in range(n):
+        piv = next((i for i in range(c, n) if c in rows[i]), None)
+        if piv is None:
+            return ctx.raw_zero
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            acc = _neg(p, acc)
+        prow = rows[c]
+        lead = prow[c]
+        acc = _mul(p, acc, lead)
+        inv = _inv(p, lead)
+        for i in range(c + 1, n):
+            x = rows[i].get(c)
+            if x:
+                rows[i] = dict(rows[i])
+                linalg._submul(p, rows[i], _mul(p, x, inv), prow)
+    return acc
+
+
 # -- inputs --------------------------------------------------------------------
 
 
@@ -124,6 +151,31 @@ def cases(draw, count=1):
     return ctx, dim, [draw(window_rows(ctx, dim)) for _ in range(count)]
 
 
+@st.composite
+def square_cases(draw):
+    """(ctx, rows): square sparse raw rows, general, triangular, permuted
+    triangular or singular."""
+    ctx = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["general", "upper", "lower", "permuted", "singular"]))
+    rows = []
+    for i in range(n):
+        if kind == "general":
+            cols = range(n) if draw(st.booleans()) else draw(st.sets(st.integers(0, n - 1), max_size=3))
+        else:
+            cols = range(i, n) if kind != "lower" else range(i + 1)
+        rows.append({j: ctx.raw(draw(values(ctx))) for j in cols if j == i or draw(st.booleans())})
+    if kind == "permuted":
+        rows = draw(st.permutations(rows))
+    if kind == "singular" and n > 1:  # a row x - c*y of two others, 0 if x = y and c = 1
+        i = draw(st.integers(0, n - 1))
+        others = rows[:i] + rows[i + 1 :]
+        x, y = draw(st.sampled_from(others)), draw(st.sampled_from(others))
+        rows[i] = dict(x)
+        linalg._submul(ctx.modulus, rows[i], ctx.raw(draw(values(ctx))), y)
+    return ctx, rows
+
+
 def sparse(row):
     return {j: x for j, x in enumerate(row) if x}
 
@@ -141,7 +193,7 @@ def assert_invariants(m):
         for j, x in row.items():
             assert 0 <= j < m.cols and x
             if ctx == QQ:
-                assert type(x) is Fraction
+                assert type(x) is (int if x.denominator == 1 else Fraction)
             else:
                 assert type(x) is int and 0 < x < ctx.modulus
     shuffled = Matrix._raw(ctx, m.cols, [dict(reversed(row.items())) for row in m._data])
@@ -170,6 +222,18 @@ def test_rref_matches_dense_reference(case):
     assert_invariants(red)
     got_rows, got_pivots = linalg._rref_rows(ctx, [sparse(row) for row in rows])
     assert got_pivots == ref_pivots and got_rows == [sparse(row) for row in ref_rows[: len(ref_pivots)]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_cases())
+def test_det_matches_pivot_reference(case):
+    ctx, rows = case
+    n = len(rows)
+    value = det(Matrix._raw(ctx, n, rows))
+    assert value == Scalar(ctx, ref_pivot_det(ctx, rows))
+    assert det(Matrix.from_rows(ctx, boxed(ctx, [dense(ctx, n, row) for row in rows]))) == value
+    if ctx == QQ:
+        assert type(value.value) is (int if value.value.denominator == 1 else Fraction)
 
 
 @SETTINGS
