@@ -52,7 +52,7 @@ from .errors import (
 )
 from .fields import Scalar
 from .laurent import Automorphism, LaurentPoly
-from .lattice import Lattice, TateSpace, _same_space, _sparse, act, common_window, leq, std_lattice
+from .lattice import Lattice, TateSpace, _same_space, act, common_window, leq, std_lattice
 from .linalg import Matrix, _quotient_coords, _quotient_reps, det, subspace_intersect
 
 UNGRADED = "ungraded"
@@ -215,7 +215,7 @@ def _translation_scalar(g, F1, F2, gF1, gF2) -> Scalar:
     # g is a bijection, so g(F1 ∩ F2) = gF1 ∩ gF2.
     wN, twN = subspace_intersect(w1, w2), subspace_intersect(tw1, tw2)
     reps2, reps1 = _quotient_reps(wN, w2)[0], _quotient_reps(wN, w1)[0]
-    rows = g.image([_sparse(F1.space, b1, r) for r in reps2 + reps1], a2, b2)
+    rows = g.image(reps2 + reps1, b1, a2, b2)
     return _wedge_det(twN, tw2, rows[: len(reps2)]) / _wedge_det(twN, tw1, rows[len(reps2) :])
 
 

@@ -9,7 +9,9 @@ and lattice equality is literal equality of the stored data.  Window rows are
 the sparse ``{slot: nonzero raw value}`` rows of ``linalg``, held in W's
 pivot map.  Embedding and normalising re-key and slice that map by a slot
 offset and add unit rows, which keeps it in reduced echelon form: neither
-eliminates, and no dense row is built.
+eliminates, and no dense row is built.  ``act`` hands these rows to
+``Automorphism.image`` as they are, with the source window's bottom, and
+``row_to_vec`` reads them back as Laurent vectors.
 
 Bounds are re-tightened after every operation: a is the least integer with
 t^a O^n <= L, and b the least with L <= t^-b O^n.  No window may exceed
@@ -64,7 +66,7 @@ class TateSpace:
         return "%r((t))^%d" % (self.ctx, self.rank)
 
 
-def _slot(space: TateSpace, a: int, b: int, e: int, i: int) -> int:
+def _slot(space: TateSpace, b: int, e: int, i: int) -> int:
     return (e + b) * space.rank + i
 
 
@@ -83,23 +85,13 @@ def _rekey(items, off):
     return {c + off: {j + off: x for j, x in row.items()} for c, row in items}
 
 
-def _sparse(space: TateSpace, b: int, row):
-    """Sparse raw window row -> sparse vector: (e, i, c) for each c at t^e e_i."""
+def row_to_vec(space: TateSpace, b: int, row):
+    """Sparse raw window row -> tuple of LaurentPoly coordinates."""
     n = space.rank
-    return [(s // n - b, s % n, c) for s, c in row.items()]
-
-
-def row_to_vec(space: TateSpace, a: int, b: int, row):
-    """Dense window coordinate row -> tuple of LaurentPoly coordinates.
-
-    The row holds raw field values or Scalars; ``LaurentPoly`` coerces either.
-    """
-    n = space.rank
-    polys = [dict() for _ in range(n)]
-    for s, c in enumerate(row):
-        if c:  # a zero Scalar is dropped by LaurentPoly
-            polys[s % n][s // n - b] = c
-    return tuple(LaurentPoly(space.ctx, p) for p in polys)
+    polys = [{} for _ in range(n)]
+    for s, c in row.items():
+        polys[s % n][s // n - b] = c
+    return tuple(LaurentPoly._raw(space.ctx, p) for p in polys)
 
 
 def vec_to_row(space: TateSpace, a: int, b: int, vec):
@@ -115,7 +107,7 @@ def vec_to_row(space: TateSpace, a: int, b: int, vec):
                 continue  # inside t^a O^n, dies in the window quotient
             if e < -b:
                 raise ValueError("vector outside t^-%d O^n window" % b)
-            row[_slot(space, a, b, e, i)] = c
+            row[_slot(space, b, e, i)] = c
     return row
 
 
@@ -151,7 +143,7 @@ class Lattice:
             raise ValueError("need one shift per coordinate")
         a, b = max(shifts), -min(shifts)
         dim, one = _window_dim(space, a, b), space.ctx.raw_one
-        units = [_slot(space, a, b, e, i) for e in range(-b, a) for i in range(space.rank) if e >= shifts[i]]
+        units = [_slot(space, b, e, i) for e in range(-b, a) for i in range(space.rank) if e >= shifts[i]]
         return cls(space, a, b, Subspace(space.ctx, dim, {s: {s: one} for s in units}))
 
     @property
@@ -172,13 +164,13 @@ class Lattice:
         dim2, one = _window_dim(self.space, a2, b2), self.ctx.raw_one
         # Re-keyed echelon rows, then the units of the new top blocks: still RREF.
         at = _rekey(self.subspace._at.items(), (b2 - self.b) * self.space.rank)
-        for s in range(_slot(self.space, a2, b2, self.a, 0), dim2):
+        for s in range(_slot(self.space, b2, self.a, 0), dim2):
             at[s] = {s: one}
         return Subspace(self.ctx, dim2, at)
 
     def basis_vectors(self):
         """Representative Laurent vectors of L modulo t^a O^n."""
-        return [row_to_vec(self.space, self.a, self.b, row) for row in self.subspace.rows()]
+        return [row_to_vec(self.space, self.b, row) for row in self.subspace._at.values()]
 
     def contains_vector(self, vec) -> bool:
         """Membership of a Laurent polynomial vector."""
@@ -293,12 +285,12 @@ def act(g: Automorphism, L: Lattice) -> Lattice:
     vg, vginv = g.valuations()
     a2, b2 = L.a - vginv, L.b - vg
     dim = _window_dim(space, a2, b2)
-    vecs = [_sparse(space, L.b, row) for row in L.subspace._at.values()]
-    # t^e e_i with L.a <= e < a2 - v(g) lies in t^a O^n, outside the window
-    # basis, yet its image can reach below t^a2; the range is empty for MultBy.
+    rows = list(L.subspace._at.values())
+    # t^e e_i with L.a <= e < a2 - v(g) lies in t^a O^n, past the window's
+    # top, yet its image can reach below t^a2; the range is empty for MultBy.
     one = space.ctx.raw_one
-    vecs += [[(e, i, one)] for e in range(L.a, a2 - vg) for i in range(space.rank)]
-    return Lattice(space, a2, b2, Subspace._span(space.ctx, dim, g.image(vecs, a2, b2)))
+    rows += [{_slot(space, L.b, e, i): one} for e in range(L.a, a2 - vg) for i in range(space.rank)]
+    return Lattice(space, a2, b2, Subspace._span(space.ctx, dim, g.image(rows, L.b, a2, b2)))
 
 
 class LatticeChain:

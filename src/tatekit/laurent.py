@@ -1,11 +1,13 @@
 """Laurent polynomials, truncated Laurent series, and matrix automorphisms.
 
 ``LaurentPoly`` is exact arithmetic in k[t, 1/t].  ``TruncSeries`` carries a
-unit of k((t)) as (valuation, leading coefficient window): the first
-coefficient is always nonzero, so the stored valuation is the true one, and
-``exact`` marks series that are complete Laurent polynomials.  Every operation
-that would need coefficients beyond the window raises ``InsufficientPrecision``
-instead of silently truncating.
+unit of k((t)) as the same sparse term dict (exponent -> nonzero raw value)
+plus ``top``, the first exponent whose coefficient is unknown, or None when
+the series is exact, a complete Laurent polynomial.  The valuation is the
+true one, as its coefficient is always nonzero.  A series costs its nonzero
+terms, not its degree: ``from_poly`` and ``to_poly`` share the polynomial's
+dict.  Every operation that would need coefficients from ``top`` on raises
+``InsufficientPrecision`` instead of silently truncating.
 
 Both store raw field values, as ``linalg`` does (over Q an ``int`` when
 integral and a ``Fraction`` otherwise, see ``fields._canon``; over F_p a
@@ -19,7 +21,9 @@ the polynomials and series computed here are built unchecked.  ``terms``,
 Automorphisms of k((t))^n come in two finitely presented flavours:
 multiplication by a unit series (n = 1) and GL_n over k[t, 1/t] with
 monomial determinant, so that the inverse is again of the same shape.
-``Automorphism.image`` maps raw window vectors straight to raw window rows.
+``Automorphism.image`` maps sparse raw window rows of one window straight to
+those of another, reading each term list in ascending order only up to the
+target window's top.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .errors import (
     SpaceMismatch,
     ZeroElement,
 )
-from .fields import FieldCtx, Scalar, _canon, _inv, _mul, _norm
+from .fields import FieldCtx, Scalar, _canon, _inv, _mul
 
 DEFAULT_PRECISION = 16
 
@@ -47,11 +51,21 @@ MAX_GL_RANK = 8
 # modulus, None over Q.
 
 
-def _mac(acc, f, g):
-    """Add the product of the term dicts ``f`` and ``g`` into ``acc``, unreduced."""
+def _mac(acc, f, g, cutoff=None):
+    """Add the product of the term dicts ``f`` and ``g`` into ``acc``,
+    unreduced; with a ``cutoff``, only its terms below t^cutoff."""
+    if cutoff is None:
+        for e1, c1 in f.items():
+            for e2, c2 in g.items():
+                e = e1 + e2
+                acc[e] = acc.get(e, 0) + c1 * c2
+        return
+    g = sorted(g.items())
     for e1, c1 in f.items():
-        for e2, c2 in g.items():
+        for e2, c2 in g:
             e = e1 + e2
+            if e >= cutoff:
+                break
             acc[e] = acc.get(e, 0) + c1 * c2
 
 
@@ -195,31 +209,30 @@ def valuation(f) -> int:
 
 
 class TruncSeries:
-    """Unit of k((t)) known through its ``precision`` leading raw coefficients."""
+    """Unit of k((t)) known below t^top: ``_terms`` maps exponent to nonzero
+    raw value, and ``top`` is None when the series is exact."""
 
-    __slots__ = ("ctx", "valuation", "_coeffs", "exact")
+    __slots__ = ("ctx", "valuation", "_terms", "top")
 
     def __init__(self, ctx: FieldCtx, valuation: int, coeffs, exact: bool):
-        coeffs = [ctx.raw(c) for c in coeffs]
-        if exact:
-            while len(coeffs) > 1 and not coeffs[-1]:
-                coeffs.pop()
+        valuation, coeffs = int(valuation), [ctx.raw(c) for c in coeffs]
         if not coeffs or not coeffs[0]:
             raise ZeroElement("series leading coefficient must be nonzero")
-        self._fill(ctx, int(valuation), coeffs, bool(exact))
+        terms = {valuation + i: c for i, c in enumerate(coeffs) if c}
+        self._fill(ctx, valuation, terms, None if exact else valuation + len(coeffs))
 
-    def _fill(self, ctx, valuation, coeffs, exact):
+    def _fill(self, ctx, valuation, terms, top):
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "valuation", valuation)
-        object.__setattr__(self, "_coeffs", tuple(coeffs))
-        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "top", top)
 
     @classmethod
-    def _raw(cls, ctx: FieldCtx, valuation: int, coeffs, exact: bool) -> "TruncSeries":
-        """A series on raw coefficients computed here, the first one nonzero
-        and, when exact, the last one too; nothing is checked."""
+    def _raw(cls, ctx: FieldCtx, valuation: int, terms, top) -> "TruncSeries":
+        """A series on nonzero raw terms computed here, one of them at
+        ``valuation`` and none from ``top`` on; nothing is checked."""
         s = object.__new__(cls)
-        s._fill(ctx, valuation, coeffs, exact)
+        s._fill(ctx, valuation, terms, top)
         return s
 
     def __setattr__(self, *a):
@@ -229,74 +242,73 @@ class TruncSeries:
     def from_poly(cls, f: LaurentPoly) -> "TruncSeries":
         if f.is_zero():
             raise ZeroElement("series from zero polynomial")
-        v, d, zero = f.valuation(), f.degree(), f.ctx.raw_zero
-        return cls._raw(f.ctx, v, [f._terms.get(e, zero) for e in range(v, d + 1)], True)
+        return cls._raw(f.ctx, f.valuation(), f._terms, None)
+
+    @property
+    def exact(self) -> bool:
+        return self.top is None
 
     @property
     def precision(self) -> int:
-        return len(self._coeffs)
+        """How many coefficients are known from t^valuation up; when exact,
+        those through the degree."""
+        return (max(self._terms) + 1 if self.top is None else self.top) - self.valuation
 
     @property
     def coeffs(self):
         """The known coefficients as Scalars, from t^valuation up."""
-        return tuple(Scalar(self.ctx, c) for c in self._coeffs)
+        v, get = self.valuation, self._terms.get
+        return tuple(Scalar(self.ctx, get(e, 0)) for e in range(v, v + self.precision))
 
     def coeff(self, e: int) -> Scalar:
-        i = e - self.valuation
-        if i < 0:
-            return self.ctx.zero()
-        if i < len(self._coeffs):
-            return Scalar(self.ctx, self._coeffs[i])
-        if self.exact:
-            return self.ctx.zero()
-        raise InsufficientPrecision(i + 1, len(self._coeffs))
+        if self.top is not None and e >= self.top:
+            raise InsufficientPrecision(e - self.valuation + 1, self.precision)
+        return Scalar(self.ctx, self._terms.get(e, 0))
 
     def to_poly(self) -> LaurentPoly:
-        if not self.exact:
-            raise InsufficientPrecision(len(self._coeffs) + 1, len(self._coeffs))
-        v = self.valuation
-        return LaurentPoly._raw(self.ctx, {v + i: c for i, c in enumerate(self._coeffs) if c})
+        if self.top is not None:
+            raise InsufficientPrecision(self.precision + 1, self.precision)
+        return LaurentPoly._raw(self.ctx, self._terms)
 
     def leading_coeff(self) -> Scalar:
-        return Scalar(self.ctx, self._coeffs[0])
+        return Scalar(self.ctx, self._terms[self.valuation])
 
     def is_monomial(self):
-        return self.exact and len(self._coeffs) == 1
+        return self.top is None and len(self._terms) == 1
 
     def is_one(self):
-        return self.is_monomial() and self.valuation == 0 and self._coeffs[0] == 1
+        return self.is_monomial() and self._terms.get(0) == 1
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         _check_ctx(self, other)
-        if self.exact and other.exact:
-            return TruncSeries.from_poly(self.to_poly() * other.to_poly())
-        known = min(len(s._coeffs) for s in (self, other) if not s.exact)
-        p, zero = self.ctx.modulus, self.ctx.raw_zero
-        a, b = self._coeffs, other._coeffs
-        out = []
-        for k in range(known):
-            acc = zero
-            for i in range(max(0, k + 1 - len(b)), min(k + 1, len(a))):
-                acc += a[i] * b[k - i]
-            out.append(_norm(p, acc))
-        return TruncSeries._raw(self.ctx, self.valuation + other.valuation, out, False)
+        v = self.valuation + other.valuation
+        known = [s.top - s.valuation for s in (self, other) if s.top is not None]
+        top = v + min(known) if known else None
+        acc = {}
+        _mac(acc, self._terms, other._terms, top)
+        return TruncSeries._raw(self.ctx, v, _reduced(self.ctx.modulus, acc), top)
 
     def inverse(self, precision: int | None = None) -> "TruncSeries":
-        """Multiplicative inverse, computed by the geometric recurrence."""
-        u = self._coeffs
+        """Multiplicative inverse, computed by the geometric recurrence over
+        the nonzero terms past the leading one."""
+        known = self.precision
         if precision is None:
-            precision = len(u) if not self.exact else max(DEFAULT_PRECISION, len(u))
-        if not self.exact and precision > len(u):
-            raise InsufficientPrecision(precision, len(u))
-        p, zero = self.ctx.modulus, self.ctx.raw_zero
-        inv0 = _inv(p, u[0])
+            precision = known if not self.exact else max(DEFAULT_PRECISION, known)
+        if not self.exact and precision > known:
+            raise InsufficientPrecision(precision, known)
+        v, p = self.valuation, self.ctx.modulus
+        tail = sorted((e - v, c) for e, c in self._terms.items() if 0 < e - v < precision)
+        inv0, mono = _inv(p, self._terms[v]), self.is_monomial()
         out = [inv0]
-        for k in range(1, 1 if self.is_monomial() else precision):
-            acc = zero
-            for j in range(1, min(k + 1, len(u))):
-                acc += u[j] * out[k - j]
+        for k in range(1, 1 if mono else precision):
+            acc = 0
+            for j, c in tail:
+                if j > k:
+                    break
+                acc += c * out[k - j]
             out.append(_mul(p, -acc, inv0))
-        return TruncSeries._raw(self.ctx, -self.valuation, out, self.is_monomial())
+        terms = {k - v: x for k, x in enumerate(out) if x}
+        return TruncSeries._raw(self.ctx, -v, terms, None if mono else len(out) - v)
 
     def mul_poly_mod(self, poly: LaurentPoly, cutoff: int) -> LaurentPoly:
         """The product (self * poly) reduced modulo t^cutoff.
@@ -307,15 +319,11 @@ class TruncSeries:
         if poly.is_zero():
             return poly
         _check_ctx(self, poly)
-        v = self.valuation
-        need = max(cutoff - e - v for e in poly._terms)
-        if not self.exact and need > len(self._coeffs):
-            raise InsufficientPrecision(need, len(self._coeffs))
+        need = max(cutoff - e - self.valuation for e in poly._terms)
+        if self.top is not None and need > self.precision:
+            raise InsufficientPrecision(need, self.precision)
         acc = {}
-        for e, c in poly._terms.items():
-            for i, d in enumerate(self._coeffs[: max(0, cutoff - e - v)]):
-                if d:
-                    acc[e + v + i] = acc.get(e + v + i, 0) + c * d
+        _mac(acc, poly._terms, self._terms, cutoff)
         return LaurentPoly._raw(self.ctx, _reduced(self.ctx.modulus, acc))
 
     def __eq__(self, other):
@@ -323,22 +331,16 @@ class TruncSeries:
             isinstance(other, TruncSeries)
             and self.ctx == other.ctx
             and self.valuation == other.valuation
-            and self._coeffs == other._coeffs
-            and self.exact == other.exact
+            and self._terms == other._terms
+            and self.top == other.top
         )
 
     def __hash__(self):
-        return hash((self.ctx, self.valuation, self._coeffs, self.exact))
+        return hash((self.ctx, self.valuation, frozenset(self._terms.items()), self.top))
 
     def __str__(self):
-        body = " + ".join(
-            "%s*t^%d" % (Scalar(self.ctx, c), self.valuation + i)
-            for i, c in enumerate(self._coeffs)
-            if c
-        )
-        if not body:
-            body = "0*t^%d" % self.valuation
-        return body if self.exact else body + " + O(t^%d)" % (self.valuation + len(self._coeffs))
+        body = " + ".join("%s*t^%d" % (Scalar(self.ctx, self._terms[e]), e) for e in sorted(self._terms))
+        return body if self.top is None else body + " + O(t^%d)" % self.top
 
     def __repr__(self):
         return "TruncSeries(%s)" % self
@@ -527,7 +529,7 @@ class Automorphism:
     def __init__(self, kind, series=None, matrix=None):
         det = None
         if kind == self.MULT:
-            if series is None or not series._coeffs[0]:
+            if series is None:
                 raise ZeroElement("MultBy needs a unit series")
         elif kind == self.GL:
             if matrix.n == 1:
@@ -604,48 +606,44 @@ class Automorphism:
             return self.series.valuation, -self.series.valuation
         return self.matrix.min_valuation(), self._gl_inverse().matrix.min_valuation()
 
-    def image(self, vecs, a: int, b: int):
-        """g applied to a batch of sparse raw vectors, as sparse raw window rows.
+    def image(self, rows, b0: int, a: int, b: int):
+        """g applied to a batch of sparse raw window rows, as sparse raw window rows.
 
-        A vector is a list of triples (e, i, c): the raw coefficient c of
-        t^e in coordinate i.  Each image is reduced modulo t^a O^n and
-        returned as a ``{slot: nonzero raw value}`` row of the window
-        t^-b O^n / t^a O^n in the slot order of ``lattice`` (t^e e_i at slot
-        (e + b) * n + i); an image with a nonzero term below t^-b raises
-        ValueError.  A truncated series is checked once, against the largest
-        need of the whole batch, so the precision that InsufficientPrecision
-        names suffices for every vector.
+        A source row is a ``{slot: nonzero raw value}`` row in the slot order
+        of ``lattice`` for the window bottom t^-b0: slot s holds t^e e_i with
+        e = s // n - b0 and i = s % n, and may lie past the window's top.
+        Each image is reduced modulo t^a O^n and returned as a row of the
+        window t^-b O^n / t^a O^n; an image with a nonzero term below t^-b
+        raises ValueError.  A truncated series is checked once, against the
+        largest need of the whole batch, so the precision that
+        InsufficientPrecision names suffices for every row.
         """
         if self.kind == self.MULT:
-            s = self.series
-            exps = [e for vec in vecs for e, _, _ in vec]
-            need = a - min(exps) - s.valuation if exps else 0
-            if not s.exact and need > s.precision:
-                raise InsufficientPrecision(need, s.precision)
-            n = 1
-            entries = [[(s.valuation + i, c) for i, c in enumerate(s._coeffs) if c]]
+            u, n = self.series, 1
+            lo = min((min(row) for row in rows if row), default=None)
+            if u.top is not None and lo is not None and a - lo + b0 > u.top:
+                raise InsufficientPrecision(a - lo + b0 - u.valuation, u.precision)
+            terms = [u._terms]
         else:
             n = self.matrix.n
-            entries = [sorted(f._terms.items()) for f in self.matrix.entries]
-        p = self.ctx.modulus
-        rows = []
-        for vec in vecs:
+            terms = [f._terms for f in self.matrix.entries]
+        entries = [sorted(f.items()) for f in terms]
+        p, out = self.ctx.modulus, []
+        for row in rows:
             acc = {}
-            for e, k, c in vec:
+            for s, c in row.items():
+                e, k = s // n - b0, s % n
                 for i in range(n):
                     for f, d in entries[i * n + k]:
                         if e + f >= a:
                             break
                         slot = (e + f + b) * n + i
                         acc[slot] = acc.get(slot, 0) + c * d
-            if p is None:
-                row = {slot: _canon(x) for slot, x in acc.items() if x}
-            else:
-                row = {slot: r for slot, x in acc.items() if (r := x % p)}
-            if row and min(row) < 0:  # a term below t^-b
+            image = _reduced(p, acc)
+            if image and min(image) < 0:  # a term below t^-b
                 raise ValueError("vector outside t^-%d O^n window" % b)
-            rows.append(row)
-        return rows
+            out.append(image)
+        return out
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         """self after other, acting on the same space."""
@@ -689,7 +687,7 @@ _TERM_RE = re.compile(
 def _split_terms(text: str):
     terms = []
     cur = ""
-    for i, ch in enumerate(text):
+    for ch in text:
         if ch in "+-" and cur and cur[-1] not in "^*/+-":
             terms.append(cur)
             cur = "" if ch == "+" else "-"
@@ -709,7 +707,7 @@ def parse_laurent(ctx: FieldCtx, text: str) -> LaurentPoly:
     raw = text.replace(" ", "").replace("\t", "")
     if not raw:
         raise ValueError("empty Laurent expression")
-    acc = LaurentPoly.zero(ctx)
+    acc = {}
     for part in _split_terms(raw):
         sign = 1
         if part.startswith("-"):
@@ -719,15 +717,13 @@ def parse_laurent(ctx: FieldCtx, text: str) -> LaurentPoly:
         m = _TERM_RE.match(part)
         if not m or (m.group("coeff") is None and m.group("t") is None):
             raise ValueError("bad Laurent term %r in %r" % (part, text))
-        coeff = ctx.scalar(m.group("coeff")) if m.group("coeff") else ctx.one()
-        if sign < 0:
-            coeff = -coeff
+        coeff = ctx.raw(m.group("coeff")) if m.group("coeff") else 1
         if m.group("t"):
             exp = int(m.group("exp")) if m.group("exp") else 1
         else:
             exp = 0
-        acc = acc + LaurentPoly(ctx, {exp: coeff})
-    return acc
+        acc[exp] = acc.get(exp, 0) + sign * coeff
+    return LaurentPoly._raw(ctx, _reduced(ctx.modulus, acc))
 
 
 def parse_laurent_matrix(ctx: FieldCtx, text: str) -> LaurentMatrix:

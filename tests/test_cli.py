@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -327,6 +328,27 @@ def test_closed_formula_limit_exits_2_quickly(capsys):
     # Over F_p the powers are modular: no limit applies.
     code, out, _ = run(capsys, "tame", "--field", "F5", "--f", "3*t^7+t^9", "--g", "t^99999999")
     assert code == 0 and out.strip() == str(-pow(3, 99999999, 5) % 5)
+
+
+def test_a_units_degree_costs_only_its_terms(capsys):
+    """A unit of degree 10^9 costs its two stored terms, not one coefficient
+    per exponent up to the degree."""
+    f, g = "5t^1000000000+5t", "t^6+5t^-9"
+    tame = run(capsys, "tame", "--f", f, "--g", g)[1]
+    cases = [
+        (["index", "--f", "t^1000000000+1"], "0\n"),
+        (["commutator", "--f", f, "--g", g, "--mode", "graded"], tame),
+    ]
+    for argv, want in cases:
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (0, want) and peak < 1 << 20
 
 
 # -- the exit-code contract under random argument vectors ---------------------

@@ -45,7 +45,7 @@ from tatekit.errors import (
     SpaceMismatch,
     WindowTooLarge,
 )
-from tatekit.lattice import _sparse, act, common_window, leq, meet, quotient_dim_lattices
+from tatekit.lattice import act, common_window, leq, meet, quotient_dim_lattices
 from tatekit.linalg import Matrix, _quotient_coords, _quotient_reps, det, quotient_dim, subspace_intersect
 from tatekit.verify import rand_gl, rand_lattice, rand_mult, rand_unit_poly, suite_detline
 
@@ -388,7 +388,7 @@ def ref_translation_scalar(g, F1, F2):
     a2, b2, (tw1, tw2) = common_window(act(g, F1), act(g, F2))
     wN, twN = subspace_intersect(w1, w2), subspace_intersect(tw1, tw2)
     reps2, reps1 = ref_desc_reps(wN, w2), ref_desc_reps(wN, w1)
-    rows = g.image([_sparse(F1.space, b1, r) for r in reps2 + reps1], a2, b2)
+    rows = g.image(reps2 + reps1, b1, a2, b2)
     return ref_wedge_det(twN, tw2, rows[: len(reps2)]) / ref_wedge_det(twN, tw1, rows[len(reps2) :])
 
 

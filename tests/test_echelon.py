@@ -132,7 +132,7 @@ def test_echelon_builders_do_not_eliminate(monkeypatch):
     w = L.window_subspace(3, 2)
     assert Lattice(V, 3, 2, w) == L
     assert std_lattice(V, [2, -1]).subspace.dim == 3
-    assert w.contains_vector(w.rows()[0]) and L.contains_vector(row_to_vec(V, L.a, L.b, L.subspace.rows()[1]))
+    assert w.contains_vector(w.rows()[0]) and L.contains_vector(row_to_vec(V, L.b, list(L.subspace._at.values())[1]))
     assert [str(c) for c in quotient_coords(sub, *_quotient_reps(sub, sup), vec)] == ["3"]  # vec = 2*sub + 3*rep
 
 

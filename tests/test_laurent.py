@@ -1,6 +1,10 @@
 import random
+import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tatekit import (
     GF,
@@ -15,7 +19,8 @@ from tatekit import (
     parse_laurent_matrix,
     valuation,
 )
-from tatekit.errors import InsufficientPrecision, NotInvertibleInLaurentRing, ZeroElement
+from tatekit.errors import InsufficientPrecision, NotInvertibleInLaurentRing, TateKitError, ZeroElement
+from tatekit.laurent import _TERM_RE, _split_terms
 
 
 def P(text, ctx=QQ):
@@ -140,6 +145,82 @@ def test_parser_grammar():
         P("t^^2")
     with pytest.raises(ValueError):
         P("")
+
+
+def ref_parse(ctx, text):
+    """The per-term ``LaurentPoly`` sum that ``parse_laurent`` was before it
+    added every term into one dict: the reference for its values and errors."""
+    raw = text.replace(" ", "").replace("\t", "")
+    if not raw:
+        raise ValueError("empty Laurent expression")
+    acc = LaurentPoly.zero(ctx)
+    for part in _split_terms(raw):
+        sign = 1
+        if part.startswith("-"):
+            sign, part = -1, part[1:]
+        elif part.startswith("+"):
+            part = part[1:]
+        m = _TERM_RE.match(part)
+        if not m or (m.group("coeff") is None and m.group("t") is None):
+            raise ValueError("bad Laurent term %r in %r" % (part, text))
+        coeff = ctx.scalar(m.group("coeff")) if m.group("coeff") else ctx.one()
+        if sign < 0:
+            coeff = -coeff
+        if m.group("t"):
+            exp = int(m.group("exp")) if m.group("exp") else 1
+        else:
+            exp = 0
+        acc = acc + LaurentPoly(ctx, {exp: coeff})
+    return acc
+
+
+@st.composite
+def laurent_texts(draw):
+    """Term strings with repeated exponents, terms that cancel, fractions
+    (over F_p some with a denominator divisible by p) and now and then a
+    malformed term."""
+    terms = []
+    for _ in range(draw(st.integers(1, 8))):
+        coeff = draw(st.sampled_from(["", "0", "1", "2", "3", "7", "1/2", "2/3", "5/7", "3/5", "4/2"]))
+        exp = draw(st.integers(-3, 3))
+        body = draw(st.sampled_from(["%s*t^%d", "%st^%d", "%s"]))
+        term = body % (coeff, exp) if "t" in body else coeff
+        if not term:
+            term = "t"
+        terms.append(draw(st.sampled_from(["", "-"])) + term)
+        if draw(st.integers(0, 3)) == 0:  # the same term with the other sign
+            terms.append(term if terms[-1].startswith("-") else "-" + term)
+        if draw(st.integers(0, 19)) == 0:
+            terms.append(draw(st.sampled_from(["t^^2", "3**t", "x", "1/", "t^", "2*"])))
+    text = terms[0]
+    for term in terms[1:]:
+        text += draw(st.sampled_from([" + ", "+"])) + term if not term.startswith("-") else term
+    return text
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, TateKitError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([QQ, GF(2), GF(3), GF(5), GF(7)]), laurent_texts())
+def test_parse_matches_the_per_term_sum(ctx, text):
+    assert outcome(parse_laurent, ctx, text) == outcome(ref_parse, ctx, text)
+
+
+def test_parse_is_linear_in_the_terms():
+    text = " + ".join("%d/%d*t^%d" % (i % 7 - 3, i % 4 + 1, i % 5000 - 2500) for i in range(10000))
+    want = {}
+    for i in range(10000):
+        e = i % 5000 - 2500
+        want[e] = want.get(e, 0) + Fraction(i % 7 - 3, i % 4 + 1)
+    start = time.perf_counter()
+    f = parse_laurent(QQ, text)
+    assert time.perf_counter() - start < 1.0
+    assert f == LaurentPoly(QQ, want)
 
 
 def test_str_parses_back():
