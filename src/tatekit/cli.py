@@ -18,8 +18,8 @@ import sys
 from .detline import closed_commutator_formula, commutator, tame_symbol
 from .errors import InsufficientPrecision, TateKitError
 from .fields import GF, QQ, FieldCtx
-from .index_map import index0
-from .lattice import MAX_WINDOW_DIM, TateSpace, act, join, std_lattice
+from .index_map import _canonical_index, index0
+from .lattice import MAX_WINDOW_DIM, TateSpace
 from .laurent import Automorphism, parse_laurent, parse_laurent_matrix
 from .verify import SUITES, run_suites
 
@@ -69,11 +69,8 @@ def cmd_index(args) -> int:
     ctx = _parse_field(args.field)
     g = _automorphism(ctx, args)
     space = TateSpace(ctx, g.rank)
-    value = index0(g, space)
     if args.json:
-        L = std_lattice(space, 0)
-        gL = act(g, L)
-        N = join(L, gL)
+        value, L, gL, N = _canonical_index(g, space)
         print(
             _dumps(
                 {
@@ -85,7 +82,7 @@ def cmd_index(args) -> int:
             )
         )
     else:
-        print(value)
+        print(index0(g, space))
     return EXIT_OK
 
 

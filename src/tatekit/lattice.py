@@ -112,9 +112,10 @@ def vec_to_row(space: TateSpace, a: int, b: int, vec):
 
 
 class Lattice:
-    """An open bounded subspace of k((t))^n, in normalized window form."""
+    """An open bounded subspace of k((t))^n, in normalized window form; the
+    hash is kept on first use."""
 
-    __slots__ = ("space", "a", "b", "subspace")
+    __slots__ = ("space", "a", "b", "subspace", "_hash")
 
     def __init__(self, space: TateSpace, a: int, b: int, subspace: Subspace):
         if a + b < 0:
@@ -129,6 +130,7 @@ class Lattice:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "subspace", subspace)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Lattice is immutable")
@@ -198,7 +200,9 @@ class Lattice:
         )
 
     def __hash__(self):
-        return hash((self.space, self.a, self.b, self.subspace))
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.space, self.a, self.b, self.subspace)))
+        return self._hash
 
     def __repr__(self):
         return "Lattice(a=%d, b=%d, dim W=%d)" % (self.a, self.b, self.subspace.dim)

@@ -29,6 +29,7 @@ target window's top.
 from __future__ import annotations
 
 import re
+from math import gcd
 
 from .errors import (
     FieldMismatch,
@@ -290,7 +291,9 @@ class TruncSeries:
 
     def inverse(self, precision: int | None = None) -> "TruncSeries":
         """Multiplicative inverse, computed by the geometric recurrence over
-        the nonzero terms past the leading one."""
+        the nonzero terms past the leading one.  Only the multiples of the
+        gcd of their offsets can be nonzero, so the recurrence steps by it:
+        a dense tail takes every offset, a sparse one few."""
         known = self.precision
         if precision is None:
             precision = known if not self.exact else max(DEFAULT_PRECISION, known)
@@ -299,16 +302,20 @@ class TruncSeries:
         v, p = self.valuation, self.ctx.modulus
         tail = sorted((e - v, c) for e, c in self._terms.items() if 0 < e - v < precision)
         inv0, mono = _inv(p, self._terms[v]), self.is_monomial()
+        stop = 1 if mono else max(precision, 1)
+        step = gcd(*[j for j, _ in tail]) or stop
+        if step > 1:
+            tail = [(j // step, c) for j, c in tail]
         out = [inv0]
-        for k in range(1, 1 if mono else precision):
+        for k in range(1, (stop + step - 1) // step):
             acc = 0
             for j, c in tail:
                 if j > k:
                     break
                 acc += c * out[k - j]
             out.append(_mul(p, -acc, inv0))
-        terms = {k - v: x for k, x in enumerate(out) if x}
-        return TruncSeries._raw(self.ctx, -v, terms, None if mono else len(out) - v)
+        terms = {k - v: x for k, x in zip(range(0, stop, step), out) if x}
+        return TruncSeries._raw(self.ctx, -v, terms, None if mono else stop - v)
 
     def mul_poly_mod(self, poly: LaurentPoly, cutoff: int) -> LaurentPoly:
         """The product (self * poly) reduced modulo t^cutoff.

@@ -65,6 +65,25 @@ def test_index_json_lattices(capsys):
     assert data["gL"]["a"] == 1
 
 
+@pytest.mark.parametrize("argv", [["--f", "3t^-2+t^4"], ["--field", "F5", "--matrix", "t,1+t;0,t^-1"]])
+def test_index_json_computes_its_lattices_once(capsys, monkeypatch, argv):
+    import tatekit.index_map as index_map
+    from tatekit import QQ, GF, Automorphism, TateSpace, act, join, parse_laurent, parse_laurent_matrix, std_lattice
+
+    ctx = GF(5) if "F5" in argv else QQ
+    g = Automorphism.gl(parse_laurent_matrix(ctx, argv[-1])) if "--matrix" in argv else Automorphism.mult_by(parse_laurent(ctx, argv[-1]))
+    L = std_lattice(TateSpace(ctx, g.rank), 0)
+    gL = act(g, L)
+    N = join(L, gL)
+    want = {"index": L.vdim - gL.vdim, "L": L.to_json_dict(), "gL": gL.to_json_dict(), "N": N.to_json_dict()}
+    calls = []
+    real = index_map.act
+    monkeypatch.setattr(index_map, "act", lambda g, L: calls.append(g) or real(g, L))
+    code, out, _ = run(capsys, "index", *argv, "--json")
+    assert code == 0 and len(calls) == 1
+    assert out == json.dumps(want, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def test_commutator(capsys):
     code, out, _ = run(
         capsys, "commutator", "--field", "Q", "--f", "1*t^1", "--g", "2", "--mode", "ungraded"

@@ -1,4 +1,7 @@
 import random
+import re
+from functools import reduce
+from itertools import combinations
 
 import pytest
 
@@ -17,6 +20,7 @@ from tatekit import (
     index0_with,
     index_simplex,
     join,
+    leq,
     meet,
     parse_laurent,
     parse_laurent_matrix,
@@ -24,7 +28,7 @@ from tatekit import (
     verify_family,
 )
 from tatekit.errors import ChainTooLong, DegenerateChain, NotNested, UnknownFace
-from tatekit.simplicial import nonempty_subsets
+from tatekit.simplicial import nonempty_subsets, subset_degeneracy, subset_face
 from tatekit.verify import rand_gl, rand_lattice, rand_mult, rand_unit_poly
 
 V = TateSpace(QQ, 1)
@@ -214,19 +218,141 @@ def test_verify_family_computes_each_translate_once(monkeypatch):
     rng = random.Random(67)
     ctx = GF(5)
     space = TateSpace(ctx, 2)
-    fam = build_family(AutChain(space, [rand_gl(ctx, 2, rng) for _ in range(3)]))
-    calls = []
-    real = index_map.act
+    chain = AutChain(space, [rand_gl(ctx, 2, rng) for _ in range(3)])
+    calls, tests = [], []
+    real, real_leq = index_map.act, index_map.leq
     monkeypatch.setattr(index_map, "act", lambda g, L: calls.append((g, L)) or real(g, L))
+    monkeypatch.setattr(index_map, "leq", lambda L, M: tests.append((L, M)) or real_leq(L, M))
+    fam = build_family(chain)
+    built = set(calls)
     report = verify_family(fam)
     assert family_passes(report)
-    # One translate per (last arrow, lower face, subset I of the lower face):
-    # hypothesis (b) for I and the last face identity for J = I share it.
-    pairs = {
-        (fam.subchains[kept][-1], kept[:-1], I)
-        for kept in fam.faces()
-        if len(kept) > 1
-        for I in nonempty_subsets(len(kept) - 2)
+    # Hypothesis (c) tests each distinct (L, M) once, and fewer than its pairs.
+    assert tests and len(tests) == len(set(tests)) < sum(r["check"] == "hypothesis_c" for r in report)
+    # One act per distinct (g, L) by value, across build and verify: verify
+    # reuses the builder's translates and repeats none of its own.
+    assert len(calls) == len(set(calls)) == len(fam._translates)
+    assert built and not built & set(calls[len(built):])
+    # Fewer than one per (last arrow, lower face, subset of the lower face).
+    assert len(calls) < sum(2 ** (len(kept) - 1) - 1 for kept in fam.faces() if len(kept) > 1)
+
+
+def ref_entries(chain):
+    """build_family's entries as the top subset joining every proper subset."""
+    from tatekit.index_map import _subchain
+
+    base, memo = std_lattice(chain.space, 0), {}
+
+    def lattice(sub, I):
+        if (sub, I) not in memo:
+            m = len(sub)
+            degenerate_at = next((j for j, g in enumerate(sub) if g.is_identity()), None)
+            if m == 0:
+                val = base
+            elif degenerate_at is not None:
+                tau = sub[:degenerate_at] + sub[degenerate_at + 1 :]
+                val = lattice(tau, subset_degeneracy(I, degenerate_at))
+            elif len(I) <= m:
+                i = min(set(range(m + 1)) - I)
+                if i < m:
+                    val = lattice(_subchain(sub, [j for j in range(m + 1) if j != i]), subset_degeneracy(I, i))
+                else:
+                    val = act(sub[-1], lattice(sub[:-1], I))
+            else:
+                val = reduce(join, [lattice(sub, J) for J in nonempty_subsets(m) if len(J) <= m])
+            memo[sub, I] = val
+        return memo[sub, I]
+
+    k = len(chain)
+    return {
+        (kept, tuple(sorted(I))): lattice(_subchain(chain.autos, kept), I)
+        for size in range(1, k + 2)
+        for kept in combinations(range(k + 1), size)
+        for I in nonempty_subsets(size - 1)
     }
-    assert len(calls) == len(pairs) == sum(2 ** (len(kept) - 1) - 1 for kept in fam.faces() if len(kept) > 1)
-    assert sum(r["check"] == "hypothesis_b" for r in report) == len(calls)
+
+
+def ref_verify(fam):
+    """verify_family with every translate recomputed and leq on all pairs I < J."""
+    report = []
+
+    def record(check, simplex, ok, detail):
+        report.append({"check": check, "simplex": simplex, "status": "pass" if ok else "fail", "detail": "" if ok else detail})
+
+    for kept in fam.faces():
+        m = len(kept) - 1
+        if m == 0:
+            continue
+        g, tag = fam.subchains[kept][-1], "S=%s" % (",".join(map(str, kept)),)
+        subsets = nonempty_subsets(m)
+        for I in subsets:
+            for i in sorted(set(range(m + 1)) - set(I)) if len(I) <= m else ():
+                here = fam.lattice(kept, I)
+                lower = kept[:i] + kept[i + 1 :]
+                if i < m:
+                    ok = here == fam.lattice(lower, subset_degeneracy(I, i))
+                    record("hypothesis_a", "%s I=%s i=%d" % (tag, sorted(I), i), ok, "face value disagrees")
+                else:
+                    ok = here == act(g, fam.lattice(lower, I))
+                    record("hypothesis_b", "%s I=%s" % (tag, sorted(I)), ok, "g_k-translate disagrees")
+        for I in subsets:
+            for J in subsets:
+                if I < J:
+                    ok = leq(fam.lattice(kept, I), fam.lattice(kept, J))
+                    record("hypothesis_c", "%s I=%s J=%s" % (tag, sorted(I), sorted(J)), ok, "not a sub-lattice")
+        for i in range(m + 1):
+            lower = kept[:i] + kept[i + 1 :]
+            for J in nonempty_subsets(m - 1):
+                top = fam.lattice(kept, subset_face(J, i))
+                want = fam.lattice(lower, J) if i < m else act(g, fam.lattice(lower, J))
+                record("face_identity_d%d" % i, "%s J=%s" % (tag, sorted(J)), top == want, "section is not simplicial here")
+    return report
+
+
+def seeded_chain(rank, ctx, length):
+    rng = random.Random(71 + 10 * rank + length)
+    autos = []
+    while len(autos) < length:
+        g = rand_mult(ctx, rng, -2, 2) if rank == 1 else rand_gl(ctx, 2, rng)
+        if not g.is_identity():
+            autos.append(g)
+    return AutChain(TateSpace(ctx, rank), autos)
+
+
+def covering_failures(report):
+    """The failing hypothesis (c) records whose J has one element more than I."""
+    out = []
+    for r in report:
+        if r["check"] == "hypothesis_c" and r["status"] == "fail":
+            I, J = re.search(r"I=\[(.*)\] J=\[(.*)\]", r["simplex"]).groups()
+            if J.count(",") == I.count(",") + 1:
+                out.append(r)
+    return out
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("ctx", [GF(3), QQ], ids=["GF3", "Q"])
+@pytest.mark.parametrize("length", [1, 2, 3, 4])
+def test_family_matches_the_all_subsets_reference(rank, ctx, length):
+    chain = seeded_chain(rank, ctx, length)
+    fam = build_family(chain)
+    assert fam.entries == ref_entries(chain)
+    report = verify_family(fam)
+    assert family_passes(report)
+    assert report == ref_verify(fam)
+    if length < 2:
+        return
+    # Spoil L_{0} upwards and L_{0,1} downwards: covering pairs fail, so the
+    # pairs above them are settled by leq, not by a chain of passing pairs.
+    kept = tuple(range(length + 1))
+    space = chain.space
+    for I, spoil in (
+        ([0], lambda L: join(L, std_lattice(space, [-(L.b + 1)] * rank))),
+        ([0, 1], lambda L: meet(L, std_lattice(space, [1 - L.b] * rank))),
+    ):
+        old = fam.lattice(kept, I)
+        broken = fam.replaced(kept, I, spoil(old))
+        assert broken.lattice(kept, I) != old
+        report = verify_family(broken)
+        assert covering_failures(report)
+        assert report == ref_verify(broken)

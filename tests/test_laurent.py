@@ -76,6 +76,45 @@ def test_invert_series_product_is_one():
         assert all(c.is_zero() for c in prod.coeffs[1:N])
 
 
+def ref_inverse(s, precision=None):
+    """(terms, top) of the inverse by the dense recurrence, one step per offset."""
+    from tatekit.fields import _inv, _mul
+    from tatekit.laurent import DEFAULT_PRECISION
+
+    if precision is None:
+        precision = s.precision if not s.exact else max(DEFAULT_PRECISION, s.precision)
+    v, p = s.valuation, s.ctx.modulus
+    tail = sorted((e - v, c) for e, c in s._terms.items() if 0 < e - v < precision)
+    inv0, mono = _inv(p, s._terms[v]), s.is_monomial()
+    out = [inv0]
+    for k in range(1, 1 if mono else precision):
+        acc = sum(c * out[k - j] for j, c in tail if j <= k)
+        out.append(_mul(p, -acc, inv0))
+    return {k - v: x for k, x in enumerate(out) if x}, None if mono else len(out) - v
+
+
+def test_inverse_steps_by_the_gcd_of_the_tail():
+    rng = random.Random(13)
+    for trial in range(300):
+        ctx = QQ if trial % 2 else GF(7)
+        step = rng.choice([1, 2, 3, 5, 12])
+        v = rng.randint(-4, 4)
+        coeffs = [0] * (step * rng.randint(0, 6) + 1)
+        coeffs[0] = rng.randint(1, 6)
+        for k in range(step, len(coeffs), step):
+            coeffs[k] = rng.choice([0, 0, 1, -2, 3])
+        if rng.random() < 0.3:
+            coeffs.extend([0] * rng.randint(0, 3))
+        s = TruncSeries(ctx, v, coeffs, exact=rng.random() < 0.5)
+        precision = rng.choice([None, 0, 1, rng.randint(1, s.precision)] if not s.exact else [None, 0, rng.randint(1, 40)])
+        got = s.inverse(precision)
+        assert (got._terms, got.top) == ref_inverse(s, precision)
+    start = time.perf_counter()
+    g = Automorphism.mult_by(P("t^1000000+1")).inverse()
+    assert time.perf_counter() - start < 0.1
+    assert (g.series._terms, g.series.top) == ({0: 1, 1000000: -1}, 1000001)
+
+
 def test_truncseries_precision_guard():
     g = invert_series(P("1-t"), 3)
     with pytest.raises(InsufficientPrecision):
