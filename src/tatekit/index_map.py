@@ -18,13 +18,17 @@ forced by the face recursion and the full subset chosen as the canonical
 join.  ``verify_family`` re-checks every hypothesis and both face
 identities and reports each one.
 
-Each lattice operation runs once per distinct input.  The g_k-translates of
-the builder and of ``verify_family`` share one dict per family, keyed by
-(g, L) by value.  The full subset joins only its m+1 facets (|J| = m), which
-hypothesis (c) puts above every smaller subset.  Hypothesis (c) runs ``leq``
-on the covering pairs, and on a wider pair I < J only when no I + x links
-it through two passing pairs, as containment is transitive; and it runs
-once per distinct (L, M), as faces share their lattices by value.
+``build_family`` fills ``entries`` through one recursion keyed by face
+and subset, (kept vertices, sorted I), so the dict it returns is its memo.
+Each face's composite arrows and its first identity arrow are found once.
+The g_k-translates of the builder and of ``verify_family`` share one dict
+per family, keyed by (g, L) by value, so each act runs once per distinct
+input.  The full subset joins only its m+1 facets (|J| = m), which
+hypothesis (c) puts above every smaller subset.  Hypothesis (c) settles a
+pair whose two lattices are equal at once; it runs ``leq`` on the other
+covering pairs, and on a wider pair I < J only when no I + x links it
+through two passing pairs, as containment is transitive; and it runs once
+per distinct (L, M), as faces share their lattices by value.
 """
 
 from __future__ import annotations
@@ -105,6 +109,10 @@ def _subchain(chain, kept):
     return tuple(out)
 
 
+def _drop_vertex(kept, i):
+    return kept[:i] + kept[i + 1 :]
+
+
 def _once(store: dict, op, x, y):
     """op(x, y), computed once per (x, y) by value and kept in ``store``."""
     key = (x, y)
@@ -114,57 +122,20 @@ def _once(store: dict, op, x, y):
     return out
 
 
-class _FamilyBuilder:
-    def __init__(self, space: TateSpace):
-        self.space = space
-        self.base = std_lattice(space, 0)
-        self.memo = {}
-        self.translates = {}
-
-    def lattice(self, chain, I) -> Lattice:
-        I = frozenset(I)
-        key = (chain, I)
-        if key in self.memo:
-            return self.memo[key]
-        m = len(chain)
-        if not I or not I <= set(range(m + 1)):
-            raise UnknownFace("bad subset %r for a %d-simplex" % (sorted(I), m))
-        if m == 0:
-            val = self.base
-        else:
-            degenerate_at = next(
-                (j for j, g in enumerate(chain) if g.is_identity()), None
-            )
-            if degenerate_at is not None:
-                # chain = s_j(tau): restrict the family of tau
-                tau = chain[:degenerate_at] + chain[degenerate_at + 1 :]
-                val = self.lattice(tau, subset_degeneracy(I, degenerate_at))
-            elif len(I) <= m:
-                i = min(set(range(m + 1)) - I)
-                if i < m:
-                    face = _subchain(chain, [j for j in range(m + 1) if j != i])
-                    val = self.lattice(face, subset_degeneracy(I, i))
-                else:
-                    val = _once(self.translates, act, chain[-1], self.lattice(chain[:-1], I))
-            else:
-                val = reduce(join, [self.lattice(chain, I - {j}) for j in range(m + 1)])
-        self.memo[key] = val
-        return val
-
-
 class LatticeFamily:
     """All lattices L_{m,I} over the faces of one top chain.
 
-    ``entries`` maps (kept-vertices tuple, sorted subset tuple) to a
-    Lattice; ``subchains`` carries the composite arrows of each face.
-    ``_translates`` holds the g L already computed, keyed by (g, L).
+    ``entries`` maps a face and a subset, as (kept-vertices tuple, sorted
+    subset tuple), to a Lattice; ``subchains`` carries the composite arrows
+    of each face.  ``translates`` holds the g L already computed, keyed by
+    (g, L) by value, and is shared with every copy made by ``replaced``.
     """
 
-    def __init__(self, chain: AutChain, entries: dict, subchains: dict):
+    def __init__(self, chain: AutChain, entries: dict, subchains: dict, translates: dict):
         self.chain = chain
         self.entries = entries
         self.subchains = subchains
-        self._translates = {}
+        self._translates = translates
 
     def faces(self):
         return sorted(self.subchains, key=lambda s: (len(s), s))
@@ -179,9 +150,7 @@ class LatticeFamily:
         """Copy with one entry overridden (fault-injection hook for tests)."""
         entries = dict(self.entries)
         entries[(tuple(kept), tuple(sorted(I)))] = lattice
-        family = LatticeFamily(self.chain, entries, self.subchains)
-        family._translates = self._translates
-        return family
+        return LatticeFamily(self.chain, entries, self.subchains, self._translates)
 
 
 def build_family(chain: AutChain, cap: int = DEFAULT_CHAIN_CAP) -> LatticeFamily:
@@ -190,23 +159,42 @@ def build_family(chain: AutChain, cap: int = DEFAULT_CHAIN_CAP) -> LatticeFamily
         raise ChainTooLong("chain length %d exceeds cap %d" % (k, cap))
     if any(g.is_identity() for g in chain.autos):
         raise DegenerateChain("chain contains an identity arrow")
-    builder = _FamilyBuilder(chain.space)
-    entries = {}
-    subchains = {}
-    for size in range(1, k + 2):
-        for kept in combinations(range(k + 1), size):
-            sub = _subchain(chain.autos, kept)
-            subchains[kept] = sub
-            m = size - 1
-            for I in nonempty_subsets(m):
-                entries[(kept, tuple(sorted(I)))] = builder.lattice(sub, I)
-    family = LatticeFamily(chain, entries, subchains)
-    family._translates = builder.translates
-    return family
+    faces = [kept for size in range(1, k + 2) for kept in combinations(range(k + 1), size)]
+    subchains = {kept: _subchain(chain.autos, kept) for kept in faces}
+    first_identity = {
+        kept: next((j for j, g in enumerate(sub) if g.is_identity()), None)
+        for kept, sub in subchains.items()
+    }
+    base = std_lattice(chain.space, 0)
+    entries, translates = {}, {}
 
+    def lattice(kept, I):
+        key = (kept, tuple(sorted(I)))
+        val = entries.get(key)
+        if val is None:
+            m, j = len(kept) - 1, first_identity[kept]
+            if m == 0:
+                val = base
+            elif j is not None:
+                # arrow j is the identity: the face is s_j of the face without
+                # vertex j+1, whose arrow kept[j] -> kept[j+2] is the same
+                val = lattice(_drop_vertex(kept, j + 1), subset_degeneracy(I, j))
+            elif len(I) <= m:
+                i = min(set(range(m + 1)) - I)
+                if i < m:
+                    val = lattice(_drop_vertex(kept, i), subset_degeneracy(I, i))
+                else:
+                    val = _once(translates, act, subchains[kept][-1], lattice(kept[:-1], I))
+            else:
+                val = reduce(join, [lattice(kept, I - {x}) for x in range(m + 1)])
+            entries[key] = val
+        return val
 
-def _drop_vertex(kept, i):
-    return kept[:i] + kept[i + 1 :]
+    for kept in faces:
+        for I in nonempty_subsets(len(kept) - 1):
+            lattice(kept, I)
+    del lattice  # the recursion holds itself: free its state without the cycle collector
+    return LatticeFamily(chain, entries, subchains, translates)
 
 
 def verify_family(family: LatticeFamily):
@@ -215,8 +203,8 @@ def verify_family(family: LatticeFamily):
     Returns a list of {check, simplex, status, detail} dicts, one per
     verified identity, deterministic in order.  Translates come from the
     family's (g, L) store, which holds the builder's; hypothesis (c) runs
-    ``leq`` once per distinct (L, M) among the covering pairs and the wider
-    pairs that no passing chain of narrower pairs settles.
+    ``leq`` once per distinct (L, M), L != M, among the covering pairs and
+    the wider pairs that no passing chain of narrower pairs settles.
     """
     report = []
     contained = {}
@@ -271,7 +259,8 @@ def verify_family(family: LatticeFamily):
         holds = {}
         for I, J in sorted(pairs, key=lambda p: len(p[1]) - len(p[0])):
             via = len(J) - len(I) > 1 and any(holds[I, I | {x}] and holds[I | {x}, J] for x in J - I)
-            holds[I, J] = via or _once(contained, leq, family.lattice(kept, I), family.lattice(kept, J))
+            L, M = family.lattice(kept, I), family.lattice(kept, J)
+            holds[I, J] = via or L == M or _once(contained, leq, L, M)
         for I, J in pairs:
             ok = holds[I, J]
             record(

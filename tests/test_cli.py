@@ -302,7 +302,8 @@ def test_closed_pipe_exits_2_without_traceback(argv):
     # then again at interpreter exit unless stdout was pointed at devnull.
     proc = cli_process(*argv, stdout=subprocess.PIPE)
     proc.stdout.close()
-    err = proc.stderr.read()
+    with proc.stderr:
+        err = proc.stderr.read()
     assert proc.wait(timeout=60) == 2
     assert_one_error_line(err)
     assert "[Errno 32]" in err

@@ -28,8 +28,9 @@ from tatekit import (
     verify_family,
 )
 from tatekit.errors import ChainTooLong, DegenerateChain, NotNested, UnknownFace
+from tatekit.laurent import LaurentPoly
 from tatekit.simplicial import nonempty_subsets, subset_degeneracy, subset_face
-from tatekit.verify import rand_gl, rand_lattice, rand_mult, rand_unit_poly
+from tatekit.verify import rand_gl, rand_lattice, rand_mult, rand_scalar, rand_unit_poly
 
 V = TateSpace(QQ, 1)
 O = std_lattice(V, [0])
@@ -356,3 +357,32 @@ def test_family_matches_the_all_subsets_reference(rank, ctx, length):
         report = verify_family(broken)
         assert covering_failures(report)
         assert report == ref_verify(broken)
+
+
+def exact_unit(ctx, rank, rng):
+    """A non-identity automorphism whose inverse is exact: c*t^k at rank 1,
+    a GL matrix with monomial determinant at rank 2."""
+    while True:
+        if rank == 1:
+            g = Automorphism.mult_by(LaurentPoly(ctx, {rng.randint(-2, 2): rand_scalar(ctx, rng, nonzero=True)}))
+        else:
+            g = rand_gl(ctx, 2, rng)
+        if not g.is_identity():
+            return g
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("ctx", [GF(3), QQ], ids=["GF3", "Q"])
+@pytest.mark.parametrize("shape", ["g,g^-1,h", "g,h,h^-1", "g,h,(hg)^-1"])
+def test_family_with_degenerate_faces_matches_the_reference(rank, ctx, shape):
+    rng = random.Random(shape + str(rank) + str(ctx))
+    g, h = exact_unit(ctx, rank, rng), exact_unit(ctx, rank, rng)
+    chains = {"g,g^-1,h": (g, g.inverse(), h), "g,h,h^-1": (g, h, h.inverse()), "g,h,(hg)^-1": (g, h, h.compose(g).inverse())}
+    chain = AutChain(TateSpace(ctx, rank), chains[shape])
+    fam = build_family(chain)
+    # some face composes to the identity, so the degenerate branch is taken
+    assert any(a.is_identity() for sub in fam.subchains.values() for a in sub)
+    assert fam.entries == ref_entries(chain)
+    report = verify_family(fam)
+    assert family_passes(report)
+    assert report == ref_verify(fam)
