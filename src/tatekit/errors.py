@@ -58,7 +58,7 @@ class FormulaTooLarge(TateKitError):
 
 
 class RankTooLarge(TateKitError):
-    """A GL automorphism would exceed the rank cap of the cofactor determinant."""
+    """A GL automorphism would exceed the rank cap MAX_GL_RANK."""
 
 
 class SpaceMismatch(TateKitError):

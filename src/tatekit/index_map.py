@@ -20,7 +20,12 @@ identities and reports each one.
 
 ``build_family`` fills ``entries`` through one recursion keyed by face
 and subset, (kept vertices, sorted I), so the dict it returns is its memo.
-Each face's composite arrows and its first identity arrow are found once.
+A face whose arrow j is the identity (say g^-1 g) needs no rule: by
+induction its entry at I is that of the face without vertex j+1 at s_j(I).
+Entries depend only on the arrows by value, and act(identity, L) == L; the
+min-missing-vertex rule at i in {j, j+1} lands on a face with those arrows
+at s_j(I), other i commute with s_j, and the full subset's join contains
+that face's full entry, which holds every other facet.
 The g_k-translates of the builder and of ``verify_family`` share one dict
 per family, keyed by (g, L) by value, so each act runs once per distinct
 input.  The full subset joins only its m+1 facets (|J| = m), which
@@ -161,10 +166,6 @@ def build_family(chain: AutChain, cap: int = DEFAULT_CHAIN_CAP) -> LatticeFamily
         raise DegenerateChain("chain contains an identity arrow")
     faces = [kept for size in range(1, k + 2) for kept in combinations(range(k + 1), size)]
     subchains = {kept: _subchain(chain.autos, kept) for kept in faces}
-    first_identity = {
-        kept: next((j for j, g in enumerate(sub) if g.is_identity()), None)
-        for kept, sub in subchains.items()
-    }
     base = std_lattice(chain.space, 0)
     entries, translates = {}, {}
 
@@ -172,13 +173,9 @@ def build_family(chain: AutChain, cap: int = DEFAULT_CHAIN_CAP) -> LatticeFamily
         key = (kept, tuple(sorted(I)))
         val = entries.get(key)
         if val is None:
-            m, j = len(kept) - 1, first_identity[kept]
+            m = len(kept) - 1
             if m == 0:
                 val = base
-            elif j is not None:
-                # arrow j is the identity: the face is s_j of the face without
-                # vertex j+1, whose arrow kept[j] -> kept[j+2] is the same
-                val = lattice(_drop_vertex(kept, j + 1), subset_degeneracy(I, j))
             elif len(I) <= m:
                 i = min(set(range(m + 1)) - I)
                 if i < m:

@@ -19,11 +19,11 @@ the polynomials and series computed here are built unchecked.  ``terms``,
 ``coeffs``, ``coeff`` and ``leading_coeff`` box into ``Scalar`` on the way out.
 
 Automorphisms of k((t))^n come in two finitely presented flavours:
-multiplication by a unit series (n = 1) and GL_n over k[t, 1/t] with
-monomial determinant, so that the inverse is again of the same shape.
-``Automorphism.image`` maps sparse raw window rows of one window straight to
-those of another, reading each term list in ascending order only up to the
-target window's top.
+multiplication by a unit series (n = 1) and GL_n over k[t, 1/t] with monomial
+determinant, whose inverse has the same shape: a GL automorphism keeps both
+from one fraction-free elimination at construction.  ``Automorphism.image``
+maps sparse raw window rows of one window straight to those of another,
+reading each term list in ascending order only up to the target window's top.
 """
 
 from __future__ import annotations
@@ -44,8 +44,7 @@ from .fields import FieldCtx, Scalar, _canon, _inv, _mul
 
 DEFAULT_PRECISION = 16
 
-# The cofactor determinant that validates a GL automorphism is factorial in
-# its rank.
+# The largest GL rank accepted; a GL automorphism costs O(n^3) to build.
 MAX_GL_RANK = 8
 
 # Arithmetic on raw term dicts (exponent -> raw value); ``p`` is the field's
@@ -466,56 +465,66 @@ class LaurentMatrix:
         )
 
 
-def _cofactor(ctx: FieldCtx, rows, i: int, j: int):
-    """(-1)^(i+j) times the determinant of the raw term-dict matrix ``rows``
-    without row i and column j."""
-    d = _det(ctx, [row[:j] + row[j + 1 :] for k, row in enumerate(rows) if k != i])
-    return d if (i + j) % 2 == 0 else _negated(ctx.modulus, d)
+def _divider(p, g):
+    """acc -> acc / g, for g | acc in k[t, 1/t]: a monomial shift or long division."""
+    top = max(g)
+    inv = _inv(p, g[top])
+    if len(g) == 1:
+        return lambda acc: {e - top: x for e, c in acc.items() if (x := _mul(p, c, inv))}
+
+    def divide(acc):
+        r, q = _reduced(p, acc), {}
+        while r:
+            e = max(r)
+            c = q[e - top] = _mul(p, r[e], inv)
+            _mac(r, {e - top: -c}, g)
+            r = _reduced(p, r)
+        return q
+
+    return divide
 
 
-def _det(ctx: FieldCtx, rows):
-    """Raw terms of the determinant of a square matrix of raw term dicts, by
-    cofactor expansion along the first row (matrices here are small)."""
-    if not rows:
-        return {0: ctx.raw_one}
-    if len(rows) == 1:
-        return rows[0][0]
-    acc = {}
-    for j, f in enumerate(rows[0]):
-        if f:
-            _mac(acc, f, _cofactor(ctx, rows, 0, j))
-    return _reduced(ctx.modulus, acc)
+def _eliminate(ctx: FieldCtx, rows):
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of the leading n x n
+    block M of n rows of raw term dicts, in place; returns (det M, e).  Step
+    k swaps a row with a_kk != 0 into row k (none: det M = 0), then sets each
+    a_ij, i != k < j, to (a_kk a_ij - a_ik a_kj) / (the previous pivot), an
+    exact division (Sylvester's identity).  The last pivot e = +-det M turns
+    the columns past M into e M^-1 times what they held; M's own are stale."""
+    n, p, sign, d = len(rows), ctx.modulus, 1, {0: 1}
+    for k in range(n):
+        r = next((r for r in range(k, n) if rows[r][k]), None)
+        if r is None:
+            return LaurentPoly._raw(ctx, {}), {}
+        rows[k], rows[r], sign = rows[r], rows[k], sign if r == k else -sign
+        pivot_row, divide = rows[k], _divider(p, d)
+        for row in rows:
+            if row is not pivot_row:
+                neg = _negated(p, row[k])
+                for j in range(k + 1, len(row)):
+                    if row[j] or pivot_row[j]:  # else it stays 0
+                        acc = {}
+                        _mac(acc, pivot_row[k], row[j])
+                        _mac(acc, neg, pivot_row[j])
+                        row[j] = divide(acc)
+        d = pivot_row[k]
+    return LaurentPoly._raw(ctx, d if sign > 0 else _negated(p, d)), d
 
 
 def det_laurent(m: LaurentMatrix) -> LaurentPoly:
-    """Determinant by cofactor expansion (matrices here are small)."""
-    return LaurentPoly._raw(m.ctx, _det(m.ctx, m._term_rows()))
+    """Determinant, by the elimination of m alone."""
+    return _eliminate(m.ctx, m._term_rows())[0]
 
 
-def adjugate(m: LaurentMatrix) -> LaurentMatrix:
-    rows, n = m._term_rows(), m.n
-    return LaurentMatrix(
-        m.ctx, n, [LaurentPoly._raw(m.ctx, _cofactor(m.ctx, rows, j, i)) for i in range(n) for j in range(n)]
-    )
-
-
-def _unit_det(m: LaurentMatrix) -> LaurentPoly:
-    """det_laurent(m), which must be a unit c*t^k of k[t, 1/t]."""
-    d = det_laurent(m)
-    if not d.is_monomial():
-        raise NotInvertibleInLaurentRing("determinant %s is not c*t^k" % d)
-    return d
-
-
-def _inverse_with_det(m: LaurentMatrix, d: LaurentPoly):
-    """(m^-1, det(m^-1)) from the unit determinant d = c*t^k of m."""
-    ((k, c),) = d._terms.items()
-    p, inv = m.ctx.modulus, _inv(m.ctx.modulus, c)
-    entries = [
-        LaurentPoly._raw(m.ctx, {e - k: _mul(p, x, inv) for e, x in f._terms.items()})
-        for f in adjugate(m).entries
-    ]
-    return LaurentMatrix(m.ctx, m.n, entries), LaurentPoly._raw(m.ctx, {-k: inv})
+def _det_and_inverse(m: LaurentMatrix):
+    """(det m, m^-1) by one elimination of [m | I]; det m must be a unit c*t^k."""
+    n = m.n
+    rows = [row + [{0: 1} if j == i else {} for j in range(n)] for i, row in enumerate(m._term_rows())]
+    det, e = _eliminate(m.ctx, rows)
+    if not det.is_monomial():
+        raise NotInvertibleInLaurentRing("determinant %s is not c*t^k" % det)
+    divide = _divider(m.ctx.modulus, e)
+    return det, LaurentMatrix(m.ctx, n, [LaurentPoly._raw(m.ctx, divide(f)) for row in rows for f in row[n:]])
 
 
 class Automorphism:
@@ -523,9 +532,8 @@ class Automorphism:
 
     Rank 1 has the single representation MultBy: ``gl`` turns a 1x1 matrix
     into the multiplication by its entry, which only has to be nonzero, as
-    every nonzero Laurent polynomial is a unit of k((t)).  A GL automorphism
-    keeps its determinant, and its inverse once computed; the hash is kept
-    on first use.
+    every nonzero Laurent polynomial is a unit of k((t)).  ``inverse`` and
+    ``compose`` of GL run no elimination; the hash is kept on first use.
     """
 
     __slots__ = ("kind", "series", "matrix", "_det", "_inverse", "_hash")
@@ -534,7 +542,7 @@ class Automorphism:
     GL = "gl"
 
     def __init__(self, kind, series=None, matrix=None):
-        det = None
+        det = inverse = None
         if kind == self.MULT:
             if series is None:
                 raise ZeroElement("MultBy needs a unit series")
@@ -543,24 +551,24 @@ class Automorphism:
                 raise ValueError("rank 1 is MultBy; build it with Automorphism.gl")
             if matrix.n > MAX_GL_RANK:
                 raise RankTooLarge("GL rank %d exceeds the cap MAX_GL_RANK=%d" % (matrix.n, MAX_GL_RANK))
-            det = _unit_det(matrix)
+            det, inverse = _det_and_inverse(matrix)
         else:
             raise ValueError("unknown automorphism kind %r" % kind)
-        self._fill(kind, series, matrix, det)
+        self._fill(kind, series, matrix, det, inverse)
 
-    def _fill(self, kind, series, matrix, det):
+    def _fill(self, kind, series, matrix, det, inverse):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "series", series)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "_det", det)
-        object.__setattr__(self, "_inverse", None)
+        object.__setattr__(self, "_inverse", inverse)
         object.__setattr__(self, "_hash", None)
 
     @classmethod
-    def _gl(cls, matrix: LaurentMatrix, det: LaurentPoly) -> "Automorphism":
-        """GL by a matrix whose determinant ``det`` is known to be c*t^k."""
+    def _gl(cls, matrix: LaurentMatrix, det: LaurentPoly, inverse: LaurentMatrix) -> "Automorphism":
+        """GL by a matrix with known ``inverse`` and determinant ``det`` = c*t^k."""
         g = object.__new__(cls)
-        g._fill(cls.GL, None, matrix, det)
+        g._fill(cls.GL, None, matrix, det, inverse)
         return g
 
     def __setattr__(self, *a):
@@ -601,17 +609,11 @@ class Automorphism:
             return self.series.valuation
         return self._det.valuation()
 
-    def _gl_inverse(self) -> "Automorphism":
-        """The inverse of a GL automorphism, computed on first use and kept."""
-        if self._inverse is None:
-            object.__setattr__(self, "_inverse", Automorphism._gl(*_inverse_with_det(self.matrix, self._det)))
-        return self._inverse
-
     def valuations(self):
         """(v(g), v(g^-1)): the least t-exponents of g and of its inverse."""
         if self.kind == self.MULT:
             return self.series.valuation, -self.series.valuation
-        return self.matrix.min_valuation(), self._gl_inverse().matrix.min_valuation()
+        return self.matrix.min_valuation(), self._inverse.min_valuation()
 
     def image(self, rows, b0: int, a: int, b: int):
         """g applied to a batch of sparse raw window rows, as sparse raw window rows.
@@ -659,12 +661,13 @@ class Automorphism:
         if self.rank != other.rank:
             raise SpaceMismatch("rank %d vs %d" % (self.rank, other.rank))
         if self.kind == self.GL:
-            return Automorphism._gl(self.matrix * other.matrix, self._det * other._det)
+            return Automorphism._gl(self.matrix * other.matrix, self._det * other._det, other._inverse * self._inverse)
         return Automorphism.mult_by(self.series * other.series)
 
     def inverse(self, precision: int | None = None) -> "Automorphism":
         if self.kind == self.GL:
-            return self._gl_inverse()
+            det = LaurentPoly._raw(self.ctx, _divider(self.ctx.modulus, self._det._terms)({0: 1}))
+            return Automorphism._gl(self._inverse, det, self.matrix)
         return Automorphism.mult_by(self.series.inverse(precision))
 
     def __eq__(self, other):

@@ -142,9 +142,17 @@ def test_det_and_inverse_mixed():
     assert Automorphism.gl(m).inverse().matrix == parse_laurent_matrix(QQ, "2,-t;-1*t^-1,1")
 
 
+def test_det_and_inverse_with_a_row_swap():
+    m = parse_laurent_matrix(QQ, "0,t;2,1")
+    assert det_laurent(m) == P("-2*t")
+    assert Automorphism.gl(m).inverse().matrix == parse_laurent_matrix(QQ, "-1/2*t^-1,1/2;t^-1,0")
+
+
 def test_not_invertible():
     with pytest.raises(NotInvertibleInLaurentRing):
         Automorphism.gl(parse_laurent_matrix(QQ, "1+t,0;0,1"))
+    with pytest.raises(NotInvertibleInLaurentRing, match="determinant 0 is not"):
+        Automorphism.gl(parse_laurent_matrix(QQ, "1,t;t^-1,1"))
 
 
 def test_gl_inverse_two_sided_and_det_multiplicative():
@@ -290,14 +298,15 @@ def test_automorphism_keeps_its_determinant(monkeypatch):
     import tatekit.laurent as laurent
 
     calls = []
-    real = laurent.det_laurent
-    monkeypatch.setattr(laurent, "det_laurent", lambda m: calls.append(m) or real(m))
+    real = laurent._eliminate
+    monkeypatch.setattr(laurent, "_eliminate", lambda ctx, rows: calls.append(rows) or real(ctx, rows))
     m = parse_laurent_matrix(QQ, "t,1+t;0,t")
     g = Automorphism.gl(m)
     assert g.det_valuation() == 2
     gi = g.inverse()
-    assert len(calls) == 1  # the constructor's validation only
-    assert gi.det_valuation() == -2 and g.compose(g).det_valuation() == 4 and len(calls) == 1
+    assert len(calls) == 1  # the constructor's elimination only
+    assert gi.det_valuation() == -2 and g.compose(g).det_valuation() == 4
+    assert g.valuations() == (0, -2) and gi.compose(g).inverse().is_identity() and len(calls) == 1
     monkeypatch.undo()
     fresh = Automorphism.gl(m).inverse().matrix
     assert gi.matrix == fresh and gi == Automorphism.gl(fresh)

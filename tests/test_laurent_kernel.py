@@ -10,6 +10,8 @@ replaced: ``row_to_vec``, the reference product, ``vec_to_row`` (both
 sides are sparse ``{slot: value}`` rows).
 """
 
+import random
+import time
 from fractions import Fraction
 from functools import cache
 
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 from tatekit import GF, QQ, Automorphism, LaurentMatrix, LaurentPoly, TateSpace, TruncSeries, det_laurent
 from tatekit.errors import InsufficientPrecision, NotInvertibleInLaurentRing
 from tatekit.lattice import row_to_vec, vec_to_row
-from tatekit.laurent import _inverse_with_det, _unit_det
+from tatekit.laurent import _det_and_inverse
 
 FIELDS = [GF(2), GF(3), GF(1000003), QQ]
 SETTINGS = settings(max_examples=80, deadline=None)
@@ -173,7 +175,10 @@ def values(ctx):
 
 @cache
 def nonzero(ctx):
-    return values(ctx).filter(bool)
+    """The nonzero ``values``, drawn without a filter that rejects whole draws."""
+    if ctx == QQ:
+        return st.fractions(-3, 3, max_denominator=4).filter(bool)
+    return st.one_of(st.just(1), st.just(ctx.modulus - 1), st.integers(1, ctx.modulus - 1))
 
 
 @cache
@@ -212,6 +217,20 @@ def unit_matrices(draw, ctx, n):
 
     diag = [[{draw(st.integers(-2, 2)): ctx.scalar(draw(nonzero(ctx)))} if i == j else {} for j in range(n)] for i in range(n)]
     return ref_matmul(ref_matmul(tri(True), diag), tri(False))
+
+
+def full_lu(ctx, n, rng):
+    """Reference rows L * U: unitriangular L and U whose every off-diagonal
+    entry is c*t^e, c nonzero and e in [-2, 2]."""
+    one = {0: ctx.one()}
+
+    def entry():
+        return {rng.randint(-2, 2): ctx.scalar(rng.randint(1, 9))}
+
+    def tri(lower):
+        return [[one if i == j else entry() if (i > j) == lower else {} for j in range(n)] for i in range(n)]
+
+    return ref_matmul(tri(True), tri(False))
 
 
 def laurent_matrix(ctx, rows):
@@ -294,14 +313,15 @@ def test_series_ops_match_reference(data):
         assert_canonical(ctx, got.terms.values())
 
 
-@SETTINGS
-@given(st.data())
-def test_matrix_ops_match_reference(data):
+def _check_matrix_ops(data, n):
+    """det_laurent, the product, apply and the GL inverse of rank n against
+    the cofactor reference, on random matrices and on row-permuted L * D * U
+    units, whose permutation makes the elimination swap rows."""
     ctx = data.draw(st.sampled_from(FIELDS))
-    n = data.draw(st.integers(1, 3))
+    size = 3 if n < 5 else 2  # keeps rank 6 within hypothesis's data budget
 
     def rows():
-        return [[boxed(ctx, data.draw(term_dicts(ctx, 3))) for _ in range(n)] for _ in range(n)]
+        return [[boxed(ctx, data.draw(term_dicts(ctx, size))) for _ in range(n)] for _ in range(n)]
 
     A, B = rows(), rows()
     m = laurent_matrix(ctx, A)
@@ -317,6 +337,7 @@ def test_matrix_ops_match_reference(data):
         assert [f.terms for f in kernel_inverse(m).entries] == [f for row in want for f in row]
 
     U = data.draw(unit_matrices(ctx, n))
+    U = [U[i] for i in data.draw(st.permutations(range(n)))]
     u = laurent_matrix(ctx, U)
     inv = kernel_inverse(u)
     assert [f.terms for f in inv.entries] == [f for row in ref_gl_inverse(ctx, U) for f in row]
@@ -324,10 +345,36 @@ def test_matrix_ops_match_reference(data):
     assert_canonical(ctx, [c for f in inv.entries + (det_laurent(u),) for c in f.terms.values()])
 
 
+@SETTINGS
+@given(st.data())
+def test_matrix_ops_match_reference(data):
+    _check_matrix_ops(data, data.draw(st.integers(1, 4)))
+
+
+@settings(max_examples=25, deadline=None)  # the cofactor reference is factorial in the rank
+@given(st.data())
+def test_matrix_ops_match_reference_at_ranks_5_and_6(data):
+    _check_matrix_ops(data, data.draw(st.integers(5, 6)))
+
+
+@pytest.mark.parametrize("ctx", [QQ, GF(1000003)], ids=str)
+def test_rank_8_gl_inverse_takes_polynomial_time(ctx):
+    """A rank-8 full L * U is built, inverted and composed with its inverse
+    within 1 s; the cofactor path it replaced took seconds for the inverse."""
+    A = full_lu(ctx, 8, random.Random(8))
+    m = laurent_matrix(ctx, A)
+    start = time.perf_counter()
+    g = Automorphism.gl(m)
+    assert g.compose(g.inverse()).is_identity()
+    assert time.perf_counter() - start < 1.0
+    if ctx == QQ:  # one reference determinant: its cofactor expansion takes seconds
+        assert det_laurent(m).terms == ref_det(ctx, A) and g.det_valuation() == 0
+
+
 def kernel_inverse(m):
     """m^-1 as a GL automorphism computes it; rank 1 included, where the
     automorphism is MultBy and keeps no matrix."""
-    return _inverse_with_det(m, _unit_det(m))[0]
+    return _det_and_inverse(m)[1]
 
 
 @st.composite
