@@ -24,12 +24,14 @@ Conventions (fixed once, used everywhere):
   Koszul sign (-1)^(grade(F1|F2)*grade(F2|F3)) is inserted for the middle
   contraction.
 * Pivot parity: an echelon row is 1 at its own pivot and 0 at every other
-  pivot of its subspace, so for window subspaces M <= N <= F with pivot sets
+  pivot of its lattice, so for lattices M <= N <= F with pivot sets
   P(M) <= P(N) <= P(F) the concatenation det(N/M) (x) det(F/N) -> det(F/M)
   is the sign (-1)^s of a shuffle, s = #{(x, y) : x in P(N) - P(M),
-  y in P(F) - P(N), x < y}.  Window padding adds pivots to all three sets
-  alike, so s does not depend on the window, and ``omega`` is always +-1: a
-  product of six such signs, read off the pivots in one common window.
+  y in P(F) - P(N), x < y}.  A pivot set holds the stored pivots and every
+  slot from the top up; the quotient pivots of F/N are F's stored pivots
+  that N lacks, then the slots between the tops F.a*n and N.a*n that N does
+  not store, all inside the window (N.a, F.b), and only these are
+  generated.  ``omega`` is always +-1: a product of six such signs.
 * Extension elements multiply by (g, z)(h, w) = (gh, z*w*sigma(g,h)) where
   sigma(g,h) is the scalar of the canonical identification of (L0|ghL0)
   with (L0|gL0) (x) g(L0|hL0); the direction is fixed so that the
@@ -52,8 +54,8 @@ from .errors import (
 )
 from .fields import Scalar
 from .laurent import Automorphism, LaurentPoly
-from .lattice import Lattice, TateSpace, _same_space, act, common_window, leq, std_lattice
-from .linalg import Matrix, _quotient_coords, _quotient_reps, det, subspace_intersect
+from .lattice import Lattice, TateSpace, _same_space, _window_dim, act, leq, meet, std_lattice
+from .linalg import Matrix, _quotient_coords, det
 
 UNGRADED = "ungraded"
 GRADED = "graded"
@@ -93,19 +95,31 @@ def rel_det(F1: Lattice, F2: Lattice) -> GradedLine:
     return GradedLine(F2.vdim - F1.vdim, ("reldet", F1, F2))
 
 
-def _wedge_det(sub_w, sup_w, rows) -> Scalar:
+def _quotient_pivots(N: Lattice, F: Lattice):
+    """The pivots of F/N for lattices N <= F, ascending (see the pivot-parity
+    convention); the window (N.a, F.b) they span is capped."""
+    n = F.space.rank
+    _window_dim(F.space, N.a, F.b)
+    return [c for c in F._at if c not in N._at] + [c for c in range(F.a * n, N.a * n) if c not in N._at]
+
+
+def _quotient_rows(N: Lattice, F: Lattice):
+    """The echelon representatives of F/N as a pivot map: F's rows, and units at its implicit pivots."""
+    one = F.ctx.raw_one
+    return {c: F._at.get(c) or {c: one} for c in _quotient_pivots(N, F)}
+
+
+def _wedge_det(N: Lattice, F: Lattice, rows) -> Scalar:
     """Determinant of the raw ``rows`` against the quotient representatives of
-    sup_w/sub_w, both taken in ascending pivot order (see the conventions)."""
-    target, lead = _quotient_reps(sub_w, sup_w)
-    coords = _quotient_coords(sub_w, target, lead, rows)
-    return det(Matrix._raw(sub_w.ctx, len(target), coords))
+    F/N, both taken in ascending pivot order (see the conventions)."""
+    reps = _quotient_rows(N, F)
+    return det(Matrix._raw(N.ctx, len(reps), _quotient_coords(N.ctx.modulus, N._at, reps, rows)))
 
 
-def _shuffle(M, N, F) -> int:
+def _shuffle(M: Lattice, N: Lattice, F: Lattice) -> int:
     """The exponent s of the sign of det(N/M) (x) det(F/N) -> det(F/M) for
-    window subspaces M <= N <= F (see the pivot-parity convention)."""
-    lower = [c for c in N._at if c not in M._at]
-    upper = [c for c in F._at if c not in N._at]
+    lattices M <= N <= F (see the pivot-parity convention)."""
+    lower, upper = _quotient_pivots(M, N), _quotient_pivots(N, F)
     return sum(len(upper) - bisect_right(upper, x) for x in lower)
 
 
@@ -116,11 +130,10 @@ def omega(F1: Lattice, F2: Lattice, F3: Lattice, mode: str = UNGRADED) -> Scalar
     construction; over any common sub-lattice the result would be the same.
     Graded mode inserts the Koszul swap sign.
     """
-    _, _, (w1, w2, w3) = common_window(F1, F2, F3)
-    n12, n23, n13 = subspace_intersect(w1, w2), subspace_intersect(w2, w3), subspace_intersect(w1, w3)
-    M = subspace_intersect(n12, w3)
+    n12, n23, n13 = meet(F1, F2), meet(F2, F3), meet(F1, F3)
+    M = meet(n12, F3)
     # The three numerator and three denominator concatenations, each a sign.
-    triples = ((n12, w2), (n23, w3), (n13, w1), (n12, w1), (n23, w2), (n13, w3))
+    triples = ((n12, F2), (n23, F3), (n13, F1), (n12, F1), (n23, F2), (n13, F3))
     s = sum(_shuffle(M, N, F) for N, F in triples)
     if mode == GRADED:
         s += (F2.vdim - F1.vdim) * (F3.vdim - F2.vdim)
@@ -210,13 +223,11 @@ def translation_scalar(g: Automorphism, F1: Lattice, F2: Lattice) -> Scalar:
 
 def _translation_scalar(g, F1, F2, gF1, gF2) -> Scalar:
     """``translation_scalar`` with the translates gF1 and gF2 already built."""
-    _, b1, (w1, w2) = common_window(F1, F2)
-    a2, b2, (tw1, tw2) = common_window(gF1, gF2)
     # g is a bijection, so g(F1 ∩ F2) = gF1 ∩ gF2.
-    wN, twN = subspace_intersect(w1, w2), subspace_intersect(tw1, tw2)
-    reps2, reps1 = _quotient_reps(wN, w2)[0], _quotient_reps(wN, w1)[0]
-    rows = g.image(reps2 + reps1, b1, a2, b2)
-    return _wedge_det(twN, tw2, rows[: len(reps2)]) / _wedge_det(twN, tw1, rows[len(reps2) :])
+    N, gN = meet(F1, F2), meet(gF1, gF2)
+    reps2, reps1 = _quotient_rows(N, F2), _quotient_rows(N, F1)
+    rows = g.image([*reps2.values(), *reps1.values()], gN.a)
+    return _wedge_det(gN, gF2, rows[: len(reps2)]) / _wedge_det(gN, gF1, rows[len(reps2) :])
 
 
 def cocycle_sigma(g: Automorphism, h: Automorphism, space: TateSpace, mode: str) -> Scalar:

@@ -9,7 +9,7 @@ for any lattice L and any enclosing lattice N >= L, gL; the value does not
 depend on the choices, and the same number arises as the Euler
 characteristic dim(L/N') - dim(gL/N') over a common sub-lattice N'.  Both
 are vdim(L) - vdim(gL) (``Lattice.vdim``) once the nesting is checked;
-``index0`` forms the canonical N = L + gL, whose window is capped.
+``index0`` forms the canonical N = L + gL.
 
 ``build_family`` replays the inductive construction of the simplicial
 section: lattices L_{k,I} indexed by non-empty subsets I of [k] for a chain

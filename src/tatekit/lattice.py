@@ -1,27 +1,39 @@
 """Lattices in the Sato Grassmannian of V = k((t))^n.
 
 A lattice is an open bounded k-subspace L with t^a O^n <= L <= t^-b O^n
-(O = k[[t]]).  It is stored as the pair of tight bounds (a, b) plus the
-finite-dimensional subspace W = L / t^a O^n of the window quotient
-t^-b O^n / t^a O^n.  Window slots are the monomials t^e e_i ordered by
-(exponent ascending, coordinate ascending), so W's echelon form is canonical
-and lattice equality is literal equality of the stored data.  Window rows are
-the sparse ``{slot: nonzero raw value}`` rows of ``linalg``, held in W's
-pivot map.  Embedding and normalising re-key and slice that map by a slot
-offset and add unit rows, which keeps it in reduced echelon form: neither
-eliminates, and no dense row is built.  ``act`` hands these rows to
-``Automorphism.image`` as they are, with the source window's bottom, and
-``row_to_vec`` reads them back as Laurent vectors.
+(O = k[[t]]), the bounds tight: a least with t^a O^n <= L, b least with
+L <= t^-b O^n.  It is stored as a plus the reduced echelon rows of
+L / t^a O^n, sparse ``{slot: nonzero raw value}`` rows in the pivot map
+``_at``, keyed by absolute slot: slot e*n + i holds t^e e_i.  Slots ascend
+by (exponent, coordinate), so the form is canonical and lattice equality is
+equality of the stored data.  Every slot from a*n up is an implicit pivot
+of L and is never written; b is read off the lowest pivot, and ``_make`` is
+the one constructor that tightens a.  No operation builds a window:
 
-Bounds are re-tightened after every operation: a is the least integer with
-t^a O^n <= L, and b the least with L <= t^-b O^n.  No window may exceed
-``MAX_WINDOW_DIM`` slots, a resource limit on the echelon rows a window can
-hold; a larger one raises ``WindowTooLarge`` before its rows are built.
+* ``leq(L, M)`` is False when L.a < M.a or L.b > M.b, as L <= M would put
+  t^(M.a-1) O^n in M, or L in t^-(L.b-1) O^n.  Otherwise t^(L.a) O^n <= M,
+  so L <= M iff each row of L, cut at slot M.a*n, reduces to 0 by M's rows:
+  what is cut off lies in t^(M.a) O^n <= M.
+* ``join(L, M)`` is spanned by both row sets cut at c*n, c = min(L.a, M.a),
+  over t^c O^n: that lies in the operand with the lower top, so it holds
+  what is cut off.
+* ``meet(L, M)``, L.a <= M.a, has top M.a, as t^c O^n <= L, M iff c >= L.a,
+  M.a.  Modulo t^(M.a) O^n its rows are the combinations of M's rows whose
+  cut at L.a*n reduces to 0 by L's rows: one Zassenhaus elimination,
+  ``linalg._meet``, with its left halves cut at L.a*n.
 
-The virtual dimension ``vdim(L) = dim W - n*a`` is the dimension theory that
-is 0 at O^n: dim(L/N) - dim(O^n/N) for any common sub-lattice N.  Every
-lattice dimension is a difference of it, dim(M/L) = vdim(M) - vdim(L) for
-L <= M, read off the stored bounds with no window and no elimination.
+``act`` hands the rows to ``Automorphism.image`` as they are; ``row_to_vec``
+reads a row as a Laurent vector, and ``window_subspace`` embeds a lattice in
+a window t^-b2 O^n / t^a2 O^n, with unit rows from slot a*n up.  A window
+whose rows are built may have at most ``MAX_WINDOW_DIM`` slots, a limit on
+the rows it can hold: a lattice's own, checked by ``Lattice``, ``std`` and
+``act``, and the one ``detline`` spans with quotient pivots.  A larger one
+raises ``WindowTooLarge`` before its rows are built.
+
+The virtual dimension ``vdim(L) = dim(L / t^a O^n) - n*a`` is the dimension
+theory that is 0 at O^n: dim(L/N) - dim(O^n/N) for any common sub-lattice N.
+Every lattice dimension is a difference of it, dim(M/L) = vdim(M) - vdim(L)
+for L <= M, read off the stored bounds with no window and no elimination.
 """
 
 from __future__ import annotations
@@ -31,7 +43,7 @@ from itertools import islice
 from .errors import FieldMismatch, NotNested, SpaceMismatch, WindowTooLarge
 from .fields import FieldCtx
 from .laurent import Automorphism, LaurentPoly
-from .linalg import Subspace, subspace_contains, subspace_intersect, subspace_sum
+from .linalg import Subspace, _cut, _meet, _reduce, _rref_rows
 
 MAX_WINDOW_DIM = 1024
 
@@ -66,10 +78,6 @@ class TateSpace:
         return "%r((t))^%d" % (self.ctx, self.rank)
 
 
-def _slot(space: TateSpace, b: int, e: int, i: int) -> int:
-    return (e + b) * space.rank + i
-
-
 def _window_dim(space: TateSpace, a: int, b: int) -> int:
     """Dimension of the window t^-b O^n / t^a O^n, at most MAX_WINDOW_DIM."""
     dim = space.rank * (a + b)
@@ -78,24 +86,17 @@ def _window_dim(space: TateSpace, a: int, b: int) -> int:
     return dim
 
 
-def _rekey(items, off):
-    """The pivot-map ``items`` with every slot moved by ``off``, as a fresh map."""
-    if not off:
-        return dict(items)
-    return {c + off: {j + off: x for j, x in row.items()} for c, row in items}
-
-
-def row_to_vec(space: TateSpace, b: int, row):
-    """Sparse raw window row -> tuple of LaurentPoly coordinates."""
+def row_to_vec(space: TateSpace, row):
+    """Sparse raw row -> tuple of LaurentPoly coordinates."""
     n = space.rank
     polys = [{} for _ in range(n)]
     for s, c in row.items():
-        polys[s % n][s // n - b] = c
+        polys[s % n][s // n] = c
     return tuple(LaurentPoly._raw(space.ctx, p) for p in polys)
 
 
-def vec_to_row(space: TateSpace, a: int, b: int, vec):
-    """LaurentPoly coordinates -> sparse raw window row, reducing modulo t^a O^n."""
+def vec_to_row(space: TateSpace, a: int, vec):
+    """LaurentPoly coordinates -> sparse raw row, reducing modulo t^a O^n."""
     if len(vec) != space.rank:
         raise SpaceMismatch("vector of %d coordinates in %r" % (len(vec), space))
     row = {}
@@ -103,21 +104,18 @@ def vec_to_row(space: TateSpace, a: int, b: int, vec):
         if poly.ctx != space.ctx:
             raise FieldMismatch("coordinate over %r in %r" % (poly.ctx, space))
         for e, c in poly._terms.items():
-            if e >= a:
-                continue  # inside t^a O^n, dies in the window quotient
-            if e < -b:
-                raise ValueError("vector outside t^-%d O^n window" % b)
-            row[_slot(space, b, e, i)] = c
+            if e < a:  # a term from t^a up dies modulo t^a O^n
+                row[e * space.rank + i] = c
     return row
 
 
 class Lattice:
-    """An open bounded subspace of k((t))^n, in normalized window form; the
-    hash is kept on first use."""
+    """An open bounded subspace of k((t))^n in tight canonical form; the hash is kept on first use."""
 
-    __slots__ = ("space", "a", "b", "subspace", "_hash")
+    __slots__ = ("space", "a", "b", "_at", "_hash")
 
     def __init__(self, space: TateSpace, a: int, b: int, subspace: Subspace):
+        """The lattice t^a O^n + W for a subspace W of the window t^-b O^n / t^a O^n."""
         if a + b < 0:
             raise ValueError("window bounds a=%d, b=%d overlap" % (a, b))
         dim = _window_dim(space, a, b)
@@ -125,12 +123,34 @@ class Lattice:
             raise FieldMismatch("subspace over %r in %r" % (subspace.ctx, space))
         if subspace.ambient_dim != dim:
             raise ValueError("subspace ambient %d != window dim %d" % (subspace.ambient_dim, dim))
-        a, b, subspace = _normalize(space, a, b, subspace)
+        off = b * space.rank
+        self._fill(space, a, {c - off: {j - off: x for j, x in row.items()} for c, row in subspace._at.items()})
+
+    def _fill(self, space, a, at):
+        """Store t^a O^n + span(at), ``at`` a pivot map on slots below a*n, with a
+        tightened: the trailing blocks of pivots are dropped.  In RREF that is
+        exactly when the rows span t^(a-1) O^n, and theirs are unit rows."""
+        n, run = space.rank, 0
+        for c in reversed(at):
+            if c != a * n - 1 - run:
+                break
+            run += 1
+        if run >= n:
+            high = run // n
+            at = dict(islice(at.items(), len(at) - high * n))
+            a -= high
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "subspace", subspace)
+        object.__setattr__(self, "b", -(next(iter(at)) // n) if at else -a)
+        object.__setattr__(self, "_at", at)
         object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _make(cls, space: TateSpace, a: int, at) -> "Lattice":
+        """t^a O^n + span(at), ``at`` a pivot map the kernel built; nothing is checked."""
+        L = object.__new__(cls)
+        L._fill(space, a, at)
+        return L
 
     def __setattr__(self, *a):
         raise AttributeError("Lattice is immutable")
@@ -140,13 +160,13 @@ class Lattice:
         """The lattice ⊕_i t^shifts[i] O."""
         if isinstance(shifts, int):
             shifts = [shifts] * space.rank
-        shifts = list(shifts)
-        if len(shifts) != space.rank:
+        shifts, n = list(shifts), space.rank
+        if len(shifts) != n:
             raise ValueError("need one shift per coordinate")
-        a, b = max(shifts), -min(shifts)
-        dim, one = _window_dim(space, a, b), space.ctx.raw_one
-        units = [_slot(space, b, e, i) for e in range(-b, a) for i in range(space.rank) if e >= shifts[i]]
-        return cls(space, a, b, Subspace(space.ctx, dim, {s: {s: one} for s in units}))
+        a, b, one = max(shifts), -min(shifts), space.ctx.raw_one
+        _window_dim(space, a, b)
+        units = [e * n + i for e in range(-b, a) for i in range(n) if e >= shifts[i]]
+        return cls._make(space, a, {s: {s: one} for s in units})
 
     @property
     def ctx(self):
@@ -155,39 +175,33 @@ class Lattice:
     @property
     def vdim(self) -> int:
         """dim(L/N) - dim(O^n/N) for any common sub-lattice N of L and O^n."""
-        return self.subspace.dim - self.space.rank * self.a
+        return len(self._at) - self.space.rank * self.a
 
     def window_subspace(self, a2: int, b2: int) -> Subspace:
-        """This lattice as a subspace of the larger window (a2, b2)."""
+        """This lattice in the window (a2, b2) around (a, b): its rows on window
+        slots, then the units of the slots from a*n up, which keeps the RREF."""
         if a2 < self.a or b2 < self.b:
             raise ValueError("window must contain (%d, %d)" % (self.a, self.b))
-        if a2 == self.a and b2 == self.b:
-            return self.subspace
-        dim2, one = _window_dim(self.space, a2, b2), self.ctx.raw_one
-        # Re-keyed echelon rows, then the units of the new top blocks: still RREF.
-        at = _rekey(self.subspace._at.items(), (b2 - self.b) * self.space.rank)
-        for s in range(_slot(self.space, b2, self.a, 0), dim2):
+        dim, one, off = _window_dim(self.space, a2, b2), self.ctx.raw_one, b2 * self.space.rank
+        at = {c + off: {j + off: x for j, x in row.items()} for c, row in self._at.items()}
+        for s in range(off + self.a * self.space.rank, dim):
             at[s] = {s: one}
-        return Subspace(self.ctx, dim2, at)
+        return Subspace(self.ctx, dim, at)
 
     def basis_vectors(self):
         """Representative Laurent vectors of L modulo t^a O^n."""
-        return [row_to_vec(self.space, self.b, row) for row in self.subspace._at.values()]
+        return [row_to_vec(self.space, row) for row in self._at.values()]
 
     def contains_vector(self, vec) -> bool:
         """Membership of a Laurent polynomial vector."""
-        exps = [e for poly in vec for e in poly._terms]
-        lo = min(exps, default=0)
-        b2 = max(self.b, -lo)
-        w = self.window_subspace(self.a, b2)
-        return not w._remainder(vec_to_row(self.space, self.a, b2, vec))
+        return not _reduce(self.ctx.modulus, self._at, vec_to_row(self.space, self.a, vec))
 
     def to_json_dict(self) -> dict:
         return {
             "rank": self.space.rank,
             "a": self.a,
             "b": self.b,
-            "basis": [[str(c) for c in row] for row in self.subspace.rows()],
+            "basis": [[str(c) for c in row] for row in self.window_subspace(self.a, self.b).rows()],
         }
 
     def __eq__(self, other):
@@ -195,17 +209,17 @@ class Lattice:
             isinstance(other, Lattice)
             and self.space == other.space
             and self.a == other.a
-            and self.b == other.b
-            and self.subspace == other.subspace
+            and self._at == other._at
         )
 
     def __hash__(self):
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.space, self.a, self.b, self.subspace)))
+            rows = tuple(tuple(sorted(row.items())) for row in self._at.values())
+            object.__setattr__(self, "_hash", hash((self.space, self.a, self.b, rows)))
         return self._hash
 
     def __repr__(self):
-        return "Lattice(a=%d, b=%d, dim W=%d)" % (self.a, self.b, self.subspace.dim)
+        return "Lattice(a=%d, b=%d, dim W=%d)" % (self.a, self.b, len(self._at))
 
 
 def lattice_from_json(ctx: FieldCtx, data: dict) -> Lattice:
@@ -219,28 +233,6 @@ def lattice_from_json(ctx: FieldCtx, data: dict) -> Lattice:
     return Lattice(space, a, b, Subspace.from_rows(ctx, _window_dim(space, a, b), data["basis"]))
 
 
-def _normalize(space, a, b, subspace):
-    """Tight bounds read off the RREF pivots of W; slicing keeps the RREF.
-
-    b drops the leading blocks below the first pivot.  a drops the trailing
-    blocks whose slots are all pivots, which in RREF is exactly the condition
-    that W contains t^(a-1) O^n.  The kept rows hold no slot in either, so
-    slicing drops the rows of those pivots and re-keys the rest.
-    """
-    n, dim, at = space.rank, subspace.ambient_dim, subspace._at
-    low = next(iter(at), dim) // n
-    run = 0
-    for c in reversed(at):
-        if c != dim - 1 - run:
-            break
-        run += 1
-    high = run // n
-    if not low and not high:
-        return a, b, subspace
-    kept = _rekey(islice(at.items(), len(at) - high * n), -low * n)
-    return a - high, b - low, Subspace(space.ctx, dim - (low + high) * n, kept)
-
-
 def _same_space(*lattices):
     """Raise ``SpaceMismatch`` unless the lattices share one space."""
     space = lattices[0].space
@@ -249,29 +241,28 @@ def _same_space(*lattices):
             raise SpaceMismatch("%r vs %r" % (space, L.space))
 
 
-def common_window(*lattices):
-    """(a, b, subspaces): the smallest window holding all the lattices, which
-    must share one space, and each lattice as a subspace of it."""
-    _same_space(*lattices)
-    a = max(L.a for L in lattices)
-    b = max(L.b for L in lattices)
-    return a, b, [L.window_subspace(a, b) for L in lattices]
-
-
 def leq(L: Lattice, M: Lattice) -> bool:
-    """Whether L <= M in the Sato Grassmannian order."""
-    _, _, (wl, wm) = common_window(L, M)
-    return subspace_contains(wm, wl)
+    """Whether L <= M in the Sato Grassmannian order (rule in the module doc)."""
+    _same_space(L, M)
+    if L.a < M.a or L.b > M.b:
+        return False
+    p = L.ctx.modulus
+    return not any(_reduce(p, M._at, row) for row in _cut(L._at.values(), M.a * L.space.rank))
 
 
 def join(L: Lattice, M: Lattice) -> Lattice:
-    a, b, (wl, wm) = common_window(L, M)
-    return Lattice(L.space, a, b, subspace_sum(wl, wm))
+    _same_space(L, M)
+    a = min(L.a, M.a)
+    rows = _cut([*L._at.values(), *M._at.values()], a * L.space.rank)
+    return Lattice._make(L.space, a, _rref_rows(L.ctx, rows))
 
 
 def meet(L: Lattice, M: Lattice) -> Lattice:
-    a, b, (wl, wm) = common_window(L, M)
-    return Lattice(L.space, a, b, subspace_intersect(wl, wm))
+    _same_space(L, M)
+    # L has the lower top; on a tie, M is the one with fewer rows to eliminate.
+    if (L.a, -len(L._at)) > (M.a, -len(M._at)):
+        L, M = M, L
+    return Lattice._make(L.space, M.a, _meet(L.ctx, L._at, M._at, L.a * L.space.rank))
 
 
 def quotient_dim_lattices(L: Lattice, M: Lattice) -> int:
@@ -282,19 +273,18 @@ def quotient_dim_lattices(L: Lattice, M: Lattice) -> int:
 
 
 def act(g: Automorphism, L: Lattice) -> Lattice:
-    """The image lattice g L, renormalized."""
+    """The image lattice g L, tightened."""
     space = L.space
     if g.ctx != space.ctx or g.rank != space.rank:
         raise SpaceMismatch("automorphism of rank %d on %r" % (g.rank, space))
     vg, vginv = g.valuations()
-    a2, b2 = L.a - vginv, L.b - vg
-    dim = _window_dim(space, a2, b2)
-    rows = list(L.subspace._at.values())
-    # t^e e_i with L.a <= e < a2 - v(g) lies in t^a O^n, past the window's
-    # top, yet its image can reach below t^a2; the range is empty for MultBy.
+    a2, n = L.a - vginv, space.rank
+    _window_dim(space, a2, L.b - vg)
+    # t^e e_i with L.a <= e < a2 - v(g) lies in t^a O^n, an implicit pivot of
+    # L, yet its image can reach below t^a2; the range is empty for MultBy.
     one = space.ctx.raw_one
-    rows += [{_slot(space, L.b, e, i): one} for e in range(L.a, a2 - vg) for i in range(space.rank)]
-    return Lattice(space, a2, b2, Subspace._span(space.ctx, dim, g.image(rows, L.b, a2, b2)))
+    rows = [*L._at.values(), *({s: one} for s in range(L.a * n, (a2 - vg) * n))]
+    return Lattice._make(space, a2, _rref_rows(space.ctx, g.image(rows, a2)))
 
 
 class LatticeChain:

@@ -22,8 +22,9 @@ Automorphisms of k((t))^n come in two finitely presented flavours:
 multiplication by a unit series (n = 1) and GL_n over k[t, 1/t] with monomial
 determinant, whose inverse has the same shape: a GL automorphism keeps both
 from one fraction-free elimination at construction.  ``Automorphism.image``
-maps sparse raw window rows of one window straight to those of another,
-reading each term list in ascending order only up to the target window's top.
+maps sparse raw rows on the absolute slots of ``lattice`` straight to rows
+reduced modulo t^a O^n, reading each term list in ascending order only up to
+the top t^a.
 """
 
 from __future__ import annotations
@@ -615,23 +616,20 @@ class Automorphism:
             return self.series.valuation, -self.series.valuation
         return self.matrix.min_valuation(), self._inverse.min_valuation()
 
-    def image(self, rows, b0: int, a: int, b: int):
-        """g applied to a batch of sparse raw window rows, as sparse raw window rows.
+    def image(self, rows, a: int):
+        """g applied to a batch of sparse raw rows, as sparse raw rows.
 
-        A source row is a ``{slot: nonzero raw value}`` row in the slot order
-        of ``lattice`` for the window bottom t^-b0: slot s holds t^e e_i with
-        e = s // n - b0 and i = s % n, and may lie past the window's top.
-        Each image is reduced modulo t^a O^n and returned as a row of the
-        window t^-b O^n / t^a O^n; an image with a nonzero term below t^-b
-        raises ValueError.  A truncated series is checked once, against the
-        largest need of the whole batch, so the precision that
+        A row is a ``{slot: nonzero raw value}`` row in the slot order of
+        ``lattice``: slot s holds t^(s // n) e_(s % n).  Each image is
+        reduced modulo t^a O^n.  A truncated series is checked once, against
+        the largest need of the whole batch, so the precision that
         InsufficientPrecision names suffices for every row.
         """
         if self.kind == self.MULT:
             u, n = self.series, 1
             lo = min((min(row) for row in rows if row), default=None)
-            if u.top is not None and lo is not None and a - lo + b0 > u.top:
-                raise InsufficientPrecision(a - lo + b0 - u.valuation, u.precision)
+            if u.top is not None and lo is not None and a - lo > u.top:
+                raise InsufficientPrecision(a - lo - u.valuation, u.precision)
             terms = [u._terms]
         else:
             n = self.matrix.n
@@ -641,17 +639,14 @@ class Automorphism:
         for row in rows:
             acc = {}
             for s, c in row.items():
-                e, k = s // n - b0, s % n
+                e, k = s // n, s % n
                 for i in range(n):
                     for f, d in entries[i * n + k]:
                         if e + f >= a:
                             break
-                        slot = (e + f + b) * n + i
+                        slot = (e + f) * n + i
                         acc[slot] = acc.get(slot, 0) + c * d
-            image = _reduced(p, acc)
-            if image and min(image) < 0:  # a term below t^-b
-                raise ValueError("vector outside t^-%d O^n window" % b)
-            out.append(image)
+            out.append(_reduced(p, acc))
         return out
 
     def compose(self, other: "Automorphism") -> "Automorphism":

@@ -18,10 +18,11 @@ the boxed rows and the ``basis`` matrix are all read off it.  Quotient bases
 are fixed by echelon completion, so every downstream determinant-line scalar
 is reproducible run to run.
 
-Three builders run an elimination, each at most one, through ``rref``:
+Three builders run an elimination, each at most one, through ``_rref_rows``:
 ``Subspace.from_rows`` and ``Subspace._span`` (as ``subspace_sum`` builds its
-span), and ``subspace_intersect``, whose Zassenhaus elimination leaves the
-meet in echelon form and which skips it when one operand contains the other.
+span), and ``_meet``, the one Zassenhaus elimination, behind
+``subspace_intersect`` and the lattice meet, which leaves the meet in echelon
+form and skips it when one operand contains the other.
 Builders whose rows are already in reduced echelon form fill a pivot map
 directly, and membership and quotient coordinates reduce a vector against the
 stored echelon rows instead of solving a system.
@@ -174,7 +175,7 @@ class Matrix:
 
 
 def _rref_rows(ctx: FieldCtx, rows):
-    """Gauss-Jordan on sparse raw rows; returns (rows, pivots) of the nonzero
+    """Gauss-Jordan on sparse raw rows; returns the pivot map of the nonzero
     RREF rows, ascending by pivot.
 
     Rows enter one at a time: each is reduced by the rows so far, normalised
@@ -200,15 +201,14 @@ def _rref_rows(ctx: FieldCtx, rows):
         basis[c] = vec
         if len(vec) > 1:
             wide.append(c)
-    pivots = sorted(basis)
-    return [basis[c] for c in pivots], pivots
+    return {c: basis[c] for c in sorted(basis)}
 
 
 def rref(m: Matrix):
     """Reduced row echelon form of ``m`` (zero rows last) and its pivot columns."""
-    rows, pivots = _rref_rows(m.ctx, m._data)
-    rows += [{} for _ in range(m.rows - len(rows))]
-    return Matrix._raw(m.ctx, m.cols, rows), pivots
+    at = _rref_rows(m.ctx, m._data)
+    rows = [*at.values(), *({} for _ in range(m.rows - len(at)))]
+    return Matrix._raw(m.ctx, m.cols, rows), list(at)
 
 
 def det(m: Matrix) -> Scalar:
@@ -243,6 +243,11 @@ def det(m: Matrix) -> Scalar:
         cols.insert(k, c)
         acc = _mul(p, acc, vec[c])
     return Scalar(ctx, _neg(p, acc) if inversions % 2 else acc)
+
+
+def _cut(rows, top):
+    """Each row without its columns from ``top`` up."""
+    return [{j: x for j, x in row.items() if j < top} for row in rows]
 
 
 def _reduce(p, at, vec):
@@ -289,10 +294,7 @@ class Subspace:
     @classmethod
     def _span(cls, ctx: FieldCtx, ambient_dim: int, rows) -> "Subspace":
         """The span of sparse raw rows, by one elimination."""
-        if not rows:
-            return cls.zero(ctx, ambient_dim)
-        red, pivots = rref(Matrix._raw(ctx, ambient_dim, rows))
-        return cls(ctx, ambient_dim, dict(zip(pivots, red._data)))
+        return cls(ctx, ambient_dim, _rref_rows(ctx, rows))
 
     @classmethod
     def zero(cls, ctx: FieldCtx, ambient_dim: int) -> "Subspace":
@@ -357,30 +359,33 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     return Subspace._span(a.ctx, a.ambient_dim, [*a._at.values(), *b._at.values()])
 
 
-def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    """a ∩ b by one Zassenhaus elimination of [a | 0 ; b | b], b the smaller.
-
-    The [a | 0] rows are already echelon, so eliminating with them only
-    reduces the left half of each [b | b] row by ``a``.  If every left half
-    reduces to zero, b <= a and the meet is b, with no elimination.
-    Otherwise ``rref`` runs on those rows alone; the rows of its result whose
-    left half is zero are, on their right half, exactly the RREF rows of
-    a ∩ b, with their pivots shifted by the ambient dimension: nothing is
-    recombined or eliminated again.
-    """
-    a._check(b)
-    ctx, n = a.ctx, a.ambient_dim
-    if a.dim == 0 or b.dim == 0:
-        return Subspace.zero(ctx, n)
-    if b.dim > a.dim:
-        a, b = b, a
-    left = [a._remainder(row) for row in b._at.values()]
+def _meet(ctx: FieldCtx, a, b, top):
+    """The pivot map of A ∩ B, A spanned by the RREF pivot map ``a`` and every
+    unit from column ``top`` up, B by ``b``: one Zassenhaus elimination of
+    [a | 0 ; b | b].  The [a | 0] rows are echelon, so they only reduce each
+    left half, cut at ``top`` as A's units would.  If every left half reduces
+    to zero, B <= A and the meet is ``b`` itself.  Otherwise the rows are
+    eliminated once, each right half shifted past every left-half column; the
+    rows of the result whose left half is zero are, on their right half,
+    exactly the RREF rows of A ∩ B."""
+    left = [_reduce(ctx.modulus, a, row) for row in _cut(b.values(), top)]
     if not any(left):
         return b
-    rows = [{**lo, **{c + n: x for c, x in row.items()}} for lo, row in zip(left, b._at.values())]
-    red, pivots = rref(Matrix._raw(ctx, 2 * n, rows))
-    meet = zip(pivots, red._data)
-    return Subspace(ctx, n, {c - n: {j - n: x for j, x in row.items()} for c, row in meet if c >= n})
+    off = top - next(iter(b))
+    rows = [{**lo, **{j + off: x for j, x in row.items()}} for lo, row in zip(left, b.values())]
+    at = _rref_rows(ctx, rows)
+    return {c - off: {j - off: x for j, x in row.items()} for c, row in at.items() if c >= top}
+
+
+def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
+    """a ∩ b by ``_meet``, b the smaller."""
+    a._check(b)
+    if a.dim == 0 or b.dim == 0:
+        return Subspace.zero(a.ctx, a.ambient_dim)
+    if b.dim > a.dim:
+        a, b = b, a
+    at = _meet(a.ctx, a._at, b._at, a.ambient_dim)
+    return b if at is b._at else Subspace(a.ctx, a.ambient_dim, at)
 
 
 def subspace_contains(a: Subspace, b: Subspace) -> bool:
@@ -411,18 +416,16 @@ def quotient_dim(sub: Subspace, sup: Subspace) -> int:
     return len(_quotient_reps(sub, sup)[0])
 
 
-def _quotient_coords(sub: Subspace, reps, lead, vecs):
-    """Sparse raw coordinates of each sparse raw vector in ``vecs`` mod
-    ``sub``, with ``reps`` the raw representatives and ``lead`` their leading
-    columns: the multipliers of ``reps`` after ``sub`` has reduced the vector.
+def _quotient_coords(p, sub, at, vecs):
+    """Sparse raw coordinates of each sparse raw vector in ``vecs`` modulo the
+    span of the pivot map ``sub``: the multipliers of the representatives in
+    the pivot map ``at``, in its order, after ``sub`` has reduced the vector.
     A non-zero remainder means the vector lies outside sub + span(reps) and
     raises ``NotContained``."""
-    p = sub.ctx.modulus
-    at = dict(zip(lead, reps))
-    pos = {j: k for k, j in enumerate(lead)}
+    pos = {j: k for k, j in enumerate(at)}
     out = []
     for vec in vecs:
-        vec = sub._remainder(vec)
+        vec = _reduce(p, sub, vec)
         out.append({pos[j]: x for j, x in vec.items() if j in pos})
         if _reduce(p, at, vec):
             raise NotContained("vector outside sub + span(reps)")

@@ -49,11 +49,19 @@ def test_index_matrix_rank_one_is_mult(capsys):
 
 def test_window_cap_exit_2(capsys):
     start = time.perf_counter()
-    code, _, err = run(capsys, "index", "--f", "t^5000")
+    code, _, err = run(capsys, "index", "--matrix", "t^600,0;0,t^-600")  # its act window is 2,400
     assert code == 2 and "1024" in err
     assert time.perf_counter() - start < 1.0
     code, _, err = run(capsys, "commutator", "--f", "t^2000", "--g", "t")
     assert code == 2 and "1024" in err
+
+
+def test_index_of_a_far_monomial_builds_no_window(capsys):
+    """O and t^5000 O store no rows, so their join needs no window."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "index", "--f", "t^5000")
+    assert (code, out, err) == (0, "5000\n", "")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_index_json_lattices(capsys):

@@ -56,7 +56,8 @@ def nested_subspaces(draw):
 
 def quotient_coords(sub, reps, lead, vec):
     """The boxed coordinates ``_quotient_coords`` gives a boxed ``vec``."""
-    return _box(sub.ctx, len(reps), _quotient_coords(sub, reps, lead, [sub._vector(vec)])[0])
+    coords = _quotient_coords(sub.ctx.modulus, sub._at, dict(zip(lead, reps)), [sub._vector(vec)])
+    return _box(sub.ctx, len(reps), coords[0])
 
 
 def _combine(ctx, dim, coeffs, rows):
@@ -70,13 +71,14 @@ def _reference_window(L, a2, b2):
     """The eliminating path: L's vectors and the new units, through from_rows."""
     space, n = L.space, L.space.rank
     dim = n * (a2 + b2)
-    rows = [vec_to_row(space, a2, b2, v) for v in L.basis_vectors()]
+    rows = [vec_to_row(space, a2, v) for v in L.basis_vectors()]
     zero = LaurentPoly.zero(L.ctx)
     for e in range(L.a, a2):
         for i in range(n):
             unit = [LaurentPoly.t(L.ctx, e) if j == i else zero for j in range(n)]
-            rows.append(vec_to_row(space, a2, b2, unit))
-    dense = [[row.get(j, 0) for j in range(dim)] for row in rows]  # vec_to_row rows are sparse
+            rows.append(vec_to_row(space, a2, unit))
+    # vec_to_row rows are sparse, on absolute slots: slot s is window slot s + b2*n
+    dense = [[row.get(j - b2 * n, 0) for j in range(dim)] for row in rows]
     return Subspace.from_rows(L.ctx, dim, dense)
 
 
@@ -95,9 +97,10 @@ def test_window_subspace_matches_from_rows(case):
 def test_normalize_reembedded_lattice(case):
     L, a2, b2 = case
     M = Lattice(L.space, a2, b2, L.window_subspace(a2, b2))
-    assert M == L and M.subspace.pivots == L.subspace.pivots
-    ref = Subspace.from_rows(L.ctx, L.subspace.ambient_dim, L.subspace.rows())
-    assert L.subspace == ref and L.subspace.pivots == ref.pivots
+    w, wm = L.window_subspace(L.a, L.b), M.window_subspace(M.a, M.b)
+    assert M == L and wm.pivots == w.pivots
+    ref = Subspace.from_rows(L.ctx, w.ambient_dim, w.rows())
+    assert w == ref and w.pivots == ref.pivots
 
 
 @SETTINGS
@@ -131,8 +134,9 @@ def test_echelon_builders_do_not_eliminate(monkeypatch):
     monkeypatch.setattr(tatekit.linalg, "_rref_rows", no_elimination)
     w = L.window_subspace(3, 2)
     assert Lattice(V, 3, 2, w) == L
-    assert std_lattice(V, [2, -1]).subspace.dim == 3
-    assert w.contains_vector(w.rows()[0]) and L.contains_vector(row_to_vec(V, L.b, list(L.subspace._at.values())[1]))
+    S = std_lattice(V, [2, -1])
+    assert S.window_subspace(S.a, S.b).dim == 3
+    assert w.contains_vector(w.rows()[0]) and L.contains_vector(row_to_vec(V, list(L._at.values())[1]))
     assert [str(c) for c in quotient_coords(sub, *_quotient_reps(sub, sup), vec)] == ["3"]  # vec = 2*sub + 3*rep
 
 
@@ -159,5 +163,5 @@ def test_every_builder_keeps_the_pivot_map_invariant(ctx, rank, rng):
     a, b = max(L.a, M.a) + rng.randint(0, 2), max(L.b, M.b) + rng.randint(0, 2)
     wl, wm = L.window_subspace(a, b), M.window_subspace(a, b)
     built = [L, M, std, Lattice(space, a, b, wl), act(g, L), meet(L, M), join(L, M)]
-    for s in [wl, wm, subspace_intersect(wl, wm), *(lat.subspace for lat in built)]:
+    for s in [wl, wm, subspace_intersect(wl, wm), *(lat.window_subspace(lat.a, lat.b) for lat in built)]:
         assert_pivot_map(s)

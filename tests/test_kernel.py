@@ -149,7 +149,8 @@ def subspace_pairs(draw):
 
 def quotient_coords(sub, reps, lead, vec):
     """The boxed coordinates ``_quotient_coords`` gives a boxed ``vec``."""
-    return _box(sub.ctx, len(reps), _quotient_coords(sub, reps, lead, [sub._vector(vec)])[0])
+    coords = _quotient_coords(sub.ctx.modulus, sub._at, dict(zip(lead, reps)), [sub._vector(vec)])
+    return _box(sub.ctx, len(reps), coords[0])
 
 
 def canonical(x):

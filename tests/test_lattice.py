@@ -23,10 +23,11 @@ from tatekit import (
     std_lattice,
 )
 from tatekit.errors import FieldMismatch, InsufficientPrecision, NotContained, NotNested, SpaceMismatch
-from tatekit.lattice import common_window, row_to_vec
+from tatekit.lattice import row_to_vec
 from tatekit.laurent import invert_series
 from tatekit.linalg import _quotient_reps, quotient_dim
 from tatekit.verify import rand_gl, rand_lattice, rand_mult
+from window_kernel import common_window, shift
 
 V = TateSpace(QQ, 1)
 O = std_lattice(V, [0])
@@ -45,7 +46,7 @@ def ref_quotient_dim(L, M):
 def quotient_reps(L, M):
     """The canonical representatives of M/L as Laurent vectors."""
     a, b, (wl, wm) = common_window(L, M)
-    return [row_to_vec(L.space, b, row) for row in _quotient_reps(wl, wm)[0]]
+    return [row_to_vec(L.space, shift(row, -b * L.space.rank)) for row in _quotient_reps(wl, wm)[0]]
 
 
 def test_std_lattice_bounds():
@@ -55,7 +56,7 @@ def test_std_lattice_bounds():
     V2 = TateSpace(QQ, 2)
     mixed = std_lattice(V2, [1, -1])
     assert (mixed.a, mixed.b) == (1, 1)
-    assert mixed.subspace.dim == 2  # slots t^-1 e_2 and 1 e_2... of 4 window slots
+    assert mixed.window_subspace(mixed.a, mixed.b).dim == 2  # slots t^-1 e_2 and 1 e_2... of 4 window slots
 
 
 def test_leq():
@@ -149,7 +150,7 @@ def test_quotient_basis_window_independent():
     big_sub = M.window_subspace(3, 3)
     small_sub = L.window_subspace(3, 3)
     reps = _quotient_reps(small_sub, big_sub)[0]
-    vecs = [str(row_to_vec(V, 3, r)[0]) for r in reps]
+    vecs = [str(row_to_vec(V, shift(r, -3))[0]) for r in reps]
     assert vecs == [str(v[0]) for v in quotient_reps(L, M)]
 
 
@@ -207,6 +208,7 @@ def test_lattice_from_json_checks_the_cap_first(monkeypatch):
 
 
 def test_quotient_checks_containment_once(monkeypatch):
+    import tatekit.lattice
     import tatekit.linalg
 
     V2 = TateSpace(QQ, 2)
@@ -220,7 +222,7 @@ def test_quotient_checks_containment_once(monkeypatch):
         calls.append(args)
         return reduce_rows(*args)
 
-    monkeypatch.setattr(tatekit.linalg, "_reduce", counting_reduce)
+    monkeypatch.setattr(tatekit.lattice, "_reduce", counting_reduce)
     assert quotient_dim_lattices(L, M) == 4
     assert len(calls) == rows_of_l == 2  # one reduction per row of L's window basis
 
@@ -291,6 +293,21 @@ def test_contains_vector_needs_one_coordinate_per_rank():
         std_lattice(V2, 0).contains_vector((one,))
 
 
+def test_far_lattices_need_no_common_window():
+    """Lattices that store no rows compare, join, meet and test membership
+    exactly, however far apart their tops: no common window is built."""
+    far, near = std_lattice(V, 600), std_lattice(V, -600)
+    assert leq(far, near) and not leq(near, far)
+    assert join(far, near) == near and meet(far, near) == far
+    assert not std_lattice(V, 0).contains_vector((parse_laurent(QQ, "t^-2000"),))
+    assert std_lattice(V, -2000).contains_vector((parse_laurent(QQ, "t^-2000+t^3000"),))
+
+
+def test_hash_tells_apart_the_std_lattices_at_minus_1_and_minus_2():
+    """CPython hashes -1 and -2 alike, so the hash needs b beside a."""
+    assert hash(std_lattice(V, -1)) != hash(std_lattice(V, -2))
+
+
 def test_lattice_rejects_a_subspace_over_another_field():
     F5 = GF(5)
     with pytest.raises(FieldMismatch):
@@ -299,4 +316,4 @@ def test_lattice_rejects_a_subspace_over_another_field():
         Lattice(TateSpace(GF(7), 1), 1, 1, Subspace.from_rows(F5, 2, [[1, 2]]))
     # A separately built context of the same field is the same field.
     L = Lattice(TateSpace(GF(5), 1), 1, 1, Subspace.from_rows(F5, 2, [[1, 2]]))
-    assert L.subspace.dim == 1 and L.ctx == F5
+    assert L.window_subspace(L.a, L.b).dim == 1 and L.ctx == F5

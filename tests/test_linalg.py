@@ -71,8 +71,13 @@ def test_subspace_intersect_runs_one_elimination(monkeypatch):
     a = Subspace.from_rows(QQ, 4, [[1, 2, 0, 0], [0, 0, 1, 1], [0, 1, 0, 5]])
     b = Subspace.from_rows(QQ, 4, [[1, 2, 1, 1], [0, 3, 0, 15], [1, 0, 0, 0]])
     calls = []
-    real = linalg.rref
-    monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m.cols) or real(m))
+    real = linalg._rref_rows
+
+    def counted(ctx, rows):
+        calls.append(1 + max(j for row in rows for j in row))  # the columns the rows span
+        return real(ctx, rows)
+
+    monkeypatch.setattr(linalg, "_rref_rows", counted)
     meet = subspace_intersect(a, b)
     assert calls == [8]  # one elimination, of the 2n-column Zassenhaus matrix
     want = [[1, 2, 1, 1], [0, 1, 0, 5]]
@@ -171,7 +176,8 @@ def test_canonical_form_uniqueness():
 
 def quotient_coords(sub, reps, lead, vec):
     """The boxed coordinates ``_quotient_coords`` gives a boxed ``vec``."""
-    return _box(sub.ctx, len(reps), _quotient_coords(sub, reps, lead, [sub._vector(vec)])[0])
+    coords = _quotient_coords(sub.ctx.modulus, sub._at, dict(zip(lead, reps)), [sub._vector(vec)])
+    return _box(sub.ctx, len(reps), coords[0])
 
 
 def test_quotient_coords_roundtrip():

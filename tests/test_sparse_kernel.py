@@ -220,7 +220,8 @@ def test_rref_matches_dense_reference(case):
     assert red.rows == m.rows and pivots == ref_pivots
     assert [dense(ctx, dim, row) for row in red._data] == ref_rows
     assert_invariants(red)
-    got_rows, got_pivots = linalg._rref_rows(ctx, [sparse(row) for row in rows])
+    got = linalg._rref_rows(ctx, [sparse(row) for row in rows])
+    got_rows, got_pivots = list(got.values()), list(got)
     assert got_pivots == ref_pivots and got_rows == [sparse(row) for row in ref_rows[: len(ref_pivots)]]
 
 
@@ -287,6 +288,7 @@ def test_window_lattices_keep_invariants():
             for _ in range(6):
                 L = rand_lattice(space, rng, 2)
                 g = rand_mult(ctx, rng, -2, 2) if rank == 1 else rand_gl(ctx, rank, rng)
-                for s in (L.subspace, L.window_subspace(L.a + 2, L.b + 1), act(g, L).subspace):
+                gL = act(g, L)
+                for s in (L.window_subspace(L.a, L.b), L.window_subspace(L.a + 2, L.b + 1), gL.window_subspace(gL.a, gL.b)):
                     assert_invariants(s.basis)
                     assert s == Subspace.from_rows(ctx, s.ambient_dim, s.rows())
