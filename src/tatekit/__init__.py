@@ -26,10 +26,8 @@ from .laurent import (
     LaurentPoly,
     TruncSeries,
     det_laurent,
-    invert_series,
     parse_laurent,
     parse_laurent_matrix,
-    valuation,
 )
 from .lattice import (
     Lattice,
@@ -45,7 +43,6 @@ from .lattice import (
 )
 from .index_map import (
     AutChain,
-    IndexValue,
     LatticeFamily,
     build_family,
     check_additivity,

@@ -52,7 +52,7 @@ from .errors import (
     SpaceMismatch,
     ZeroElement,
 )
-from .fields import Scalar
+from .fields import Scalar, _Frozen
 from .laurent import Automorphism, LaurentPoly
 from .lattice import Lattice, TateSpace, _same_space, _window_dim, act, leq, meet, std_lattice
 from .linalg import Matrix, _quotient_coords, det
@@ -62,7 +62,7 @@ GRADED = "graded"
 MAX_FORMULA_BITS = 1 << 19  # the size limit of closed_commutator_formula over Q
 
 
-class GradedLine:
+class GradedLine(_Frozen):
     """A formal one-dimensional graded object with a canonical basis."""
 
     __slots__ = ("grade", "tag")
@@ -70,9 +70,6 @@ class GradedLine:
     def __init__(self, grade: int, tag):
         object.__setattr__(self, "grade", grade)
         object.__setattr__(self, "tag", tag)
-
-    def __setattr__(self, *a):
-        raise AttributeError("GradedLine is immutable")
 
     def __eq__(self, other):
         return (
@@ -105,8 +102,7 @@ def _quotient_pivots(N: Lattice, F: Lattice):
 
 def _quotient_rows(N: Lattice, F: Lattice):
     """The echelon representatives of F/N as a pivot map: F's rows, and units at its implicit pivots."""
-    one = F.ctx.raw_one
-    return {c: F._at.get(c) or {c: one} for c in _quotient_pivots(N, F)}
+    return {c: F._at.get(c) or {c: 1} for c in _quotient_pivots(N, F)}
 
 
 def _wedge_det(N: Lattice, F: Lattice, rows) -> Scalar:
@@ -155,7 +151,7 @@ def cocycle_check(
 # -- torsor sections -----------------------------------------------------
 
 
-class DimensionTheory:
+class DimensionTheory(_Frozen):
     """A section of the dimension torsor: f(L') = f(L) + dim(L'/L)."""
 
     __slots__ = ("base", "value_at_base")
@@ -163,9 +159,6 @@ class DimensionTheory:
     def __init__(self, base: Lattice, value_at_base: int = 0):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "value_at_base", value_at_base)
-
-    def __setattr__(self, *a):
-        raise AttributeError("DimensionTheory is immutable")
 
     def eval(self, L: Lattice) -> int:
         _same_space(self.base, L)
@@ -175,7 +168,7 @@ class DimensionTheory:
         return DimensionTheory(self.base, self.value_at_base + k)
 
 
-class DeterminantTheory:
+class DeterminantTheory(_Frozen):
     """A section of the determinant torsor, generated by a trivial Delta(base)."""
 
     __slots__ = ("base",)
@@ -183,34 +176,24 @@ class DeterminantTheory:
     def __init__(self, base: Lattice):
         object.__setattr__(self, "base", base)
 
-    def __setattr__(self, *a):
-        raise AttributeError("DeterminantTheory is immutable")
-
     def eval(self, L: Lattice) -> GradedLine:
         return rel_det(self.base, L)
-
-
-def det_theory_coherence_scalars(
-    theory: DeterminantTheory, L: Lattice, Lp: Lattice, Lpp: Lattice, mode: str = GRADED
-):
-    """The two composite scalars of the coherence square for L <= L' <= L''.
-
-    One path factors Delta(L'') through Delta(L'), the other goes directly
-    to Delta(L) and then splits the top quotient.
-    """
-    if not (leq(L, Lp) and leq(Lp, Lpp)):
-        raise NotNested("coherence needs L <= L' <= L''")
-    B = theory.base
-    via_middle = omega(B, Lp, Lpp, mode) * omega(B, L, Lp, mode)
-    direct = omega(B, L, Lpp, mode) * omega(L, Lp, Lpp, mode)
-    return via_middle, direct
 
 
 def det_theory_coherence(
     theory: DeterminantTheory, L: Lattice, Lp: Lattice, Lpp: Lattice, mode: str = GRADED
 ) -> bool:
-    s1, s2 = det_theory_coherence_scalars(theory, L, Lp, Lpp, mode)
-    return s1 == s2
+    """Whether the coherence square of the theory commutes for L <= L' <= L''.
+
+    One path factors Delta(L'') through Delta(L'), with scalar
+    omega(B, L, L') omega(B, L', L''); the other goes directly to Delta(L)
+    and then splits the top quotient, with omega(B, L, L'') omega(L, L', L'').
+    These are the two sides of the omega cocycle identity at (B, L, L', L''),
+    B the theory's base, so the square is ``cocycle_check`` there.
+    """
+    if not (leq(L, Lp) and leq(Lp, Lpp)):
+        raise NotNested("coherence needs L <= L' <= L''")
+    return cocycle_check(theory.base, L, Lp, Lpp, mode)
 
 
 # -- the determinant-line central extension ------------------------------
@@ -246,7 +229,7 @@ def cocycle_sigma(g: Automorphism, h: Automorphism, space: TateSpace, mode: str)
     return (tau * w).inverse()
 
 
-class ExtElement:
+class ExtElement(_Frozen):
     """An element (g, z) of the determinant-line central extension."""
 
     __slots__ = ("g", "z", "mode", "space")
@@ -260,9 +243,6 @@ class ExtElement:
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "space", space)
-
-    def __setattr__(self, *a):
-        raise AttributeError("ExtElement is immutable")
 
     @classmethod
     def lift(cls, g: Automorphism, mode: str = UNGRADED, space: TateSpace | None = None):

@@ -83,13 +83,20 @@ def _mul(p, x, y):
     return _canon(x * y) if p is None else x * y % p
 
 
-class FieldCtx:
-    """The base field: either Q or F_p for a verified prime p.
+class _Frozen:
+    """Base of the immutable value types: a constructor sets each slot once
+    through ``object.__setattr__``, and any later assignment raises."""
 
-    ``raw_zero`` and ``raw_one`` are the raw values of 0 and 1 (see ``raw``).
-    """
+    __slots__ = ()
 
-    __slots__ = ("kind", "modulus", "raw_zero", "raw_one")
+    def __setattr__(self, *a):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+
+class FieldCtx(_Frozen):
+    """The base field: either Q or F_p for a verified prime p."""
+
+    __slots__ = ("kind", "modulus")
 
     def __init__(self, kind: str, modulus: int | None = None):
         if kind == RATIONALS:
@@ -104,11 +111,6 @@ class FieldCtx:
             raise ValueError("unknown field kind %r" % (kind,))
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "raw_zero", 0)
-        object.__setattr__(self, "raw_one", 1)
-
-    def __setattr__(self, *a):
-        raise AttributeError("FieldCtx is immutable")
 
     def __eq__(self, other):
         return self is other or (
@@ -181,7 +183,7 @@ def GF(p: int) -> FieldCtx:
     return FieldCtx(PRIME_FIELD, p)
 
 
-class Scalar:
+class Scalar(_Frozen):
     """An element of a fixed FieldCtx.
 
     ``value`` is the raw value of ``FieldCtx.raw``: over Q an ``int`` when
@@ -194,9 +196,6 @@ class Scalar:
     def __init__(self, ctx: FieldCtx, value):
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "value", value)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Scalar is immutable")
 
     def _check(self, other: "Scalar"):
         if not isinstance(other, Scalar):

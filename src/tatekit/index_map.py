@@ -18,6 +18,14 @@ forced by the face recursion and the full subset chosen as the canonical
 join.  ``verify_family`` re-checks every hypothesis and both face
 identities and reports each one.
 
+The arrows of a face are the composites between its consecutive kept
+vertices, yet the rules read only its last one, from its last but one
+vertex to its last: a missing vertex i < m moves to the face without i,
+and only i = m, the g_k-translate of the face without its last vertex,
+applies an arrow.  So the family keeps one composite per vertex pair,
+``arrows[lo, hi]``, each one compose onto ``arrows[lo, hi-1]``: k(k-1)/2
+for a chain of length k.
+
 ``build_family`` fills ``entries`` through one recursion keyed by face
 and subset, (kept vertices, sorted I), so the dict it returns is its memo.
 A face whose arrow j is the identity (say g^-1 g) needs no rule: by
@@ -46,8 +54,6 @@ from .lattice import Lattice, TateSpace, act, join, leq, quotient_dim_lattices, 
 from .laurent import Automorphism
 from .simplicial import nonempty_subsets, subset_degeneracy, subset_face
 
-IndexValue = int
-
 DEFAULT_CHAIN_CAP = 4
 
 
@@ -59,12 +65,12 @@ def _canonical_index(g: Automorphism, space: TateSpace):
     return (N.vdim - gL.vdim) - (N.vdim - L.vdim), L, gL, N
 
 
-def index0(g: Automorphism, space: TateSpace) -> IndexValue:
+def index0(g: Automorphism, space: TateSpace) -> int:
     """Index with the canonical choices L = O^n and N = L + gL."""
     return _canonical_index(g, space)[0]
 
 
-def index0_with(g: Automorphism, L: Lattice, N: Lattice) -> IndexValue:
+def index0_with(g: Automorphism, L: Lattice, N: Lattice) -> int:
     """Index from arbitrary admissible choices (L a lattice, N enclosing)."""
     gL = act(g, L)
     if not (leq(L, N) and leq(gL, N)):
@@ -72,7 +78,7 @@ def index0_with(g: Automorphism, L: Lattice, N: Lattice) -> IndexValue:
     return L.vdim - gL.vdim
 
 
-def euler0(g: Automorphism, L: Lattice, N: Lattice) -> IndexValue:
+def euler0(g: Automorphism, L: Lattice, N: Lattice) -> int:
     """Euler characteristic of the two-term complex gL -> L over a common
     sub-lattice N <= L, gL.  Always equals index0."""
     gL = act(g, L)
@@ -102,16 +108,15 @@ class AutChain:
         return "AutChain(k=%d on %r)" % (len(self.autos), self.space)
 
 
-def _subchain(chain, kept):
-    """The chain seen by an iterated face keeping the given vertices; the
-    face d_i of a chain keeps every vertex but i."""
-    out = []
-    for lo, hi in zip(kept, kept[1:]):
-        g = chain[lo]
-        for j in range(lo + 1, hi):
-            g = chain[j].compose(g)
-        out.append(g)
-    return tuple(out)
+def _arrows(autos):
+    """The composite arrow from vertex lo to vertex hi for every lo < hi,
+    ``autos[hi-1] o ... o autos[lo]``: one compose onto the arrow that stops
+    a vertex short, k(k-1)/2 in all for a chain of length k."""
+    arrows = {(lo, lo + 1): g for lo, g in enumerate(autos)}
+    for lo in range(len(autos)):
+        for hi in range(lo + 2, len(autos) + 1):
+            arrows[lo, hi] = autos[hi - 1].compose(arrows[lo, hi - 1])
+    return arrows
 
 
 def _drop_vertex(kept, i):
@@ -131,19 +136,25 @@ class LatticeFamily:
     """All lattices L_{m,I} over the faces of one top chain.
 
     ``entries`` maps a face and a subset, as (kept-vertices tuple, sorted
-    subset tuple), to a Lattice; ``subchains`` carries the composite arrows
-    of each face.  ``translates`` holds the g L already computed, keyed by
-    (g, L) by value, and is shared with every copy made by ``replaced``.
+    subset tuple), to a Lattice.  ``arrows`` maps each vertex pair (lo, hi),
+    lo < hi, to the composite arrow from lo to hi.  A face's arrows are those
+    of its consecutive kept vertices, and only its last one is read: it
+    translates the face without its last vertex, while a missing vertex
+    i < m leads to another face (see the module doc).  ``translates`` holds
+    the g L already computed, keyed by (g, L) by value, and is shared with
+    every copy made by ``replaced``.
     """
 
-    def __init__(self, chain: AutChain, entries: dict, subchains: dict, translates: dict):
+    def __init__(self, chain: AutChain, entries: dict, faces: tuple, arrows: dict, translates: dict):
         self.chain = chain
         self.entries = entries
-        self.subchains = subchains
+        self.arrows = arrows
+        self._faces = faces
         self._translates = translates
 
     def faces(self):
-        return sorted(self.subchains, key=lambda s: (len(s), s))
+        """Every face as its tuple of kept vertices, by size, then lexicographically."""
+        return self._faces
 
     def lattice(self, kept, I) -> Lattice:
         key = (tuple(kept), tuple(sorted(I)))
@@ -155,17 +166,17 @@ class LatticeFamily:
         """Copy with one entry overridden (fault-injection hook for tests)."""
         entries = dict(self.entries)
         entries[(tuple(kept), tuple(sorted(I)))] = lattice
-        return LatticeFamily(self.chain, entries, self.subchains, self._translates)
+        return LatticeFamily(self.chain, entries, self._faces, self.arrows, self._translates)
 
 
-def build_family(chain: AutChain, cap: int = DEFAULT_CHAIN_CAP) -> LatticeFamily:
+def build_family(chain: AutChain) -> LatticeFamily:
     k = len(chain)
-    if k > cap:
-        raise ChainTooLong("chain length %d exceeds cap %d" % (k, cap))
+    if k > DEFAULT_CHAIN_CAP:
+        raise ChainTooLong("chain length %d exceeds cap %d" % (k, DEFAULT_CHAIN_CAP))
     if any(g.is_identity() for g in chain.autos):
         raise DegenerateChain("chain contains an identity arrow")
-    faces = [kept for size in range(1, k + 2) for kept in combinations(range(k + 1), size)]
-    subchains = {kept: _subchain(chain.autos, kept) for kept in faces}
+    faces = tuple(kept for size in range(1, k + 2) for kept in combinations(range(k + 1), size))
+    arrows = _arrows(chain.autos)
     base = std_lattice(chain.space, 0)
     entries, translates = {}, {}
 
@@ -181,7 +192,7 @@ def build_family(chain: AutChain, cap: int = DEFAULT_CHAIN_CAP) -> LatticeFamily
                 if i < m:
                     val = lattice(_drop_vertex(kept, i), subset_degeneracy(I, i))
                 else:
-                    val = _once(translates, act, subchains[kept][-1], lattice(kept[:-1], I))
+                    val = _once(translates, act, arrows[kept[-2:]], lattice(kept[:-1], I))
             else:
                 val = reduce(join, [lattice(kept, I - {x}) for x in range(m + 1)])
             entries[key] = val
@@ -191,7 +202,7 @@ def build_family(chain: AutChain, cap: int = DEFAULT_CHAIN_CAP) -> LatticeFamily
         for I in nonempty_subsets(len(kept) - 1):
             lattice(kept, I)
     del lattice  # the recursion holds itself: free its state without the cycle collector
-    return LatticeFamily(chain, entries, subchains, translates)
+    return LatticeFamily(chain, entries, faces, arrows, translates)
 
 
 def verify_family(family: LatticeFamily):
@@ -221,11 +232,10 @@ def verify_family(family: LatticeFamily):
 
     for kept in family.faces():
         m = len(kept) - 1
-        sub = family.subchains[kept]
         tag = "S=%s" % (",".join(map(str, kept)),)
         if m == 0:
             continue
-        subsets = nonempty_subsets(m)
+        g, subsets = family.arrows[kept[-2:]], nonempty_subsets(m)
         # hypotheses (a) and (b): compatibility with every face choice
         for I in subsets:
             if len(I) == m + 1:
@@ -244,7 +254,7 @@ def verify_family(family: LatticeFamily):
                         "" if ok else "face value disagrees",
                     )
                 else:
-                    ok = here == translate(sub[-1], _drop_vertex(kept, m), I)
+                    ok = here == translate(g, _drop_vertex(kept, m), I)
                     record(
                         "hypothesis_b",
                         "%s I=%s" % (tag, sorted(I)),
@@ -274,7 +284,7 @@ def verify_family(family: LatticeFamily):
                 if i < m:
                     ok = top == family.lattice(lower_kept, J)
                 else:
-                    ok = top == translate(sub[-1], lower_kept, J)
+                    ok = top == translate(g, lower_kept, J)
                 record(
                     "face_identity_d%d" % i,
                     "%s J=%s" % (tag, sorted(J)),
@@ -296,7 +306,7 @@ def index_simplex(family: LatticeFamily, kept):
     dim(N/gL) - dim(N/L) is the loop orientation agreed with index0.
     """
     kept = tuple(kept)
-    if kept not in family.subchains:
+    if kept not in family.faces():
         raise UnknownFace("no face %r" % (kept,))
     m = len(kept) - 1
     top = family.lattice(kept, range(m + 1))

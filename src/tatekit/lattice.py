@@ -41,14 +41,14 @@ from __future__ import annotations
 from itertools import islice
 
 from .errors import FieldMismatch, NotNested, SpaceMismatch, WindowTooLarge
-from .fields import FieldCtx
+from .fields import FieldCtx, _Frozen
 from .laurent import Automorphism, LaurentPoly
 from .linalg import Subspace, _cut, _meet, _reduce, _rref_rows
 
 MAX_WINDOW_DIM = 1024
 
 
-class TateSpace:
+class TateSpace(_Frozen):
     """The elementary Tate vector space k((t))^n."""
 
     __slots__ = ("ctx", "rank")
@@ -58,9 +58,6 @@ class TateSpace:
             raise ValueError("rank must be positive")
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "rank", rank)
-
-    def __setattr__(self, *a):
-        raise AttributeError("TateSpace is immutable")
 
     def __eq__(self, other):
         return (
@@ -109,7 +106,7 @@ def vec_to_row(space: TateSpace, a: int, vec):
     return row
 
 
-class Lattice:
+class Lattice(_Frozen):
     """An open bounded subspace of k((t))^n in tight canonical form; the hash is kept on first use."""
 
     __slots__ = ("space", "a", "b", "_at", "_hash")
@@ -152,9 +149,6 @@ class Lattice:
         L._fill(space, a, at)
         return L
 
-    def __setattr__(self, *a):
-        raise AttributeError("Lattice is immutable")
-
     @classmethod
     def std(cls, space: TateSpace, shifts) -> "Lattice":
         """The lattice ⊕_i t^shifts[i] O."""
@@ -163,10 +157,10 @@ class Lattice:
         shifts, n = list(shifts), space.rank
         if len(shifts) != n:
             raise ValueError("need one shift per coordinate")
-        a, b, one = max(shifts), -min(shifts), space.ctx.raw_one
+        a, b = max(shifts), -min(shifts)
         _window_dim(space, a, b)
         units = [e * n + i for e in range(-b, a) for i in range(n) if e >= shifts[i]]
-        return cls._make(space, a, {s: {s: one} for s in units})
+        return cls._make(space, a, {s: {s: 1} for s in units})
 
     @property
     def ctx(self):
@@ -182,10 +176,10 @@ class Lattice:
         slots, then the units of the slots from a*n up, which keeps the RREF."""
         if a2 < self.a or b2 < self.b:
             raise ValueError("window must contain (%d, %d)" % (self.a, self.b))
-        dim, one, off = _window_dim(self.space, a2, b2), self.ctx.raw_one, b2 * self.space.rank
+        dim, off = _window_dim(self.space, a2, b2), b2 * self.space.rank
         at = {c + off: {j + off: x for j, x in row.items()} for c, row in self._at.items()}
         for s in range(off + self.a * self.space.rank, dim):
-            at[s] = {s: one}
+            at[s] = {s: 1}
         return Subspace(self.ctx, dim, at)
 
     def basis_vectors(self):
@@ -282,12 +276,11 @@ def act(g: Automorphism, L: Lattice) -> Lattice:
     _window_dim(space, a2, L.b - vg)
     # t^e e_i with L.a <= e < a2 - v(g) lies in t^a O^n, an implicit pivot of
     # L, yet its image can reach below t^a2; the range is empty for MultBy.
-    one = space.ctx.raw_one
-    rows = [*L._at.values(), *({s: one} for s in range(L.a * n, (a2 - vg) * n))]
+    rows = [*L._at.values(), *({s: 1} for s in range(L.a * n, (a2 - vg) * n))]
     return Lattice._make(space, a2, _rref_rows(space.ctx, g.image(rows, a2)))
 
 
-class LatticeChain:
+class LatticeChain(_Frozen):
     """A nested chain L_0 <= L_1 <= ... <= L_k."""
 
     __slots__ = ("space", "lattices")
@@ -302,9 +295,6 @@ class LatticeChain:
                 raise NotNested("chain is not nested")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "lattices", lattices)
-
-    def __setattr__(self, *a):
-        raise AttributeError("LatticeChain is immutable")
 
     def __len__(self):
         return len(self.lattices)

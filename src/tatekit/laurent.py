@@ -41,7 +41,7 @@ from .errors import (
     SpaceMismatch,
     ZeroElement,
 )
-from .fields import FieldCtx, Scalar, _canon, _inv, _mul
+from .fields import FieldCtx, Scalar, _Frozen, _canon, _inv, _mul
 
 DEFAULT_PRECISION = 16
 
@@ -89,7 +89,7 @@ def _check_ctx(x, y):
         raise FieldMismatch("%r vs %r" % (x.ctx, y.ctx))
 
 
-class LaurentPoly:
+class LaurentPoly(_Frozen):
     """Element of k[t, 1/t]; ``_terms`` maps exponent to nonzero raw value."""
 
     __slots__ = ("ctx", "_terms")
@@ -110,9 +110,6 @@ class LaurentPoly:
         object.__setattr__(f, "ctx", ctx)
         object.__setattr__(f, "_terms", terms)
         return f
-
-    def __setattr__(self, *a):
-        raise AttributeError("LaurentPoly is immutable")
 
     @classmethod
     def zero(cls, ctx):
@@ -161,7 +158,7 @@ class LaurentPoly:
         return LaurentPoly._raw(self.ctx, {e + k: c for e, c in self._terms.items()})
 
     def coeff(self, e: int) -> Scalar:
-        return Scalar(self.ctx, self._terms.get(e, self.ctx.raw_zero))
+        return Scalar(self.ctx, self._terms.get(e, 0))
 
     def valuation(self) -> int:
         if not self._terms:
@@ -202,14 +199,7 @@ class LaurentPoly:
         return "LaurentPoly(%s)" % self
 
 
-def valuation(f) -> int:
-    """Least exponent with nonzero coefficient (polynomials or series)."""
-    if isinstance(f, TruncSeries):
-        return f.valuation
-    return f.valuation()
-
-
-class TruncSeries:
+class TruncSeries(_Frozen):
     """Unit of k((t)) known below t^top: ``_terms`` maps exponent to nonzero
     raw value, and ``top`` is None when the series is exact."""
 
@@ -235,9 +225,6 @@ class TruncSeries:
         s = object.__new__(cls)
         s._fill(ctx, valuation, terms, top)
         return s
-
-    def __setattr__(self, *a):
-        raise AttributeError("TruncSeries is immutable")
 
     @classmethod
     def from_poly(cls, f: LaurentPoly) -> "TruncSeries":
@@ -353,18 +340,7 @@ class TruncSeries:
         return "TruncSeries(%s)" % self
 
 
-def invert_series(f: LaurentPoly, precision: int = DEFAULT_PRECISION) -> TruncSeries:
-    """Series inverse g of f: the ``precision`` leading coefficients of 1/f.
-
-    g starts at exponent -v(f) and satisfies f*g = 1 + O(t^precision); it is
-    exact only when f is a unit monomial.
-    """
-    if f.is_zero():
-        raise ZeroElement("inverse of 0")
-    return TruncSeries.from_poly(f).inverse(precision)
-
-
-class LaurentMatrix:
+class LaurentMatrix(_Frozen):
     """Square matrix over k[t, 1/t]."""
 
     __slots__ = ("ctx", "n", "entries")
@@ -379,9 +355,6 @@ class LaurentMatrix:
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, *a):
-        raise AttributeError("LaurentMatrix is immutable")
 
     @classmethod
     def from_rows(cls, ctx, rows):
@@ -528,7 +501,7 @@ def _det_and_inverse(m: LaurentMatrix):
     return det, LaurentMatrix(m.ctx, n, [LaurentPoly._raw(m.ctx, divide(f)) for row in rows for f in row[n:]])
 
 
-class Automorphism:
+class Automorphism(_Frozen):
     """An automorphism of k((t))^n: MultBy a unit (n=1) or monomial-det GL_n.
 
     Rank 1 has the single representation MultBy: ``gl`` turns a 1x1 matrix
@@ -571,9 +544,6 @@ class Automorphism:
         g = object.__new__(cls)
         g._fill(cls.GL, None, matrix, det, inverse)
         return g
-
-    def __setattr__(self, *a):
-        raise AttributeError("Automorphism is immutable")
 
     @classmethod
     def mult_by(cls, f) -> "Automorphism":

@@ -33,7 +33,7 @@ from __future__ import annotations
 from bisect import bisect_right
 
 from .errors import AmbientMismatch, FieldMismatch, NonSquare, NotContained
-from .fields import FieldCtx, Scalar, _canon, _inv, _mul, _neg
+from .fields import FieldCtx, Scalar, _Frozen, _canon, _inv, _mul, _neg
 
 # Row kernels on sparse raw rows; ``p`` is the field's modulus, None over Q.
 # They keep ``% p`` inline, and ``_submul`` calls ``_canon`` only on a
@@ -63,8 +63,7 @@ def _scale(p, c, row):
 
 def _box(ctx: FieldCtx, cols: int, row):
     """A sparse raw row as a dense list of ``cols`` Scalars."""
-    zero = ctx.raw_zero
-    return [Scalar(ctx, row.get(j, zero)) for j in range(cols)]
+    return [Scalar(ctx, row.get(j, 0)) for j in range(cols)]
 
 
 def _unbox(ctx: FieldCtx, vec):
@@ -77,7 +76,7 @@ def _unbox(ctx: FieldCtx, vec):
     return out
 
 
-class Matrix:
+class Matrix(_Frozen):
     """An immutable matrix over ``ctx``; ``_data`` holds its sparse raw rows."""
 
     __slots__ = ("ctx", "rows", "cols", "_data")
@@ -108,9 +107,6 @@ class Matrix:
         m._fill(ctx, cols, data)
         return m
 
-    def __setattr__(self, *a):
-        raise AttributeError("Matrix is immutable")
-
     @classmethod
     def from_rows(cls, ctx: FieldCtx, rows) -> "Matrix":
         rows = [list(row) for row in rows]
@@ -123,8 +119,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, ctx: FieldCtx, n: int) -> "Matrix":
-        one = ctx.raw_one
-        return cls._raw(ctx, n, [{i: one} for i in range(n)])
+        return cls._raw(ctx, n, [{i: 1} for i in range(n)])
 
     @property
     def entries(self):
@@ -134,7 +129,7 @@ class Matrix:
         i, j = ij
         if not -self.cols <= j < self.cols:
             raise IndexError("column %d of %d" % (j, self.cols))
-        return Scalar(self.ctx, self._data[i].get(j % self.cols, self.ctx.raw_zero))
+        return Scalar(self.ctx, self._data[i].get(j % self.cols, 0))
 
     def row_list(self):
         return [_box(self.ctx, self.cols, row) for row in self._data]
@@ -226,7 +221,7 @@ def det(m: Matrix) -> Scalar:
     if m.rows != m.cols:
         raise NonSquare("det of %dx%d" % (m.rows, m.cols))
     ctx, p = m.ctx, m.ctx.modulus
-    at, cols, inversions, acc = {}, [], 0, ctx.raw_one
+    at, cols, inversions, acc = {}, [], 0, 1
     for vec in m._data:
         c = min(vec, default=None)
         if c in at:
@@ -267,7 +262,7 @@ def _reduce(p, at, vec):
     return vec
 
 
-class Subspace:
+class Subspace(_Frozen):
     """A subspace of k^ambient_dim in canonical reduced echelon form.
 
     ``_at`` is its only store: it maps each pivot to its sparse raw RREF row
@@ -280,9 +275,6 @@ class Subspace:
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "_at", at)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Subspace is immutable")
 
     @classmethod
     def from_rows(cls, ctx: FieldCtx, ambient_dim: int, rows) -> "Subspace":
@@ -302,8 +294,7 @@ class Subspace:
 
     @classmethod
     def full(cls, ctx: FieldCtx, ambient_dim: int) -> "Subspace":
-        one = ctx.raw_one
-        return cls(ctx, ambient_dim, {i: {i: one} for i in range(ambient_dim)})
+        return cls(ctx, ambient_dim, {i: {i: 1} for i in range(ambient_dim)})
 
     @property
     def pivots(self):

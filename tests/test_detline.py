@@ -34,7 +34,6 @@ from tatekit.detline import (
     UNGRADED,
     _shuffle,
     closed_commutator_formula,
-    det_theory_coherence_scalars,
     translation_scalar,
 )
 from tatekit.errors import (
@@ -346,7 +345,9 @@ def test_det_theory():
     theory = DeterminantTheory(O)
     assert theory.eval(O).grade == 0
     assert theory.eval(tm2).grade == 2
-    s1, s2 = det_theory_coherence_scalars(theory, O, tm1, tm2, UNGRADED)
+    # the two paths around the coherence square at O <= t^-1 O <= t^-2 O
+    s1 = omega(O, tm1, tm2, UNGRADED) * omega(O, O, tm1, UNGRADED)
+    s2 = omega(O, O, tm2, UNGRADED) * omega(O, tm1, tm2, UNGRADED)
     assert str(s1) == "1" and str(s2) == "1"
     assert det_theory_coherence(theory, O, tm1, tm2, GRADED)
     with pytest.raises(NotNested):
@@ -363,6 +364,8 @@ def test_det_theory_coherence_randomized():
         C = join(B, rand_lattice(space, rng, 2))
         assert det_theory_coherence(theory, A, B, C, GRADED)
         assert det_theory_coherence(theory, A, B, C, UNGRADED)
+        for mode in (GRADED, UNGRADED):
+            assert det_theory_coherence(theory, A, B, C, mode) == cocycle_check(theory.base, A, B, C, mode)
 
 
 def test_translation_scalar_scaling():

@@ -121,3 +121,54 @@ def test_raw_accepts_only_exact_values():
                 ctx.raw(bad)
             with pytest.raises(TypeError):
                 ctx.scalar(bad)
+
+
+def _values():
+    """One instance of each immutable value type, built from the public API."""
+    from tatekit import (
+        Automorphism,
+        DeterminantTheory,
+        DimensionTheory,
+        ExtElement,
+        GradedLine,
+        LatticeChain,
+        LaurentMatrix,
+        Matrix,
+        Subspace,
+        TateSpace,
+        TruncSeries,
+        parse_laurent,
+        std_lattice,
+    )
+
+    f = parse_laurent(QQ, "1+t")
+    V = TateSpace(QQ, 1)
+    O = std_lattice(V, 0)
+    return [
+        QQ,
+        QQ.one(),
+        Matrix.identity(QQ, 2),
+        Subspace.full(QQ, 2),
+        f,
+        TruncSeries.from_poly(f),
+        LaurentMatrix.identity(QQ, 2),
+        Automorphism.mult_by(f),
+        V,
+        O,
+        LatticeChain(V, [O]),
+        GradedLine(0, "tag"),
+        DimensionTheory(O),
+        DeterminantTheory(O),
+        ExtElement.lift(Automorphism.mult_by(f)),
+    ]
+
+
+@pytest.mark.parametrize("x", _values(), ids=lambda x: type(x).__name__)
+def test_value_types_refuse_assignment(x):
+    name = type(x).__name__
+    slot = type(x).__slots__[0]
+    before = getattr(x, slot)
+    for attr in (slot, "extra"):
+        with pytest.raises(AttributeError, match="^%s is immutable$" % name):
+            setattr(x, attr, None)
+    assert getattr(x, slot) is before and not hasattr(x, "extra")

@@ -28,6 +28,7 @@ from tatekit import (
     verify_family,
 )
 from tatekit.errors import ChainTooLong, DegenerateChain, NotNested, UnknownFace
+from tatekit.index_map import _arrows
 from tatekit.laurent import LaurentPoly
 from tatekit.simplicial import nonempty_subsets, subset_degeneracy, subset_face
 from tatekit.verify import rand_gl, rand_lattice, rand_mult, rand_scalar, rand_unit_poly
@@ -113,15 +114,42 @@ def ref_face_chain(chain, i):
     return chain[: i - 1] + (chain[i].compose(chain[i - 1]),) + chain[i + 1 :]
 
 
-def test_subchain_without_one_vertex_is_the_face():
-    from tatekit.index_map import _subchain
+def _subchain(chain, kept):
+    """The chain seen by an iterated face keeping the given vertices, each
+    arrow composed from the top chain's; the face d_i keeps every vertex but i."""
+    out = []
+    for lo, hi in zip(kept, kept[1:]):
+        g = chain[lo]
+        for j in range(lo + 1, hi):
+            g = chain[j].compose(g)
+        out.append(g)
+    return tuple(out)
 
+
+def test_subchain_without_one_vertex_is_the_face():
     rng = random.Random(89)
     for k in range(1, 5):
         for ctx, rank in ((GF(3), 1), (QQ, 1), (GF(5), 2), (QQ, 2)):
             chain = tuple(rand_mult(ctx, rng, -2, 2) if rank == 1 else rand_gl(ctx, 2, rng) for _ in range(k))
+            arrows = _arrows(chain)
             for i in range(k + 1):
-                assert _subchain(chain, [j for j in range(k + 1) if j != i]) == ref_face_chain(chain, i)
+                kept = [j for j in range(k + 1) if j != i]
+                assert tuple(arrows[pair] for pair in zip(kept, kept[1:])) == ref_face_chain(chain, i)
+
+
+@pytest.mark.parametrize("length, composes", [(2, 1), (3, 3), (4, 6)])
+def test_family_composes_each_vertex_pair_once(monkeypatch, length, composes):
+    chain = seeded_chain(2, GF(3), length)
+    calls = []
+    real = Automorphism.compose
+    monkeypatch.setattr(Automorphism, "compose", lambda g, h: calls.append(1) or real(g, h))
+    fam = build_family(chain)
+    assert len(calls) == composes
+    monkeypatch.undo()
+    pairs = list(combinations(range(length + 1), 2))
+    assert sorted(fam.arrows) == pairs
+    for lo, hi in pairs:
+        assert fam.arrows[lo, hi] == _subchain(chain.autos, (lo, hi))[0]
 
 
 def test_build_family_single_mult():
@@ -240,8 +268,6 @@ def test_verify_family_computes_each_translate_once(monkeypatch):
 
 def ref_entries(chain):
     """build_family's entries as the top subset joining every proper subset."""
-    from tatekit.index_map import _subchain
-
     base, memo = std_lattice(chain.space, 0), {}
 
     def lattice(sub, I):
@@ -284,7 +310,7 @@ def ref_verify(fam):
         m = len(kept) - 1
         if m == 0:
             continue
-        g, tag = fam.subchains[kept][-1], "S=%s" % (",".join(map(str, kept)),)
+        g, tag = fam.arrows[kept[-2:]], "S=%s" % (",".join(map(str, kept)),)
         subsets = nonempty_subsets(m)
         for I in subsets:
             for i in sorted(set(range(m + 1)) - set(I)) if len(I) <= m else ():
@@ -381,7 +407,7 @@ def test_family_with_degenerate_faces_matches_the_reference(rank, ctx, shape):
     chain = AutChain(TateSpace(ctx, rank), chains[shape])
     fam = build_family(chain)
     # some face composes to the identity, so the degenerate branch is taken
-    assert any(a.is_identity() for sub in fam.subchains.values() for a in sub)
+    assert any(a.is_identity() for a in fam.arrows.values())
     assert fam.entries == ref_entries(chain)
     report = verify_family(fam)
     assert family_passes(report)

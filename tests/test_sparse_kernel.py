@@ -95,11 +95,11 @@ def ref_pivot_det(ctx, rows):
     below it holding that column is swapped up and clears the rows below."""
     p, n = ctx.modulus, len(rows)
     rows = list(rows)
-    acc = ctx.raw_one
+    acc = 1
     for c in range(n):
         piv = next((i for i in range(c, n) if c in rows[i]), None)
         if piv is None:
-            return ctx.raw_zero
+            return 0
         if piv != c:
             rows[c], rows[piv] = rows[piv], rows[c]
             acc = _neg(p, acc)
@@ -129,10 +129,10 @@ def window_rows(draw, ctx, dim):
     """Dense raw rows of k^dim: mostly unit rows, a few sparse ones."""
     rows = []
     for _ in range(draw(st.integers(0, dim + 2))):
-        row = [ctx.raw_zero] * dim
+        row = [0] * dim
         kind = draw(st.integers(0, 9))
         if kind < 6:  # a unit row
-            row[draw(st.integers(0, dim - 1))] = ctx.raw_one
+            row[draw(st.integers(0, dim - 1))] = 1
         elif kind < 9:  # a sparse row
             for _ in range(draw(st.integers(1, 3))):
                 row[draw(st.integers(0, dim - 1))] = ctx.raw(draw(values(ctx)))
@@ -180,8 +180,8 @@ def sparse(row):
     return {j: x for j, x in enumerate(row) if x}
 
 
-def dense(ctx, dim, row):
-    return [row.get(j, ctx.raw_zero) for j in range(dim)]
+def dense(dim, row):
+    return [row.get(j, 0) for j in range(dim)]
 
 
 def assert_invariants(m):
@@ -218,7 +218,7 @@ def test_rref_matches_dense_reference(case):
     red, pivots = rref(m)
     ref_rows, ref_pivots = ref_dense_rref_rows(ctx, rows)
     assert red.rows == m.rows and pivots == ref_pivots
-    assert [dense(ctx, dim, row) for row in red._data] == ref_rows
+    assert [dense(dim, row) for row in red._data] == ref_rows
     assert_invariants(red)
     got = linalg._rref_rows(ctx, [sparse(row) for row in rows])
     got_rows, got_pivots = list(got.values()), list(got)
@@ -232,7 +232,7 @@ def test_det_matches_pivot_reference(case):
     n = len(rows)
     value = det(Matrix._raw(ctx, n, rows))
     assert value == Scalar(ctx, ref_pivot_det(ctx, rows))
-    assert det(Matrix.from_rows(ctx, boxed(ctx, [dense(ctx, n, row) for row in rows]))) == value
+    assert det(Matrix.from_rows(ctx, boxed(ctx, [dense(n, row) for row in rows]))) == value
     if ctx == QQ:
         assert type(value.value) is (int if value.value.denominator == 1 else Fraction)
 
@@ -247,20 +247,20 @@ def test_meet_sum_and_membership_match_dense_reference(case):
     ref_a, piv_a = ref_dense_basis(ctx, rows_a)
     ref_b, piv_b = ref_dense_basis(ctx, rows_b)
     for s, ref in ((a, ref_a), (b, ref_b)):
-        assert [dense(ctx, dim, row) for row in s.basis._data] == ref
+        assert [dense(dim, row) for row in s.basis._data] == ref
         assert_invariants(s.basis)
     for x, y, ref_x, piv_x, ref_y in ((a, b, ref_a, piv_a, ref_b), (b, a, ref_b, piv_b, ref_a)):
         meet = subspace_intersect(x, y)
         want_rows, want_piv = ref_dense_intersect(ctx, dim, ref_x, piv_x, ref_y)
-        assert [dense(ctx, dim, row) for row in meet.basis._data] == want_rows
+        assert [dense(dim, row) for row in meet.basis._data] == want_rows
         assert list(meet.pivots) == want_piv
         assert_invariants(meet.basis)
         for row in ref_y:
             rest = ref_dense_reduce(p, ref_x, piv_x, row)
-            assert dense(ctx, dim, x._remainder(sparse(row))) == rest
+            assert dense(dim, x._remainder(sparse(row))) == rest
         assert subspace_contains(x, y) == all(not any(ref_dense_reduce(p, ref_x, piv_x, r)) for r in ref_y)
     total = subspace_sum(a, b)
-    assert [dense(ctx, dim, row) for row in total.basis._data] == ref_dense_basis(ctx, rows_a + rows_b)[0]
+    assert [dense(dim, row) for row in total.basis._data] == ref_dense_basis(ctx, rows_a + rows_b)[0]
     assert_invariants(total.basis)
 
 

@@ -61,12 +61,12 @@ def meet(L, M):
 def act(g, L):
     """g L: L's window rows plus the units past its top that g maps below
     the new top, imaged into the window (L.a - v(g^-1), L.b - v(g))."""
-    space, n, one = L.space, L.space.rank, L.ctx.raw_one
+    space, n = L.space, L.space.rank
     vg, vginv = g.valuations()
     a2, b2 = L.a - vginv, L.b - vg
     dim = _window_dim(space, a2, b2)
     rows = list(L.window_subspace(L.a, L.b)._at.values())
-    rows += [{(e + L.b) * n + i: one} for e in range(L.a, a2 - vg) for i in range(n)]
+    rows += [{(e + L.b) * n + i: 1} for e in range(L.a, a2 - vg) for i in range(n)]
     return Lattice(space, a2, b2, Subspace._span(space.ctx, dim, window_image(g, rows, L.b, a2, b2)))
 
 
