@@ -43,6 +43,7 @@ Conventions (fixed once, used everywhere):
 from __future__ import annotations
 
 from bisect import bisect_right
+from operator import attrgetter
 
 from .errors import (
     FormulaTooLarge,
@@ -52,7 +53,7 @@ from .errors import (
     SpaceMismatch,
     ZeroElement,
 )
-from .fields import Scalar, _Frozen
+from .fields import Scalar, _Frozen, _Value
 from .laurent import Automorphism, LaurentPoly
 from .lattice import Lattice, TateSpace, _same_space, _window_dim, act, leq, meet, std_lattice
 from .linalg import Matrix, _quotient_coords, det
@@ -62,24 +63,15 @@ GRADED = "graded"
 MAX_FORMULA_BITS = 1 << 19  # the size limit of closed_commutator_formula over Q
 
 
-class GradedLine(_Frozen):
+class GradedLine(_Value):
     """A formal one-dimensional graded object with a canonical basis."""
 
     __slots__ = ("grade", "tag")
+    _fields = attrgetter("grade", "tag")
 
     def __init__(self, grade: int, tag):
         object.__setattr__(self, "grade", grade)
         object.__setattr__(self, "tag", tag)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GradedLine)
-            and self.grade == other.grade
-            and self.tag == other.tag
-        )
-
-    def __hash__(self):
-        return hash((self.grade, self.tag))
 
     def __repr__(self):
         return "GradedLine(grade=%d, %r)" % (self.grade, self.tag)

@@ -9,13 +9,21 @@ integral values.  ``FieldCtx.raw`` checks and unboxes a value to that raw
 form, which is what ``linalg`` and ``laurent`` store and compute with.  The
 raw helpers ``_norm``, ``_mul``, ``_neg`` and ``_inv`` are the one definition
 of the field operations on it; ``Scalar`` calls them too.  Arithmetic between
-scalars of different contexts is a hard error, never a coercion.  All values
-are immutable and hashable.
+scalars of different contexts is a hard error, never a coercion.
+
+All values are immutable (``_Frozen``) and hashable.  The value types
+declare their identity once, on ``_Value``: a ``_fields`` getter names the
+fields that make a value, two values are equal when they are one object or
+of one type with equal fields, and the hash is that of the fields.
+``FieldCtx`` compares by kind and modulus on its own; ``LatticeChain``,
+``DimensionTheory``, ``DeterminantTheory`` and ``ExtElement`` compare by
+identity.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import attrgetter
 
 from .errors import FieldMismatch, ZeroElement
 
@@ -91,6 +99,22 @@ class _Frozen:
 
     def __setattr__(self, *a):
         raise AttributeError("%s is immutable" % type(self).__name__)
+
+
+class _Value(_Frozen):
+    """Base of the value types that compare by value: ``_fields`` names once,
+    as an ``attrgetter``, the fields that make up the identity.  Two values
+    are equal when they are one object, or of one type with equal fields, and
+    the hash is that of the fields' tuple; a type whose field is a dict, or
+    that keeps its hash, defines its own ``__hash__`` on the same fields."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return self is other or (type(other) is type(self) and self._fields(self) == other._fields(other))
+
+    def __hash__(self):
+        return hash(self._fields(self))
 
 
 class FieldCtx(_Frozen):
@@ -183,7 +207,7 @@ def GF(p: int) -> FieldCtx:
     return FieldCtx(PRIME_FIELD, p)
 
 
-class Scalar(_Frozen):
+class Scalar(_Value):
     """An element of a fixed FieldCtx.
 
     ``value`` is the raw value of ``FieldCtx.raw``: over Q an ``int`` when
@@ -192,6 +216,7 @@ class Scalar(_Frozen):
     """
 
     __slots__ = ("ctx", "value")
+    _fields = attrgetter("ctx", "value")
 
     def __init__(self, ctx: FieldCtx, value):
         object.__setattr__(self, "ctx", ctx)
@@ -238,16 +263,6 @@ class Scalar(_Frozen):
 
     def is_one(self) -> bool:
         return self.value == 1
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Scalar)
-            and self.ctx == other.ctx
-            and self.value == other.value
-        )
-
-    def __hash__(self):
-        return hash((self.ctx, self.value))
 
     def __str__(self):
         return str(self.value)

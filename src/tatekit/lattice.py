@@ -39,35 +39,27 @@ for L <= M, read off the stored bounds with no window and no elimination.
 from __future__ import annotations
 
 from itertools import islice
+from operator import attrgetter
 
 from .errors import FieldMismatch, NotNested, SpaceMismatch, WindowTooLarge
-from .fields import FieldCtx, _Frozen
+from .fields import FieldCtx, _Frozen, _Value
 from .laurent import Automorphism, LaurentPoly
 from .linalg import Subspace, _cut, _meet, _reduce, _rref_rows
 
 MAX_WINDOW_DIM = 1024
 
 
-class TateSpace(_Frozen):
+class TateSpace(_Value):
     """The elementary Tate vector space k((t))^n."""
 
     __slots__ = ("ctx", "rank")
+    _fields = attrgetter("ctx", "rank")
 
     def __init__(self, ctx: FieldCtx, rank: int):
         if rank < 1:
             raise ValueError("rank must be positive")
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "rank", rank)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TateSpace)
-            and self.ctx == other.ctx
-            and self.rank == other.rank
-        )
-
-    def __hash__(self):
-        return hash((self.ctx, self.rank))
 
     def __repr__(self):
         if self.rank == 1:
@@ -106,10 +98,11 @@ def vec_to_row(space: TateSpace, a: int, vec):
     return row
 
 
-class Lattice(_Frozen):
+class Lattice(_Value):
     """An open bounded subspace of k((t))^n in tight canonical form; the hash is kept on first use."""
 
     __slots__ = ("space", "a", "b", "_at", "_hash")
+    _fields = attrgetter("space", "a", "_at")
 
     def __init__(self, space: TateSpace, a: int, b: int, subspace: Subspace):
         """The lattice t^a O^n + W for a subspace W of the window t^-b O^n / t^a O^n."""
@@ -198,14 +191,6 @@ class Lattice(_Frozen):
             "basis": [[str(c) for c in row] for row in self.window_subspace(self.a, self.b).rows()],
         }
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Lattice)
-            and self.space == other.space
-            and self.a == other.a
-            and self._at == other._at
-        )
-
     def __hash__(self):
         if self._hash is None:
             rows = tuple(tuple(sorted(row.items())) for row in self._at.values())
@@ -217,14 +202,18 @@ class Lattice(_Frozen):
 
 
 def lattice_from_json(ctx: FieldCtx, data: dict) -> Lattice:
-    """The lattice ``to_json_dict`` encoded; a missing key or a rank or bound
-    that is not an int raises ValueError naming the field."""
-    for key in ("rank", "a", "b", "basis"):
-        if key not in data or (key != "basis" and type(data[key]) is not int):
+    """The lattice ``to_json_dict`` encoded; a missing key, a rank or bound
+    that is not an int, or a basis that is not a list of rows raises
+    ValueError naming the field."""
+    for key in ("rank", "a", "b"):
+        if key not in data or type(data[key]) is not int:
             raise ValueError("lattice JSON field %r is missing or not an int" % key)
+    basis = data.get("basis")
+    if not isinstance(basis, (list, tuple)) or not all(isinstance(row, (list, tuple)) for row in basis):
+        raise ValueError("lattice JSON field 'basis' is missing or not a list of rows")
     space = TateSpace(ctx, data["rank"])
     a, b = data["a"], data["b"]
-    return Lattice(space, a, b, Subspace.from_rows(ctx, _window_dim(space, a, b), data["basis"]))
+    return Lattice(space, a, b, Subspace.from_rows(ctx, _window_dim(space, a, b), basis))
 
 
 def _same_space(*lattices):

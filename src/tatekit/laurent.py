@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import re
 from math import gcd
+from operator import attrgetter
 
 from .errors import (
     FieldMismatch,
@@ -41,7 +42,7 @@ from .errors import (
     SpaceMismatch,
     ZeroElement,
 )
-from .fields import FieldCtx, Scalar, _Frozen, _canon, _inv, _mul
+from .fields import FieldCtx, Scalar, _Value, _canon, _inv, _mul
 
 DEFAULT_PRECISION = 16
 
@@ -89,10 +90,11 @@ def _check_ctx(x, y):
         raise FieldMismatch("%r vs %r" % (x.ctx, y.ctx))
 
 
-class LaurentPoly(_Frozen):
+class LaurentPoly(_Value):
     """Element of k[t, 1/t]; ``_terms`` maps exponent to nonzero raw value."""
 
     __slots__ = ("ctx", "_terms")
+    _fields = attrgetter("ctx", "_terms")
 
     def __init__(self, ctx: FieldCtx, terms):
         clean = {}
@@ -165,23 +167,11 @@ class LaurentPoly(_Frozen):
             raise ZeroElement("valuation of 0")
         return min(self._terms)
 
-    def degree(self) -> int:
-        if not self._terms:
-            raise ZeroElement("degree of 0")
-        return max(self._terms)
-
     def leading_coeff(self) -> Scalar:
         return Scalar(self.ctx, self._terms[self.valuation()])
 
     def is_monomial(self):
         return len(self._terms) == 1
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LaurentPoly)
-            and self.ctx == other.ctx
-            and self._terms == other._terms
-        )
 
     def __hash__(self):
         return hash((self.ctx, frozenset(self._terms.items())))
@@ -199,11 +189,12 @@ class LaurentPoly(_Frozen):
         return "LaurentPoly(%s)" % self
 
 
-class TruncSeries(_Frozen):
+class TruncSeries(_Value):
     """Unit of k((t)) known below t^top: ``_terms`` maps exponent to nonzero
     raw value, and ``top`` is None when the series is exact."""
 
     __slots__ = ("ctx", "valuation", "_terms", "top")
+    _fields = attrgetter("ctx", "valuation", "_terms", "top")
 
     def __init__(self, ctx: FieldCtx, valuation: int, coeffs, exact: bool):
         valuation, coeffs = int(valuation), [ctx.raw(c) for c in coeffs]
@@ -320,15 +311,6 @@ class TruncSeries(_Frozen):
         _mac(acc, poly._terms, self._terms, cutoff)
         return LaurentPoly._raw(self.ctx, _reduced(self.ctx.modulus, acc))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, TruncSeries)
-            and self.ctx == other.ctx
-            and self.valuation == other.valuation
-            and self._terms == other._terms
-            and self.top == other.top
-        )
-
     def __hash__(self):
         return hash((self.ctx, self.valuation, frozenset(self._terms.items()), self.top))
 
@@ -340,10 +322,11 @@ class TruncSeries(_Frozen):
         return "TruncSeries(%s)" % self
 
 
-class LaurentMatrix(_Frozen):
+class LaurentMatrix(_Value):
     """Square matrix over k[t, 1/t]."""
 
     __slots__ = ("ctx", "n", "entries")
+    _fields = attrgetter("ctx", "n", "entries")
 
     def __init__(self, ctx: FieldCtx, n: int, entries):
         entries = tuple(entries)
@@ -422,17 +405,6 @@ class LaurentMatrix(_Frozen):
             raise ZeroElement("zero matrix")
         return min(vals)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, LaurentMatrix)
-            and self.ctx == other.ctx
-            and self.n == other.n
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.ctx, self.n, self.entries))
-
     def __repr__(self):
         return "LaurentMatrix[%s]" % "; ".join(
             ", ".join(str(self[i, j]) for j in range(self.n)) for i in range(self.n)
@@ -501,7 +473,7 @@ def _det_and_inverse(m: LaurentMatrix):
     return det, LaurentMatrix(m.ctx, n, [LaurentPoly._raw(m.ctx, divide(f)) for row in rows for f in row[n:]])
 
 
-class Automorphism(_Frozen):
+class Automorphism(_Value):
     """An automorphism of k((t))^n: MultBy a unit (n=1) or monomial-det GL_n.
 
     Rank 1 has the single representation MultBy: ``gl`` turns a 1x1 matrix
@@ -511,6 +483,7 @@ class Automorphism(_Frozen):
     """
 
     __slots__ = ("kind", "series", "matrix", "_det", "_inverse", "_hash")
+    _fields = attrgetter("kind", "series", "matrix")
 
     MULT = "mult"
     GL = "gl"
@@ -634,14 +607,6 @@ class Automorphism(_Frozen):
             det = LaurentPoly._raw(self.ctx, _divider(self.ctx.modulus, self._det._terms)({0: 1}))
             return Automorphism._gl(self._inverse, det, self.matrix)
         return Automorphism.mult_by(self.series.inverse(precision))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Automorphism)
-            and self.kind == other.kind
-            and self.series == other.series
-            and self.matrix == other.matrix
-        )
 
     def __hash__(self):
         if self._hash is None:

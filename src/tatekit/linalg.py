@@ -31,9 +31,10 @@ stored echelon rows instead of solving a system.
 from __future__ import annotations
 
 from bisect import bisect_right
+from operator import attrgetter
 
 from .errors import AmbientMismatch, FieldMismatch, NonSquare, NotContained
-from .fields import FieldCtx, Scalar, _Frozen, _canon, _inv, _mul, _neg
+from .fields import FieldCtx, Scalar, _Value, _canon, _inv, _mul, _neg
 
 # Row kernels on sparse raw rows; ``p`` is the field's modulus, None over Q.
 # They keep ``% p`` inline, and ``_submul`` calls ``_canon`` only on a
@@ -76,10 +77,11 @@ def _unbox(ctx: FieldCtx, vec):
     return out
 
 
-class Matrix(_Frozen):
+class Matrix(_Value):
     """An immutable matrix over ``ctx``; ``_data`` holds its sparse raw rows."""
 
     __slots__ = ("ctx", "rows", "cols", "_data")
+    _fields = attrgetter("ctx", "rows", "cols", "_data")
 
     def __init__(self, ctx: FieldCtx, rows: int, cols: int, entries):
         entries = tuple(entries)
@@ -151,15 +153,6 @@ class Matrix(_Frozen):
             else:
                 out.append({j: r for j, v in acc.items() if (r := v % p)})
         return Matrix._raw(self.ctx, other.cols, out)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.ctx == other.ctx
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self._data == other._data
-        )
 
     def __hash__(self):
         return hash((self.ctx, self.rows, self.cols, tuple(tuple(sorted(row.items())) for row in self._data)))
@@ -262,7 +255,7 @@ def _reduce(p, at, vec):
     return vec
 
 
-class Subspace(_Frozen):
+class Subspace(_Value):
     """A subspace of k^ambient_dim in canonical reduced echelon form.
 
     ``_at`` is its only store: it maps each pivot to its sparse raw RREF row
@@ -270,6 +263,7 @@ class Subspace(_Frozen):
     as it is and checks nothing; ``from_rows`` spans arbitrary rows."""
 
     __slots__ = ("ctx", "ambient_dim", "_at")
+    _fields = attrgetter("ctx", "ambient_dim", "_at")
 
     def __init__(self, ctx: FieldCtx, ambient_dim: int, at):
         object.__setattr__(self, "ctx", ctx)
@@ -329,14 +323,6 @@ class Subspace(_Frozen):
             raise AmbientMismatch("%d vs %d" % (self.ambient_dim, other.ambient_dim))
         if self.ctx != other.ctx:
             raise FieldMismatch("%r vs %r" % (self.ctx, other.ctx))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Subspace)
-            and self.ctx == other.ctx
-            and self.ambient_dim == other.ambient_dim
-            and self._at == other._at
-        )
 
     def __hash__(self):
         return hash((self.ctx, self.ambient_dim, tuple(tuple(sorted(row.items())) for row in self._at.values())))

@@ -399,8 +399,6 @@ def suite_simplicial(cases=15, seed=0):
         "sd1": sd_ordinal(1),
     }
     for name, P in sorted(posets.items()):
-        if len(P) > 4:
-            continue
         for n in (0, 1, 2):
             same = _same_rows(_ex_rows(P, n), _sd_map_rows(P, n))
             rep.record("ex_matches_sd_maps", "%s_n%d" % (name, n), same)

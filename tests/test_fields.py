@@ -172,3 +172,66 @@ def test_value_types_refuse_assignment(x):
         with pytest.raises(AttributeError, match="^%s is immutable$" % name):
             setattr(x, attr, None)
     assert getattr(x, slot) is before and not hasattr(x, "extra")
+
+
+_BY_IDENTITY = ("LatticeChain", "DimensionTheory", "DeterminantTheory", "ExtElement")
+
+
+def _twins():
+    """For each type of ``_values()`` that compares by value, an equal value
+    built another way, by type name."""
+    from tatekit import (
+        Automorphism,
+        GradedLine,
+        LaurentMatrix,
+        LaurentPoly,
+        Matrix,
+        Subspace,
+        TateSpace,
+        TruncSeries,
+        join,
+        std_lattice,
+    )
+    from tatekit.fields import RATIONALS, FieldCtx
+
+    Q = FieldCtx(RATIONALS)
+    one, zero, t = LaurentPoly.one(QQ), LaurentPoly.zero(QQ), LaurentPoly.t(QQ)
+    V = TateSpace(Q, 1)
+    return {
+        "FieldCtx": Q,
+        "Scalar": QQ.scalar(3) / QQ.scalar("3"),
+        "Matrix": Matrix.from_rows(QQ, [[1, 0], [0, 1]]),
+        "Subspace": Subspace.from_rows(QQ, 2, [[0, 1], [1, 1]]),
+        "LaurentPoly": one + t,
+        "TruncSeries": TruncSeries(QQ, 0, [1, 1], exact=True),
+        "LaurentMatrix": LaurentMatrix.from_rows(QQ, [[one, zero], [zero, one]]),
+        "Automorphism": Automorphism.gl(LaurentMatrix.from_rows(QQ, [[one + t]])),
+        "TateSpace": V,
+        "Lattice": join(std_lattice(V, 1), std_lattice(V, 0)),
+        "GradedLine": GradedLine(0, "".join(["t", "ag"])),
+    }
+
+
+@pytest.mark.parametrize("x", _values(), ids=lambda x: type(x).__name__)
+def test_value_types_compare_by_their_fields(x):
+    name = type(x).__name__
+    assert x == x and not x != x and hash(x) == hash(x)
+    if name in _BY_IDENTITY:
+        (again,) = [y for y in _values() if type(y) is type(x)]
+        assert again is not x and again != x and x != again
+        return
+    twin = _twins()[name]
+    assert twin is not x and type(twin) is type(x)
+    assert twin == x and x == twin and not twin != x and hash(twin) == hash(x)
+    assert len({x, twin}) == 1
+
+
+def test_equal_fields_of_another_type_differ():
+    from tatekit import LaurentPoly, TateSpace, TruncSeries, parse_laurent
+
+    one, line = QQ.one(), TateSpace(QQ, 1)
+    assert one._fields(one) == line._fields(line) and one != line and line != one
+    f = parse_laurent(QQ, "1+t")
+    s = TruncSeries.from_poly(f)
+    assert s.exact and s._terms == f._terms and s != f and f != s
+    assert f != LaurentPoly._fields(f) and LaurentPoly._fields(f) != f

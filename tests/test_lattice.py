@@ -188,6 +188,9 @@ def test_json_roundtrip():
         ("a", {"rank": 1, "a": True, "b": 0, "basis": []}),
         ("rank", {"rank": True, "a": 0, "b": 0, "basis": []}),
         ("b", {"rank": 1, "a": 0, "b": 1.0, "basis": []}),
+        ("basis", {"rank": 1, "a": 0, "b": 2, "basis": 5}),
+        ("basis", {"rank": 1, "a": 0, "b": 2, "basis": None}),
+        ("basis", {"rank": 1, "a": 0, "b": 2, "basis": [1, 2]}),
     ],
 )
 def test_lattice_from_json_rejects_malformed_fields(field, data):
