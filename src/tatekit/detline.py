@@ -104,10 +104,10 @@ def _wedge_det(N: Lattice, F: Lattice, rows) -> Scalar:
     return det(Matrix._raw(N.ctx, len(reps), _quotient_coords(N.ctx.modulus, N._at, reps, rows)))
 
 
-def _shuffle(M: Lattice, N: Lattice, F: Lattice) -> int:
+def _shuffle(lower, upper) -> int:
     """The exponent s of the sign of det(N/M) (x) det(F/N) -> det(F/M) for
-    lattices M <= N <= F (see the pivot-parity convention)."""
-    lower, upper = _quotient_pivots(M, N), _quotient_pivots(N, F)
+    lattices M <= N <= F, from the quotient pivots ``lower`` of N/M and
+    ``upper`` of F/N (see the pivot-parity convention)."""
     return sum(len(upper) - bisect_right(upper, x) for x in lower)
 
 
@@ -120,9 +120,14 @@ def omega(F1: Lattice, F2: Lattice, F3: Lattice, mode: str = UNGRADED) -> Scalar
     """
     n12, n23, n13 = meet(F1, F2), meet(F2, F3), meet(F1, F3)
     M = meet(n12, F3)
-    # The three numerator and three denominator concatenations, each a sign.
-    triples = ((n12, F2), (n23, F3), (n13, F1), (n12, F1), (n23, F2), (n13, F3))
-    s = sum(_shuffle(M, N, F) for N, F in triples)
+    # The three numerator concatenations, then the three denominator ones,
+    # each a sign (the order fixes which window WindowTooLarge names); both
+    # concatenations through a meet N count against one list of N/M's pivots.
+    meets, lowers, s = (n12, n23, n13), [], 0
+    for N, F in zip(meets, (F2, F3, F1)):
+        lowers.append(_quotient_pivots(M, N))
+        s += _shuffle(lowers[-1], _quotient_pivots(N, F))
+    s += sum(_shuffle(lower, _quotient_pivots(N, F)) for lower, N, F in zip(lowers, meets, (F1, F2, F3)))
     if mode == GRADED:
         s += (F2.vdim - F1.vdim) * (F3.vdim - F2.vdim)
     elif mode != UNGRADED:
@@ -275,6 +280,20 @@ def commutator(
     Computed through the extension: the z-part of x y x^-1 y^-1 for
     x = (f, 1), y = (g, 1).  In graded mode the commutator also carries
     the reordering sign (-1)^(v(f) v(g)) of the graded lifts.
+
+    Each unit is inverted to min(P, N) coefficients, where P is
+    ``precision`` or the default of ``TruncSeries.inverse`` and
+    N = |v(f)| + |v(g)| + 1, and the word reads no deeper.  In rank 1 every
+    lattice of the word is some t^m O, and ``act`` on it reads no
+    coefficient.  sigma(G, h) reads G only through the images of the
+    translation representatives of hO / (O meet hO), which are |v(h)| slots,
+    so it reads |v(h)| coefficients of G.  The G's of the word are f, fg, g
+    and fgf^-1, so the only inverse it reads is f^-1, inside fgf^-1 in
+    sigma(fgf^-1, g^-1), and only |v(g)| < N deep; f^-1 and g^-1 enter
+    every sigma as h, so only through their valuations.  When P < N the
+    inverse keeps P, and a truncated unit that does not know P coefficients
+    is inverted at P, so every InsufficientPrecision, and the precision it
+    names, is the one the uncapped word raises.
     """
     if f.rank != 1 or g.rank != 1:
         raise NotMultiplicationAutomorphism("commutator needs MultBy units")
@@ -283,8 +302,14 @@ def commutator(
     space = TateSpace(f.ctx, 1)
     x = ExtElement.lift(f, mode, space)
     y = ExtElement.lift(g, mode, space)
+    depth = abs(f.series.valuation) + abs(g.series.valuation) + 1
+
+    def capped(u) -> int:
+        p = u._inverse_precision(precision)
+        return p if not u.exact and p > u.precision else min(p, depth)
+
     # Only the z-part of the word is read, so its last factor is not composed.
-    value = _mul_z(ext_mul(ext_mul(x, y), ext_inv(x, precision)), ext_inv(y, precision))
+    value = _mul_z(ext_mul(ext_mul(x, y), ext_inv(x, capped(f.series))), ext_inv(y, capped(g.series)))
     if mode == GRADED and (f.det_valuation() % 2) and (g.det_valuation() % 2):
         value = -value
     return value

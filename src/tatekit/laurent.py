@@ -267,14 +267,19 @@ class TruncSeries(_Value):
         _mac(acc, self._terms, other._terms, top)
         return TruncSeries._raw(self.ctx, v, _reduced(self.ctx.modulus, acc), top)
 
+    def _inverse_precision(self, precision: int | None) -> int:
+        """The precision ``inverse(precision)`` asks for: the given one, or by
+        default the known one, at least DEFAULT_PRECISION when exact."""
+        if precision is not None:
+            return precision
+        return max(DEFAULT_PRECISION, self.precision) if self.exact else self.precision
+
     def inverse(self, precision: int | None = None) -> "TruncSeries":
         """Multiplicative inverse, computed by the geometric recurrence over
         the nonzero terms past the leading one.  Only the multiples of the
         gcd of their offsets can be nonzero, so the recurrence steps by it:
         a dense tail takes every offset, a sparse one few."""
-        known = self.precision
-        if precision is None:
-            precision = known if not self.exact else max(DEFAULT_PRECISION, known)
+        known, precision = self.precision, self._inverse_precision(precision)
         if not self.exact and precision > known:
             raise InsufficientPrecision(precision, known)
         v, p = self.valuation, self.ctx.modulus

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -118,6 +119,17 @@ def test_commutator_json_match_flag(capsys):
 def test_tame(capsys):
     code, out, _ = run(capsys, "tame", "--f", "1*t^1", "--g", "1*t^1")
     assert code == 0 and out.strip() == "-1"
+
+
+def test_readme_cli_examples(capsys):
+    """Each ``tatekit ... # -> value`` line of the README prints that value."""
+    with open(os.path.join(os.path.dirname(SRC), "README.md"), encoding="utf-8") as fh:
+        lines = [line for line in fh if line.startswith("tatekit ") and "# ->" in line]
+    assert len(lines) == 5
+    for line in lines:
+        command, _, expected = line.partition("# ->")
+        code, out, _ = run(capsys, *shlex.split(command)[1:])
+        assert (code, out.strip()) == (0, expected.split()[0]), line
 
 
 def test_parse_error_exit_2(capsys):

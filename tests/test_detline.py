@@ -16,6 +16,7 @@ from tatekit import (
     Lattice,
     Subspace,
     TateSpace,
+    TruncSeries,
     cocycle_check,
     commutator,
     det_theory_coherence,
@@ -32,12 +33,15 @@ from tatekit.detline import (
     GRADED,
     MAX_FORMULA_BITS,
     UNGRADED,
+    _mul_z,
+    _quotient_pivots,
     _shuffle,
     closed_commutator_formula,
     translation_scalar,
 )
 from tatekit.errors import (
     FormulaTooLarge,
+    InsufficientPrecision,
     ModeMismatch,
     NotMultiplicationAutomorphism,
     NotNested,
@@ -135,7 +139,8 @@ def test_shuffle_parity_matches_the_determinant(case):
     space, (X, Y, Z) = case
     M, N, F = meet(X, Y), X, join(X, Z)
     one = space.ctx.one()
-    assert ref_delta(M, N, F) == (-one if _shuffle(M, N, F) % 2 else one)
+    s = _shuffle(_quotient_pivots(M, N), _quotient_pivots(N, F))
+    assert ref_delta(M, N, F) == (-one if s % 2 else one)
 
 
 @DIFF_SETTINGS
@@ -228,6 +233,7 @@ def test_omega_base_independence():
 # Calls omega may make, by the name detline holds them under.
 OMEGA_COUNTED = (
     "meet",
+    "_quotient_pivots",
     "_quotient_rows",
     "_quotient_coords",
     "det",
@@ -279,9 +285,10 @@ def test_graded_omega_sign_reuses_the_meets(monkeypatch):
 
 def test_omega_meets_once_and_checks_only_a_given_base(monkeypatch):
     """omega meets each pair once: four meet calls (three pairwise, then the
-    triple meet from one of them).  It runs no Lattice constructor and makes
-    no quotient or determinant call; its value is the reference's over a
-    deeper base."""
+    triple meet from one of them).  It lists nine quotient pivot sets, one
+    N/M per pairwise meet N and one F/N per concatenation, runs no Lattice
+    constructor and makes no quotient or determinant call; its value is the
+    reference's over a deeper base."""
     rng = random.Random(83)
     cases = []
     for trial in range(10):
@@ -292,7 +299,7 @@ def test_omega_meets_once_and_checks_only_a_given_base(monkeypatch):
         for mode in (UNGRADED, GRADED):
             calls.clear()
             value = omega(*Fs, mode=mode)
-            assert dict(calls) == {"meet": 4}
+            assert dict(calls) == {"meet": 4, "_quotient_pivots": 9}
             assert value == ref_omega(*Fs, mode=mode, base=deep)
             assert value in (Fs[0].ctx.one(), -Fs[0].ctx.one())
 
@@ -448,6 +455,92 @@ def test_commutator_composes_twice_and_translates_triangularly(monkeypatch):
     assert max(sizes) >= 9
     # The detline suite's extension products are rank-1 translations too.
     assert {c["status"] for c in suite_detline(cases=4, seed=7)} == {"pass"}
+
+
+def _uncapped_commutator(f, g, mode, precision):
+    """The reference word: both units inverted at ``precision`` itself."""
+    space = TateSpace(f.ctx, 1)
+    x, y = ExtElement.lift(f, mode, space), ExtElement.lift(g, mode, space)
+    value = _mul_z(ext_mul(ext_mul(x, y), ext_inv(x, precision)), ext_inv(y, precision))
+    if mode == GRADED and f.det_valuation() % 2 and g.det_valuation() % 2:
+        value = -value
+    return value
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InsufficientPrecision as exc:
+        return type(exc), exc.required, str(exc)
+
+
+def _random_unit(ctx, rng, truncated):
+    """A unit of valuation -8..8: exact, or truncated after 1..12 known coefficients."""
+    poly = rand_unit_poly(ctx, rng, -8, 8)
+    if not truncated:
+        return Automorphism.mult_by(poly)
+    v = poly.valuation()
+    known = [poly.coeff(v + i) for i in range(rng.randint(1, 12))]
+    return Automorphism.mult_by(TruncSeries(ctx, v, known, exact=False))
+
+
+def test_commutator_caps_its_inverses_and_matches_the_uncapped_word():
+    """Inverting to min(P, |v(f)| + |v(g)| + 1) coefficients changes no value
+    and no InsufficientPrecision: type, required precision and message."""
+    rng = random.Random(109)
+    seen, raised = Counter(), Counter()
+    for trial in range(2400):
+        ctx = (QQ, GF(3), GF(1000003))[trial % 3]
+        mode = (UNGRADED, GRADED)[trial // 3 % 2]
+        truncated = trial // 6 % 2 == 1
+        f, g = _random_unit(ctx, rng, truncated), _random_unit(ctx, rng, truncated)
+        depth = abs(f.det_valuation()) + abs(g.det_valuation()) + 1
+        precision = rng.choice([None, *range(1, depth + 1), 16, 1024])
+        got = _outcome(commutator, f, g, mode, precision)
+        assert got == _outcome(_uncapped_commutator, f, g, mode, precision), (f, g, mode, precision)
+        if precision is None or precision > depth:
+            seen[precision, truncated] += 1
+        else:
+            seen["below" if precision < depth else "depth", truncated] += 1
+        raised[truncated] += isinstance(got, tuple)
+    assert len(seen) == 10 and min(seen.values()) >= 20
+    assert raised[False] > 0 and raised[True] > 0
+
+
+def test_commutator_inverts_each_unit_once_at_the_capped_precision(monkeypatch):
+    """Two series inverses per word: at min(P, N), N = |v(f)| + |v(g)| + 1, or
+    at P for a truncated unit that does not know P coefficients."""
+    inverses, inverse = [], TruncSeries.inverse
+
+    def counted(self, precision=None):
+        inverses.append(precision)
+        return inverse(self, precision)
+
+    monkeypatch.setattr(TruncSeries, "inverse", counted)
+
+    def trunc(ctx, v, coeffs):
+        return Automorphism.mult_by(TruncSeries(ctx, v, coeffs, exact=False))
+
+    t10, t3 = trunc(QQ, 2, [1] * 10), trunc(QQ, -1, [2, 1, 1])
+    cases = [
+        (mult("2*t^9+t^12"), mult("3*t^2-t^5"), 15, [12, 12], None),
+        (mult("t^-7+5*t^-4"), mult("1-t+2*t^3"), None, [8, 8], None),
+        (mult("4*t^11-t^13", GF(1000003)), mult("7*t^-3+t", GF(1000003)), 1024, [15, 15], None),
+        (mult("t^5+2*t^6", GF(3)), mult("2*t^-2", GF(3)), 4, [4, 4], None),
+        (mult("1-t"), mult("t^30"), None, [16, 16], 30),
+        (t10, t3, None, [4, 3], None),
+        (t10, t3, 6, [4, 6], 6),
+    ]
+    for f, g, precision, want, required in cases:
+        for mode in (UNGRADED, GRADED):
+            inverses.clear()
+            if required is None:
+                commutator(f, g, mode, precision)
+            else:
+                with pytest.raises(InsufficientPrecision) as exc:
+                    commutator(f, g, mode, precision)
+                assert exc.value.required == required
+            assert inverses == want
 
 
 def test_ext_unit_and_mul():
