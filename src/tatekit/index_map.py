@@ -27,8 +27,17 @@ applies an arrow.  So the family keeps one composite per vertex pair,
 ``arrows[lo, hi]``, each one compose onto ``arrows[lo, hi-1]``: k(k-1)/2
 for a chain of length k.
 
-``build_family`` fills ``entries`` through one recursion keyed by face
-and subset, (kept vertices, sorted I), so the dict it returns is its memo.
+``entries`` is keyed by face and subset, (kept vertices, sorted I).  What a
+face reads depends only on its dimension m, so ``_face_plan(m)`` lists it
+once for every face of that dimension: each subset's key and rule (its least
+missing vertex i with the key s^i(I) it reads on the face without i, or the
+facet keys of the full subset), the (a)/(b) checks in report order, the (c)
+pairs in gap order with their I + x links, and the face-identity reads.
+``build_family`` runs the rules over the faces by size and, within a face,
+the subsets by size, so every rule reads a filled entry: the face without
+i is one vertex smaller, and a facet is one element smaller.
+``verify_family`` reads the same plan.
+
 The entries have a closed form: on a face with last vertex kept[m],
 
     L_{kept,I} = Σ_{j∈I} arrows[kept[j], kept[m]]·O^n,
@@ -50,7 +59,7 @@ per distinct (L, M), as faces share their lattices by value.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations
 
 from .errors import ChainTooLong, DegenerateChain, NotNested, SpaceMismatch, UnknownFace
@@ -168,9 +177,47 @@ class LatticeFamily:
 
     def replaced(self, kept, I, lattice: Lattice) -> "LatticeFamily":
         """Copy with one entry overridden (fault-injection hook for tests)."""
+        self.lattice(kept, I)  # UnknownFace for a (face, subset) the family lacks
         entries = dict(self.entries)
         entries[(tuple(kept), tuple(sorted(I)))] = lattice
         return LatticeFamily(self.chain, entries, self._faces, self.arrows, self._translates)
+
+
+@lru_cache(maxsize=None)
+def _face_plan(m):
+    """What every face of dimension m >= 1 reads, by subset key (module doc):
+    rules (key, i, read) by subset; checks (key, i, read, text, check, detail)
+    and pairs (I, J, text) in report order; gaps (pair, I + x links) in gap
+    order; identities (check, text, the check whose verdict it repeats)."""
+    subsets = nonempty_subsets(m)
+    key = {I: tuple(sorted(I)) for I in subsets}
+    rules, checks, at = [], [], {}
+    for I in subsets:
+        missing = sorted(set(range(m + 1)) - I)
+        if not missing:
+            rules.append((key[I], m + 1, tuple(key[I - {x}] for x in range(m + 1))))
+        for i in missing:
+            at[I, i] = len(checks)
+            read = tuple(sorted(subset_degeneracy(I, i)))
+            if i == missing[0]:
+                rules.append((key[I], i, read))
+            if i < m:
+                checks.append((key[I], i, read, " I=%s i=%d" % (sorted(I), i), "hypothesis_a", "face value disagrees"))
+            else:
+                checks.append((key[I], i, read, " I=%s" % (sorted(I),), "hypothesis_b", "g_k-translate disagrees"))
+    pairs = [(I, J) for I in subsets for J in subsets if I < J]
+    at_pair = {p: n for n, p in enumerate(pairs)}
+    gaps = []
+    for I, J in sorted(pairs, key=lambda p: len(p[1]) - len(p[0])):
+        links = () if len(J) - len(I) == 1 else tuple((at_pair[I, I | {x}], at_pair[I | {x}, J]) for x in sorted(J - I))
+        gaps.append((at_pair[I, J], links))
+    pairs = [(key[I], key[J], " I=%s J=%s" % (sorted(I), sorted(J))) for I, J in pairs]
+    identities = [
+        ("face_identity_d%d" % i, " J=%s" % (sorted(J),), at[subset_face(J, i), i])
+        for i in range(m + 1)
+        for J in nonempty_subsets(m - 1)
+    ]
+    return tuple(rules), tuple(checks), tuple(pairs), tuple(gaps), tuple(identities)
 
 
 def build_family(chain: AutChain) -> LatticeFamily:
@@ -183,29 +230,20 @@ def build_family(chain: AutChain) -> LatticeFamily:
     arrows = _arrows(chain.autos)
     base = std_lattice(chain.space, 0)
     entries, translates = {}, {}
-
-    def lattice(kept, I):
-        key = (kept, tuple(sorted(I)))
-        val = entries.get(key)
-        if val is None:
-            m = len(kept) - 1
-            if m == 0:
-                val = base
-            elif len(I) <= m:
-                i = min(set(range(m + 1)) - I)
-                if i < m:
-                    val = lattice(_drop_vertex(kept, i), subset_degeneracy(I, i))
-                else:
-                    val = _once(translates, act, arrows[kept[-2:]], lattice(kept[:-1], I))
-            else:
-                val = reduce(join, [lattice(kept, I - {x}) for x in range(m + 1)])
-            entries[key] = val
-        return val
-
     for kept in faces:
-        for I in nonempty_subsets(len(kept) - 1):
-            lattice(kept, I)
-    del lattice  # the recursion holds itself: free its state without the cycle collector
+        m = len(kept) - 1
+        if m == 0:
+            entries[kept, (0,)] = base
+            continue
+        lower = [_drop_vertex(kept, i) for i in range(m + 1)]
+        for key, i, read in _face_plan(m)[0]:
+            if i < m:
+                val = entries[lower[i], read]
+            elif i == m:
+                val = _once(translates, act, arrows[kept[-2:]], entries[lower[m], read])
+            else:
+                val = reduce(join, [entries[kept, facet] for facet in read])
+            entries[kept, key] = val
     return LatticeFamily(chain, entries, faces, arrows, translates)
 
 
@@ -218,78 +256,37 @@ def verify_family(family: LatticeFamily):
     ``leq`` once per distinct (L, M), L != M, among the covering pairs and
     the wider pairs that no passing chain of narrower pairs settles.
     """
-    report = []
-    contained = {}
+    entries, report, contained = family.entries, [], {}
 
-    def record(check, simplex, ok, detail=""):
-        report.append(
-            {
-                "check": check,
-                "simplex": simplex,
-                "status": "pass" if ok else "fail",
-                "detail": detail,
-            }
-        )
+    def record(check, simplex, ok, detail):
+        status, detail = ("pass", "") if ok else ("fail", detail)
+        report.append({"check": check, "simplex": simplex, "status": status, "detail": detail})
 
     for kept in family.faces():
         m = len(kept) - 1
-        tag = "S=%s" % (",".join(map(str, kept)),)
         if m == 0:
             continue
-        g, subsets = family.arrows[kept[-2:]], nonempty_subsets(m)
+        _, checks, pairs, gaps, identities = _face_plan(m)
+        tag, g = "S=%s" % (",".join(map(str, kept)),), family.arrows[kept[-2:]]
+        lower = [_drop_vertex(kept, i) for i in range(m + 1)]
         # hypotheses (a) and (b): compatibility with every face choice
-        agree = {}
-        for I in subsets:
-            if len(I) == m + 1:
-                continue
-            here = family.lattice(kept, I)
-            for i in sorted(set(range(m + 1)) - set(I)):
-                if i < m:
-                    other = family.lattice(
-                        _drop_vertex(kept, i), subset_degeneracy(I, i)
-                    )
-                    ok = agree[I, i] = here == other
-                    record(
-                        "hypothesis_a",
-                        "%s I=%s i=%d" % (tag, sorted(I), i),
-                        ok,
-                        "" if ok else "face value disagrees",
-                    )
-                else:
-                    other = family.lattice(_drop_vertex(kept, m), I)
-                    ok = agree[I, i] = here == _once(family._translates, act, g, other)
-                    record(
-                        "hypothesis_b",
-                        "%s I=%s" % (tag, sorted(I)),
-                        ok,
-                        "" if ok else "g_k-translate disagrees",
-                    )
+        agree = []
+        for key, i, read, text, check, detail in checks:
+            other = entries[lower[i], read]
+            ok = entries[kept, key] == (other if i < m else _once(family._translates, act, g, other))
+            agree.append(ok)
+            record(check, tag + text, ok, detail)
         # hypothesis (c): monotone in I, settled by gap |J| - |I|
-        pairs = [(I, J) for I in subsets for J in subsets if I < J]
-        holds = {}
-        for I, J in sorted(pairs, key=lambda p: len(p[1]) - len(p[0])):
-            via = len(J) - len(I) > 1 and any(holds[I, I | {x}] and holds[I | {x}, J] for x in J - I)
-            L, M = family.lattice(kept, I), family.lattice(kept, J)
-            holds[I, J] = via or L == M or _once(contained, leq, L, M)
-        for I, J in pairs:
-            ok = holds[I, J]
-            record(
-                "hypothesis_c",
-                "%s I=%s J=%s" % (tag, sorted(I), sorted(J)),
-                ok,
-                "" if ok else "not a sub-lattice",
-            )
+        holds = [None] * len(pairs)
+        for n, links in gaps:
+            L, M = entries[kept, pairs[n][0]], entries[kept, pairs[n][1]]
+            holds[n] = any(holds[a] and holds[b] for a, b in links) or L == M or _once(contained, leq, L, M)
+        for (_, _, text), ok in zip(pairs, holds):
+            record("hypothesis_c", tag + text, ok, "not a sub-lattice")
         # face identities of the simplicial section: d_i at J is the equation
         # of hypothesis (a), or (b) for i = m, at d^i(J), as s^i(d^i(J)) = J
-        for i in range(m + 1):
-            for J in nonempty_subsets(m - 1):
-                ok = agree[subset_face(J, i), i]
-                record(
-                    "face_identity_d%d" % i,
-                    "%s J=%s" % (tag, sorted(J)),
-                    ok,
-                    "" if ok else "section is not simplicial here",
-                )
+        for check, text, n in identities:
+            record(check, tag + text, agree[n], "section is not simplicial here")
     return report
 
 

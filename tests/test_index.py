@@ -340,7 +340,7 @@ def seeded_chain(rank, ctx, length):
     rng = random.Random(71 + 10 * rank + length)
     autos = []
     while len(autos) < length:
-        g = rand_mult(ctx, rng, -2, 2) if rank == 1 else rand_gl(ctx, 2, rng)
+        g = rand_mult(ctx, rng, -2, 2) if rank == 1 else rand_gl(ctx, rank, rng)
         if not g.is_identity():
             autos.append(g)
     return AutChain(TateSpace(ctx, rank), autos)
@@ -357,13 +357,24 @@ def covering_failures(report):
     return out
 
 
-@pytest.mark.parametrize("rank", [1, 2])
-@pytest.mark.parametrize("ctx", [GF(3), QQ], ids=["GF3", "Q"])
+@pytest.mark.parametrize(
+    "ctx, rank",
+    [
+        pytest.param(GF(3), 1, id="GF3-1"),
+        pytest.param(QQ, 1, id="Q-1"),
+        pytest.param(GF(3), 2, id="GF3-2"),
+        pytest.param(QQ, 2, id="Q-2"),
+        pytest.param(GF(1000003), 3, id="GF1000003-3"),
+        pytest.param(QQ, 3, id="Q-3"),
+    ],
+)
 @pytest.mark.parametrize("length", [1, 2, 3, 4])
 def test_family_matches_the_all_subsets_reference(rank, ctx, length):
     chain = seeded_chain(rank, ctx, length)
     fam = build_family(chain)
-    assert fam.entries == ref_entries(chain)
+    ref = ref_entries(chain)
+    assert fam.entries == ref
+    assert list(fam.entries) == list(ref)  # faces by size, subsets by size
     report = verify_family(fam)
     assert family_passes(report)
     assert report == ref_verify(fam)
@@ -383,6 +394,63 @@ def test_family_matches_the_all_subsets_reference(rank, ctx, length):
         report = verify_family(broken)
         assert covering_failures(report)
         assert report == ref_verify(broken)
+
+
+def test_replaced_rejects_a_subset_the_family_does_not_hold():
+    fam = build_family(AutChain(V, [t, tinv]))
+    with pytest.raises(UnknownFace):
+        fam.replaced((0, 1, 2), [0, 5], std_lattice(V, [-5]))
+    with pytest.raises(UnknownFace):
+        fam.replaced((0, 3), [0], std_lattice(V, [-5]))
+    assert len(fam.entries) == 19
+
+
+def test_a_second_family_of_the_same_length_builds_no_face_plan(monkeypatch):
+    import tatekit.index_map as index_map
+
+    def forbidden(*args):
+        raise AssertionError("a face plan was built twice")
+
+    assert family_passes(verify_family(build_family(seeded_chain(2, GF(3), 4))))
+    for name in ("subset_face", "subset_degeneracy", "nonempty_subsets"):
+        monkeypatch.setattr(index_map, name, forbidden)
+    assert family_passes(verify_family(build_family(seeded_chain(2, QQ, 4))))
+
+
+def test_a_passing_family_translates_once_per_face_and_tests_only_covering_pairs(monkeypatch):
+    import tatekit.index_map as index_map
+
+    chain = seeded_chain(2, GF(3), 4)
+    acts, tests = [], []
+    real, real_leq = index_map.act, index_map.leq
+    monkeypatch.setattr(index_map, "act", lambda g, L: acts.append((g, L)) or real(g, L))
+    monkeypatch.setattr(index_map, "leq", lambda L, M: tests.append((L, M)) or real_leq(L, M))
+    fam = build_family(chain)
+    # the least missing vertex is m for one subset of a face only, I = [m-1]
+    assert 0 < len(acts) <= sum(len(kept) > 1 for kept in fam.faces())
+    assert family_passes(verify_family(fam))
+    # every wider pair is settled through two passing pairs of smaller gap
+    covering = {
+        (fam.lattice(kept, I), fam.lattice(kept, J))
+        for kept in fam.faces()
+        for I in nonempty_subsets(len(kept) - 1)
+        for J in nonempty_subsets(len(kept) - 1)
+        if I < J and len(J) == len(I) + 1
+    }
+    assert tests and set(tests) <= covering
+
+
+def test_a_wider_pair_needs_both_links_to_pass():
+    # Spoil the full subset downwards: I < I + x still passes, I + x < [m]
+    # fails, so a pair I < [m] of gap 2 or more must be settled by leq.
+    chain = seeded_chain(2, QQ, 3)
+    fam = build_family(chain)
+    kept = (0, 1, 2, 3)
+    top = fam.lattice(kept, kept)
+    broken = fam.replaced(kept, kept, meet(top, std_lattice(chain.space, [1 - top.b] * 2)))
+    report = verify_family(broken)
+    assert not family_passes(report)
+    assert report == ref_verify(broken)
 
 
 def exact_unit(ctx, rank, rng):
