@@ -13,12 +13,8 @@ from .linalg import (
     Matrix,
     Subspace,
     det,
-    quotient_basis,
     quotient_dim,
-    rref,
     subspace_contains,
-    subspace_intersect,
-    subspace_sum,
 )
 from .laurent import (
     Automorphism,

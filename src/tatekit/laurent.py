@@ -5,8 +5,8 @@ unit of k((t)) as the same sparse term dict (exponent -> nonzero raw value)
 plus ``top``, the first exponent whose coefficient is unknown, or None when
 the series is exact, a complete Laurent polynomial.  The valuation is the
 true one, as its coefficient is always nonzero.  A series costs its nonzero
-terms, not its degree: ``from_poly`` and ``to_poly`` share the polynomial's
-dict.  Every operation that would need coefficients from ``top`` on raises
+terms, not its degree: ``from_poly`` shares the polynomial's dict.  Every
+operation that would need coefficients from ``top`` on raises
 ``InsufficientPrecision`` instead of silently truncating.
 
 Both store raw field values, as ``linalg`` does (over Q an ``int`` when
@@ -243,11 +243,6 @@ class TruncSeries(_Value):
         if self.top is not None and e >= self.top:
             raise InsufficientPrecision(e - self.valuation + 1, self.precision)
         return Scalar(self.ctx, self._terms.get(e, 0))
-
-    def to_poly(self) -> LaurentPoly:
-        if self.top is not None:
-            raise InsufficientPrecision(self.precision + 1, self.precision)
-        return LaurentPoly._raw(self.ctx, self._terms)
 
     def leading_coeff(self) -> Scalar:
         return Scalar(self.ctx, self._terms[self.valuation])

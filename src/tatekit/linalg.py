@@ -8,8 +8,8 @@ sorted items.  The kernel iterates nonzeros only, with one branch per field;
 where the F_p branch reduces ``% p``, the Q branch makes the value canonical.
 Values are checked and unboxed where they enter (``Matrix``, ``from_rows``,
 ``contains_vector``) and leave as dense rows of ``Scalar`` (``entries``,
-``m[i, j]``, ``row_list``, ``Subspace.rows``, ``quotient_basis``); values the
-kernel computes itself are not checked again.
+``m[i, j]``, ``row_list``, ``Subspace.rows``); values the kernel computes
+itself are not checked again.
 
 A subspace is its pivot map ``_at``: each pivot column mapped to its reduced
 row echelon row, in ascending pivot order.  That is a canonical form, so two
@@ -18,11 +18,11 @@ the boxed rows and the ``basis`` matrix are all read off it.  Quotient bases
 are fixed by echelon completion, so every downstream determinant-line scalar
 is reproducible run to run.
 
-Three builders run an elimination, each at most one, through ``_rref_rows``:
-``Subspace.from_rows`` and ``Subspace._span`` (as ``subspace_sum`` builds its
-span), and ``_meet``, the one Zassenhaus elimination, behind
-``subspace_intersect`` and the lattice meet, which leaves the meet in echelon
-form and skips it when one operand contains the other.
+Two builders run an elimination, each at most one, through ``_rref_rows``:
+``Subspace._span``, the span of raw rows behind ``Subspace.from_rows``, and
+``_meet``, the one Zassenhaus elimination, behind the lattice meet, which
+leaves the meet in echelon form and skips it when one operand contains the
+other.
 Builders whose rows are already in reduced echelon form fill a pivot map
 directly, and membership and quotient coordinates reduce a vector against the
 stored echelon rows instead of solving a system.
@@ -192,13 +192,6 @@ def _rref_rows(ctx: FieldCtx, rows):
     return {c: basis[c] for c in sorted(basis)}
 
 
-def rref(m: Matrix):
-    """Reduced row echelon form of ``m`` (zero rows last) and its pivot columns."""
-    at = _rref_rows(m.ctx, m._data)
-    rows = [*at.values(), *({} for _ in range(m.rows - len(at)))]
-    return Matrix._raw(m.ctx, m.cols, rows), list(at)
-
-
 def det(m: Matrix) -> Scalar:
     """Determinant by sparse row echelon elimination.
 
@@ -331,11 +324,6 @@ class Subspace(_Value):
         return "Subspace(dim %d of k^%d)" % (self.dim, self.ambient_dim)
 
 
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    a._check(b)
-    return Subspace._span(a.ctx, a.ambient_dim, [*a._at.values(), *b._at.values()])
-
-
 def _meet(ctx: FieldCtx, a, b, top):
     """The pivot map of A ∩ B, A spanned by the RREF pivot map ``a`` and every
     unit from column ``top`` up, B by ``b``: one Zassenhaus elimination of
@@ -354,17 +342,6 @@ def _meet(ctx: FieldCtx, a, b, top):
     return {c - off: {j - off: x for j, x in row.items()} for c, row in at.items() if c >= top}
 
 
-def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    """a ∩ b by ``_meet``, b the smaller."""
-    a._check(b)
-    if a.dim == 0 or b.dim == 0:
-        return Subspace.zero(a.ctx, a.ambient_dim)
-    if b.dim > a.dim:
-        a, b = b, a
-    at = _meet(a.ctx, a._at, b._at, a.ambient_dim)
-    return b if at is b._at else Subspace(a.ctx, a.ambient_dim, at)
-
-
 def subspace_contains(a: Subspace, b: Subspace) -> bool:
     """Whether every vector of b lies in a."""
     a._check(b)
@@ -378,15 +355,6 @@ def _quotient_reps(sub: Subspace, sup: Subspace):
         raise NotContained("quotient needs sub <= sup")
     lead = [c for c in sup._at if c not in sub._at]
     return [sup._at[c] for c in lead], lead
-
-
-def quotient_basis(sub: Subspace, sup: Subspace):
-    """Canonical coset representatives for sup/sub, ascending pivot order.
-
-    The representatives are the echelon rows of sup whose pivots are not
-    pivots of sub; their classes form a basis of the quotient.
-    """
-    return [_box(sup.ctx, sup.ambient_dim, row) for row in _quotient_reps(sub, sup)[0]]
 
 
 def quotient_dim(sub: Subspace, sup: Subspace) -> int:

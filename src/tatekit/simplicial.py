@@ -311,54 +311,36 @@ def order_graph(poset: FinPoset) -> OrientedGraph:
     return OrientedGraph(poset.elements, edges)
 
 
-def _tree_path(edges, x, z):
-    """The edges of the oriented path x -> z in a tree, or None if there is
-    none; in a tree such a path is unique when it exists."""
-    if x == z:
-        return []
-    for a, b in edges:
-        if a == x:
-            rest = _tree_path(edges, b, z)
-            if rest is not None:
-                return [(a, b), *rest]
-    return None
+def _tree_paths(edges, vertices):
+    """x -> {z: the edges of an oriented path x -> z}, unique in a tree.  The
+    memoised search enters each vertex once, so a directed cycle ends it; a
+    table then may miss targets, but it holds no false one."""
+    paths = {}
+
+    def visit(x):
+        if x not in paths:
+            paths[x] = out = {x: []}
+            for a, b in edges:
+                if a == x:
+                    for z, rest in visit(b).items():
+                        out.setdefault(z, [(a, b), *rest])
+        return paths[x]
+
+    return {x: visit(x) for x in vertices}
 
 
 def is_admissible_tree(graph: OrientedGraph, tree_edges) -> bool:
-    """Whether ``tree_edges`` is an admissible maximal tree of the graph.
-
-    Maximal tree: spans every vertex, connected and acyclic as an
-    undirected graph.  Admissible: every vertex pair has a common target z
-    reachable from both by a unique oriented tree path.
-    """
+    """Whether ``tree_edges`` is an admissible maximal tree of the graph:
+    |V| - 1 of its edges such that every vertex pair has a common target z,
+    reachable from both along oriented tree paths.  The targets connect the
+    edges, and |V| - 1 edges connecting |V| vertices are a tree, spanning
+    and acyclic as an undirected graph, so its paths are unique."""
     tree_edges = list(tree_edges)
-    edge_set = set(graph.edges)
-    if any(e not in edge_set for e in tree_edges):
-        return False
     verts = graph.vertices
-    if len(verts) == 0:
+    if not set(graph.edges).issuperset(tree_edges) or len(tree_edges) != len(verts) - 1:
         return False
-    if len(verts) == 1:
-        return not tree_edges
-    if len(tree_edges) != len(verts) - 1:
-        return False
-    # undirected connectivity
-    adj = {v: set() for v in verts}
-    for a, b in tree_edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    seen = {verts[0]}
-    stack = [verts[0]]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != len(verts):
-        return False
-    reach = {x: {z for z in verts if _tree_path(tree_edges, x, z) is not None} for x in verts}
-    return all(reach[x] & reach[y] for x in verts for y in verts)
+    reach = _tree_paths(tree_edges, verts)
+    return all(reach[x].keys() & reach[y].keys() for x in verts for y in verts)
 
 
 class BasedPoset:
@@ -456,21 +438,18 @@ def k0_reconstruct(frame: FramedPoset, d0: int, edge_dims: dict):
     For each x, pick a common target z of x and x_0; then
     dim F(x) = d0 + sum(path x0 -> z) - sum(path x -> z).
     """
-    x0 = frame.base_points[0]
     verts = frame.poset.elements
+    paths = _tree_paths(frame.tree_edges, verts)
+    up_0 = paths[frame.base_points[0]]
     out = {}
-
     for x in verts:
-        val = None
+        up_x = paths[x]
         for z in verts:
-            up_x = _tree_path(frame.tree_edges, x, z)
-            up_0 = _tree_path(frame.tree_edges, x0, z)
-            if up_x is not None and up_0 is not None:
-                val = d0 + sum(edge_dims[e] for e in up_0) - sum(edge_dims[e] for e in up_x)
+            if z in up_x and z in up_0:
+                out[x] = d0 + sum(edge_dims[e] for e in up_0[z]) - sum(edge_dims[e] for e in up_x[z])
                 break
-        if val is None:
+        else:
             raise FrameMismatch("no common tree target for %r" % (x,))
-        out[x] = val
     return out
 
 

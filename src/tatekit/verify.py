@@ -66,9 +66,6 @@ from .simplicial import (
     star_frame,
 )
 
-SUITES = ("lattice", "index", "family", "detline", "simplicial")
-
-
 # -- randomized generators -------------------------------------------------
 
 
@@ -438,7 +435,8 @@ def suite_simplicial(cases=15, seed=0):
     return rep.done()
 
 
-_SUITE_FUNCS = {
+# Suite name -> suite function, in report order.
+SUITES = {
     "lattice": suite_lattice,
     "index": suite_index,
     "family": suite_family,
@@ -451,14 +449,13 @@ def run_suites(suite="all", cases=None, seed=0):
     """Run one named suite (or all) and assemble a deterministic report;
     ``cases=None`` runs each suite at its own default case count."""
     if suite == "all":
-        names = list(SUITES)
-    elif suite in _SUITE_FUNCS:
-        names = [suite]
+        runs = list(SUITES.values())
+    elif suite in SUITES:
+        runs = [SUITES[suite]]
     else:
         raise ValueError("unknown suite %r; choose from %s" % (suite, (*SUITES, "all")))
     checks = []
-    for name in names:
-        run = _SUITE_FUNCS[name]
+    for run in runs:
         checks.extend(run(seed=seed) if cases is None else run(cases=cases, seed=seed))
     passed = sum(1 for c in checks if c["status"] == "pass")
     return {

@@ -48,9 +48,9 @@ from tatekit.errors import (
     SpaceMismatch,
 )
 from tatekit.lattice import act, leq, meet, quotient_dim_lattices
-from tatekit.linalg import Matrix, _quotient_coords, _quotient_reps, det, quotient_dim, subspace_intersect
+from tatekit.linalg import Matrix, _quotient_coords, _quotient_reps, det, quotient_dim
 from tatekit.verify import rand_gl, rand_lattice, rand_mult, rand_unit_poly, suite_detline
-from window_kernel import common_window, window_image
+from window_kernel import common_window, intersect, window_image
 
 V = TateSpace(QQ, 1)
 O = std_lattice(V, [0])
@@ -393,7 +393,7 @@ def test_translation_scalar_scaling():
 def ref_translation_scalar(g, F1, F2):
     _, b1, (w1, w2) = common_window(F1, F2)
     a2, b2, (tw1, tw2) = common_window(act(g, F1), act(g, F2))
-    wN, twN = subspace_intersect(w1, w2), subspace_intersect(tw1, tw2)
+    wN, twN = intersect(w1, w2), intersect(tw1, tw2)
     reps2, reps1 = ref_desc_reps(wN, w2), ref_desc_reps(wN, w1)
     rows = window_image(g, reps2 + reps1, b1, a2, b2)
     return ref_wedge_det(twN, tw2, rows[: len(reps2)]) / ref_wedge_det(twN, tw1, rows[len(reps2) :])

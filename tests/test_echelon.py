@@ -17,7 +17,7 @@ from tatekit import GF, QQ, Lattice, Subspace, TateSpace, act, join, meet, std_l
 from tatekit.errors import NotContained
 from tatekit.lattice import row_to_vec, vec_to_row
 from tatekit.laurent import LaurentPoly
-from tatekit.linalg import _box, _quotient_coords, _quotient_reps, subspace_intersect
+from tatekit.linalg import _box, _meet, _quotient_coords, _quotient_reps
 from tatekit.verify import rand_gl, rand_lattice, rand_mult
 
 FIELDS = [GF(2), GF(3), GF(5), QQ]
@@ -163,5 +163,6 @@ def test_every_builder_keeps_the_pivot_map_invariant(ctx, rank, rng):
     a, b = max(L.a, M.a) + rng.randint(0, 2), max(L.b, M.b) + rng.randint(0, 2)
     wl, wm = L.window_subspace(a, b), M.window_subspace(a, b)
     built = [L, M, std, Lattice(space, a, b, wl), act(g, L), meet(L, M), join(L, M)]
-    for s in [wl, wm, subspace_intersect(wl, wm), *(lat.window_subspace(lat.a, lat.b) for lat in built)]:
+    wn = Subspace(ctx, wl.ambient_dim, _meet(ctx, wl._at, wm._at, wl.ambient_dim))
+    for s in [wl, wm, wn, *(lat.window_subspace(lat.a, lat.b) for lat in built)]:
         assert_pivot_map(s)

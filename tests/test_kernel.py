@@ -13,16 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tatekit import GF, QQ, Matrix, Subspace, det, quotient_basis, rref
+from tatekit import GF, QQ, Matrix, Subspace, det
 from tatekit.errors import FieldMismatch, NotContained
-from tatekit.linalg import (
-    _box,
-    _quotient_coords,
-    _quotient_reps,
-    subspace_contains,
-    subspace_intersect,
-    subspace_sum,
-)
+from tatekit.linalg import _box, _meet, _quotient_coords, _quotient_reps, _rref_rows, subspace_contains
 
 FIELDS = [GF(2), GF(3), GF(1000003), QQ]
 SETTINGS = settings(max_examples=80, deadline=None)
@@ -171,9 +164,11 @@ def assert_canonical(ctx, scalars):
 @given(matrices())
 def test_rref_matches_reference(case):
     ctx, rows = case
-    red, pivots = rref(Matrix.from_rows(ctx, rows))
+    m = Matrix.from_rows(ctx, rows)
+    at = _rref_rows(ctx, m._data)
+    red = Matrix._raw(ctx, m.cols, at.values())
     ref_rows, ref_pivots = ref_rref(ctx, rows)
-    assert red.row_list() == ref_rows and pivots == ref_pivots
+    assert red.row_list() == ref_rows[: len(ref_pivots)] and list(at) == ref_pivots
     assert_canonical(ctx, red.entries)
     sub = Subspace.from_rows(ctx, len(rows[0]), rows)
     assert sub.rows() == ref_rows[: len(ref_pivots)] and list(sub.pivots) == ref_pivots
@@ -193,9 +188,9 @@ def test_det_matches_reference(case):
 def test_sum_and_intersection_match_reference(case):
     ctx, dim, rows_a, rows_b = case
     a, b = Subspace.from_rows(ctx, dim, rows_a), Subspace.from_rows(ctx, dim, rows_b)
-    total = subspace_sum(a, b)
+    total = Subspace._span(ctx, dim, [*a._at.values(), *b._at.values()])
     assert (total.rows(), list(total.pivots)) == ref_basis(ctx, rows_a + rows_b)
-    meet = subspace_intersect(a, b)
+    meet = Subspace(ctx, dim, _meet(ctx, a._at, b._at, dim))
     ref_a, ref_b = ref_basis(ctx, rows_a)[0], ref_basis(ctx, rows_b)[0] if rows_b else []
     assert (meet.rows(), list(meet.pivots)) == ref_intersect(ctx, dim, ref_a, ref_b)
     assert_canonical(ctx, [x for s in (total, meet) for row in s.rows() for x in row])
@@ -212,10 +207,10 @@ def test_membership_and_quotient_coords_match_reference(case):
     for vec in rows_a + rows_b:
         assert sub.contains_vector(vec) == all(x.is_zero() for x in ref_reduce(sub_rows, sub_piv, vec))
     assert subspace_contains(sup, sub) and subspace_contains(sub, sup) == (sub.dim == sup.dim)
-    reps = quotient_basis(sub, sup)
+    raw = _quotient_reps(sub, sup)[0]
+    reps = [_box(ctx, dim, row) for row in raw]
     assert reps == [row for row, c in zip(sup_rows, sup_piv) if c not in sub_piv]
     lead = [next(j for j, x in enumerate(row) if not x.is_zero()) for row in reps]
-    raw = _quotient_reps(sub, sup)[0]
     for vec in rows_a:
         coords = quotient_coords(sub, raw, lead, vec)
         rest = ref_reduce(sub_rows, sub_piv, vec)
@@ -229,12 +224,13 @@ def test_values_over_q_stay_fractions():
     """Over Q every raw value is canonical: an int exactly when it is
     integral, a Fraction otherwise."""
     m = Matrix.from_rows(QQ, [[2, 1], [1, 1]])
-    assert [type(x.value) for x in m.entries + rref(m)[0].entries] == [int] * 8
+    red = Matrix._raw(QQ, 2, _rref_rows(QQ, m._data).values())
+    assert [type(x.value) for x in m.entries + red.entries] == [int] * 8
     assert [type(x.value) for x in (m * m).entries] == [int] * 4
     assert det(m) == QQ.one() and type(det(m).value) is int
     assert QQ.raw(Fraction(6, 3)) == 2 and type(QQ.raw(Fraction(6, 3))) is int and type(QQ.raw(3)) is int
     assert QQ.raw("1/2") == Fraction(1, 2) and type(QQ.raw("1/2")) is Fraction
-    assert [type(x.value) for x in rref(Matrix.from_rows(QQ, [[2, 1]]))[0].entries] == [int, Fraction]
+    assert [type(x) for x in _rref_rows(QQ, Matrix.from_rows(QQ, [[2, 1]])._data)[0].values()] == [int, Fraction]
     a, b = Matrix.from_rows(QQ, [["1/2", "1/2"], [0, 3]]), Matrix.from_rows(QQ, [[1, 0], [1, 2]])
     assert [x.value for x in (a * b).entries] == [1, 1, 3, 6]
     assert all(canonical(x.value) for x in (a * b).entries + (det(a), det(a).inverse()))

@@ -218,6 +218,118 @@ def test_admissible_tree_rejects_nontrees():
     assert is_admissible_tree(g, [(0, 2), (1, 2)])
 
 
+# -- reference tree search ---------------------------------------------------
+# ``is_admissible_tree`` and ``k0_reconstruct`` as they were before both read
+# one reach table: an undirected search for connectivity, then one oriented
+# path search per (x, z) pair.
+
+
+def ref_tree_path(edges, x, z):
+    if x == z:
+        return []
+    for a, b in edges:
+        if a == x:
+            rest = ref_tree_path(edges, b, z)
+            if rest is not None:
+                return [(a, b), *rest]
+    return None
+
+
+def ref_is_admissible_tree(graph, tree_edges):
+    tree_edges = list(tree_edges)
+    edge_set = set(graph.edges)
+    if any(e not in edge_set for e in tree_edges):
+        return False
+    verts = graph.vertices
+    if len(verts) == 0:
+        return False
+    if len(verts) == 1:
+        return not tree_edges
+    if len(tree_edges) != len(verts) - 1:
+        return False
+    adj = {v: set() for v in verts}
+    for a, b in tree_edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    seen, stack = {verts[0]}, [verts[0]]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    if len(seen) != len(verts):
+        return False
+    reach = {x: {z for z in verts if ref_tree_path(tree_edges, x, z) is not None} for x in verts}
+    return all(reach[x] & reach[y] for x in verts for y in verts)
+
+
+def ref_k0_reconstruct(frame, d0, edge_dims):
+    x0 = frame.base_points[0]
+    verts = frame.poset.elements
+    out = {}
+    for x in verts:
+        for z in verts:
+            up_x = ref_tree_path(frame.tree_edges, x, z)
+            up_0 = ref_tree_path(frame.tree_edges, x0, z)
+            if up_x is not None and up_0 is not None:
+                out[x] = d0 + sum(edge_dims[e] for e in up_0) - sum(edge_dims[e] for e in up_x)
+                break
+    return out
+
+
+def rand_poset(rng):
+    """A random poset on 1..6 elements, filtered (a top added) half the time."""
+    m = rng.randint(1, 6)
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m) if rng.random() < 0.4]
+    if m > 1 and rng.random() < 0.5:
+        pairs += [(i, m - 1) for i in range(m - 1)]
+    return FinPoset(range(m), pairs)
+
+
+def rand_tree_edges(rng, P, graph):
+    """Candidate tree edges of ``graph``: a random edge up from each element
+    that has one, or |V| - 2, |V| - 1 or |V| edges drawn at random, some
+    with repeats; now and then one edge foreign to the graph."""
+    n, pool = len(P), graph.edges
+    if rng.random() < 0.4:
+        edges = [(x, rng.choice(up)) for x in P.elements if (up := [y for y in P.elements if P.lt(x, y)])]
+    else:
+        count = max(0, n - 1 + rng.choice((-1, 0, 0, 1)))
+        if count <= len(pool) and rng.random() < 0.7:
+            edges = rng.sample(pool, count)
+        else:
+            edges = [rng.choice(pool) for _ in range(count)] if pool else []
+    if edges and rng.random() < 0.15:
+        a, b = rng.choice(edges)
+        edges[rng.randrange(len(edges))] = rng.choice([(b, a), (a, a), (a, "elsewhere")])
+    return edges
+
+
+def test_tree_search_matches_the_reference_on_random_posets():
+    rng = random.Random(2024)
+    admissible = 0
+    for _ in range(1500):
+        P = rand_poset(rng)
+        graph = order_graph(P)
+        edges = rand_tree_edges(rng, P, graph)
+        want = ref_is_admissible_tree(graph, edges)
+        assert is_admissible_tree(graph, edges) == want, (P, edges)
+        if not want:
+            continue
+        admissible += 1
+        frame = FramedPoset(P, [rng.choice(P.minimal_elements())], edges)
+        d0, edge_dims = rng.randint(0, 5), {e: rng.randint(0, 3) for e in edges}
+        assert k0_reconstruct(frame, d0, edge_dims) == ref_k0_reconstruct(frame, d0, edge_dims)
+    assert admissible > 300
+
+
+def test_admissible_tree_ends_on_directed_cycles():
+    two = OrientedGraph(["a", "b", "c"], [("a", "b"), ("b", "a"), ("b", "c")])
+    assert not is_admissible_tree(two, [("a", "b"), ("b", "a")])
+    three = OrientedGraph([0, 1, 2, 3], [(0, 1), (1, 2), (2, 0), (2, 3)])
+    assert not is_admissible_tree(three, [(0, 1), (1, 2), (2, 0)])
+
+
 def test_star_tree_always_admissible():
     rng = random.Random(113)
     for _ in range(15):

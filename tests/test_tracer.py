@@ -1,12 +1,17 @@
 """The bench tracer still installs against the tree: every method it wraps
-is in its class's ``__dict__``, and ``uninstall`` puts every original back.
-The tracer is loaded from ``bench/``, and nothing there is written."""
+is in its class's ``__dict__``, every probe reads names that still exist,
+and ``uninstall`` puts every original back.  The tracer is loaded from
+``bench/``, and nothing there is written."""
 
 import importlib.util
 import sys
 from pathlib import Path
 
 import tatekit.cli  # noqa: F401  (the tracer wraps every layer module)
+import tatekit.index_map
+import tatekit.lattice
+import tatekit.linalg
+from tatekit import QQ, Automorphism, TateSpace, parse_laurent_matrix
 from tatekit.fields import FieldCtx
 
 
@@ -58,3 +63,27 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     after = _snapshot()
     assert after.keys() == before.keys()
     assert [k for k in before if after[k] is not before[k]] == []
+
+
+def test_every_probe_counts_a_call(monkeypatch):
+    """Each probe runs on a call made through its module attribute and reads
+    what it needs off that call (``from_rows`` reads ``Subspace.basis`` and
+    ``Matrix.entries``): a probe that breaks raises here or counts under
+    ``failures``."""
+    tracer = _load_tracer(monkeypatch)
+    space = TateSpace(QQ, 2)
+    g = Automorphism.gl(parse_laurent_matrix(QQ, "1,t;0,1"))
+    t = tracer.Tracer()
+    try:
+        t.install()
+        sub = tatekit.linalg.Subspace.from_rows(QQ, 4, [[1, 0, 0, 0], [0, 1, 0, 0]])
+        L = tatekit.lattice.Lattice(space, 1, 1, sub)
+        tatekit.lattice.act(g, L)
+        tatekit.index_map.build_family(tatekit.index_map.AutChain(space, [g]))
+    finally:
+        t.uninstall()
+    summary = t.summary()
+    counts = summary["counts"]
+    for key in ("linalg.from_rows.inputs", "lattice.init", "lattice.act.gl", "index_map.family_entries"):
+        assert counts[key] > 0, key
+    assert summary["failures"] == {}

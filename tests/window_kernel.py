@@ -4,9 +4,9 @@ Lattices once computed every binary operation in one common window
 t^-b O^n / t^a O^n of their operands: each operand was re-embedded there,
 with a unit row for every slot of its new top blocks, and the window
 subspaces were compared, summed or met by ``linalg``.  This module is that
-kernel, built only from ``Lattice.window_subspace``, the public
-``subspace_*`` functions and ``linalg._quotient_reps``; window slot
-(e + b)*n + i holds t^e e_i.  It shares the eliminations of ``linalg``
+kernel, built only from ``Lattice.window_subspace``, ``subspace_contains``,
+``Subspace._span``, ``linalg._meet`` and ``linalg._quotient_reps``; window
+slot (e + b)*n + i holds t^e e_i.  It shares the eliminations of ``linalg``
 with the lattice layer, but none of its implicit tops, cuts or quotient
 pivots.
 """
@@ -16,7 +16,7 @@ from bisect import bisect_right
 from tatekit import Lattice, Matrix, Subspace, det
 from tatekit.detline import GRADED, UNGRADED
 from tatekit.lattice import _same_space, _window_dim
-from tatekit.linalg import _quotient_coords, _quotient_reps, subspace_contains, subspace_intersect, subspace_sum
+from tatekit.linalg import _meet, _quotient_coords, _quotient_reps, subspace_contains
 
 
 def common_window(*lattices):
@@ -26,6 +26,11 @@ def common_window(*lattices):
     a = max(L.a for L in lattices)
     b = max(L.b for L in lattices)
     return a, b, [L.window_subspace(a, b) for L in lattices]
+
+
+def intersect(x, y):
+    """x ∩ y of two window subspaces, by one Zassenhaus elimination."""
+    return Subspace(x.ctx, x.ambient_dim, _meet(x.ctx, x._at, y._at, x.ambient_dim))
 
 
 def shift(row, off):
@@ -50,12 +55,13 @@ def leq(L, M):
 
 def join(L, M):
     a, b, (wl, wm) = common_window(L, M)
-    return Lattice(L.space, a, b, subspace_sum(wl, wm))
+    rows = [*wl._at.values(), *wm._at.values()]
+    return Lattice(L.space, a, b, Subspace._span(L.ctx, wl.ambient_dim, rows))
 
 
 def meet(L, M):
     a, b, (wl, wm) = common_window(L, M)
-    return Lattice(L.space, a, b, subspace_intersect(wl, wm))
+    return Lattice(L.space, a, b, intersect(wl, wm))
 
 
 def act(g, L):
@@ -80,8 +86,8 @@ def shuffle(M, N, F):
 def omega(F1, F2, F3, mode=UNGRADED):
     """The composition sign read off the pivots in one common window."""
     _, _, (w1, w2, w3) = common_window(F1, F2, F3)
-    n12, n23, n13 = subspace_intersect(w1, w2), subspace_intersect(w2, w3), subspace_intersect(w1, w3)
-    M = subspace_intersect(n12, w3)
+    n12, n23, n13 = intersect(w1, w2), intersect(w2, w3), intersect(w1, w3)
+    M = intersect(n12, w3)
     triples = ((n12, w2), (n23, w3), (n13, w1), (n12, w1), (n23, w2), (n13, w3))
     s = sum(shuffle(M, N, F) for N, F in triples)
     if mode == GRADED:
@@ -102,7 +108,7 @@ def translation_scalar(g, F1, F2):
     """The scalar of g_*: (F1|F2) -> (gF1|gF2), in the two common windows."""
     _, b1, (w1, w2) = common_window(F1, F2)
     a2, b2, (tw1, tw2) = common_window(act(g, F1), act(g, F2))
-    wN, twN = subspace_intersect(w1, w2), subspace_intersect(tw1, tw2)
+    wN, twN = intersect(w1, w2), intersect(tw1, tw2)
     reps2, reps1 = _quotient_reps(wN, w2)[0], _quotient_reps(wN, w1)[0]
     rows = window_image(g, reps2 + reps1, b1, a2, b2)
     return wedge_det(twN, tw2, rows[: len(reps2)]) / wedge_det(twN, tw1, rows[len(reps2) :])
