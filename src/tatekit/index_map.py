@@ -15,9 +15,9 @@ are vdim(L) - vdim(gL) (``Lattice.vdim``) once the nesting is checked;
 section: lattices L_{k,I} indexed by non-empty subsets I of [k] for a chain
 of automorphisms and all of its iterated faces, with the proper subsets
 forced by the face recursion and the full subset chosen as the canonical
-join.  ``verify_family`` re-checks every hypothesis and both face
-identities and reports each one; face identity d_i at J is the equation of
-hypothesis (a), or (b) for i = m, at I = d^i(J), so it reads that result.
+join.  ``verify_family`` re-checks every hypothesis and reports each
+equation once: the (a) record at (I, i), or (b) for i = m, is also face
+identity d_i at J = s^i(I), so each face identity is checked once.
 
 The arrows of a face are the composites between its consecutive kept
 vertices, yet the rules read only its last one, from its last but one
@@ -31,8 +31,8 @@ for a chain of length k.
 face reads depends only on its dimension m, so ``_face_plan(m)`` lists it
 once for every face of that dimension: each subset's key and rule (its least
 missing vertex i with the key s^i(I) it reads on the face without i, or the
-facet keys of the full subset), the (a)/(b) checks in report order, the (c)
-pairs in gap order with their I + x links, and the face-identity reads.
+facet keys of the full subset), the (a)/(b) checks in report order, and the
+(c) pairs in gap order with their I + x links.
 ``build_family`` runs the rules over the faces by size and, within a face,
 the subsets by size, so every rule reads a filled entry: the face without
 i is one vertex smaller, and a facet is one element smaller.
@@ -65,7 +65,7 @@ from itertools import combinations
 from .errors import ChainTooLong, DegenerateChain, NotNested, SpaceMismatch, UnknownFace
 from .lattice import Lattice, TateSpace, act, join, leq, quotient_dim_lattices, std_lattice
 from .laurent import Automorphism
-from .simplicial import nonempty_subsets, subset_degeneracy, subset_face
+from .simplicial import nonempty_subsets, subset_degeneracy
 
 DEFAULT_CHAIN_CAP = 4
 
@@ -187,17 +187,15 @@ class LatticeFamily:
 def _face_plan(m):
     """What every face of dimension m >= 1 reads, by subset key (module doc):
     rules (key, i, read) by subset; checks (key, i, read, text, check, detail)
-    and pairs (I, J, text) in report order; gaps (pair, I + x links) in gap
-    order; identities (check, text, the check whose verdict it repeats)."""
+    and pairs (I, J, text) in report order; gaps (pair, links) in gap order."""
     subsets = nonempty_subsets(m)
     key = {I: tuple(sorted(I)) for I in subsets}
-    rules, checks, at = [], [], {}
+    rules, checks = [], []
     for I in subsets:
         missing = sorted(set(range(m + 1)) - I)
         if not missing:
             rules.append((key[I], m + 1, tuple(key[I - {x}] for x in range(m + 1))))
         for i in missing:
-            at[I, i] = len(checks)
             read = tuple(sorted(subset_degeneracy(I, i)))
             if i == missing[0]:
                 rules.append((key[I], i, read))
@@ -212,12 +210,7 @@ def _face_plan(m):
         links = () if len(J) - len(I) == 1 else tuple((at_pair[I, I | {x}], at_pair[I | {x}, J]) for x in sorted(J - I))
         gaps.append((at_pair[I, J], links))
     pairs = [(key[I], key[J], " I=%s J=%s" % (sorted(I), sorted(J))) for I, J in pairs]
-    identities = [
-        ("face_identity_d%d" % i, " J=%s" % (sorted(J),), at[subset_face(J, i), i])
-        for i in range(m + 1)
-        for J in nonempty_subsets(m - 1)
-    ]
-    return tuple(rules), tuple(checks), tuple(pairs), tuple(gaps), tuple(identities)
+    return tuple(rules), tuple(checks), tuple(pairs), tuple(gaps)
 
 
 def build_family(chain: AutChain) -> LatticeFamily:
@@ -248,13 +241,15 @@ def build_family(chain: AutChain) -> LatticeFamily:
 
 
 def verify_family(family: LatticeFamily):
-    """Re-check the inductive hypotheses and both face identities.
+    """Re-check the inductive hypotheses, each equation once.
 
     Returns a list of {check, simplex, status, detail} dicts, one per
-    verified identity, deterministic in order.  Translates come from the
-    family's (g, L) store, which holds the builder's; hypothesis (c) runs
-    ``leq`` once per distinct (L, M), L != M, among the covering pairs and
-    the wider pairs that no passing chain of narrower pairs settles.
+    verified equation, deterministic in order.  The ``hypothesis_a`` record
+    at (I, i), or ``hypothesis_b`` for i = m, is also face identity d_i at
+    J = s^i(I), the same equation.  Translates come from the family's
+    (g, L) store, which holds the builder's; hypothesis (c) runs ``leq``
+    once per distinct (L, M), L != M, among the covering pairs and the wider
+    pairs that no passing chain of narrower pairs settles.
     """
     entries, report, contained = family.entries, [], {}
 
@@ -266,15 +261,13 @@ def verify_family(family: LatticeFamily):
         m = len(kept) - 1
         if m == 0:
             continue
-        _, checks, pairs, gaps, identities = _face_plan(m)
+        _, checks, pairs, gaps = _face_plan(m)
         tag, g = "S=%s" % (",".join(map(str, kept)),), family.arrows[kept[-2:]]
         lower = [_drop_vertex(kept, i) for i in range(m + 1)]
         # hypotheses (a) and (b): compatibility with every face choice
-        agree = []
         for key, i, read, text, check, detail in checks:
             other = entries[lower[i], read]
             ok = entries[kept, key] == (other if i < m else _once(family._translates, act, g, other))
-            agree.append(ok)
             record(check, tag + text, ok, detail)
         # hypothesis (c): monotone in I, settled by gap |J| - |I|
         holds = [None] * len(pairs)
@@ -283,10 +276,6 @@ def verify_family(family: LatticeFamily):
             holds[n] = any(holds[a] and holds[b] for a, b in links) or L == M or _once(contained, leq, L, M)
         for (_, _, text), ok in zip(pairs, holds):
             record("hypothesis_c", tag + text, ok, "not a sub-lattice")
-        # face identities of the simplicial section: d_i at J is the equation
-        # of hypothesis (a), or (b) for i = m, at d^i(J), as s^i(d^i(J)) = J
-        for check, text, n in identities:
-            record(check, tag + text, agree[n], "section is not simplicial here")
     return report
 
 
@@ -302,8 +291,6 @@ def index_simplex(family: LatticeFamily, kept):
     dim(N/gL) - dim(N/L) is the loop orientation agreed with index0.
     """
     kept = tuple(kept)
-    if kept not in family.faces():
-        raise UnknownFace("no face %r" % (kept,))
     m = len(kept) - 1
     top = family.lattice(kept, range(m + 1))
     return [

@@ -39,7 +39,7 @@ for L <= M, read off the stored bounds with no window and no elimination.
 from __future__ import annotations
 
 from itertools import islice
-from operator import attrgetter
+from operator import attrgetter, index
 
 from .errors import FieldMismatch, NotNested, SpaceMismatch, WindowTooLarge
 from .fields import FieldCtx, _Frozen, _Value
@@ -56,6 +56,7 @@ class TateSpace(_Value):
     _fields = attrgetter("ctx", "rank")
 
     def __init__(self, ctx: FieldCtx, rank: int):
+        rank = index(rank)
         if rank < 1:
             raise ValueError("rank must be positive")
         object.__setattr__(self, "ctx", ctx)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import re
 from math import gcd
-from operator import attrgetter
+from operator import attrgetter, index
 
 from .errors import (
     FieldMismatch,
@@ -101,7 +101,7 @@ class LaurentPoly(_Value):
         for e, c in dict(terms).items():
             c = ctx.raw(c)
             if c:
-                clean[int(e)] = c
+                clean[index(e)] = c
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "_terms", clean)
 
@@ -197,7 +197,7 @@ class TruncSeries(_Value):
     _fields = attrgetter("ctx", "valuation", "_terms", "top")
 
     def __init__(self, ctx: FieldCtx, valuation: int, coeffs, exact: bool):
-        valuation, coeffs = int(valuation), [ctx.raw(c) for c in coeffs]
+        valuation, coeffs = index(valuation), [ctx.raw(c) for c in coeffs]
         if not coeffs or not coeffs[0]:
             raise ZeroElement("series leading coefficient must be nonzero")
         terms = {valuation + i: c for i, c in enumerate(coeffs) if c}

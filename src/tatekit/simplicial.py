@@ -294,6 +294,8 @@ def sd_maps_into_poset(poset: FinPoset, n: int):
 class OrientedGraph:
     def __init__(self, vertices, edges):
         self.vertices = list(vertices)
+        if len(set(self.vertices)) != len(self.vertices):
+            raise ValueError("duplicate graph vertices")
         self.edges = [(a, b) for a, b in edges]
 
     def __repr__(self):

@@ -264,7 +264,8 @@ def _random_chain(rng: random.Random, length: int):
 
 
 def suite_family(cases=10, seed=0):
-    """The inductive family: hypotheses, face identities, fault detection."""
+    """The inductive family: hypotheses (a)-(c) and fault detection; the
+    (a)/(b) record at (I, i) is face identity d_i at J = s^i(I)."""
     rng = random.Random(seed)
     rep = _Reporter("family")
     for case in range(cases):

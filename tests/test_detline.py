@@ -37,6 +37,7 @@ from tatekit.detline import (
     _quotient_pivots,
     _shuffle,
     closed_commutator_formula,
+    cocycle_sigma,
     translation_scalar,
 )
 from tatekit.errors import (
@@ -606,6 +607,22 @@ def test_commutator_matches_closed_formula():
         assert cg == tame_symbol(f, g)
         sign = -ctx.one() if (f.valuation() % 2 and g.valuation() % 2) else ctx.one()
         assert cg / cu == sign
+
+
+@pytest.mark.parametrize("ctx", [QQ, GF(5), GF(1000003)], ids=["Q", "GF5", "GF1000003"])
+@pytest.mark.parametrize("mode", [UNGRADED, GRADED])
+def test_commutator_is_the_cocycle_antisymmetrised(ctx, mode):
+    """Lifts of commuting units commute up to sigma(f,g)/sigma(g,f), which ties
+    sigma's normalisation to the extension's multiplication and inverse."""
+    rng = random.Random("%s %s" % (ctx, mode))
+    space = TateSpace(ctx, 1)
+    for _ in range(200):
+        f, g = (Automorphism.mult_by(rand_unit_poly(ctx, rng, -6, 6)) for _ in range(2))
+        p, q = f.det_valuation(), g.det_valuation()
+        want = cocycle_sigma(f, g, space, mode) / cocycle_sigma(g, f, space, mode)
+        if mode == GRADED and p % 2 and q % 2:
+            want = -want
+        assert commutator(f, g, mode, precision=abs(p) + abs(q) + 1) == want, (f, g)
 
 
 def test_tame_symbol_examples():

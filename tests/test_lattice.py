@@ -33,6 +33,14 @@ V = TateSpace(QQ, 1)
 O = std_lattice(V, [0])
 
 
+def test_tate_space_rejects_a_non_integer_rank():
+    with pytest.raises(TypeError):
+        TateSpace(QQ, 2.5)
+    with pytest.raises(ValueError):
+        TateSpace(QQ, 0)
+    assert TateSpace(QQ, True) == V
+
+
 def ref_quotient_dim(L, M):
     """dim(M/L) as counted before ``vdim``: the quotient representatives of
     L in M in their common window; NotNested unless L <= M."""

@@ -40,6 +40,18 @@ def test_valuation():
         LaurentPoly.zero(QQ).valuation()
 
 
+def test_laurent_poly_rejects_a_non_integer_exponent():
+    with pytest.raises(TypeError):
+        LaurentPoly(QQ, {2.5: 1})
+    assert LaurentPoly(QQ, {True: 1}) == P("t")
+
+
+def test_trunc_series_rejects_a_non_integer_valuation():
+    with pytest.raises(TypeError):
+        TruncSeries(QQ, 1.9, [1, 2], True)
+    assert TruncSeries(QQ, True, [1, 2], True) == TruncSeries.from_poly(P("t+2*t^2"))
+
+
 def test_invert_series_geometric():
     g = TruncSeries.from_poly(P("1-t")).inverse(4)
     assert g.valuation == 0 and not g.exact

@@ -323,6 +323,15 @@ def test_tree_search_matches_the_reference_on_random_posets():
     assert admissible > 300
 
 
+def test_oriented_graph_rejects_a_repeated_vertex():
+    # With [("a", "a")] and [("a", "b")] * 2 as trees, these non-trees would
+    # pass both the |V| - 1 count and the common-target test.
+    with pytest.raises(ValueError, match="duplicate graph vertices"):
+        OrientedGraph(["a", "a"], [("a", "a")])
+    with pytest.raises(ValueError, match="duplicate graph vertices"):
+        OrientedGraph(["a", "a", "b"], [("a", "b")])
+
+
 def test_admissible_tree_ends_on_directed_cycles():
     two = OrientedGraph(["a", "b", "c"], [("a", "b"), ("b", "a"), ("b", "c")])
     assert not is_admissible_tree(two, [("a", "b"), ("b", "a")])
