@@ -20,7 +20,7 @@ from .errors import InsufficientPrecision, TateKitError
 from .fields import GF, QQ, FieldCtx
 from .index_map import _canonical_index, index0
 from .lattice import MAX_WINDOW_DIM, TateSpace
-from .laurent import Automorphism, parse_laurent, parse_laurent_matrix
+from .laurent import DEFAULT_PRECISION, Automorphism, parse_laurent, parse_laurent_matrix
 from .verify import SUITES, run_suites
 
 EXIT_OK = 0
@@ -188,7 +188,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_comm.add_argument("--g", required=True)
     p_comm.add_argument("--mode", choices=["graded", "ungraded"], default="ungraded")
     p_comm.add_argument(
-        "--precision", type=positive(MAX_WINDOW_DIM), default=16, help="series precision (default 16)"
+        "--precision",
+        type=positive(MAX_WINDOW_DIM),
+        default=DEFAULT_PRECISION,
+        help="series precision (default %(default)s)",
     )
     p_comm.set_defaults(func=cmd_commutator)
 

@@ -31,7 +31,9 @@ Conventions (fixed once, used everywhere):
   slot from the top up; the quotient pivots of F/N are F's stored pivots
   that N lacks, then the slots between the tops F.a*n and N.a*n that N does
   not store, all inside the window (N.a, F.b), and only these are
-  generated.  ``omega`` is always +-1: a product of six such signs.
+  generated.  ``omega`` is always +-1: a product of six such signs, one per
+  concatenation through a pairwise meet N over the triple meet M, each read
+  off the pivots of N/M and of F/N listed for it alone.
 * Extension elements multiply by (g, z)(h, w) = (gh, z*w*sigma(g,h)) where
   sigma(g,h) is the scalar of the canonical identification of (L0|ghL0)
   with (L0|gL0) (x) g(L0|hL0); the direction is fixed so that the
@@ -120,14 +122,11 @@ def omega(F1: Lattice, F2: Lattice, F3: Lattice, mode: str = UNGRADED) -> Scalar
     """
     n12, n23, n13 = meet(F1, F2), meet(F2, F3), meet(F1, F3)
     M = meet(n12, F3)
-    # The three numerator concatenations, then the three denominator ones,
-    # each a sign (the order fixes which window WindowTooLarge names); both
-    # concatenations through a meet N count against one list of N/M's pivots.
-    meets, lowers, s = (n12, n23, n13), [], 0
-    for N, F in zip(meets, (F2, F3, F1)):
-        lowers.append(_quotient_pivots(M, N))
-        s += _shuffle(lowers[-1], _quotient_pivots(N, F))
-    s += sum(_shuffle(lower, _quotient_pivots(N, F)) for lower, N, F in zip(lowers, meets, (F1, F2, F3)))
+    # The three numerator concatenations M <= N <= F, then the three
+    # denominator ones, each a sign (the order fixes which window
+    # WindowTooLarge names).
+    concatenations = ((n12, F2), (n23, F3), (n13, F1), (n12, F1), (n23, F2), (n13, F3))
+    s = sum(_shuffle(_quotient_pivots(M, N), _quotient_pivots(N, F)) for N, F in concatenations)
     if mode == GRADED:
         s += (F2.vdim - F1.vdim) * (F3.vdim - F2.vdim)
     elif mode != UNGRADED:

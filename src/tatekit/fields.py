@@ -8,7 +8,8 @@ never shows in a result; it only spares ``Fraction`` arithmetic on the many
 integral values.  ``FieldCtx.raw`` checks and unboxes a value to that raw
 form, which is what ``linalg`` and ``laurent`` store and compute with.  The
 raw helpers ``_norm``, ``_mul``, ``_neg`` and ``_inv`` are the one definition
-of the field operations on it; ``Scalar`` calls them too.  Arithmetic between
+of the field operations on it; ``Scalar`` calls them too, and ``_reduced``
+is the one normaliser of an accumulated dict of them.  Arithmetic between
 scalars of different contexts is a hard error, never a coercion.
 
 All values are immutable (``_Frozen``) and hashable.  The value types
@@ -23,7 +24,7 @@ identity.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import attrgetter
+from operator import attrgetter, index
 
 from .errors import FieldMismatch, ZeroElement
 
@@ -91,6 +92,14 @@ def _mul(p, x, y):
     return _canon(x * y) if p is None else x * y % p
 
 
+def _reduced(p, acc):
+    """The nonzero entries of an accumulated dict of raw values (a term dict
+    or a sparse row), reduced mod ``p`` or, over Q, made canonical."""
+    if p is None:
+        return {e: _canon(c) for e, c in acc.items() if c}
+    return {e: r for e, c in acc.items() if (r := c % p)}
+
+
 class _Frozen:
     """Base of the immutable value types: a constructor sets each slot once
     through ``object.__setattr__``, and any later assignment raises."""
@@ -127,10 +136,15 @@ class FieldCtx(_Frozen):
             if modulus is not None:
                 raise ValueError("rationals carry no modulus")
         elif kind == PRIME_FIELD:
-            if modulus is None or modulus >= MODULUS_LIMIT or not is_prime(modulus):
+            try:
+                p = index(modulus)
+            except TypeError:  # None, a float, a str: not an integer
+                p = None
+            if p is None or p >= MODULUS_LIMIT or not is_prime(p):
                 raise ValueError(
                     "prime field needs a prime modulus below %d, got %r" % (MODULUS_LIMIT, modulus)
                 )
+            modulus = p
         else:
             raise ValueError("unknown field kind %r" % (kind,))
         object.__setattr__(self, "kind", kind)

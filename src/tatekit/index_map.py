@@ -31,8 +31,8 @@ for a chain of length k.
 face reads depends only on its dimension m, so ``_face_plan(m)`` lists it
 once for every face of that dimension: each subset's key and rule (its least
 missing vertex i with the key s^i(I) it reads on the face without i, or the
-facet keys of the full subset), the (a)/(b) checks in report order, and the
-(c) pairs in gap order with their I + x links.
+facet keys of the full subset), the (a)/(b) checks and the (c) pairs I < J,
+both in report order.
 ``build_family`` runs the rules over the faces by size and, within a face,
 the subsets by size, so every rule reads a filled entry: the face without
 i is one vertex smaller, and a facet is one element smaller.
@@ -50,11 +50,9 @@ So an identity arrow (say g^-1 g) needs no rule of its own.
 The g_k-translates of the builder and of ``verify_family`` share one dict
 per family, keyed by (g, L) by value, so each act runs once per distinct
 input.  The full subset joins only its m+1 facets (|J| = m), which
-hypothesis (c) puts above every smaller subset.  Hypothesis (c) settles a
-pair whose two lattices are equal at once; it runs ``leq`` on the other
-covering pairs, and on a wider pair I < J only when no I + x links it
-through two passing pairs, as containment is transitive; and it runs once
-per distinct (L, M), as faces share their lattices by value.
+hypothesis (c) puts above every smaller subset.  Every hypothesis (c)
+record is the verdict of ``leq`` on its pair, computed once per distinct
+(L, M), as faces share their lattices by value.
 """
 
 from __future__ import annotations
@@ -187,7 +185,7 @@ class LatticeFamily:
 def _face_plan(m):
     """What every face of dimension m >= 1 reads, by subset key (module doc):
     rules (key, i, read) by subset; checks (key, i, read, text, check, detail)
-    and pairs (I, J, text) in report order; gaps (pair, links) in gap order."""
+    and pairs (I, J, text) in report order."""
     subsets = nonempty_subsets(m)
     key = {I: tuple(sorted(I)) for I in subsets}
     rules, checks = [], []
@@ -203,14 +201,8 @@ def _face_plan(m):
                 checks.append((key[I], i, read, " I=%s i=%d" % (sorted(I), i), "hypothesis_a", "face value disagrees"))
             else:
                 checks.append((key[I], i, read, " I=%s" % (sorted(I),), "hypothesis_b", "g_k-translate disagrees"))
-    pairs = [(I, J) for I in subsets for J in subsets if I < J]
-    at_pair = {p: n for n, p in enumerate(pairs)}
-    gaps = []
-    for I, J in sorted(pairs, key=lambda p: len(p[1]) - len(p[0])):
-        links = () if len(J) - len(I) == 1 else tuple((at_pair[I, I | {x}], at_pair[I | {x}, J]) for x in sorted(J - I))
-        gaps.append((at_pair[I, J], links))
-    pairs = [(key[I], key[J], " I=%s J=%s" % (sorted(I), sorted(J))) for I, J in pairs]
-    return tuple(rules), tuple(checks), tuple(pairs), tuple(gaps)
+    pairs = [(key[I], key[J], " I=%s J=%s" % (sorted(I), sorted(J))) for I in subsets for J in subsets if I < J]
+    return tuple(rules), tuple(checks), tuple(pairs)
 
 
 def build_family(chain: AutChain) -> LatticeFamily:
@@ -247,9 +239,8 @@ def verify_family(family: LatticeFamily):
     verified equation, deterministic in order.  The ``hypothesis_a`` record
     at (I, i), or ``hypothesis_b`` for i = m, is also face identity d_i at
     J = s^i(I), the same equation.  Translates come from the family's
-    (g, L) store, which holds the builder's; hypothesis (c) runs ``leq``
-    once per distinct (L, M), L != M, among the covering pairs and the wider
-    pairs that no passing chain of narrower pairs settles.
+    (g, L) store, which holds the builder's; each ``hypothesis_c`` record is
+    the ``leq`` verdict on its pair, computed once per distinct (L, M).
     """
     entries, report, contained = family.entries, [], {}
 
@@ -261,7 +252,7 @@ def verify_family(family: LatticeFamily):
         m = len(kept) - 1
         if m == 0:
             continue
-        _, checks, pairs, gaps = _face_plan(m)
+        _, checks, pairs = _face_plan(m)
         tag, g = "S=%s" % (",".join(map(str, kept)),), family.arrows[kept[-2:]]
         lower = [_drop_vertex(kept, i) for i in range(m + 1)]
         # hypotheses (a) and (b): compatibility with every face choice
@@ -269,12 +260,9 @@ def verify_family(family: LatticeFamily):
             other = entries[lower[i], read]
             ok = entries[kept, key] == (other if i < m else _once(family._translates, act, g, other))
             record(check, tag + text, ok, detail)
-        # hypothesis (c): monotone in I, settled by gap |J| - |I|
-        holds = [None] * len(pairs)
-        for n, links in gaps:
-            L, M = entries[kept, pairs[n][0]], entries[kept, pairs[n][1]]
-            holds[n] = any(holds[a] and holds[b] for a, b in links) or L == M or _once(contained, leq, L, M)
-        for (_, _, text), ok in zip(pairs, holds):
+        # hypothesis (c): monotone in I
+        for I, J, text in pairs:
+            ok = _once(contained, leq, entries[kept, I], entries[kept, J])
             record("hypothesis_c", tag + text, ok, "not a sub-lattice")
     return report
 

@@ -10,17 +10,19 @@ equality of the stored data.  Every slot from a*n up is an implicit pivot
 of L and is never written; b is read off the lowest pivot, and ``_make`` is
 the one constructor that tightens a.  No operation builds a window:
 
-* ``leq(L, M)`` is False when L.a < M.a or L.b > M.b, as L <= M would put
-  t^(M.a-1) O^n in M, or L in t^-(L.b-1) O^n.  Otherwise t^(L.a) O^n <= M,
-  so L <= M iff each row of L, cut at slot M.a*n, reduces to 0 by M's rows:
-  what is cut off lies in t^(M.a) O^n <= M.
+* ``leq(L, M)`` is False when L.a < M.a, as L <= M would put t^(M.a-1) O^n
+  in M.  Otherwise t^(L.a) O^n <= M, so L <= M iff each row of L, cut at
+  slot M.a*n, reduces to 0 by M's rows: what is cut off lies in
+  t^(M.a) O^n <= M.  A row of L below M's lowest pivot never reduces, so
+  L.b > M.b needs no test of its own.
 * ``join(L, M)`` is spanned by both row sets cut at c*n, c = min(L.a, M.a),
   over t^c O^n: that lies in the operand with the lower top, so it holds
   what is cut off.
-* ``meet(L, M)``, L.a <= M.a, has top M.a, as t^c O^n <= L, M iff c >= L.a,
-  M.a.  Modulo t^(M.a) O^n its rows are the combinations of M's rows whose
-  cut at L.a*n reduces to 0 by L's rows: one Zassenhaus elimination,
-  ``linalg._meet``, with its left halves cut at L.a*n.
+* ``meet(L, M)``, L.a <= M.a (the operands are swapped only when M has the
+  lower top), has top M.a, as t^c O^n <= L, M iff c >= L.a, M.a.  Modulo
+  t^(M.a) O^n its rows are the combinations of M's rows whose cut at L.a*n
+  reduces to 0 by L's rows: one Zassenhaus elimination, ``linalg._meet``,
+  with its left halves cut at L.a*n.
 
 ``act`` hands the rows to ``Automorphism.image`` as they are; ``row_to_vec``
 reads a row as a Laurent vector, and ``window_subspace`` embeds a lattice in
@@ -228,7 +230,7 @@ def _same_space(*lattices):
 def leq(L: Lattice, M: Lattice) -> bool:
     """Whether L <= M in the Sato Grassmannian order (rule in the module doc)."""
     _same_space(L, M)
-    if L.a < M.a or L.b > M.b:
+    if L.a < M.a:
         return False
     p = L.ctx.modulus
     return not any(_reduce(p, M._at, row) for row in _cut(L._at.values(), M.a * L.space.rank))
@@ -243,8 +245,7 @@ def join(L: Lattice, M: Lattice) -> Lattice:
 
 def meet(L: Lattice, M: Lattice) -> Lattice:
     _same_space(L, M)
-    # L has the lower top; on a tie, M is the one with fewer rows to eliminate.
-    if (L.a, -len(L._at)) > (M.a, -len(M._at)):
+    if L.a > M.a:  # L has the lower top
         L, M = M, L
     return Lattice._make(L.space, M.a, _meet(L.ctx, L._at, M._at, L.a * L.space.rank))
 

@@ -42,7 +42,7 @@ from .errors import (
     SpaceMismatch,
     ZeroElement,
 )
-from .fields import FieldCtx, Scalar, _Value, _canon, _inv, _mul
+from .fields import FieldCtx, Scalar, _Value, _inv, _mul, _reduced
 
 DEFAULT_PRECISION = 16
 
@@ -69,14 +69,6 @@ def _mac(acc, f, g, cutoff=None):
             if e >= cutoff:
                 break
             acc[e] = acc.get(e, 0) + c1 * c2
-
-
-def _reduced(p, acc):
-    """The nonzero entries of an accumulated term dict, reduced mod ``p`` or,
-    over Q, made canonical."""
-    if p is None:
-        return {e: _canon(c) for e, c in acc.items() if c}
-    return {e: r for e, c in acc.items() if (r := c % p)}
 
 
 def _negated(p, f):
@@ -157,6 +149,7 @@ class LaurentPoly(_Value):
 
     def shift(self, k: int):
         """Multiply by t^k."""
+        k = index(k)
         return LaurentPoly._raw(self.ctx, {e + k: c for e, c in self._terms.items()})
 
     def coeff(self, e: int) -> Scalar:

@@ -34,7 +34,7 @@ from bisect import bisect_right
 from operator import attrgetter
 
 from .errors import AmbientMismatch, FieldMismatch, NonSquare, NotContained
-from .fields import FieldCtx, Scalar, _Value, _canon, _inv, _mul, _neg
+from .fields import FieldCtx, Scalar, _Value, _canon, _inv, _mul, _neg, _reduced
 
 # Row kernels on sparse raw rows; ``p`` is the field's modulus, None over Q.
 # They keep ``% p`` inline, and ``_submul`` calls ``_canon`` only on a
@@ -148,10 +148,7 @@ class Matrix(_Value):
             for k, x in ri.items():
                 for j, y in other._data[k].items():
                     acc[j] = acc.get(j, 0) + x * y
-            if p is None:
-                out.append({j: _canon(v) for j, v in acc.items() if v})
-            else:
-                out.append({j: r for j, v in acc.items() if (r := v % p)})
+            out.append(_reduced(p, acc))
         return Matrix._raw(self.ctx, other.cols, out)
 
     def __hash__(self):

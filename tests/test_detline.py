@@ -286,10 +286,10 @@ def test_graded_omega_sign_reuses_the_meets(monkeypatch):
 
 def test_omega_meets_once_and_checks_only_a_given_base(monkeypatch):
     """omega meets each pair once: four meet calls (three pairwise, then the
-    triple meet from one of them).  It lists nine quotient pivot sets, one
-    N/M per pairwise meet N and one F/N per concatenation, runs no Lattice
-    constructor and makes no quotient or determinant call; its value is the
-    reference's over a deeper base."""
+    triple meet from one of them).  It lists twelve quotient pivot sets, N/M
+    and F/N for each of its six concatenations, runs no Lattice constructor
+    and makes no quotient or determinant call; its value is the reference's
+    over a deeper base."""
     rng = random.Random(83)
     cases = []
     for trial in range(10):
@@ -300,7 +300,7 @@ def test_omega_meets_once_and_checks_only_a_given_base(monkeypatch):
         for mode in (UNGRADED, GRADED):
             calls.clear()
             value = omega(*Fs, mode=mode)
-            assert dict(calls) == {"meet": 4, "_quotient_pivots": 9}
+            assert dict(calls) == {"meet": 4, "_quotient_pivots": 12}
             assert value == ref_omega(*Fs, mode=mode, base=deep)
             assert value in (Fs[0].ctx.one(), -Fs[0].ctx.one())
 

@@ -23,6 +23,12 @@ def test_field_ctx_validation():
     assert QQ != GF(5)
 
 
+def test_prime_field_rejects_a_non_integer_modulus():
+    for modulus in (7.0, 5.5, None, True):
+        with pytest.raises(ValueError, match="prime field needs a prime modulus"):
+            GF(modulus)
+
+
 def test_zero_denominator_is_typed():
     with pytest.raises(ZeroElement):
         QQ.scalar("1/0")

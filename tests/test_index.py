@@ -209,6 +209,12 @@ def test_index_simplex_degenerate_edge():
         index_simplex(fam, (0, 3))
 
 
+def test_index_simplex_measures_against_the_top():
+    fam = build_family(AutChain(V, [t, tinv]))
+    # on the face (1, 2) the top t^-1 O lies strictly above entry m = O
+    assert index_simplex(fam, (1, 2)) == [0, 1]
+
+
 def test_index_simplex_rank2():
     V2 = TateSpace(QQ, 2)
     g = Automorphism.gl(parse_laurent_matrix(QQ, "t,0;0,t"))
@@ -431,7 +437,7 @@ def test_a_second_family_of_the_same_length_builds_no_face_plan(monkeypatch):
     assert family_passes(verify_family(build_family(seeded_chain(2, QQ, 4))))
 
 
-def test_a_passing_family_translates_once_per_face_and_tests_only_covering_pairs(monkeypatch):
+def test_a_passing_family_translates_once_per_face_and_tests_each_pair_once(monkeypatch):
     import tatekit.index_map as index_map
 
     chain = seeded_chain(2, GF(3), 4)
@@ -443,15 +449,15 @@ def test_a_passing_family_translates_once_per_face_and_tests_only_covering_pairs
     # the least missing vertex is m for one subset of a face only, I = [m-1]
     assert 0 < len(acts) <= sum(len(kept) > 1 for kept in fam.faces())
     assert family_passes(verify_family(fam))
-    # every wider pair is settled through two passing pairs of smaller gap
-    covering = {
+    # every hypothesis (c) pair is tested by leq, once per distinct (L, M)
+    pairs = {
         (fam.lattice(kept, I), fam.lattice(kept, J))
         for kept in fam.faces()
         for I in nonempty_subsets(len(kept) - 1)
         for J in nonempty_subsets(len(kept) - 1)
-        if I < J and len(J) == len(I) + 1
+        if I < J
     }
-    assert tests and set(tests) <= covering
+    assert len(tests) == len(set(tests)) and set(tests) == pairs
 
 
 def test_a_wider_pair_needs_both_links_to_pass():

@@ -52,6 +52,12 @@ def test_trunc_series_rejects_a_non_integer_valuation():
     assert TruncSeries(QQ, True, [1, 2], True) == TruncSeries.from_poly(P("t+2*t^2"))
 
 
+def test_laurent_poly_shift_rejects_a_non_integer_exponent():
+    with pytest.raises(TypeError):
+        LaurentPoly.t(QQ, 2).shift(0.4)
+    assert LaurentPoly.t(QQ, 2).shift(True) == P("t^3")
+
+
 def test_invert_series_geometric():
     g = TruncSeries.from_poly(P("1-t")).inverse(4)
     assert g.valuation == 0 and not g.exact
