@@ -45,7 +45,7 @@ Conventions (fixed once, used everywhere):
 from __future__ import annotations
 
 from bisect import bisect_right
-from operator import attrgetter
+from operator import attrgetter, index
 
 from .errors import (
     FormulaTooLarge,
@@ -154,14 +154,14 @@ class DimensionTheory(_Frozen):
 
     def __init__(self, base: Lattice, value_at_base: int = 0):
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "value_at_base", value_at_base)
+        object.__setattr__(self, "value_at_base", index(value_at_base))
 
     def eval(self, L: Lattice) -> int:
         _same_space(self.base, L)
         return self.value_at_base + L.vdim - self.base.vdim
 
     def shifted(self, k: int) -> "DimensionTheory":
-        return DimensionTheory(self.base, self.value_at_base + k)
+        return DimensionTheory(self.base, self.value_at_base + index(k))
 
 
 class DeterminantTheory(_Frozen):

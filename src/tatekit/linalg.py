@@ -26,6 +26,10 @@ other.
 Builders whose rows are already in reduced echelon form fill a pivot map
 directly, and membership and quotient coordinates reduce a vector against the
 stored echelon rows instead of solving a system.
+
+``_rref_rows`` takes its rows sparsest first, whatever order the caller
+builds them in, to keep the fill-in low; the RREF of a span is unique, so the
+order changes only the work, never the pivot map.
 """
 
 from __future__ import annotations
@@ -163,16 +167,18 @@ def _rref_rows(ctx: FieldCtx, rows):
     """Gauss-Jordan on sparse raw rows; returns the pivot map of the nonzero
     RREF rows, ascending by pivot.
 
-    Rows enter one at a time: each is reduced by the rows so far, normalised
-    at its leading column, and that new pivot is cleared from the earlier
-    rows.  Only rows holding more than their pivot can have a nonzero there,
-    so only those are visited.  RREF is unique, so the result equals
-    column-by-column elimination.  The input dicts are not modified.
+    Rows enter one at a time, fewest nonzeros first (a stable sort), so that
+    a dense row does not fill in every row reduced after it: each is reduced
+    by the rows so far, normalised at its leading column, and that new pivot
+    is cleared from the earlier rows.  Only rows holding more than their
+    pivot can have a nonzero there, so only those are visited.  RREF is
+    unique, so the result equals column-by-column elimination of the rows in
+    any order.  The input dicts are not modified.
     """
     p = ctx.modulus
     basis = {}  # pivot -> row; the rows are RREF among themselves
     wide = []  # pivots whose row holds more than its pivot
-    for row in rows:
+    for row in sorted(rows, key=len):
         vec = _reduce(p, basis, row)
         if not vec:
             continue

@@ -11,6 +11,7 @@ returned.
 from __future__ import annotations
 
 import random
+from operator import index
 
 from .detline import (
     GRADED,
@@ -448,13 +449,19 @@ SUITES = {
 
 def run_suites(suite="all", cases=None, seed=0):
     """Run one named suite (or all) and assemble a deterministic report;
-    ``cases=None`` runs each suite at its own default case count."""
+    ``cases=None`` runs each suite at its own default case count.  ``cases``
+    (at least 1) and ``seed`` are integers: no report passes on zero checks."""
     if suite == "all":
         runs = list(SUITES.values())
     elif suite in SUITES:
         runs = [SUITES[suite]]
     else:
         raise ValueError("unknown suite %r; choose from %s" % (suite, (*SUITES, "all")))
+    if cases is not None:
+        cases = index(cases)
+        if cases < 1:
+            raise ValueError("cases must be >= 1, got %d" % cases)
+    seed = index(seed)
     checks = []
     for run in runs:
         checks.extend(run(seed=seed) if cases is None else run(cases=cases, seed=seed))

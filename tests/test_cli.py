@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from tatekit.cli import main
 from tatekit.detline import MAX_FORMULA_BITS
+from tatekit.verify import run_suites
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -222,6 +223,25 @@ def test_verify_cases_must_be_positive(capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "lattice", "--cases", cases])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "kwargs, error",
+    [
+        ({"cases": 0}, ValueError),
+        ({"cases": -1}, ValueError),
+        ({"seed": None}, TypeError),
+        ({"seed": 1.5}, TypeError),
+        ({"seed": "7"}, TypeError),
+    ],
+    ids=["cases-0", "cases-negative", "seed-none", "seed-float", "seed-str"],
+)
+def test_run_suites_refuses_an_empty_run_and_a_seed_it_cannot_report(kwargs, error):
+    """``run_suites`` never passes on zero checks, as ``--cases 0`` is
+    refused, and its report names the integer seed it ran with: ``None``
+    would seed from the OS and report ``null``."""
+    with pytest.raises(error):
+        run_suites("lattice", **kwargs)
 
 
 def test_verify_suite_exit_codes(capsys):

@@ -160,6 +160,19 @@ def test_grades_match_the_window_count(case, value):
     assert DimensionTheory(F1, value).eval(F2) == value + ref_grade(F1, F2)
 
 
+def test_dimension_theory_values_are_integers():
+    """K_0 is the integers: a non-integer base value or shift is refused
+    rather than stored, and an integer base value shifts by integers."""
+    for bad in (0.5, Fraction(1, 2), "1", None):
+        with pytest.raises(TypeError):
+            DimensionTheory(O, bad)
+        with pytest.raises(TypeError):
+            DimensionTheory(O).shifted(bad)
+    D = DimensionTheory(O, 2).shifted(-3)
+    assert D.value_at_base == -1 and type(D.value_at_base) is int
+    assert D.eval(std_lattice(V, [1])) == -2
+
+
 def test_grades_make_no_window(monkeypatch):
     """rel_det and DimensionTheory.eval read the grade off vdim: no meet
     call, and so no window cap on a wide pair."""

@@ -14,11 +14,25 @@ order the keys were inserted in.
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tatekit.linalg as linalg
-from tatekit import GF, QQ, Matrix, Scalar, Subspace, TateSpace, act, det
+from tatekit import (
+    GF,
+    QQ,
+    Automorphism,
+    LaurentMatrix,
+    LaurentPoly,
+    Matrix,
+    Scalar,
+    Subspace,
+    TateSpace,
+    act,
+    det,
+    index0,
+)
 from tatekit.fields import _inv, _mul, _neg
 from tatekit.linalg import subspace_contains
 from tatekit.verify import rand_gl, rand_lattice, rand_mult
@@ -224,6 +238,79 @@ def test_rref_matches_dense_reference(case):
     got = linalg._rref_rows(ctx, [sparse(row) for row in rows])
     got_rows, got_pivots = list(got.values()), list(got)
     assert got_pivots == ref_pivots and got_rows == [sparse(row) for row in ref_rows[: len(ref_pivots)]]
+
+
+def _order_case(ctx, rng):
+    """Dense raw rows of k^dim in a seeded mix: zero, unit, sparse and dense
+    rows, duplicates and combinations of earlier rows; over Q the values
+    include proper Fractions."""
+
+    def value():
+        if ctx == QQ:
+            return ctx.raw(Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4)))
+        return rng.randint(1, ctx.modulus - 1)
+
+    dim = rng.randint(1, 12)
+    rows = []
+    for _ in range(rng.randint(0, dim + 4)):
+        kind = rng.randrange(6)
+        row = [0] * dim
+        if kind == 1:  # a unit row
+            row[rng.randrange(dim)] = 1
+        elif kind == 2:  # a sparse row
+            for j in rng.sample(range(dim), min(dim, rng.randint(1, 3))):
+                row[j] = value()
+        elif kind == 3:  # a dense row
+            row = [value() for _ in range(dim)]
+        elif kind == 4 and rows:  # a duplicate
+            row = list(rng.choice(rows))
+        elif kind == 5 and rows:  # a combination of two earlier rows
+            x, y, c = rng.choice(rows), rng.choice(rows), value()
+            row = [ctx.raw(u + c * v) for u, v in zip(x, y)]
+        rows.append(row)  # kind 0, or 4 and 5 with no earlier row: a zero row
+    return dim, rows
+
+
+@pytest.mark.parametrize("ctx", [QQ, GF(3), GF(1000003)], ids=str)
+def test_rref_is_independent_of_the_row_order(ctx):
+    """``_rref_rows`` eliminates the sparsest rows first; RREF is unique, so
+    the given order, the reversed order and a shuffle give the same pivot map
+    as the column-by-column reference, and no input dict is modified."""
+    rng = random.Random(1957)
+    for _ in range(150):
+        dim, rows = _order_case(ctx, rng)
+        ref_rows, ref_pivots = ref_dense_rref_rows(ctx, rows)
+        want = {c: sparse(row) for c, row in zip(ref_pivots, ref_rows)}
+        given_rows = [sparse(row) for row in rows]
+        shuffled = list(given_rows)
+        rng.shuffle(shuffled)
+        for order in (given_rows, given_rows[::-1], shuffled):
+            before = [dict(row) for row in order]
+            got = linalg._rref_rows(ctx, order)
+            assert order == before and [list(row) for row in order] == [list(row) for row in before]
+            assert list(got) == ref_pivots and got == want
+            assert_invariants(Matrix._raw(ctx, dim, got.values()))
+
+
+def test_rank_8_gl_index_eliminates_sparse_rows_first(monkeypatch):
+    """The CI step's rank-8 L * U over Q: ``index0`` eliminates its image rows
+    with at most 3,500 row operations (5,893 when the rows enter in the order
+    ``act`` builds them).  Counted, not timed."""
+    rng, n = random.Random(8), 8
+
+    def entry(i, j, lower):
+        if i == j:
+            return LaurentPoly.one(QQ) if lower else LaurentPoly.t(QQ, i % 3)
+        if (i > j) == lower:
+            return LaurentPoly.t(QQ, rng.randint(-2, 2), rng.randint(1, 9))
+        return LaurentPoly.zero(QQ)
+
+    L, U = (LaurentMatrix.from_rows(QQ, [[entry(i, j, low) for j in range(n)] for i in range(n)]) for low in (True, False))
+    g = Automorphism.gl(L * U)
+    real, calls = linalg._submul, []
+    monkeypatch.setattr(linalg, "_submul", lambda *args: calls.append(1) or real(*args))
+    assert index0(g, TateSpace(QQ, n)) == 7
+    assert len(calls) <= 3500
 
 
 @settings(max_examples=200, deadline=None)
