@@ -18,8 +18,8 @@ import sys
 from .detline import closed_commutator_formula, commutator, tame_symbol
 from .errors import InsufficientPrecision, TateKitError
 from .fields import GF, QQ, FieldCtx
-from .index_map import _canonical_index, index0
-from .lattice import MAX_WINDOW_DIM, TateSpace
+from .index_map import index0
+from .lattice import MAX_WINDOW_DIM, TateSpace, act, join, std_lattice
 from .laurent import DEFAULT_PRECISION, Automorphism, parse_laurent, parse_laurent_matrix
 from .verify import SUITES, run_suites
 
@@ -66,23 +66,23 @@ def _automorphism(ctx: FieldCtx, args) -> Automorphism:
 
 
 def cmd_index(args) -> int:
-    ctx = _parse_field(args.field)
-    g = _automorphism(ctx, args)
-    space = TateSpace(ctx, g.rank)
-    if args.json:
-        value, L, gL, N = _canonical_index(g, space)
-        print(
-            _dumps(
-                {
-                    "index": value,
-                    "L": L.to_json_dict(),
-                    "gL": gL.to_json_dict(),
-                    "N": N.to_json_dict(),
-                }
-            )
+    g = _automorphism(_parse_field(args.field), args)
+    if not args.json:
+        print(index0(g))
+        return EXIT_OK
+    # The JSON also shows the canonical choices L = O^n and N = L + gL.
+    L = std_lattice(TateSpace(g.ctx, g.rank), 0)
+    gL = act(g, L)
+    print(
+        _dumps(
+            {
+                "index": L.vdim - gL.vdim,
+                "L": L.to_json_dict(),
+                "gL": gL.to_json_dict(),
+                "N": join(L, gL).to_json_dict(),
+            }
         )
-    else:
-        print(index0(g, space))
+    )
     return EXIT_OK
 
 

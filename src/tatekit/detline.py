@@ -48,11 +48,11 @@ from bisect import bisect_right
 from operator import attrgetter, index
 
 from .errors import (
+    FieldMismatch,
     FormulaTooLarge,
     ModeMismatch,
     NotMultiplicationAutomorphism,
     NotNested,
-    SpaceMismatch,
     ZeroElement,
 )
 from .fields import Scalar, _Frozen, _Value
@@ -209,14 +209,15 @@ def _translation_scalar(g, F1, F2, gF1, gF2) -> Scalar:
     return _wedge_det(gN, gF2, rows[: len(reps2)]) / _wedge_det(gN, gF1, rows[len(reps2) :])
 
 
-def cocycle_sigma(g: Automorphism, h: Automorphism, space: TateSpace, mode: str) -> Scalar:
-    """The 2-cocycle of the determinant-line extension at base O^n.
+def cocycle_sigma(g: Automorphism, h: Automorphism, mode: str) -> Scalar:
+    """The 2-cocycle of the determinant-line extension at base O^n of g's space.
 
     sigma(g,h) is the scalar identifying (L0|ghL0) with
     (L0|gL0) (x) g_*(L0|hL0); its inverse direction is the composition
-    scalar tau_g * omega, and associativity is the omega cocycle.
+    scalar tau_g * omega, and associativity is the omega cocycle.  An h on
+    another space raises ``SpaceMismatch`` from ``act``.
     """
-    L0 = std_lattice(space, 0)
+    L0 = std_lattice(TateSpace(g.ctx, g.rank), 0)
     hL0 = act(h, L0)
     gL0 = act(g, L0)
     ghL0 = act(g, hL0)
@@ -226,11 +227,12 @@ def cocycle_sigma(g: Automorphism, h: Automorphism, space: TateSpace, mode: str)
 
 
 class ExtElement(_Frozen):
-    """An element (g, z) of the determinant-line central extension."""
+    """An element (g, z) of the determinant-line central extension of Aut(V),
+    V = k((t))^n the space of g, which g's field and rank fix."""
 
-    __slots__ = ("g", "z", "mode", "space")
+    __slots__ = ("g", "z", "mode")
 
-    def __init__(self, g: Automorphism, z: Scalar, mode: str, space: TateSpace):
+    def __init__(self, g: Automorphism, z: Scalar, mode: str):
         if z.is_zero():
             raise ZeroElement("extension scalar must be nonzero")
         if mode not in (UNGRADED, GRADED):
@@ -238,13 +240,10 @@ class ExtElement(_Frozen):
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "space", space)
 
     @classmethod
-    def lift(cls, g: Automorphism, mode: str = UNGRADED, space: TateSpace | None = None):
-        if space is None:
-            space = TateSpace(g.ctx, g.rank)
-        return cls(g, space.ctx.one(), mode, space)
+    def lift(cls, g: Automorphism, mode: str = UNGRADED):
+        return cls(g, g.ctx.one(), mode)
 
     def __repr__(self):
         return "ExtElement(%r, z=%s, %s)" % (self.g, self.z, self.mode)
@@ -254,21 +253,18 @@ def _mul_z(x: ExtElement, y: ExtElement) -> Scalar:
     """The z-part of ``ext_mul(x, y)``, without composing x.g and y.g."""
     if x.mode != y.mode:
         raise ModeMismatch("graded and ungraded elements cannot be multiplied")
-    if x.space != y.space:
-        raise SpaceMismatch("extension elements on different spaces")
-    sigma = cocycle_sigma(x.g, y.g, x.space, x.mode)
-    return x.z * y.z * sigma
+    return x.z * y.z * cocycle_sigma(x.g, y.g, x.mode)
 
 
 def ext_mul(x: ExtElement, y: ExtElement) -> ExtElement:
     z = _mul_z(x, y)
-    return ExtElement(x.g.compose(y.g), z, x.mode, x.space)
+    return ExtElement(x.g.compose(y.g), z, x.mode)
 
 
 def ext_inv(x: ExtElement, precision: int | None = None) -> ExtElement:
     ginv = x.g.inverse(precision)
-    sigma = cocycle_sigma(x.g, ginv, x.space, x.mode)
-    return ExtElement(ginv, (x.z * sigma).inverse(), x.mode, x.space)
+    sigma = cocycle_sigma(x.g, ginv, x.mode)
+    return ExtElement(ginv, (x.z * sigma).inverse(), x.mode)
 
 
 def commutator(
@@ -297,10 +293,8 @@ def commutator(
     if f.rank != 1 or g.rank != 1:
         raise NotMultiplicationAutomorphism("commutator needs MultBy units")
     if f.ctx != g.ctx:
-        raise SpaceMismatch("units over different fields")
-    space = TateSpace(f.ctx, 1)
-    x = ExtElement.lift(f, mode, space)
-    y = ExtElement.lift(g, mode, space)
+        raise FieldMismatch("units over different fields")
+    x, y = ExtElement.lift(f, mode), ExtElement.lift(g, mode)
     depth = abs(f.series.valuation) + abs(g.series.valuation) + 1
 
     def capped(u) -> int:

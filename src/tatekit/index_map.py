@@ -8,8 +8,9 @@ and for all, so index values are plain ints.  The index of g is
 for any lattice L and any enclosing lattice N >= L, gL; the value does not
 depend on the choices, and the same number arises as the Euler
 characteristic dim(L/N') - dim(gL/N') over a common sub-lattice N'.  Both
-are vdim(L) - vdim(gL) (``Lattice.vdim``) once the nesting is checked;
-``index0`` forms the canonical N = L + gL.
+are vdim(L) - vdim(gL) (``Lattice.vdim``) once the nesting is checked: N and
+N' cancel.  So ``index0`` takes g alone, whose field and rank fix the space
+V = k((t))^n, and reads vdim(O^n) - vdim(gO^n) with no N built.
 
 ``build_family`` replays the inductive construction of the simplicial
 section: lattices L_{k,I} indexed by non-empty subsets I of [k] for a chain
@@ -68,17 +69,11 @@ from .simplicial import nonempty_subsets, subset_degeneracy
 DEFAULT_CHAIN_CAP = 4
 
 
-def _canonical_index(g: Automorphism, space: TateSpace):
-    """(index, L, gL, N) for the canonical choices L = O^n and N = L + gL."""
-    L = std_lattice(space, 0)
-    gL = act(g, L)
-    N = join(L, gL)  # holds L and gL by construction
-    return (N.vdim - gL.vdim) - (N.vdim - L.vdim), L, gL, N
-
-
-def index0(g: Automorphism, space: TateSpace) -> int:
-    """Index with the canonical choices L = O^n and N = L + gL."""
-    return _canonical_index(g, space)[0]
+def index0(g: Automorphism) -> int:
+    """The index of g on its own space with L = O^n: vdim(O^n) - vdim(gO^n),
+    as every enclosing N cancels (module doc)."""
+    L = std_lattice(TateSpace(g.ctx, g.rank), 0)
+    return L.vdim - act(g, L).vdim
 
 
 def index0_with(g: Automorphism, L: Lattice, N: Lattice) -> int:
@@ -98,8 +93,8 @@ def euler0(g: Automorphism, L: Lattice, N: Lattice) -> int:
     return L.vdim - gL.vdim
 
 
-def check_additivity(g: Automorphism, h: Automorphism, space: TateSpace) -> bool:
-    return index0(g.compose(h), space) == index0(g, space) + index0(h, space)
+def check_additivity(g: Automorphism, h: Automorphism) -> bool:
+    return index0(g.compose(h)) == index0(g) + index0(h)
 
 
 class AutChain:

@@ -109,6 +109,7 @@ class Lattice(_Value):
 
     def __init__(self, space: TateSpace, a: int, b: int, subspace: Subspace):
         """The lattice t^a O^n + W for a subspace W of the window t^-b O^n / t^a O^n."""
+        a, b = index(a), index(b)
         if a + b < 0:
             raise ValueError("window bounds a=%d, b=%d overlap" % (a, b))
         dim = _window_dim(space, a, b)

@@ -266,14 +266,17 @@ class TruncSeries(_Value):
         """Multiplicative inverse, computed by the geometric recurrence over
         the nonzero terms past the leading one.  Only the multiples of the
         gcd of their offsets can be nonzero, so the recurrence steps by it:
-        a dense tail takes every offset, a sparse one few."""
-        known, precision = self.precision, self._inverse_precision(precision)
+        a dense tail takes every offset, a sparse one few.  A precision below
+        1 raises ValueError."""
+        known, precision = self.precision, index(self._inverse_precision(precision))
+        if precision < 1:
+            raise ValueError("precision must be >= 1, got %d" % precision)
         if not self.exact and precision > known:
             raise InsufficientPrecision(precision, known)
         v, p = self.valuation, self.ctx.modulus
         tail = sorted((e - v, c) for e, c in self._terms.items() if 0 < e - v < precision)
         inv0, mono = _inv(p, self._terms[v]), self.is_monomial()
-        stop = 1 if mono else max(precision, 1)
+        stop = 1 if mono else precision
         step = gcd(*[j for j, _ in tail]) or stop
         if step > 1:
             tail = [(j // step, c) for j, c in tail]
@@ -487,6 +490,8 @@ class Automorphism(_Value):
             if series is None:
                 raise ZeroElement("MultBy needs a unit series")
         elif kind == self.GL:
+            if matrix.n < 1:
+                raise ValueError("rank must be positive")
             if matrix.n == 1:
                 raise ValueError("rank 1 is MultBy; build it with Automorphism.gl")
             if matrix.n > MAX_GL_RANK:

@@ -35,7 +35,7 @@ order changes only the work, never the pivot map.
 from __future__ import annotations
 
 from bisect import bisect_right
-from operator import attrgetter
+from operator import attrgetter, index
 
 from .errors import AmbientMismatch, FieldMismatch, NonSquare, NotContained
 from .fields import FieldCtx, Scalar, _Value, _canon, _inv, _mul, _neg, _reduced
@@ -268,6 +268,9 @@ class Subspace(_Value):
 
     @classmethod
     def from_rows(cls, ctx: FieldCtx, ambient_dim: int, rows) -> "Subspace":
+        ambient_dim = index(ambient_dim)
+        if ambient_dim < 0:
+            raise ValueError("ambient dimension %d is negative" % ambient_dim)
         m = Matrix.from_rows(ctx, rows)
         if m.rows and m.cols != ambient_dim:
             raise AmbientMismatch("basis cols %d != ambient %d" % (m.cols, ambient_dim))

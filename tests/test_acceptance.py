@@ -78,10 +78,9 @@ def test_criterion_01_winding_number():
     rng = random.Random(101)
     ok = True
     for ctx in (QQ, GF(5)):
-        space = TateSpace(ctx, 1)
         for _ in range(50):
             f = rand_unit_poly(ctx, rng, -5, 5)
-            ok = ok and index0(Automorphism.mult_by(f), space) == f.valuation()
+            ok = ok and index0(Automorphism.mult_by(f)) == f.valuation()
     _finish(1, "index of multiplication units recovers the winding number", ok, t0, 5)
 
 
@@ -98,7 +97,7 @@ def test_criterion_02_choice_independence():
             ctx = GF(3)
             space = TateSpace(ctx, 2)
             g = rand_gl(ctx, 2, rng)
-        want = index0(g, space)
+        want = index0(g)
         for _ in range(10):
             L = rand_lattice(space, rng, 2)
             N = join(join(L, act(g, L)), rand_lattice(space, rng, 2))
@@ -121,7 +120,7 @@ def test_criterion_03_euler_characteristic():
             g = rand_gl(ctx, 2, rng)
         L = rand_lattice(space, rng, 2)
         N = meet(L, act(g, L))
-        ok = ok and euler0(g, L, N) == index0(g, space)
+        ok = ok and euler0(g, L, N) == index0(g)
     _finish(3, "Euler characteristic of gL -> L equals the index", ok, t0, 30)
 
 
@@ -129,18 +128,12 @@ def test_criterion_04_additivity():
     t0 = time.monotonic()
     rng = random.Random(104)
     ctx = GF(3)
-    space1 = TateSpace(ctx, 1)
-    space2 = TateSpace(ctx, 2)
     ok = True
     for k in range(200):
         if k % 2 == 0:
-            ok = ok and check_additivity(
-                rand_mult(ctx, rng), rand_mult(ctx, rng), space1
-            )
+            ok = ok and check_additivity(rand_mult(ctx, rng), rand_mult(ctx, rng))
         else:
-            ok = ok and check_additivity(
-                rand_gl(ctx, 2, rng), rand_gl(ctx, 2, rng), space2
-            )
+            ok = ok and check_additivity(rand_gl(ctx, 2, rng), rand_gl(ctx, 2, rng))
     _finish(4, "index of a composite is the sum of indices (200 pairs)", ok, t0, 60)
 
 

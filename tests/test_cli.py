@@ -49,6 +49,10 @@ def test_index_matrix_rank_one_is_mult(capsys):
     assert code == 2 and "error" in err
 
 
+def test_index_of_an_empty_matrix_exits_2(capsys):
+    assert run(capsys, "index", "--matrix", ";") == (2, "", "error: rank must be positive\n")
+
+
 def test_window_cap_exit_2(capsys):
     start = time.perf_counter()
     code, _, err = run(capsys, "index", "--matrix", "t^600,0;0,t^-600")  # its act window is 2,400
@@ -77,7 +81,7 @@ def test_index_json_lattices(capsys):
 
 @pytest.mark.parametrize("argv", [["--f", "3t^-2+t^4"], ["--field", "F5", "--matrix", "t,1+t;0,t^-1"]])
 def test_index_json_computes_its_lattices_once(capsys, monkeypatch, argv):
-    import tatekit.index_map as index_map
+    import tatekit.cli as cli
     from tatekit import QQ, GF, Automorphism, TateSpace, act, join, parse_laurent, parse_laurent_matrix, std_lattice
 
     ctx = GF(5) if "F5" in argv else QQ
@@ -87,8 +91,8 @@ def test_index_json_computes_its_lattices_once(capsys, monkeypatch, argv):
     N = join(L, gL)
     want = {"index": L.vdim - gL.vdim, "L": L.to_json_dict(), "gL": gL.to_json_dict(), "N": N.to_json_dict()}
     calls = []
-    real = index_map.act
-    monkeypatch.setattr(index_map, "act", lambda g, L: calls.append(g) or real(g, L))
+    real = cli.act
+    monkeypatch.setattr(cli, "act", lambda g, L: calls.append(g) or real(g, L))
     code, out, _ = run(capsys, "index", *argv, "--json")
     assert code == 0 and len(calls) == 1
     assert out == json.dumps(want, sort_keys=True, separators=(",", ":")) + "\n"

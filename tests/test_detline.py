@@ -25,6 +25,7 @@ from tatekit import (
     join,
     omega,
     parse_laurent,
+    parse_laurent_matrix,
     rel_det,
     std_lattice,
     tame_symbol,
@@ -41,6 +42,7 @@ from tatekit.detline import (
     translation_scalar,
 )
 from tatekit.errors import (
+    FieldMismatch,
     FormulaTooLarge,
     InsufficientPrecision,
     ModeMismatch,
@@ -473,8 +475,7 @@ def test_commutator_composes_twice_and_translates_triangularly(monkeypatch):
 
 def _uncapped_commutator(f, g, mode, precision):
     """The reference word: both units inverted at ``precision`` itself."""
-    space = TateSpace(f.ctx, 1)
-    x, y = ExtElement.lift(f, mode, space), ExtElement.lift(g, mode, space)
+    x, y = ExtElement.lift(f, mode), ExtElement.lift(g, mode)
     value = _mul_z(ext_mul(ext_mul(x, y), ext_inv(x, precision)), ext_inv(y, precision))
     if mode == GRADED and f.det_valuation() % 2 and g.det_valuation() % 2:
         value = -value
@@ -574,7 +575,7 @@ def test_ext_inverse():
     rng = random.Random(97)
     for _ in range(10):
         f = rand_mult(GF(5), rng, -2, 2)
-        x = ExtElement.lift(f, UNGRADED, TateSpace(GF(5), 1))
+        x = ExtElement.lift(f, UNGRADED)
         roundtrip = ext_mul(x, ext_inv(x))
         assert str(roundtrip.z) == "1"
         both = ext_mul(ext_inv(x), x)
@@ -583,15 +584,32 @@ def test_ext_inverse():
 
 def test_ext_associativity():
     rng = random.Random(101)
-    space = TateSpace(GF(5), 1)
     for case in range(15):
         mode = UNGRADED if case % 2 else GRADED
-        x, y, z = (
-            ExtElement.lift(rand_mult(GF(5), rng, -2, 2), mode, space) for _ in range(3)
-        )
+        x, y, z = (ExtElement.lift(rand_mult(GF(5), rng, -2, 2), mode) for _ in range(3))
         lhs = ext_mul(ext_mul(x, y), z)
         rhs = ext_mul(x, ext_mul(y, z))
         assert lhs.z == rhs.z
+
+
+def test_ext_mul_of_lifts_on_different_spaces():
+    x = ExtElement.lift(mult("t"))
+    with pytest.raises(SpaceMismatch):
+        ext_mul(x, ExtElement.lift(Automorphism.gl(parse_laurent_matrix(QQ, "t,0;0,1"))))
+    with pytest.raises(FieldMismatch):
+        ext_mul(x, ExtElement.lift(mult("t", GF(5))))
+
+
+def test_commutator_of_units_over_different_fields():
+    with pytest.raises(FieldMismatch):
+        commutator(mult("t"), mult("t", GF(5)))
+
+
+def test_commutator_refuses_a_precision_below_1():
+    for f in ("1+t", "t"):
+        with pytest.raises(ValueError, match="precision must be >= 1"):
+            commutator(mult(f), mult("1-t"), precision=0)
+    assert commutator(mult("1+t"), mult("t"), precision=1) == QQ.one()
 
 
 def test_commutator_examples():
@@ -601,8 +619,6 @@ def test_commutator_examples():
     F5 = GF(5)
     assert commutator(mult("t", F5), mult("1-t", F5), UNGRADED) == F5.one()
     with pytest.raises(NotMultiplicationAutomorphism):
-        from tatekit import parse_laurent_matrix
-
         g = Automorphism.gl(parse_laurent_matrix(QQ, "t,0;0,1"))
         commutator(g, g)
 
@@ -628,11 +644,10 @@ def test_commutator_is_the_cocycle_antisymmetrised(ctx, mode):
     """Lifts of commuting units commute up to sigma(f,g)/sigma(g,f), which ties
     sigma's normalisation to the extension's multiplication and inverse."""
     rng = random.Random("%s %s" % (ctx, mode))
-    space = TateSpace(ctx, 1)
     for _ in range(200):
         f, g = (Automorphism.mult_by(rand_unit_poly(ctx, rng, -6, 6)) for _ in range(2))
         p, q = f.det_valuation(), g.det_valuation()
-        want = cocycle_sigma(f, g, space, mode) / cocycle_sigma(g, f, space, mode)
+        want = cocycle_sigma(f, g, mode) / cocycle_sigma(g, f, mode)
         if mode == GRADED and p % 2 and q % 2:
             want = -want
         assert commutator(f, g, mode, precision=abs(p) + abs(q) + 1) == want, (f, g)

@@ -40,7 +40,7 @@ tinv = Automorphism.mult_by(parse_laurent(QQ, "t^-1"))
 
 
 def test_index0_identity():
-    assert index0(Automorphism.identity(QQ, 1), V) == 0
+    assert index0(Automorphism.identity(QQ, 1)) == 0
 
 
 def test_index0_is_winding_number():
@@ -48,18 +48,17 @@ def test_index0_is_winding_number():
     for trial in range(40):
         ctx = QQ if trial % 2 else GF(5)
         f = rand_unit_poly(ctx, rng, -5, 5)
-        assert index0(Automorphism.mult_by(f), TateSpace(ctx, 1)) == f.valuation()
+        assert index0(Automorphism.mult_by(f)) == f.valuation()
 
 
 def test_index0_gl_diag():
-    V2 = TateSpace(QQ, 2)
     g = Automorphism.gl(parse_laurent_matrix(QQ, "t,0;0,t^2"))
-    assert index0(g, V2) == 3
+    assert index0(g) == 3
     rng = random.Random(43)
     ctx = GF(3)
     for _ in range(15):
         h = rand_gl(ctx, 2, rng)
-        assert index0(h, TateSpace(ctx, 2)) == h.det_valuation()
+        assert index0(h) == h.det_valuation()
 
 
 def test_index0_with_examples():
@@ -89,7 +88,7 @@ def test_euler_equals_index_randomized():
         g = rand_mult(ctx, rng)
         L = rand_lattice(space, rng, 2)
         N = meet(L, act(g, L))
-        assert euler0(g, L, N) == index0(g, space)
+        assert euler0(g, L, N) == index0(g)
 
 
 def test_choice_independence():
@@ -97,7 +96,7 @@ def test_choice_independence():
     for _ in range(10):
         g = rand_mult(GF(5), rng)
         space = TateSpace(GF(5), 1)
-        want = index0(g, space)
+        want = index0(g)
         for _ in range(10):
             L = rand_lattice(space, rng, 2)
             N = join(join(L, act(g, L)), rand_lattice(space, rng, 2))
@@ -198,7 +197,7 @@ def test_index_simplex_loop():
     fam = build_family(AutChain(V, [t]))
     dims = index_simplex(fam, (0, 1))
     assert dims == [1, 0]
-    assert dims[0] - dims[1] == index0(t, V)
+    assert dims[0] - dims[1] == index0(t)
 
 
 def test_index_simplex_degenerate_edge():
@@ -224,15 +223,14 @@ def test_index_simplex_rank2():
 
 
 def test_additivity():
-    assert check_additivity(t, t, V)
-    assert index0(t.compose(t), V) == 2
-    assert check_additivity(t, tinv, V)
+    assert check_additivity(t, t)
+    assert index0(t.compose(t)) == 2
+    assert check_additivity(t, tinv)
     rng = random.Random(59)
     ctx = GF(3)
-    V2 = TateSpace(ctx, 2)
     for _ in range(20):
         g, h = rand_gl(ctx, 2, rng), rand_gl(ctx, 2, rng)
-        assert check_additivity(g, h, V2)
+        assert check_additivity(g, h)
 
 
 def test_family_verification_randomized():

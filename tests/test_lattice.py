@@ -319,6 +319,14 @@ def test_hash_tells_apart_the_std_lattices_at_minus_1_and_minus_2():
     assert hash(std_lattice(V, -1)) != hash(std_lattice(V, -2))
 
 
+def test_lattice_rejects_non_integer_window_bounds():
+    with pytest.raises(TypeError):
+        Lattice(V, 1.0, 0, Subspace.from_rows(QQ, 1, []))
+    with pytest.raises(TypeError):
+        Lattice(V, 0, 1.0, Subspace.from_rows(QQ, 1, []))
+    assert Lattice(V, True, 0, Subspace.from_rows(QQ, 1, [])) == std_lattice(V, [1])
+
+
 def test_lattice_rejects_a_subspace_over_another_field():
     F5 = GF(5)
     with pytest.raises(FieldMismatch):

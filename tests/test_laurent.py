@@ -123,6 +123,10 @@ def test_inverse_steps_by_the_gcd_of_the_tail():
             coeffs.extend([0] * rng.randint(0, 3))
         s = TruncSeries(ctx, v, coeffs, exact=rng.random() < 0.5)
         precision = rng.choice([None, 0, 1, rng.randint(1, s.precision)] if not s.exact else [None, 0, rng.randint(1, 40)])
+        if precision == 0:
+            with pytest.raises(ValueError):
+                s.inverse(precision)
+            continue
         got = s.inverse(precision)
         assert (got._terms, got.top) == ref_inverse(s, precision)
     start = time.perf_counter()
@@ -138,6 +142,16 @@ def test_truncseries_precision_guard():
     with pytest.raises(InsufficientPrecision):
         g.inverse(5)
     assert str(g.coeff(2)) == "1"
+
+
+def test_inverse_refuses_a_precision_below_1():
+    f = TruncSeries.from_poly(P("1+t"))
+    for precision in (0, -3):
+        with pytest.raises(ValueError):
+            f.inverse(precision)
+    with pytest.raises(TypeError):
+        f.inverse(2.0)
+    assert str(f.inverse(1)) == "1*t^0 + O(t^1)"
 
 
 def test_det_and_inverse_diagonal():
@@ -308,6 +322,11 @@ def test_compose_and_identity():
     ui = u.inverse(6)
     prod = u.compose(ui)
     assert prod.series.valuation == 0 and prod.series.coeffs[0].is_one()
+
+
+def test_gl_refuses_rank_0():
+    with pytest.raises(ValueError, match="rank must be positive"):
+        Automorphism.gl(parse_laurent_matrix(QQ, ";"))
 
 
 def test_automorphism_keeps_its_determinant(monkeypatch):

@@ -111,6 +111,18 @@ def test_ambient_mismatch():
         subspace_contains(Subspace.full(QQ, 2), Subspace.full(QQ, 3))
 
 
+def test_from_rows_rejects_a_non_integer_ambient_dim():
+    with pytest.raises(TypeError):
+        Subspace.from_rows(QQ, 2.0, [[1, 0]])
+    assert Subspace.from_rows(QQ, True, [[1]]) == Subspace.full(QQ, 1)
+
+
+def test_from_rows_rejects_a_negative_ambient_dim():
+    with pytest.raises(ValueError):
+        Subspace.from_rows(QQ, -1, [])
+    assert Subspace.from_rows(QQ, 0, []).dim == 0
+
+
 def all_subspaces(ctx, ambient_dim):
     """Every subspace of k^ambient_dim (tiny prime fields only)."""
     vectors = [[]]

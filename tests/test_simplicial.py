@@ -1,3 +1,4 @@
+import copy
 import random
 from collections import Counter
 
@@ -10,6 +11,7 @@ from tatekit import (
     AdmissibleDiagram,
     BasedPoset,
     FinPoset,
+    FinSimplicialSet,
     FramedPoset,
     OrientedGraph,
     Subspace,
@@ -115,6 +117,28 @@ def test_nerve_b1():
     assert len(nd) == 2
     assert {chain[1] for chain in nd} == {frozenset({0, 1})}
     assert N.check_identities() == []
+
+
+def test_check_identities_reports_a_corrupted_table():
+    """A wrong face entry breaks d_i d_j = d_{j-1} d_i at its simplex, and a
+    wrong degeneracy entry s_i s_j = s_{j+1} s_i and d_j s_j = id at its own."""
+    N = nerve(FinPoset.chain(2), 3)
+    idx2 = {c: i for i, c in enumerate(N.simplices[2])}
+    idx1 = {c: i for i, c in enumerate(N.simplices[1])}
+
+    def corrupted(table, n, i, idx, value):
+        faces, degens = copy.deepcopy(N.faces), copy.deepcopy(N.degens)
+        {"faces": faces, "degens": degens}[table][n][i][idx] = value
+        return FinSimplicialSet(N.simplices, faces, degens).check_identities()
+
+    # d_1 (0,1,2) = (0,2), set to (1,2)
+    x = idx2[0, 1, 2]
+    bad = corrupted("faces", 2, 1, x, idx1[1, 2])
+    assert ("dd", 2, x, 1, 2) in bad
+    # s_0 (0,1) = (0,0,1), set to (0,1,1)
+    y = idx1[0, 1]
+    bad = corrupted("degens", 1, 0, y, idx2[0, 1, 1])
+    assert ("ss", 1, y, 0, 0) in bad and ("ds", 1, y, 0, 0) in bad
 
 
 def test_sd_examples():
