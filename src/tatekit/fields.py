@@ -9,8 +9,12 @@ integral values.  ``FieldCtx.raw`` checks and unboxes a value to that raw
 form, which is what ``linalg`` and ``laurent`` store and compute with.  The
 raw helpers ``_norm``, ``_mul``, ``_neg`` and ``_inv`` are the one definition
 of the field operations on it; ``Scalar`` calls them too, and ``_reduced``
-is the one normaliser of an accumulated dict of them.  Arithmetic between
-scalars of different contexts is a hard error, never a coercion.
+is the one normaliser of an accumulated dict of them.  Over Q the kernels
+compute on int numerators and denominators rather than through ``Fraction``
+operators: ``_frac`` makes one value canonical by one gcd, and
+``_numerators`` puts a batch of dicts over one common denominator.
+Arithmetic between scalars of different contexts is a hard error, never a
+coercion.
 
 All values are immutable (``_Frozen``) and hashable.  The value types
 declare their identity once, on ``_Value``: a ``_fields`` getter names the
@@ -24,6 +28,7 @@ identity.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from operator import attrgetter, index
 
 from .errors import FieldMismatch, ZeroElement
@@ -76,12 +81,23 @@ def _canon(x):
     return x.numerator if x.denominator == 1 else x
 
 
+def _frac(n, d):
+    """The canonical raw form of ``n / d``, for ints n and d > 0, reduced by
+    one gcd; a non-integral value is then built by the public ``Fraction``
+    constructor, whose own gcd of the now coprime pair is cheap."""
+    g = gcd(n, d)
+    return n // g if g == d else Fraction(n // g, d // g)
+
+
 def _norm(p, x):
     return _canon(x) if p is None else x % p
 
 
 def _inv(p, x):
-    return _canon(Fraction(x.denominator, x.numerator)) if p is None else pow(x, -1, p)
+    if p is not None:
+        return pow(x, -1, p)
+    n, d = x.numerator, x.denominator
+    return _frac(d, n) if n > 0 else _frac(-d, -n)
 
 
 def _neg(p, x):
@@ -89,15 +105,34 @@ def _neg(p, x):
 
 
 def _mul(p, x, y):
-    return _canon(x * y) if p is None else x * y % p
+    if p is not None:
+        return x * y % p
+    if type(x) is int is type(y):
+        return x * y
+    return _frac(x.numerator * y.numerator, x.denominator * y.denominator)
 
 
-def _reduced(p, acc):
+def _reduced(p, acc, d=1):
     """The nonzero entries of an accumulated dict of raw values (a term dict
-    or a sparse row), reduced mod ``p`` or, over Q, made canonical."""
-    if p is None:
+    or a sparse row), reduced mod ``p`` or, over Q, made canonical; over Q
+    with ``d`` > 1, the values are int numerators over the denominator d."""
+    if p is not None:
+        return {e: r for e, c in acc.items() if (r := c % p)}
+    if d == 1:
         return {e: _canon(c) for e, c in acc.items() if c}
-    return {e: r for e, c in acc.items() if (r := c % p)}
+    return {e: _frac(c, d) for e, c in acc.items() if c}
+
+
+def _numerators(p, dicts):
+    """``(dicts, d)``: over Q, the dicts with each raw value as an int
+    numerator over ``d``, the least common denominator of them all; over F_p
+    the dicts as they are, and d = 1."""
+    if p is not None:
+        return dicts, 1
+    d = lcm(*(c.denominator for f in dicts for c in f.values()))
+    if d == 1:
+        return dicts, 1
+    return [{e: c.numerator * (d // c.denominator) for e, c in f.items()} for f in dicts], d
 
 
 class _Frozen:
@@ -267,6 +302,7 @@ class Scalar(_Value):
         return self * other.inverse()
 
     def __pow__(self, n: int):
+        n = index(n)
         if n < 0:
             return self.inverse() ** -n
         p = self.ctx.modulus

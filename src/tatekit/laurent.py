@@ -13,10 +13,13 @@ Both store raw field values, as ``linalg`` does (over Q an ``int`` when
 integral and a ``Fraction`` otherwise, see ``fields._canon``; over F_p a
 residue in ``[0, p)``), and their arithmetic runs on them with one branch on
 the field's modulus: where the F_p branch reduces ``% p``, the Q branch makes
-the value canonical.  Caller input is checked once, through
-``FieldCtx.raw``, by the ``LaurentPoly`` and ``TruncSeries`` constructors;
-the polynomials and series computed here are built unchecked.  ``terms``,
-``coeffs``, ``coeff`` and ``leading_coeff`` box into ``Scalar`` on the way out.
+the value canonical.  A ``LaurentMatrix`` product over Q first puts each
+operand over its common denominator (``fields._numerators``), so that its
+term products are int products and each result coefficient is divided once.
+Caller input is checked once, through ``FieldCtx.raw``, by the
+``LaurentPoly`` and ``TruncSeries`` constructors; the polynomials and series
+computed here are built unchecked.  ``terms``, ``coeffs``, ``coeff`` and
+``leading_coeff`` box into ``Scalar`` on the way out.
 
 Automorphisms of k((t))^n come in two finitely presented flavours:
 multiplication by a unit series (n = 1) and GL_n over k[t, 1/t] with monomial
@@ -42,7 +45,7 @@ from .errors import (
     SpaceMismatch,
     ZeroElement,
 )
-from .fields import FieldCtx, Scalar, _Value, _inv, _mul, _reduced
+from .fields import FieldCtx, Scalar, _Value, _inv, _mul, _numerators, _reduced
 
 DEFAULT_PRECISION = 16
 
@@ -153,7 +156,7 @@ class LaurentPoly(_Value):
         return LaurentPoly._raw(self.ctx, {e + k: c for e, c in self._terms.items()})
 
     def coeff(self, e: int) -> Scalar:
-        return Scalar(self.ctx, self._terms.get(e, 0))
+        return Scalar(self.ctx, self._terms.get(index(e), 0))
 
     def valuation(self) -> int:
         if not self._terms:
@@ -233,6 +236,7 @@ class TruncSeries(_Value):
         return tuple(Scalar(self.ctx, get(e, 0)) for e in range(v, v + self.precision))
 
     def coeff(self, e: int) -> Scalar:
+        e = index(e)
         if self.top is not None and e >= self.top:
             raise InsufficientPrecision(e - self.valuation + 1, self.precision)
         return Scalar(self.ctx, self._terms.get(e, 0))
@@ -369,14 +373,15 @@ class LaurentMatrix(_Value):
         if self.n != other.n:
             raise SpaceMismatch("rank %d vs %d" % (self.n, other.n))
         n, p = self.n, self.ctx.modulus
-        rows, cols = self._term_rows(), list(zip(*other._term_rows()))
+        x, dx = _numerators(p, [f._terms for f in self.entries])
+        y, dy = _numerators(p, [f._terms for f in other.entries])
         out = []
-        for row in rows:
-            for col in cols:
+        for i in range(0, n * n, n):
+            for j in range(n):
                 acc = {}
-                for f, g in zip(row, col):
-                    _mac(acc, f, g)
-                out.append(LaurentPoly._raw(self.ctx, _reduced(p, acc)))
+                for k in range(n):
+                    _mac(acc, x[i + k], y[k * n + j])
+                out.append(LaurentPoly._raw(self.ctx, _reduced(p, acc, dx * dy)))
         return LaurentMatrix(self.ctx, n, out)
 
     def apply(self, vec):
@@ -565,6 +570,10 @@ class Automorphism(_Value):
         reduced modulo t^a O^n.  A truncated series is checked once, against
         the largest need of the whole batch, so the precision that
         InsufficientPrecision names suffices for every row.
+
+        Over Q the raw values are multiplied as they are: most rows and terms
+        are ints, and putting each batch over a common denominator first
+        costs more than the few ``Fraction`` products it would spare.
         """
         if self.kind == self.MULT:
             u, n = self.series, 1

@@ -6,6 +6,9 @@ integral and a ``Fraction`` otherwise; over F_p an int in ``[0, p)``): no zero
 is stored, every key lies in ``[0, cols)``, and equality and hashing read the
 sorted items.  The kernel iterates nonzeros only, with one branch per field;
 where the F_p branch reduces ``% p``, the Q branch makes the value canonical.
+Over Q an entry that is an int on every side stays int arithmetic, and any
+other is computed on numerators and denominators and reduced by one gcd in
+``fields._frac``, never through ``Fraction`` operators.
 Values are checked and unboxed where they enter (``Matrix``, ``from_rows``,
 ``contains_vector``) and leave as dense rows of ``Scalar`` (``entries``,
 ``m[i, j]``, ``row_list``, ``Subspace.rows``); values the kernel computes
@@ -38,22 +41,33 @@ from bisect import bisect_right
 from operator import attrgetter, index
 
 from .errors import AmbientMismatch, FieldMismatch, NonSquare, NotContained
-from .fields import FieldCtx, Scalar, _Value, _canon, _inv, _mul, _neg, _reduced
+from .fields import FieldCtx, Scalar, _Value, _frac, _inv, _mul, _neg, _reduced
 
 # Row kernels on sparse raw rows; ``p`` is the field's modulus, None over Q.
-# They keep ``% p`` inline, and ``_submul`` calls ``_canon`` only on a
-# non-int: one function call per entry would dominate.
+# They keep ``% p`` and the int case inline, as one function call per entry
+# would dominate.  Over Q any other entry is computed on numerators and
+# denominators and made canonical by one ``_frac``: its one gcd replaces the
+# two Fractions and four gcds of ``Fraction`` operators.
 
 
 def _submul(p, vec, f, row):
     """``vec -= f * row`` in place; an entry that cancels is deleted."""
     get = vec.get
+    if p is not None:
+        for j, r in row.items():
+            x = (get(j, 0) - f * r) % p
+            if x:
+                vec[j] = x
+            else:
+                del vec[j]
+        return
     for j, r in row.items():
-        x = get(j, 0) - f * r
-        if p is not None:
-            x %= p
-        elif type(x) is not int:
-            x = _canon(x)
+        a = get(j, 0)
+        if type(a) is int is type(r) is type(f):
+            x = a - f * r
+        else:
+            d = f.denominator * r.denominator
+            x = _frac(a.numerator * d - f.numerator * r.numerator * a.denominator, d * a.denominator)
         if x:
             vec[j] = x
         else:
@@ -61,9 +75,10 @@ def _submul(p, vec, f, row):
 
 
 def _scale(p, c, row):
-    if p is None:
-        return {j: _canon(c * x) for j, x in row.items()}
-    return {j: c * x % p for j, x in row.items()}
+    if p is not None:
+        return {j: c * x % p for j, x in row.items()}
+    n, d = c.numerator, c.denominator
+    return {j: _frac(n * x.numerator, d * x.denominator) for j, x in row.items()}
 
 
 def _box(ctx: FieldCtx, cols: int, row):
@@ -251,12 +266,21 @@ def _reduce(p, at, vec):
     return vec
 
 
+def _ambient(ambient_dim):
+    """A caller's ambient dimension, checked: an integer, and not negative."""
+    ambient_dim = index(ambient_dim)
+    if ambient_dim < 0:
+        raise ValueError("ambient dimension %d is negative" % ambient_dim)
+    return ambient_dim
+
+
 class Subspace(_Value):
     """A subspace of k^ambient_dim in canonical reduced echelon form.
 
     ``_at`` is its only store: it maps each pivot to its sparse raw RREF row
     and is filled in ascending pivot order.  The constructor takes such a map
-    as it is and checks nothing; ``from_rows`` spans arbitrary rows."""
+    as it is and checks nothing; ``from_rows`` spans arbitrary rows, and it,
+    ``zero`` and ``full`` check the ambient dimension."""
 
     __slots__ = ("ctx", "ambient_dim", "_at")
     _fields = attrgetter("ctx", "ambient_dim", "_at")
@@ -268,9 +292,7 @@ class Subspace(_Value):
 
     @classmethod
     def from_rows(cls, ctx: FieldCtx, ambient_dim: int, rows) -> "Subspace":
-        ambient_dim = index(ambient_dim)
-        if ambient_dim < 0:
-            raise ValueError("ambient dimension %d is negative" % ambient_dim)
+        ambient_dim = _ambient(ambient_dim)
         m = Matrix.from_rows(ctx, rows)
         if m.rows and m.cols != ambient_dim:
             raise AmbientMismatch("basis cols %d != ambient %d" % (m.cols, ambient_dim))
@@ -283,10 +305,11 @@ class Subspace(_Value):
 
     @classmethod
     def zero(cls, ctx: FieldCtx, ambient_dim: int) -> "Subspace":
-        return cls(ctx, ambient_dim, {})
+        return cls(ctx, _ambient(ambient_dim), {})
 
     @classmethod
     def full(cls, ctx: FieldCtx, ambient_dim: int) -> "Subspace":
+        ambient_dim = _ambient(ambient_dim)
         return cls(ctx, ambient_dim, {i: {i: 1} for i in range(ambient_dim)})
 
     @property

@@ -116,6 +116,15 @@ def test_pow_matches_repeated_multiplication():
             ctx.zero() ** -1
 
 
+def test_pow_takes_only_an_integer_exponent():
+    for ctx in (QQ, GF(5)):
+        x = ctx.scalar(4)
+        for bad in (0.5, 2.0, Fraction(1, 2), Fraction(2), "2", None):
+            with pytest.raises(TypeError):
+                x**bad
+        assert x**True == x
+
+
 def test_raw_accepts_only_exact_values():
     from decimal import Decimal
 

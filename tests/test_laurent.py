@@ -52,6 +52,16 @@ def test_trunc_series_rejects_a_non_integer_valuation():
     assert TruncSeries(QQ, True, [1, 2], True) == TruncSeries.from_poly(P("t+2*t^2"))
 
 
+def test_coeff_takes_only_an_integer_exponent():
+    f = P("2 + 3*t")
+    series = [TruncSeries.from_poly(f), TruncSeries(QQ, 0, [2, 3], False)]
+    for g in (f, *series):
+        for bad in (0.5, 1.0, Fraction(1), "1", None):
+            with pytest.raises(TypeError):
+                g.coeff(bad)
+        assert g.coeff(True) == QQ.scalar(3) and g.coeff(0) == QQ.scalar(2)
+
+
 def test_laurent_poly_shift_rejects_a_non_integer_exponent():
     with pytest.raises(TypeError):
         LaurentPoly.t(QQ, 2).shift(0.4)

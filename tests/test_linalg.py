@@ -123,6 +123,19 @@ def test_from_rows_rejects_a_negative_ambient_dim():
     assert Subspace.from_rows(QQ, 0, []).dim == 0
 
 
+def test_zero_and_full_check_the_ambient_dim_as_from_rows_does():
+    for build in (Subspace.zero, Subspace.full):
+        for bad in (2.5, 2.0, "2", None):
+            with pytest.raises(TypeError):
+                build(QQ, bad)
+        for bad in (-1, -2):
+            with pytest.raises(ValueError):
+                build(QQ, bad)
+        assert build(QQ, 0).dim == 0
+    assert Subspace.zero(QQ, True).ambient_dim == 1 and type(Subspace.zero(QQ, True).ambient_dim) is int
+    assert Subspace.full(QQ, True) == Subspace.from_rows(QQ, 1, [[1]])
+
+
 def all_subspaces(ctx, ambient_dim):
     """Every subspace of k^ambient_dim (tiny prime fields only)."""
     vectors = [[]]

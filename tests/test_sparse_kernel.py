@@ -8,7 +8,8 @@ or combined.  Every result must equal the reference, and every stored row
 must keep the invariants: no stored zero, keys in ``[0, cols)``, every
 rational in canonical form (an ``int`` exactly when it is integral, a
 ``Fraction`` otherwise), and equality and hashing independent of the
-order the keys were inserted in.
+order the keys were inserted in.  The Q kernels themselves are also checked
+against plain ``Fraction`` arithmetic (``q_kernel``).
 """
 
 import random
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import q_kernel
 import tatekit.linalg as linalg
 from tatekit import (
     GF,
@@ -380,3 +382,11 @@ def test_window_lattices_keep_invariants():
                 for s in (L.window_subspace(L.a, L.b), L.window_subspace(L.a + 2, L.b + 1), gL.window_subspace(gL.a, gL.b)):
                     assert_invariants(s.basis)
                     assert s == Subspace.from_rows(ctx, s.ambient_dim, s.rows())
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_q_kernels_match_the_fraction_reference(seed):
+    """Every Q kernel that computes on numerators and denominators equals
+    plain ``Fraction`` arithmetic, stores canonical values only and leaves its
+    inputs alone (``q_kernel``, also runnable without pytest)."""
+    q_kernel.run(cases=60, seed=seed)
