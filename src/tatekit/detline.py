@@ -12,11 +12,11 @@ Conventions (fixed once, used everywhere):
   order.  With this order, concatenating the bases of B/A and C/B for a
   nested monomial chain reproduces the basis of C/A on the nose, so the
   canonical composition scalar on nested monomial triples is exactly 1.
-  ``translation_scalar`` takes both its source and its target
-  representatives in *ascending* order instead: that reverses the rows and
-  the columns of each coordinate matrix A, and det(JAJ) = det(A) for the
-  order-reversing permutation J, so the scalar is the same.  For a rank-1
-  translation the ascending matrix is upper triangular.
+  ``_translation_scalar``, of g_*: (F1|F2) -> (gF1|gF2), takes its source
+  and target representatives in *ascending* order instead: that reverses the
+  rows and the columns of each coordinate matrix A, and det(JAJ) = det(A)
+  for the order-reversing permutation J, so the scalar is the same.  For a
+  rank-1 translation the ascending matrix is upper triangular.
 * (F1|F2) is based on N = meet(F1, F2) as e(N,F1)^dual (x) e(N,F2); its
   grade is dim(F2/N) - dim(F1/N) = vdim(F2) - vdim(F1).
 * ``omega(F1,F2,F3)`` is the scalar of the composition isomorphism
@@ -195,13 +195,9 @@ def det_theory_coherence(
 # -- the determinant-line central extension ------------------------------
 
 
-def translation_scalar(g: Automorphism, F1: Lattice, F2: Lattice) -> Scalar:
-    """Scalar of g_*: (F1|F2) -> (gF1|gF2) in canonical bases."""
-    return _translation_scalar(g, F1, F2, act(g, F1), act(g, F2))
-
-
 def _translation_scalar(g, F1, F2, gF1, gF2) -> Scalar:
-    """``translation_scalar`` with the translates gF1 and gF2 already built."""
+    """Scalar of g_*: (F1|F2) -> (gF1|gF2) in canonical bases, given the
+    translates gF1 and gF2."""
     # g is a bijection, so g(F1 ∩ F2) = gF1 ∩ gF2.
     N, gN = meet(F1, F2), meet(gF1, gF2)
     reps2, reps1 = _quotient_rows(N, F2), _quotient_rows(N, F1)
@@ -237,6 +233,8 @@ class ExtElement(_Frozen):
             raise ZeroElement("extension scalar must be nonzero")
         if mode not in (UNGRADED, GRADED):
             raise ValueError("mode must be graded or ungraded")
+        if z.ctx is not g.ctx and z.ctx != g.ctx:
+            raise FieldMismatch("scalar over %r for an automorphism over %r" % (z.ctx, g.ctx))
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "mode", mode)

@@ -169,7 +169,7 @@ class LatticeFamily:
         return self.entries[key]
 
     def replaced(self, kept, I, lattice: Lattice) -> "LatticeFamily":
-        """Copy with one entry overridden (fault-injection hook for tests)."""
+        """Copy with one entry overridden: how ``verify``'s ``fault_detected`` records spoil a family."""
         self.lattice(kept, I)  # UnknownFace for a (face, subset) the family lacks
         entries = dict(self.entries)
         entries[(tuple(kept), tuple(sorted(I)))] = lattice

@@ -188,11 +188,12 @@ class Lattice(_Value):
         return not _reduce(self.ctx.modulus, self._at, vec_to_row(self.space, self.a, vec))
 
     def to_json_dict(self) -> dict:
+        slots = range(-self.b * self.space.rank, self.a * self.space.rank)  # the window (a, b)
         return {
             "rank": self.space.rank,
             "a": self.a,
             "b": self.b,
-            "basis": [[str(c) for c in row] for row in self.window_subspace(self.a, self.b).rows()],
+            "basis": [[str(row.get(s, 0)) for s in slots] for row in self._at.values()],
         }
 
     def __hash__(self):

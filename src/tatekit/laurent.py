@@ -296,20 +296,13 @@ class TruncSeries(_Value):
         return TruncSeries._raw(self.ctx, -v, terms, None if mono else stop - v)
 
     def mul_poly_mod(self, poly: LaurentPoly, cutoff: int) -> LaurentPoly:
-        """The product (self * poly) reduced modulo t^cutoff.
-
-        Raises InsufficientPrecision when an unknown coefficient of the
-        series would contribute below the cutoff.
-        """
+        """The product (self * poly) reduced modulo t^cutoff: the image of the
+        polynomial under the multiplication, which raises InsufficientPrecision
+        when an unknown coefficient of the series would contribute below it."""
         if poly.is_zero():
             return poly
         _check_ctx(self, poly)
-        need = max(cutoff - e - self.valuation for e in poly._terms)
-        if self.top is not None and need > self.precision:
-            raise InsufficientPrecision(need, self.precision)
-        acc = {}
-        _mac(acc, poly._terms, self._terms, cutoff)
-        return LaurentPoly._raw(self.ctx, _reduced(self.ctx.modulus, acc))
+        return LaurentPoly._raw(self.ctx, Automorphism.mult_by(self).image([poly._terms], cutoff)[0])
 
     def __hash__(self):
         return hash((self.ctx, self.valuation, frozenset(self._terms.items()), self.top))
@@ -495,6 +488,8 @@ class Automorphism(_Value):
             if series is None:
                 raise ZeroElement("MultBy needs a unit series")
         elif kind == self.GL:
+            if not isinstance(matrix, LaurentMatrix):
+                raise TypeError("GL needs a LaurentMatrix, got %r" % (matrix,))
             if matrix.n < 1:
                 raise ValueError("rank must be positive")
             if matrix.n == 1:

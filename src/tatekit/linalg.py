@@ -22,13 +22,12 @@ are fixed by echelon completion, so every downstream determinant-line scalar
 is reproducible run to run.
 
 Two builders run an elimination, each at most one, through ``_rref_rows``:
-``Subspace._span``, the span of raw rows behind ``Subspace.from_rows``, and
-``_meet``, the one Zassenhaus elimination, behind the lattice meet, which
-leaves the meet in echelon form and skips it when one operand contains the
-other.
+``Subspace.from_rows``, the span of a caller's rows, and ``_meet``, the one
+Zassenhaus elimination, behind the lattice meet, which leaves the meet in
+echelon form and skips it when one operand contains the other.
 Builders whose rows are already in reduced echelon form fill a pivot map
-directly, and membership and quotient coordinates reduce a vector against the
-stored echelon rows instead of solving a system.
+directly, and membership, quotient dimensions and quotient coordinates
+reduce against the stored echelon rows instead of solving a system.
 
 ``_rref_rows`` takes its rows sparsest first, whatever order the caller
 builds them in, to keep the fill-in low; the RREF of a span is unique, so the
@@ -266,21 +265,13 @@ def _reduce(p, at, vec):
     return vec
 
 
-def _ambient(ambient_dim):
-    """A caller's ambient dimension, checked: an integer, and not negative."""
-    ambient_dim = index(ambient_dim)
-    if ambient_dim < 0:
-        raise ValueError("ambient dimension %d is negative" % ambient_dim)
-    return ambient_dim
-
-
 class Subspace(_Value):
     """A subspace of k^ambient_dim in canonical reduced echelon form.
 
     ``_at`` is its only store: it maps each pivot to its sparse raw RREF row
     and is filled in ascending pivot order.  The constructor takes such a map
-    as it is and checks nothing; ``from_rows`` spans arbitrary rows, and it,
-    ``zero`` and ``full`` check the ambient dimension."""
+    as it is and checks nothing; ``from_rows``, the one checked builder,
+    spans a caller's rows and checks them and the ambient dimension."""
 
     __slots__ = ("ctx", "ambient_dim", "_at")
     _fields = attrgetter("ctx", "ambient_dim", "_at")
@@ -292,25 +283,13 @@ class Subspace(_Value):
 
     @classmethod
     def from_rows(cls, ctx: FieldCtx, ambient_dim: int, rows) -> "Subspace":
-        ambient_dim = _ambient(ambient_dim)
+        ambient_dim = index(ambient_dim)
+        if ambient_dim < 0:
+            raise ValueError("ambient dimension %d is negative" % ambient_dim)
         m = Matrix.from_rows(ctx, rows)
         if m.rows and m.cols != ambient_dim:
             raise AmbientMismatch("basis cols %d != ambient %d" % (m.cols, ambient_dim))
-        return cls._span(ctx, ambient_dim, m._data)
-
-    @classmethod
-    def _span(cls, ctx: FieldCtx, ambient_dim: int, rows) -> "Subspace":
-        """The span of sparse raw rows, by one elimination."""
-        return cls(ctx, ambient_dim, _rref_rows(ctx, rows))
-
-    @classmethod
-    def zero(cls, ctx: FieldCtx, ambient_dim: int) -> "Subspace":
-        return cls(ctx, _ambient(ambient_dim), {})
-
-    @classmethod
-    def full(cls, ctx: FieldCtx, ambient_dim: int) -> "Subspace":
-        ambient_dim = _ambient(ambient_dim)
-        return cls(ctx, ambient_dim, {i: {i: 1} for i in range(ambient_dim)})
+        return cls(ctx, ambient_dim, _rref_rows(ctx, m._data))
 
     @property
     def pivots(self):
@@ -377,17 +356,12 @@ def subspace_contains(a: Subspace, b: Subspace) -> bool:
     return not any(a._remainder(row) for row in b._at.values())
 
 
-def _quotient_reps(sub: Subspace, sup: Subspace):
-    """(rows, pivots): the raw echelon rows of sup whose pivots are not
-    pivots of sub, ascending.  Raises ``NotContained`` unless sub <= sup."""
+def quotient_dim(sub: Subspace, sup: Subspace) -> int:
+    """dim(sup/sub) for sub <= sup, as the pivots of sub are then pivots of
+    sup; raises ``NotContained`` otherwise."""
     if not subspace_contains(sup, sub):
         raise NotContained("quotient needs sub <= sup")
-    lead = [c for c in sup._at if c not in sub._at]
-    return [sup._at[c] for c in lead], lead
-
-
-def quotient_dim(sub: Subspace, sup: Subspace) -> int:
-    return len(_quotient_reps(sub, sup)[0])
+    return sup.dim - sub.dim
 
 
 def _quotient_coords(p, sub, at, vecs):

@@ -277,16 +277,16 @@ def _sd_map_rows(poset: FinPoset, n: int):
 
 
 def sd_maps_into_poset(poset: FinPoset, n: int):
-    """Brute-force simplicial-set maps sd(Delta^n) -> nerve(poset).
+    """Simplicial-set maps sd(Delta^n) -> nerve(poset).
 
     A map out of the nerve of sd([n]) is a vertex assignment that sends
     every 1-simplex of the subdivision to a 1-simplex of the target nerve;
-    higher simplices impose nothing new over a poset.  Used as the
-    independent oracle for ``ex_poset``: it imposes x_I <= x_J along every
-    strict relation I < J of the poset ``sd_ordinal(n)``, where ``ex_poset``
-    imposes only the covering relations of the subset lattice.  The two
-    share the enumeration kernel; the dict-per-family brute force both
-    replaced is kept in the tests as their reference.
+    higher simplices impose nothing new over a poset.  It imposes x_I <= x_J
+    along every strict relation I < J of the poset ``sd_ordinal(n)``, where
+    ``ex_poset`` imposes only the covering relations of the subset lattice.
+    Both run the enumeration kernel ``_monotone``, so neither is an
+    independent oracle for the other; the tests keep a separate brute-force
+    enumeration of each as their reference.
     """
     return _as_families(poset, *_sd_map_rows(poset, n))
 

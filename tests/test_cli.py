@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from tatekit.cli import main
 from tatekit.detline import MAX_FORMULA_BITS
-from tatekit.verify import run_suites
+from tatekit.verify import MAX_CASES, run_suites
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -227,6 +227,16 @@ def test_verify_cases_must_be_positive(capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "lattice", "--cases", cases])
         assert exc.value.code == 2
+
+
+def test_verify_cases_has_a_cap(capsys):
+    """``run_suites`` holds the one limit on the case count, so the API and
+    the CLI refuse the same counts; the CLI with one ``error:`` line."""
+    code, out, err = run(capsys, "verify", "--cases", "99999999999999999999")
+    assert (code, out) == (2, "")
+    assert err == "error: cases must be from 1 to MAX_CASES=%d, got 99999999999999999999\n" % MAX_CASES
+    with pytest.raises(ValueError):
+        run_suites("lattice", cases=MAX_CASES + 1)
 
 
 @pytest.mark.parametrize(

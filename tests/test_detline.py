@@ -37,9 +37,9 @@ from tatekit.detline import (
     _mul_z,
     _quotient_pivots,
     _shuffle,
+    _translation_scalar,
     closed_commutator_formula,
     cocycle_sigma,
-    translation_scalar,
 )
 from tatekit.errors import (
     FieldMismatch,
@@ -51,9 +51,9 @@ from tatekit.errors import (
     SpaceMismatch,
 )
 from tatekit.lattice import act, leq, meet, quotient_dim_lattices
-from tatekit.linalg import Matrix, _quotient_coords, _quotient_reps, det, quotient_dim
+from tatekit.linalg import Matrix, _quotient_coords, det, quotient_dim
 from tatekit.verify import rand_gl, rand_lattice, rand_mult, rand_unit_poly, suite_detline
-from window_kernel import common_window, intersect, window_image
+from window_kernel import _quotient_reps, common_window, intersect, window_image
 
 V = TateSpace(QQ, 1)
 O = std_lattice(V, [0])
@@ -394,14 +394,15 @@ def test_det_theory_coherence_randomized():
 def test_translation_scalar_scaling():
     # multiplication by the constant c rescales the basis of O / tO by c
     c = mult("3")
-    assert str(translation_scalar(c, tO, O)) == "3"
-    assert str(translation_scalar(c, O, tO)) == "1/3"
-    assert str(translation_scalar(mult("t"), O, tm1)) == "1"
+    assert str(_translation_scalar(c, tO, O, act(c, tO), act(c, O))) == "3"
+    assert str(_translation_scalar(c, O, tO, act(c, O), act(c, tO))) == "1/3"
+    t = mult("t")
+    assert str(_translation_scalar(t, O, tm1, act(t, O), act(t, tm1))) == "1"
 
 
 # -- reference: the translation scalar in the canonical descending basis ----
 #
-# This is how translation_scalar was computed before it took both sides in
+# This is how the translation scalar was computed before it took both sides in
 # ascending pivot order: source and target representatives in the canonical
 # descending wedge order.
 
@@ -424,7 +425,7 @@ def test_translation_scalar_matches_the_descending_reference(case, seed):
         g = rand_mult(space.ctx, rng, -3, 3)
     else:
         g = rand_gl(space.ctx, space.rank, rng)
-    assert translation_scalar(g, F1, F2) == ref_translation_scalar(g, F1, F2)
+    assert _translation_scalar(g, F1, F2, act(g, F1), act(g, F2)) == ref_translation_scalar(g, F1, F2)
 
 
 def test_commutator_composes_twice_and_translates_triangularly(monkeypatch):
@@ -598,6 +599,14 @@ def test_ext_mul_of_lifts_on_different_spaces():
         ext_mul(x, ExtElement.lift(Automorphism.gl(parse_laurent_matrix(QQ, "t,0;0,1"))))
     with pytest.raises(FieldMismatch):
         ext_mul(x, ExtElement.lift(mult("t", GF(5))))
+
+
+def test_ext_element_refuses_a_scalar_over_another_field():
+    """z must lie over g's field when the element is built, not only when
+    ``_mul_z`` meets it."""
+    with pytest.raises(FieldMismatch):
+        ExtElement(mult("t"), GF(5).one(), GRADED)
+    assert ExtElement(mult("t", GF(5)), GF(5).one(), GRADED).z == GF(5).one()
 
 
 def test_commutator_of_units_over_different_fields():

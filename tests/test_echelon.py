@@ -17,8 +17,9 @@ from tatekit import GF, QQ, Lattice, Subspace, TateSpace, act, join, meet, std_l
 from tatekit.errors import NotContained
 from tatekit.lattice import row_to_vec, vec_to_row
 from tatekit.laurent import LaurentPoly
-from tatekit.linalg import _box, _meet, _quotient_coords, _quotient_reps
+from tatekit.linalg import _box, _meet, _quotient_coords
 from tatekit.verify import rand_gl, rand_lattice, rand_mult
+from window_kernel import _quotient_reps
 
 FIELDS = [GF(2), GF(3), GF(5), QQ]
 PIVOT_FIELDS = [GF(2), GF(3), GF(1000003), QQ]

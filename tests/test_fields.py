@@ -163,7 +163,7 @@ def _values():
         QQ,
         QQ.one(),
         Matrix.identity(QQ, 2),
-        Subspace.full(QQ, 2),
+        Subspace.from_rows(QQ, 2, [[1, 0], [0, 1]]),
         f,
         TruncSeries.from_poly(f),
         LaurentMatrix.identity(QQ, 2),

@@ -25,9 +25,9 @@ from tatekit import (
 )
 from tatekit.errors import FieldMismatch, InsufficientPrecision, NotContained, NotNested, SpaceMismatch
 from tatekit.lattice import row_to_vec
-from tatekit.linalg import _quotient_reps, quotient_dim
+from tatekit.linalg import quotient_dim
 from tatekit.verify import rand_gl, rand_lattice, rand_mult
-from window_kernel import common_window, shift
+from window_kernel import _quotient_reps, common_window, shift
 
 V = TateSpace(QQ, 1)
 O = std_lattice(V, [0])
@@ -181,6 +181,8 @@ def test_json_roundtrip():
         for _ in range(10):
             L = rand_lattice(space, rng, 2)
             assert lattice_from_json(ctx, L.to_json_dict()) == L
+            window = L.window_subspace(L.a, L.b)  # the dense rows the JSON writes
+            assert L.to_json_dict()["basis"] == [[str(c) for c in row] for row in window.rows()]
     d = O.to_json_dict()
     assert d == {"rank": 1, "a": 0, "b": 0, "basis": []}
 

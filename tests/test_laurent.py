@@ -334,6 +334,12 @@ def test_compose_and_identity():
     assert prod.series.valuation == 0 and prod.series.coeffs[0].is_one()
 
 
+def test_gl_needs_a_laurent_matrix():
+    for matrix in (None, parse_laurent_matrix(QQ, "t,0;0,1").entries):
+        with pytest.raises(TypeError, match="GL needs a LaurentMatrix"):
+            Automorphism(Automorphism.GL, matrix=matrix)
+
+
 def test_gl_refuses_rank_0():
     with pytest.raises(ValueError, match="rank must be positive"):
         Automorphism.gl(parse_laurent_matrix(QQ, ";"))

@@ -5,7 +5,8 @@ import pytest
 
 from tatekit import GF, QQ, Matrix, Subspace, det
 from tatekit.errors import AmbientMismatch, NonSquare, NotContained
-from tatekit.linalg import _box, _meet, _quotient_coords, _quotient_reps, _rref_rows, quotient_dim, subspace_contains
+from tatekit.linalg import _box, _meet, _quotient_coords, _rref_rows, quotient_dim, subspace_contains
+from window_kernel import _quotient_reps
 
 
 def rref(m):
@@ -15,7 +16,12 @@ def rref(m):
 
 
 def span(a, b):
-    return Subspace._span(a.ctx, a.ambient_dim, [*a._at.values(), *b._at.values()])
+    return Subspace(a.ctx, a.ambient_dim, _rref_rows(a.ctx, [*a._at.values(), *b._at.values()]))
+
+
+def whole(ctx, d):
+    """k^d, spanned by the identity rows."""
+    return Subspace.from_rows(ctx, d, [[int(i == j) for j in range(d)] for i in range(d)])
 
 
 def meet(a, b):
@@ -100,7 +106,7 @@ def test_subspace_intersect_f2():
 
 def test_contains_top():
     F3 = GF(3)
-    top = Subspace.full(F3, 3)
+    top = whole(F3, 3)
     sub = Subspace.from_rows(F3, 3, [[1, 2, 0], [0, 0, 1]])
     assert subspace_contains(top, sub)
     assert not subspace_contains(sub, top)
@@ -108,13 +114,13 @@ def test_contains_top():
 
 def test_ambient_mismatch():
     with pytest.raises(AmbientMismatch):
-        subspace_contains(Subspace.full(QQ, 2), Subspace.full(QQ, 3))
+        subspace_contains(whole(QQ, 2), whole(QQ, 3))
 
 
 def test_from_rows_rejects_a_non_integer_ambient_dim():
     with pytest.raises(TypeError):
         Subspace.from_rows(QQ, 2.0, [[1, 0]])
-    assert Subspace.from_rows(QQ, True, [[1]]) == Subspace.full(QQ, 1)
+    assert Subspace.from_rows(QQ, True, [[1]]) == Subspace.from_rows(QQ, 1, [[1]])
 
 
 def test_from_rows_rejects_a_negative_ambient_dim():
@@ -123,17 +129,18 @@ def test_from_rows_rejects_a_negative_ambient_dim():
     assert Subspace.from_rows(QQ, 0, []).dim == 0
 
 
-def test_zero_and_full_check_the_ambient_dim_as_from_rows_does():
-    for build in (Subspace.zero, Subspace.full):
+def test_from_rows_checks_the_ambient_dim_of_the_zero_and_full_spans():
+    for rows in ([], [[1, 0], [0, 1]]):
         for bad in (2.5, 2.0, "2", None):
             with pytest.raises(TypeError):
-                build(QQ, bad)
+                Subspace.from_rows(QQ, bad, rows)
         for bad in (-1, -2):
             with pytest.raises(ValueError):
-                build(QQ, bad)
-        assert build(QQ, 0).dim == 0
-    assert Subspace.zero(QQ, True).ambient_dim == 1 and type(Subspace.zero(QQ, True).ambient_dim) is int
-    assert Subspace.full(QQ, True) == Subspace.from_rows(QQ, 1, [[1]])
+                Subspace.from_rows(QQ, bad, rows)
+    assert Subspace.from_rows(QQ, 0, []).dim == 0
+    zero = Subspace.from_rows(QQ, True, [])
+    assert zero.ambient_dim == 1 and type(zero.ambient_dim) is int
+    assert Subspace.from_rows(QQ, True, [[1]]) == Subspace.from_rows(QQ, 1, [[1]])
 
 
 def all_subspaces(ctx, ambient_dim):
@@ -174,7 +181,7 @@ def test_quotient_dim_examples():
     sub = Subspace.from_rows(QQ, 3, [[1, 0, 0]])
     sup = Subspace.from_rows(QQ, 3, [[1, 0, 0], [1, 1, 0]])
     assert quotient_dim(sub, sub) == 0
-    assert quotient_dim(Subspace.zero(QQ, 3), Subspace.full(QQ, 3)) == 3
+    assert quotient_dim(Subspace.from_rows(QQ, 3, []), whole(QQ, 3)) == 3
     assert quotient_dim(sub, sup) == 1
     with pytest.raises(NotContained):
         quotient_dim(sup, sub)
@@ -188,9 +195,9 @@ def test_quotient_dim_chain_additive():
         rows_a = [[rng.randrange(3) for _ in range(d)] for _ in range(rng.randint(0, 2))]
         rows_b = rows_a + [[rng.randrange(3) for _ in range(d)] for _ in range(rng.randint(0, 2))]
         rows_c = rows_b + [[rng.randrange(3) for _ in range(d)] for _ in range(rng.randint(0, 2))]
-        A = Subspace.from_rows(F3, d, rows_a) if rows_a else Subspace.zero(F3, d)
-        B = Subspace.from_rows(F3, d, rows_b) if rows_b else Subspace.zero(F3, d)
-        C = Subspace.from_rows(F3, d, rows_c) if rows_c else Subspace.zero(F3, d)
+        A = Subspace.from_rows(F3, d, rows_a)
+        B = Subspace.from_rows(F3, d, rows_b)
+        C = Subspace.from_rows(F3, d, rows_c)
         assert quotient_dim(A, C) == quotient_dim(A, B) + quotient_dim(B, C)
 
 
@@ -221,7 +228,7 @@ def test_quotient_coords_roundtrip():
     with pytest.raises(NotContained):  # outside sub + span(reps)
         quotient_coords(sub, reps[:1], lead[:1], vec)
     e1 = Subspace.from_rows(QQ, 3, [[1, 0, 0]])
-    reps, lead = _quotient_reps(e1, Subspace.full(QQ, 3))
+    reps, lead = _quotient_reps(e1, whole(QQ, 3))
     assert [str(c) for c in quotient_coords(e1, reps, lead, [0, 1, 1])] == ["1", "1"]
 
 
@@ -233,7 +240,7 @@ def test_wrong_length_vectors_are_ambient_mismatches():
             sub.contains_vector(vec)
     F5 = GF(5)
     sub = Subspace.from_rows(F5, 3, [[1, 1, 0]])
-    sup = Subspace.full(F5, 3)
+    sup = whole(F5, 3)
     reps, lead = _quotient_reps(sub, sup)
     assert [c.value for c in quotient_coords(sub, reps, lead, [1, 1, 2])] == [0, 2]
     with pytest.raises(AmbientMismatch):

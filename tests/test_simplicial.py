@@ -407,7 +407,7 @@ def test_k0_decompose_flag_chain():
     D = AdmissibleDiagram(
         P,
         {
-            0: Subspace.zero(F2, 3),
+            0: Subspace.from_rows(F2, 3, []),
             1: Subspace.from_rows(F2, 3, [[1, 0, 0]]),
             2: Subspace.from_rows(F2, 3, [[1, 0, 0], [0, 1, 0]]),
         },
@@ -424,7 +424,7 @@ def test_k0_decompose_flag_chain():
 def test_k0_decompose_frame_mismatch():
     F2 = GF(2)
     P = FinPoset.chain(2)
-    D = AdmissibleDiagram(P, {x: Subspace.zero(F2, 2) for x in P.elements})
+    D = AdmissibleDiagram(P, {x: Subspace.from_rows(F2, 2, []) for x in P.elements})
     other = star_frame(BasedPoset(FinPoset.chain(3), [0]))
     with pytest.raises(FrameMismatch):
         k0_decompose(D, other)
@@ -446,7 +446,7 @@ def test_preindex_examples():
     F2 = GF(2)
     b2 = b_interval(2)
     flag = [
-        Subspace.zero(F2, 4),
+        Subspace.from_rows(F2, 4, []),
         Subspace.from_rows(F2, 4, [[1, 0, 0, 0]]),
         Subspace.from_rows(F2, 4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]),
     ]

@@ -349,7 +349,7 @@ def test_meet_sum_and_membership_match_dense_reference(case):
             rest = ref_dense_reduce(p, ref_x, piv_x, row)
             assert dense(dim, x._remainder(sparse(row))) == rest
         assert subspace_contains(x, y) == all(not any(ref_dense_reduce(p, ref_x, piv_x, r)) for r in ref_y)
-    total = Subspace._span(ctx, dim, [*a._at.values(), *b._at.values()])
+    total = Subspace(ctx, dim, linalg._rref_rows(ctx, [*a._at.values(), *b._at.values()]))
     assert [dense(dim, row) for row in total.basis._data] == ref_dense_basis(ctx, rows_a + rows_b)[0]
     assert_invariants(total.basis)
 

@@ -5,10 +5,11 @@ t^-b O^n / t^a O^n of their operands: each operand was re-embedded there,
 with a unit row for every slot of its new top blocks, and the window
 subspaces were compared, summed or met by ``linalg``.  This module is that
 kernel, built only from ``Lattice.window_subspace``, ``subspace_contains``,
-``Subspace._span``, ``linalg._meet`` and ``linalg._quotient_reps``; window
-slot (e + b)*n + i holds t^e e_i.  It shares the eliminations of ``linalg``
-with the lattice layer, but none of its implicit tops, cuts or quotient
-pivots.
+``linalg._rref_rows``, ``linalg._meet`` and ``_quotient_reps``, the echelon
+quotient representatives that ``linalg`` once built and that the tests still
+read; window slot (e + b)*n + i holds t^e e_i.  It shares the eliminations
+of ``linalg`` with the lattice layer, but none of its implicit tops, cuts or
+quotient pivots.
 """
 
 from bisect import bisect_right
@@ -16,7 +17,17 @@ from bisect import bisect_right
 from tatekit import Lattice, Matrix, Subspace, det
 from tatekit.detline import GRADED, UNGRADED
 from tatekit.lattice import _same_space, _window_dim
-from tatekit.linalg import _meet, _quotient_coords, _quotient_reps, subspace_contains
+from tatekit.errors import NotContained
+from tatekit.linalg import _meet, _quotient_coords, _rref_rows, subspace_contains
+
+
+def _quotient_reps(sub, sup):
+    """(rows, pivots): the raw echelon rows of sup whose pivots are not
+    pivots of sub, ascending.  Raises ``NotContained`` unless sub <= sup."""
+    if not subspace_contains(sup, sub):
+        raise NotContained("quotient needs sub <= sup")
+    lead = [c for c in sup._at if c not in sub._at]
+    return [sup._at[c] for c in lead], lead
 
 
 def common_window(*lattices):
@@ -56,7 +67,7 @@ def leq(L, M):
 def join(L, M):
     a, b, (wl, wm) = common_window(L, M)
     rows = [*wl._at.values(), *wm._at.values()]
-    return Lattice(L.space, a, b, Subspace._span(L.ctx, wl.ambient_dim, rows))
+    return Lattice(L.space, a, b, Subspace(L.ctx, wl.ambient_dim, _rref_rows(L.ctx, rows)))
 
 
 def meet(L, M):
@@ -73,7 +84,8 @@ def act(g, L):
     dim = _window_dim(space, a2, b2)
     rows = list(L.window_subspace(L.a, L.b)._at.values())
     rows += [{(e + L.b) * n + i: 1} for e in range(L.a, a2 - vg) for i in range(n)]
-    return Lattice(space, a2, b2, Subspace._span(space.ctx, dim, window_image(g, rows, L.b, a2, b2)))
+    image = window_image(g, rows, L.b, a2, b2)
+    return Lattice(space, a2, b2, Subspace(space.ctx, dim, _rref_rows(space.ctx, image)))
 
 
 def shuffle(M, N, F):
