@@ -33,49 +33,10 @@ from tatekit.simplicial import (
     _sd_map_rows,
     ex_degeneracy,
     ex_face,
-    nonempty_subsets,
     sd_maps_into_poset,
 )
 from tatekit.verify import _same_rows, rand_admissible_diagram, rand_filtered_poset
-
-# -- reference enumerations ----------------------------------------------------
-# ``ex_poset`` and ``sd_maps_into_poset`` as they were before both moved onto
-# the index/up-set kernel: one dict per candidate family, ``leq`` per relation.
-
-
-def ref_ex_poset(poset, n):
-    subsets = nonempty_subsets(n)
-    preds = {
-        J: [I for I in subsets if I < J and len(I) == len(J) - 1] for J in subsets
-    }
-    families = [{}]
-    for J in subsets:
-        nxt = []
-        for fam in families:
-            for x in poset.elements:
-                if all(poset.leq(fam[I], x) for I in preds[J]):
-                    g = dict(fam)
-                    g[J] = x
-                    nxt.append(g)
-        families = nxt
-    return families
-
-
-def ref_sd_maps_into_poset(poset, n):
-    sd = sd_ordinal(n)
-    subsets = sd.elements
-    out = [{}]
-    for J in subsets:
-        nxt = []
-        below = [I for I in subsets if sd.lt(I, J)]
-        for fam in out:
-            for x in poset.elements:
-                if all(poset.leq(fam[I], x) for I in below if I in fam):
-                    g = dict(fam)
-                    g[J] = x
-                    nxt.append(g)
-        out = nxt
-    return out
+from simplicial_ref import ref_ex_poset, ref_sd_maps_into_poset
 
 
 def _same_families(got, want) -> bool:
