@@ -120,6 +120,8 @@ def omega(F1: Lattice, F2: Lattice, F3: Lattice, mode: str = UNGRADED) -> Scalar
     construction; over any common sub-lattice the result would be the same.
     Graded mode inserts the Koszul swap sign.
     """
+    if mode not in (UNGRADED, GRADED):
+        raise ValueError("mode must be %r or %r" % (UNGRADED, GRADED))
     n12, n23, n13 = meet(F1, F2), meet(F2, F3), meet(F1, F3)
     M = meet(n12, F3)
     # The three numerator concatenations M <= N <= F, then the three
@@ -129,8 +131,6 @@ def omega(F1: Lattice, F2: Lattice, F3: Lattice, mode: str = UNGRADED) -> Scalar
     s = sum(_shuffle(_quotient_pivots(M, N), _quotient_pivots(N, F)) for N, F in concatenations)
     if mode == GRADED:
         s += (F2.vdim - F1.vdim) * (F3.vdim - F2.vdim)
-    elif mode != UNGRADED:
-        raise ValueError("mode must be %r or %r" % (UNGRADED, GRADED))
     one = F1.ctx.one()
     return -one if s % 2 else one
 

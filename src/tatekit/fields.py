@@ -242,12 +242,6 @@ class FieldCtx(_Frozen):
     def one(self) -> "Scalar":
         return self.scalar(1)
 
-    def elements(self):
-        """Iterate all field elements (prime fields only)."""
-        if self.kind != PRIME_FIELD:
-            raise ValueError("cannot enumerate the rationals")
-        return (self.scalar(i) for i in range(self.modulus))
-
 
 QQ = FieldCtx(RATIONALS)
 

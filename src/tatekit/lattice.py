@@ -289,12 +289,6 @@ class LatticeChain(_Frozen):
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "lattices", lattices)
 
-    def __len__(self):
-        return len(self.lattices)
-
-    def __getitem__(self, i):
-        return self.lattices[i]
-
 
 def std_lattice(space: TateSpace, shifts) -> Lattice:
     return Lattice.std(space, shifts)

@@ -27,14 +27,14 @@ determinant, whose inverse has the same shape: a GL automorphism keeps both
 from one fraction-free elimination at construction.  ``Automorphism.image``
 maps sparse raw rows on the absolute slots of ``lattice`` straight to rows
 reduced modulo t^a O^n, reading each term list in ascending order only up to
-the top t^a.
+the top t^a; the truncated series product and ``mul_poly_mod`` run on it too.
 """
 
 from __future__ import annotations
 
 import re
 from math import gcd
-from operator import attrgetter, index
+from operator import attrgetter, index, mul
 
 from .errors import (
     FieldMismatch,
@@ -56,21 +56,13 @@ MAX_GL_RANK = 8
 # modulus, None over Q.
 
 
-def _mac(acc, f, g, cutoff=None):
+def _mac(acc, f, g):
     """Add the product of the term dicts ``f`` and ``g`` into ``acc``,
-    unreduced; with a ``cutoff``, only its terms below t^cutoff."""
-    if cutoff is None:
-        for e1, c1 in f.items():
-            for e2, c2 in g.items():
-                e = e1 + e2
-                acc[e] = acc.get(e, 0) + c1 * c2
-        return
-    g = sorted(g.items())
+    unreduced: the exact product.  A truncated product runs through
+    ``Automorphism.image``, which reads each term list only up to its top."""
     for e1, c1 in f.items():
-        for e2, c2 in g:
+        for e2, c2 in g.items():
             e = e1 + e2
-            if e >= cutoff:
-                break
             acc[e] = acc.get(e, 0) + c1 * c2
 
 
@@ -127,9 +119,6 @@ class LaurentPoly(_Value):
 
     def is_zero(self):
         return not self._terms
-
-    def is_one(self):
-        return len(self._terms) == 1 and self._terms.get(0) == 1
 
     def __add__(self, other):
         _check_ctx(self, other)
@@ -241,9 +230,6 @@ class TruncSeries(_Value):
             raise InsufficientPrecision(e - self.valuation + 1, self.precision)
         return Scalar(self.ctx, self._terms.get(e, 0))
 
-    def leading_coeff(self) -> Scalar:
-        return Scalar(self.ctx, self._terms[self.valuation])
-
     def is_monomial(self):
         return self.top is None and len(self._terms) == 1
 
@@ -254,10 +240,12 @@ class TruncSeries(_Value):
         _check_ctx(self, other)
         v = self.valuation + other.valuation
         known = [s.top - s.valuation for s in (self, other) if s.top is not None]
-        top = v + min(known) if known else None
+        if known:  # image reads self below v(self) + min(known) <= self.top: it cannot raise
+            top = v + min(known)
+            return TruncSeries._raw(self.ctx, v, Automorphism.mult_by(self).image([other._terms], top)[0], top)
         acc = {}
-        _mac(acc, self._terms, other._terms, top)
-        return TruncSeries._raw(self.ctx, v, _reduced(self.ctx.modulus, acc), top)
+        _mac(acc, self._terms, other._terms)
+        return TruncSeries._raw(self.ctx, v, _reduced(self.ctx.modulus, acc), None)
 
     def _inverse_precision(self, precision: int | None) -> int:
         """The precision ``inverse(precision)`` asks for: the given one, or by
@@ -322,12 +310,13 @@ class LaurentMatrix(_Value):
     _fields = attrgetter("ctx", "n", "entries")
 
     def __init__(self, ctx: FieldCtx, n: int, entries):
-        entries = tuple(entries)
+        n, entries = index(n), tuple(entries)
+        if n < 0:
+            raise ValueError("rank %d is negative" % n)
         if len(entries) != n * n:
             raise ValueError("need %d entries" % (n * n,))
-        for e in entries:
-            if not isinstance(e, LaurentPoly) or e.ctx != ctx:
-                raise FieldMismatch("entry outside %r" % (ctx,))
+        if not all(isinstance(e, LaurentPoly) and e.ctx == ctx for e in entries):
+            raise FieldMismatch("entry outside %r" % (ctx,))
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "entries", entries)
@@ -378,17 +367,11 @@ class LaurentMatrix(_Value):
         return LaurentMatrix(self.ctx, n, out)
 
     def apply(self, vec):
-        """Image of a vector of LaurentPoly coordinates."""
-        for f in vec:
-            if f._terms:
-                _check_ctx(self, f)
-        out = []
-        for row in self._term_rows():
-            acc = {}
-            for f, x in zip(row, vec):
-                _mac(acc, f, x._terms)
-            out.append(LaurentPoly._raw(self.ctx, _reduced(self.ctx.modulus, acc)))
-        return out
+        """Image of a vector of n LaurentPoly coordinates, by the ring's ``*`` and ``+``."""
+        n = self.n
+        if len(vec) != n:
+            raise SpaceMismatch("vector of %d coordinates for a rank %d matrix" % (len(vec), n))
+        return [sum(map(mul, self.entries[i * n : (i + 1) * n], vec), LaurentPoly.zero(self.ctx)) for i in range(n)]
 
     def is_identity(self):
         return self == LaurentMatrix.identity(self.ctx, self.n)

@@ -9,17 +9,17 @@ where the F_p branch reduces ``% p``, the Q branch makes the value canonical.
 Over Q an entry that is an int on every side stays int arithmetic, and any
 other is computed on numerators and denominators and reduced by one gcd in
 ``fields._frac``, never through ``Fraction`` operators.
-Values are checked and unboxed where they enter (``Matrix``, ``from_rows``,
-``contains_vector``) and leave as dense rows of ``Scalar`` (``entries``,
-``m[i, j]``, ``row_list``, ``Subspace.rows``); values the kernel computes
-itself are not checked again.
+Values are checked and unboxed where they enter, each by ``_unbox``
+(``Matrix``, ``from_rows``, ``contains_vector``), and leave as dense rows of
+``Scalar`` (``entries``, ``row_list``); values the kernel computes itself are
+not checked again.
 
 A subspace is its pivot map ``_at``: each pivot column mapped to its reduced
 row echelon row, in ascending pivot order.  That is a canonical form, so two
-subspaces are equal iff their maps are equal, and the pivots, the dimension,
-the boxed rows and the ``basis`` matrix are all read off it.  Quotient bases
-are fixed by echelon completion, so every downstream determinant-line scalar
-is reproducible run to run.
+subspaces are equal iff their maps are equal, and the pivots, the dimension
+and the ``basis`` matrix are all read off it.  Quotient bases are fixed by
+echelon completion, so every downstream determinant-line scalar is
+reproducible run to run.
 
 Two builders run an elimination, each at most one, through ``_rref_rows``:
 ``Subspace.from_rows``, the span of a caller's rows, and ``_meet``, the one
@@ -105,14 +105,7 @@ class Matrix(_Value):
         entries = tuple(entries)
         if len(entries) != rows * cols:
             raise ValueError("entry count %d != %d x %d" % (len(entries), rows, cols))
-        for e in entries:
-            if not isinstance(e, Scalar) or e.ctx != ctx:
-                raise FieldMismatch("matrix entry outside %r" % (ctx,))
-        data = [
-            {j: e.value for j, e in enumerate(entries[i * cols : (i + 1) * cols]) if e.value}
-            for i in range(rows)
-        ]
-        self._fill(ctx, cols, data)
+        self._fill(ctx, cols, [_unbox(ctx, entries[i * cols : (i + 1) * cols]) for i in range(rows)])
 
     def _fill(self, ctx, cols, data):
         object.__setattr__(self, "ctx", ctx)
@@ -132,9 +125,8 @@ class Matrix(_Value):
         rows = [list(row) for row in rows]
         data = [_unbox(ctx, row) for row in rows]
         ncols = len(rows[0]) if rows else 0
-        for row in rows:
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
+        if any(len(row) != ncols for row in rows):
+            raise ValueError("ragged rows")
         return cls._raw(ctx, ncols, data)
 
     @classmethod
@@ -144,12 +136,6 @@ class Matrix(_Value):
     @property
     def entries(self):
         return tuple(x for row in self.row_list() for x in row)
-
-    def __getitem__(self, ij):
-        i, j = ij
-        if not -self.cols <= j < self.cols:
-            raise IndexError("column %d of %d" % (j, self.cols))
-        return Scalar(self.ctx, self._data[i].get(j % self.cols, 0))
 
     def row_list(self):
         return [_box(self.ctx, self.cols, row) for row in self._data]
@@ -303,9 +289,6 @@ class Subspace(_Value):
     def basis(self) -> Matrix:
         """The echelon rows as a matrix, built on each call."""
         return Matrix._raw(self.ctx, self.ambient_dim, self._at.values())
-
-    def rows(self):
-        return [_box(self.ctx, self.ambient_dim, row) for row in self._at.values()]
 
     def _remainder(self, vec):
         return _reduce(self.ctx.modulus, self._at, vec)

@@ -51,6 +51,7 @@ def test_index_matrix_rank_one_is_mult(capsys):
 
 def test_index_of_an_empty_matrix_exits_2(capsys):
     assert run(capsys, "index", "--matrix", ";") == (2, "", "error: rank must be positive\n")
+    assert run(capsys, "index") == (2, "", "error: need --f or --matrix\n")  # no automorphism at all
 
 
 def test_window_cap_exit_2(capsys):

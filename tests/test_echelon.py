@@ -51,7 +51,7 @@ def nested_subspaces(draw):
     dim = draw(st.integers(1, 6))
     sup = Subspace.from_rows(ctx, dim, _rows(draw, ctx, draw(st.integers(0, dim)), dim))
     combos = _rows(draw, ctx, draw(st.integers(0, sup.dim)), sup.dim)
-    sub = Subspace.from_rows(ctx, dim, [_combine(ctx, dim, c, sup.rows()) for c in combos])
+    sub = Subspace.from_rows(ctx, dim, [_combine(ctx, dim, c, sup.basis.row_list()) for c in combos])
     return sub, sup, ctx
 
 
@@ -90,7 +90,7 @@ def test_window_subspace_matches_from_rows(case):
     w = L.window_subspace(a2, b2)
     ref = _reference_window(L, a2, b2)
     assert w == ref and w.pivots == ref.pivots
-    assert w == Subspace.from_rows(L.ctx, w.ambient_dim, w.rows())
+    assert w == Subspace.from_rows(L.ctx, w.ambient_dim, w.basis.row_list())
 
 
 @SETTINGS
@@ -100,7 +100,7 @@ def test_normalize_reembedded_lattice(case):
     M = Lattice(L.space, a2, b2, L.window_subspace(a2, b2))
     w, wm = L.window_subspace(L.a, L.b), M.window_subspace(M.a, M.b)
     assert M == L and wm.pivots == w.pivots
-    ref = Subspace.from_rows(L.ctx, w.ambient_dim, w.rows())
+    ref = Subspace.from_rows(L.ctx, w.ambient_dim, w.basis.row_list())
     assert w == ref and w.pivots == ref.pivots
 
 
@@ -112,7 +112,7 @@ def test_quotient_coords_reconstructs(case, data):
     if data.draw(st.booleans()):
         reps, lead = reps[::-1], lead[::-1]  # the wedge order detline uses
     dim = sup.ambient_dim
-    vec = _combine(ctx, dim, _rows(data.draw, ctx, 1, sup.dim)[0], sup.rows())
+    vec = _combine(ctx, dim, _rows(data.draw, ctx, 1, sup.dim)[0], sup.basis.row_list())
     coords = quotient_coords(sub, reps, lead, vec)
     diff = [x - y for x, y in zip(vec, _combine(ctx, dim, coords, [_box(ctx, dim, row) for row in reps]))]
     assert sub.contains_vector(diff)
@@ -137,7 +137,7 @@ def test_echelon_builders_do_not_eliminate(monkeypatch):
     assert Lattice(V, 3, 2, w) == L
     S = std_lattice(V, [2, -1])
     assert S.window_subspace(S.a, S.b).dim == 3
-    assert w.contains_vector(w.rows()[0]) and L.contains_vector(row_to_vec(V, list(L._at.values())[1]))
+    assert w.contains_vector(w.basis.row_list()[0]) and L.contains_vector(row_to_vec(V, list(L._at.values())[1]))
     assert [str(c) for c in quotient_coords(sub, *_quotient_reps(sub, sup), vec)] == ["3"]  # vec = 2*sub + 3*rep
 
 
@@ -150,7 +150,7 @@ def assert_pivot_map(s):
     for c, row in s._at.items():
         assert min(row) == c and row[c] == 1
         assert not any(d in row for d in pivots if d != c)
-    again = Subspace.from_rows(s.ctx, s.ambient_dim, s.rows())
+    again = Subspace.from_rows(s.ctx, s.ambient_dim, s.basis.row_list())
     assert again == s and again.pivots == s.pivots
 
 

@@ -172,7 +172,7 @@ def test_rref_matches_reference(case):
     assert red.row_list() == ref_rows[: len(ref_pivots)] and list(at) == ref_pivots
     assert_canonical(ctx, red.entries)
     sub = Subspace.from_rows(ctx, len(rows[0]), rows)
-    assert sub.rows() == ref_rows[: len(ref_pivots)] and list(sub.pivots) == ref_pivots
+    assert sub.basis.row_list() == ref_rows[: len(ref_pivots)] and list(sub.pivots) == ref_pivots
 
 
 @SETTINGS
@@ -190,11 +190,11 @@ def test_sum_and_intersection_match_reference(case):
     ctx, dim, rows_a, rows_b = case
     a, b = Subspace.from_rows(ctx, dim, rows_a), Subspace.from_rows(ctx, dim, rows_b)
     total = Subspace(ctx, dim, _rref_rows(ctx, [*a._at.values(), *b._at.values()]))
-    assert (total.rows(), list(total.pivots)) == ref_basis(ctx, rows_a + rows_b)
+    assert (total.basis.row_list(), list(total.pivots)) == ref_basis(ctx, rows_a + rows_b)
     meet = Subspace(ctx, dim, _meet(ctx, a._at, b._at, dim))
     ref_a, ref_b = ref_basis(ctx, rows_a)[0], ref_basis(ctx, rows_b)[0] if rows_b else []
-    assert (meet.rows(), list(meet.pivots)) == ref_intersect(ctx, dim, ref_a, ref_b)
-    assert_canonical(ctx, [x for s in (total, meet) for row in s.rows() for x in row])
+    assert (meet.basis.row_list(), list(meet.pivots)) == ref_intersect(ctx, dim, ref_a, ref_b)
+    assert_canonical(ctx, [x for s in (total, meet) for row in s.basis.row_list() for x in row])
 
 
 @SETTINGS
@@ -257,3 +257,18 @@ def test_foreign_field_vectors_are_rejected():
         Matrix(F5, 1, 2, [F5.scalar(1), F7.scalar(1)])
     with pytest.raises(NotContained):
         quotient_coords(sub, [], [], [F5.scalar(0), F5.scalar(1)])
+
+
+@pytest.mark.parametrize("ctx", [QQ, GF(5), GF(1000003)], ids=repr)
+def test_matrix_unboxes_as_from_rows(ctx):
+    """``Matrix`` takes Scalars, ints, Fractions and "a/b" strings as
+    ``Matrix.from_rows`` does; a wrong entry count and a float are refused."""
+    rows = [[ctx.scalar(3), 0, "1/2"], [Fraction(-2, 3), ctx.scalar("5/4"), 7]]
+    flat = [x for row in rows for x in row]
+    m = Matrix(ctx, 2, 3, flat)
+    assert m == Matrix.from_rows(ctx, rows) and m.row_list() == [[ctx.scalar(x) for x in row] for row in rows]
+    assert Matrix(ctx, 3, 2, flat) == Matrix.from_rows(ctx, [flat[:2], flat[2:4], flat[4:]])
+    with pytest.raises(ValueError, match="entry count 6 != 2 x 2"):
+        Matrix(ctx, 2, 2, flat)
+    with pytest.raises(TypeError):
+        Matrix(ctx, 1, 2, [1, 0.5])

@@ -182,7 +182,7 @@ def test_json_roundtrip():
             L = rand_lattice(space, rng, 2)
             assert lattice_from_json(ctx, L.to_json_dict()) == L
             window = L.window_subspace(L.a, L.b)  # the dense rows the JSON writes
-            assert L.to_json_dict()["basis"] == [[str(c) for c in row] for row in window.rows()]
+            assert L.to_json_dict()["basis"] == [[str(c) for c in row] for row in window.basis.row_list()]
     d = O.to_json_dict()
     assert d == {"rank": 1, "a": 0, "b": 0, "basis": []}
 

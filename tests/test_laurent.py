@@ -17,7 +17,14 @@ from tatekit import (
     parse_laurent,
     parse_laurent_matrix,
 )
-from tatekit.errors import InsufficientPrecision, NotInvertibleInLaurentRing, TateKitError, ZeroElement
+from tatekit.errors import (
+    FieldMismatch,
+    InsufficientPrecision,
+    NotInvertibleInLaurentRing,
+    SpaceMismatch,
+    TateKitError,
+    ZeroElement,
+)
 from tatekit.laurent import _TERM_RE, _split_terms
 
 
@@ -372,3 +379,22 @@ def test_automorphism_hash_is_computed_once(monkeypatch):
     g = Automorphism.gl(m)
     assert hash(g) == hash(g) and len(calls) == 1
     assert hash(Automorphism.gl(parse_laurent_matrix(QQ, "t,1+t;0,t"))) == hash(g)
+
+
+def test_laurent_matrix_rank_is_a_nonnegative_int():
+    one, zero = LaurentPoly.one(QQ), LaurentPoly.zero(QQ)
+    with pytest.raises(TypeError):
+        LaurentMatrix(QQ, 2.0, [one, zero, zero, one])
+    with pytest.raises(ValueError, match="negative"):
+        LaurentMatrix(QQ, -1, [one])
+    assert LaurentMatrix(QQ, 0, []).n == 0  # refused later, by GL: "rank must be positive"
+
+
+def test_apply_checks_the_vector():
+    one, m = LaurentPoly.one(QQ), LaurentMatrix.identity(QQ, 3)
+    assert m.apply([one, P("t"), P("2-t^-1")]) == [one, P("t"), P("2-t^-1")]
+    for vec in ([one], [one] * 4):
+        with pytest.raises(SpaceMismatch, match="%d coordinates for a rank 3" % len(vec)):
+            m.apply(vec)
+    with pytest.raises(FieldMismatch):
+        m.apply([one, one, LaurentPoly.zero(GF(5))])

@@ -145,9 +145,9 @@ def test_from_rows_checks_the_ambient_dim_of_the_zero_and_full_spans():
 
 def all_subspaces(ctx, ambient_dim):
     """Every subspace of k^ambient_dim (tiny prime fields only)."""
-    vectors = [[]]
+    elements, vectors = [ctx.scalar(i) for i in range(ctx.modulus)], [[]]
     for _ in range(ambient_dim):
-        vectors = [v + [x] for v in vectors for x in ctx.elements()]
+        vectors = [v + [x] for v in vectors for x in elements]
     seen = set()
     out = []
     nonzero = [v for v in vectors if any(not x.is_zero() for x in v)]

@@ -381,7 +381,7 @@ def test_window_lattices_keep_invariants():
                 gL = act(g, L)
                 for s in (L.window_subspace(L.a, L.b), L.window_subspace(L.a + 2, L.b + 1), gL.window_subspace(gL.a, gL.b)):
                     assert_invariants(s.basis)
-                    assert s == Subspace.from_rows(ctx, s.ambient_dim, s.rows())
+                    assert s == Subspace.from_rows(ctx, s.ambient_dim, s.basis.row_list())
 
 
 @pytest.mark.parametrize("seed", range(4))
