@@ -48,14 +48,13 @@ from bisect import bisect_right
 from operator import attrgetter, index
 
 from .errors import (
-    FieldMismatch,
     FormulaTooLarge,
     ModeMismatch,
     NotMultiplicationAutomorphism,
     NotNested,
     ZeroElement,
 )
-from .fields import Scalar, _Frozen, _Value
+from .fields import Scalar, _Frozen, _Value, _same_field
 from .laurent import Automorphism, LaurentPoly
 from .lattice import Lattice, TateSpace, _same_space, _window_dim, act, leq, meet, std_lattice
 from .linalg import Matrix, _quotient_coords, det
@@ -233,8 +232,7 @@ class ExtElement(_Frozen):
             raise ZeroElement("extension scalar must be nonzero")
         if mode not in (UNGRADED, GRADED):
             raise ValueError("mode must be graded or ungraded")
-        if z.ctx is not g.ctx and z.ctx != g.ctx:
-            raise FieldMismatch("scalar over %r for an automorphism over %r" % (z.ctx, g.ctx))
+        _same_field(z.ctx, g.ctx)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "mode", mode)
@@ -290,8 +288,7 @@ def commutator(
     """
     if f.rank != 1 or g.rank != 1:
         raise NotMultiplicationAutomorphism("commutator needs MultBy units")
-    if f.ctx != g.ctx:
-        raise FieldMismatch("units over different fields")
+    _same_field(f.ctx, g.ctx)
     x, y = ExtElement.lift(f, mode), ExtElement.lift(g, mode)
     depth = abs(f.series.valuation) + abs(g.series.valuation) + 1
 
@@ -318,7 +315,7 @@ def closed_commutator_formula(f: LaurentPoly, g: LaurentPoly) -> Scalar:
     if f.is_zero() or g.is_zero():
         raise ZeroElement("tame symbol of zero")
     p, q = f.valuation(), g.valuation()
-    a, b = f.leading_coeff(), g.leading_coeff()
+    a, b = f.coeff(p), g.coeff(q)
     if a.ctx.modulus is None:
         bits = sum(
             abs(e) * (c.value.numerator.bit_length() + c.value.denominator.bit_length())

@@ -13,8 +13,8 @@ is the one normaliser of an accumulated dict of them.  Over Q the kernels
 compute on int numerators and denominators rather than through ``Fraction``
 operators: ``_frac`` makes one value canonical by one gcd, and
 ``_numerators`` puts a batch of dicts over one common denominator.
-Arithmetic between scalars of different contexts is a hard error, never a
-coercion.
+Arithmetic between values of different contexts is a hard error, never a
+coercion: ``_same_field`` is the one check, for every layer.
 
 All values are immutable (``_Frozen``) and hashable.  The value types
 declare their identity once, on ``_Value``: a ``_fields`` getter names the
@@ -161,6 +161,12 @@ class _Value(_Frozen):
         return hash(self._fields(self))
 
 
+def _same_field(a, b):
+    """Raise ``FieldMismatch`` unless the contexts ``a`` and ``b`` are one field."""
+    if a is not b and a != b:
+        raise FieldMismatch("%r vs %r" % (a, b))
+
+
 class FieldCtx(_Frozen):
     """The base field: either Q or F_p for a verified prime p."""
 
@@ -214,8 +220,7 @@ class FieldCtx(_Frozen):
         other type, a float included, raises ``TypeError``.
         """
         if isinstance(value, Scalar):
-            if value.ctx is not self and value.ctx != self:
-                raise FieldMismatch("scalar of %r used in %r" % (value.ctx, self))
+            _same_field(value.ctx, self)
             return value.value
         if isinstance(value, str):
             if "/" in value:
@@ -268,8 +273,7 @@ class Scalar(_Value):
     def _check(self, other: "Scalar"):
         if not isinstance(other, Scalar):
             raise TypeError("expected Scalar, got %r" % (other,))
-        if other.ctx is not self.ctx and other.ctx != self.ctx:
-            raise FieldMismatch("%r vs %r" % (self.ctx, other.ctx))
+        _same_field(self.ctx, other.ctx)
 
     def __add__(self, other):
         self._check(other)

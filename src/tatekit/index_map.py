@@ -141,26 +141,23 @@ def _once(store: dict, op, x, y):
 class LatticeFamily:
     """All lattices L_{m,I} over the faces of one top chain.
 
-    ``entries`` maps a face and a subset, as (kept-vertices tuple, sorted
-    subset tuple), to a Lattice.  ``arrows`` maps each vertex pair (lo, hi),
-    lo < hi, to the composite arrow from lo to hi.  A face's arrows are those
-    of its consecutive kept vertices, and only its last one is read: it
-    translates the face without its last vertex, while a missing vertex
-    i < m leads to another face (see the module doc).  ``translates`` holds
-    the g L already computed, keyed by (g, L) by value, and is shared with
-    every copy made by ``replaced``.
+    ``faces`` lists every face as its tuple of kept vertices, by size, then
+    lexicographically.  ``entries`` maps a face and a subset, as
+    (kept-vertices tuple, sorted subset tuple), to a Lattice.  ``arrows``
+    maps each vertex pair (lo, hi), lo < hi, to the composite arrow from lo
+    to hi.  A face's arrows are those of its consecutive kept vertices, and
+    only its last one is read: it translates the face without its last
+    vertex, while a missing vertex i < m leads to another face (see the
+    module doc).  ``translates`` holds the g L already computed, keyed by
+    (g, L) by value, and is shared with every copy made by ``replaced``.
     """
 
     def __init__(self, chain: AutChain, entries: dict, faces: tuple, arrows: dict, translates: dict):
         self.chain = chain
         self.entries = entries
         self.arrows = arrows
-        self._faces = faces
+        self.faces = faces
         self._translates = translates
-
-    def faces(self):
-        """Every face as its tuple of kept vertices, by size, then lexicographically."""
-        return self._faces
 
     def lattice(self, kept, I) -> Lattice:
         key = (tuple(kept), tuple(sorted(I)))
@@ -173,7 +170,7 @@ class LatticeFamily:
         self.lattice(kept, I)  # UnknownFace for a (face, subset) the family lacks
         entries = dict(self.entries)
         entries[(tuple(kept), tuple(sorted(I)))] = lattice
-        return LatticeFamily(self.chain, entries, self._faces, self.arrows, self._translates)
+        return LatticeFamily(self.chain, entries, self.faces, self.arrows, self._translates)
 
 
 @lru_cache(maxsize=None)
@@ -243,7 +240,7 @@ def verify_family(family: LatticeFamily):
         status, detail = ("pass", "") if ok else ("fail", detail)
         report.append({"check": check, "simplex": simplex, "status": status, "detail": detail})
 
-    for kept in family.faces():
+    for kept in family.faces:
         m = len(kept) - 1
         if m == 0:
             continue

@@ -43,8 +43,8 @@ from __future__ import annotations
 from itertools import islice
 from operator import attrgetter, index
 
-from .errors import FieldMismatch, NotNested, SpaceMismatch, WindowTooLarge
-from .fields import FieldCtx, _Frozen, _Value
+from .errors import NotNested, SpaceMismatch, WindowTooLarge
+from .fields import FieldCtx, _Frozen, _Value, _same_field
 from .laurent import Automorphism, LaurentPoly
 from .linalg import Subspace, _cut, _meet, _reduce, _rref_rows
 
@@ -93,8 +93,9 @@ def vec_to_row(space: TateSpace, a: int, vec):
         raise SpaceMismatch("vector of %d coordinates in %r" % (len(vec), space))
     row = {}
     for i, poly in enumerate(vec):
-        if poly.ctx != space.ctx:
-            raise FieldMismatch("coordinate over %r in %r" % (poly.ctx, space))
+        if not isinstance(poly, LaurentPoly):
+            raise TypeError("expected LaurentPoly coordinates, got %r" % (poly,))
+        _same_field(poly.ctx, space.ctx)
         for e, c in poly._terms.items():
             if e < a:  # a term from t^a up dies modulo t^a O^n
                 row[e * space.rank + i] = c
@@ -113,8 +114,7 @@ class Lattice(_Value):
         if a + b < 0:
             raise ValueError("window bounds a=%d, b=%d overlap" % (a, b))
         dim = _window_dim(space, a, b)
-        if subspace.ctx is not space.ctx and subspace.ctx != space.ctx:
-            raise FieldMismatch("subspace over %r in %r" % (subspace.ctx, space))
+        _same_field(subspace.ctx, space.ctx)
         if subspace.ambient_dim != dim:
             raise ValueError("subspace ambient %d != window dim %d" % (subspace.ambient_dim, dim))
         off = b * space.rank
@@ -222,11 +222,12 @@ def lattice_from_json(ctx: FieldCtx, data: dict) -> Lattice:
 
 
 def _same_space(*lattices):
-    """Raise ``SpaceMismatch`` unless the lattices share one space."""
-    space = lattices[0].space
-    for L in lattices[1:]:
-        if L.space != space:
-            raise SpaceMismatch("%r vs %r" % (space, L.space))
+    """Raise ``TypeError`` unless the operands are lattices, ``SpaceMismatch`` unless on one space."""
+    for L in lattices:
+        if not isinstance(L, Lattice):
+            raise TypeError("expected Lattice, got %r" % (L,))
+        if L.space != lattices[0].space:
+            raise SpaceMismatch("%r vs %r" % (lattices[0].space, L.space))
 
 
 def leq(L: Lattice, M: Lattice) -> bool:
@@ -261,6 +262,8 @@ def quotient_dim_lattices(L: Lattice, M: Lattice) -> int:
 
 def act(g: Automorphism, L: Lattice) -> Lattice:
     """The image lattice g L, tightened."""
+    if not (isinstance(g, Automorphism) and isinstance(L, Lattice)):
+        raise TypeError("act needs an Automorphism and a Lattice, got %r, %r" % (g, L))
     space = L.space
     if g.ctx != space.ctx or g.rank != space.rank:
         raise SpaceMismatch("automorphism of rank %d on %r" % (g.rank, space))

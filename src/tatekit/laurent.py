@@ -18,8 +18,8 @@ operand over its common denominator (``fields._numerators``), so that its
 term products are int products and each result coefficient is divided once.
 Caller input is checked once, through ``FieldCtx.raw``, by the
 ``LaurentPoly`` and ``TruncSeries`` constructors; the polynomials and series
-computed here are built unchecked.  ``terms``, ``coeffs``, ``coeff`` and
-``leading_coeff`` box into ``Scalar`` on the way out.
+computed here are built unchecked.  ``terms``, ``coeffs`` and ``coeff`` box
+into ``Scalar`` on the way out.
 
 Automorphisms of k((t))^n come in two finitely presented flavours:
 multiplication by a unit series (n = 1) and GL_n over k[t, 1/t] with monomial
@@ -45,7 +45,7 @@ from .errors import (
     SpaceMismatch,
     ZeroElement,
 )
-from .fields import FieldCtx, Scalar, _Value, _inv, _mul, _numerators, _reduced
+from .fields import FieldCtx, Scalar, _Value, _inv, _mul, _numerators, _reduced, _same_field
 
 DEFAULT_PRECISION = 16
 
@@ -73,8 +73,10 @@ def _negated(p, f):
 
 
 def _check_ctx(x, y):
-    if x.ctx is not y.ctx and x.ctx != y.ctx:
-        raise FieldMismatch("%r vs %r" % (x.ctx, y.ctx))
+    """Raise ``TypeError`` unless ``y`` is a polynomial or series, ``FieldMismatch`` unless over x's field."""
+    if not isinstance(y, (LaurentPoly, TruncSeries)):
+        raise TypeError("expected LaurentPoly or TruncSeries, got %r" % (y,))
+    _same_field(x.ctx, y.ctx)
 
 
 class LaurentPoly(_Value):
@@ -151,9 +153,6 @@ class LaurentPoly(_Value):
         if not self._terms:
             raise ZeroElement("valuation of 0")
         return min(self._terms)
-
-    def leading_coeff(self) -> Scalar:
-        return Scalar(self.ctx, self._terms[self.valuation()])
 
     def is_monomial(self):
         return len(self._terms) == 1
@@ -350,8 +349,9 @@ class LaurentMatrix(_Value):
         return [[f._terms for f in self.entries[i * n : (i + 1) * n]] for i in range(n)]
 
     def __mul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        if self.ctx != other.ctx:
-            raise FieldMismatch("matrix product across fields")
+        if not isinstance(other, LaurentMatrix):
+            return NotImplemented
+        _same_field(self.ctx, other.ctx)
         if self.n != other.n:
             raise SpaceMismatch("rank %d vs %d" % (self.n, other.n))
         n, p = self.n, self.ctx.modulus
@@ -579,8 +579,9 @@ class Automorphism(_Value):
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         """self after other, acting on the same space."""
-        if self.ctx != other.ctx:
-            raise FieldMismatch("%r vs %r" % (self.ctx, other.ctx))
+        if not isinstance(other, Automorphism):
+            raise TypeError("expected Automorphism, got %r" % (other,))
+        _same_field(self.ctx, other.ctx)
         if self.rank != other.rank:
             raise SpaceMismatch("rank %d vs %d" % (self.rank, other.rank))
         if self.kind == self.GL:

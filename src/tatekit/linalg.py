@@ -39,8 +39,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from operator import attrgetter, index
 
-from .errors import AmbientMismatch, FieldMismatch, NonSquare, NotContained
-from .fields import FieldCtx, Scalar, _Value, _frac, _inv, _mul, _neg, _reduced
+from .errors import AmbientMismatch, NonSquare, NotContained
+from .fields import FieldCtx, Scalar, _Value, _frac, _inv, _mul, _neg, _reduced, _same_field
 
 # Row kernels on sparse raw rows; ``p`` is the field's modulus, None over Q.
 # They keep ``% p`` and the int case inline, as one function call per entry
@@ -102,7 +102,9 @@ class Matrix(_Value):
     _fields = attrgetter("ctx", "rows", "cols", "_data")
 
     def __init__(self, ctx: FieldCtx, rows: int, cols: int, entries):
-        entries = tuple(entries)
+        rows, cols, entries = index(rows), index(cols), tuple(entries)
+        if rows < 0 or cols < 0:
+            raise ValueError("shape %dx%d is negative" % (rows, cols))
         if len(entries) != rows * cols:
             raise ValueError("entry count %d != %d x %d" % (len(entries), rows, cols))
         self._fill(ctx, cols, [_unbox(ctx, entries[i * cols : (i + 1) * cols]) for i in range(rows)])
@@ -141,8 +143,9 @@ class Matrix(_Value):
         return [_box(self.ctx, self.cols, row) for row in self._data]
 
     def __mul__(self, other: "Matrix") -> "Matrix":
-        if self.ctx != other.ctx:
-            raise FieldMismatch("matrix product across fields")
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        _same_field(self.ctx, other.ctx)
         if self.cols != other.rows:
             raise ValueError("shape mismatch %dx%d * %dx%d" % (self.rows, self.cols, other.rows, other.cols))
         p = self.ctx.modulus
@@ -303,10 +306,11 @@ class Subspace(_Value):
         return not self._remainder(self._vector(vec))
 
     def _check(self, other: "Subspace"):
+        if not isinstance(other, Subspace):
+            raise TypeError("expected Subspace, got %r" % (other,))
         if self.ambient_dim != other.ambient_dim:
             raise AmbientMismatch("%d vs %d" % (self.ambient_dim, other.ambient_dim))
-        if self.ctx != other.ctx:
-            raise FieldMismatch("%r vs %r" % (self.ctx, other.ctx))
+        _same_field(self.ctx, other.ctx)
 
     def __hash__(self):
         return hash((self.ctx, self.ambient_dim, tuple(tuple(sorted(row.items())) for row in self._at.values())))

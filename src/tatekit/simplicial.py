@@ -117,17 +117,11 @@ class FinSimplicialSet:
         self.degens = degens
         self.dim_cap = len(simplices) - 1
 
-    def face(self, n, i, idx):
-        return self.faces[n][i][idx]
-
-    def degeneracy(self, n, i, idx):
-        return self.degens[n][i][idx]
-
     def is_degenerate(self, n, idx) -> bool:
         if n == 0:
             return False
         for i in range(n):
-            if self.degens[n - 1][i][self.face(n, i, idx)] == idx:
+            if self.degens[n - 1][i][self.faces[n][i][idx]] == idx:
                 return True
         return False
 
@@ -135,9 +129,9 @@ class FinSimplicialSet:
         return [i for i in range(len(self.simplices[n])) if not self.is_degenerate(n, i)]
 
     def check_identities(self):
-        """All simplicial identities up to the cap; returns failures."""
+        """All simplicial identities up to the cap, read off the face and degeneracy tables (d, s); returns failures."""
         bad = []
-        D = self.dim_cap
+        D, d, s = self.dim_cap, self.faces, self.degens
         for n in range(D + 1):
             count = len(self.simplices[n])
             for idx in range(count):
@@ -145,50 +139,35 @@ class FinSimplicialSet:
                 if n >= 2:
                     for j in range(n + 1):
                         for i in range(j):
-                            lhs = self.face(n - 1, i, self.face(n, j, idx))
-                            rhs = self.face(n - 1, j - 1, self.face(n, i, idx))
-                            if lhs != rhs:
+                            if d[n - 1][i][d[n][j][idx]] != d[n - 1][j - 1][d[n][i][idx]]:
                                 bad.append(("dd", n, idx, i, j))
                 if n + 1 <= D:
                     # s_i s_j = s_{j+1} s_i for i <= j
                     if n + 2 <= D:
                         for j in range(n + 1):
                             for i in range(j + 1):
-                                lhs = self.degeneracy(n + 1, i, self.degeneracy(n, j, idx))
-                                rhs = self.degeneracy(n + 1, j + 1, self.degeneracy(n, i, idx))
-                                if lhs != rhs:
+                                if s[n + 1][i][s[n][j][idx]] != s[n + 1][j + 1][s[n][i][idx]]:
                                     bad.append(("ss", n, idx, i, j))
                     # d_i s_j relations
                     for j in range(n + 1):
-                        sj = self.degeneracy(n, j, idx)
+                        sj = s[n][j][idx]
                         for i in range(n + 2):
-                            di = self.face(n + 1, i, sj)
                             if i < j:
-                                want = self.degeneracy(n - 1, j - 1, self.face(n, i, idx))
+                                want = s[n - 1][j - 1][d[n][i][idx]]
                             elif i in (j, j + 1):
                                 want = idx
                             else:
-                                want = self.degeneracy(n - 1, j, self.face(n, i - 1, idx))
-                            if di != want:
+                                want = s[n - 1][j][d[n][i - 1][idx]]
+                            if d[n + 1][i][sj] != want:
                                 bad.append(("ds", n, idx, i, j))
         return bad
 
 
 def nerve(poset: FinPoset, dim_cap: int = DEFAULT_DIM_CAP) -> FinSimplicialSet:
     """Nerve of a poset: n-simplices are weakly monotone (n+1)-chains."""
-    levels = []
-    for n in range(dim_cap + 1):
-        if n == 0:
-            levels.append([(x,) for x in poset.elements])
-            continue
-        prev = levels[-1]
-        cur = []
-        for chain in prev:
-            last = chain[-1]
-            for y in poset.elements:
-                if poset.leq(last, y):
-                    cur.append(chain + (y,))
-        levels.append(cur)
+    levels = [[(x,) for x in poset.elements]]
+    for _ in range(dim_cap):
+        levels.append([c + (y,) for c in levels[-1] for y in poset.elements if poset.leq(c[-1], y)])
     index = [{c: i for i, c in enumerate(level)} for level in levels]
     faces = [None]
     degens = []

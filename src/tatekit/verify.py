@@ -193,26 +193,22 @@ def suite_lattice(cases=25, seed=0):
         rank = rng.choice([1, 1, 2])
         space = TateSpace(ctx, rank)
         L, M, K = (rand_lattice(space, rng, 3) for _ in range(3))
-        rep.record("directed_up", case, leq(L, join(L, M)) and leq(M, join(L, M)))
-        rep.record("directed_down", case, leq(meet(L, M), L) and leq(meet(L, M), M))
-        rep.record("join_comm", case, join(L, M) == join(M, L))
-        rep.record("meet_comm", case, meet(L, M) == meet(M, L))
-        rep.record("join_assoc", case, join(join(L, M), K) == join(L, join(M, K)))
-        rep.record("meet_assoc", case, meet(meet(L, M), K) == meet(L, meet(M, K)))
+        up, down = join(L, M), meet(L, M)
+        rep.record("directed_up", case, leq(L, up) and leq(M, up))
+        rep.record("directed_down", case, leq(down, L) and leq(down, M))
+        rep.record("join_comm", case, up == join(M, L))
+        rep.record("meet_comm", case, down == meet(M, L))
+        rep.record("join_assoc", case, join(up, K) == join(L, join(M, K)))
+        rep.record("meet_assoc", case, meet(down, K) == meet(L, meet(M, K)))
         rep.record("join_idem", case, join(L, L) == L)
         rep.record("meet_idem", case, meet(L, L) == L)
-        rep.record("absorb", case, join(L, meet(L, M)) == L and meet(L, join(L, M)) == L)
-        rep.record(
-            "modular_dims",
-            case,
-            quotient_dim_lattices(meet(L, M), L)
-            == quotient_dim_lattices(M, join(L, M)),
-        )
+        rep.record("absorb", case, join(L, down) == L and meet(L, up) == L)
+        rep.record("modular_dims", case, quotient_dim_lattices(down, L) == quotient_dim_lattices(M, up))
         g = rand_mult(ctx, rng, -2, 2) if rank == 1 else rand_gl(ctx, rank, rng)
         h = rand_mult(ctx, rng, -2, 2) if rank == 1 else rand_gl(ctx, rank, rng)
         gL, gM = act(g, L), act(g, M)
         rep.record("act_order", case, leq(L, M) == leq(gL, gM))
-        rep.record("act_join", case, act(g, join(L, M)) == join(gL, gM))
+        rep.record("act_join", case, act(g, up) == join(gL, gM))
         rep.record("act_compose", case, act(g, act(h, L)) == act(g.compose(h), L))
         bigger = L.window_subspace(L.a + 1, L.b + 1)
         rep.record(
@@ -230,12 +226,12 @@ def suite_index(cases=50, seed=0):
         space = TateSpace(ctx, 1)
         f = rand_unit_poly(ctx, rng, -5, 5)
         g = Automorphism.mult_by(f)
-        rep.record("winding", case, index0(g) == f.valuation())
+        want = index0(g)
+        rep.record("winding", case, want == f.valuation())
         ctx3 = GF(3)
         gm = rand_gl(ctx3, 2, rng)
         rep.record("gl_winding", case, index0(gm) == gm.det_valuation())
         # choice independence over 10 random admissible pairs
-        want = index0(g)
         ok = True
         for _ in range(10):
             L = rand_lattice(space, rng, 2)
@@ -417,24 +413,13 @@ def suite_simplicial(cases=15, seed=0):
             case,
             is_admissible_tree(order_graph(P), frame.tree_edges),
         )
-        D = rand_admissible_diagram(P, ctx, rng)
-        d0, edge_dims = k0_decompose(D, frame)
-        rec = k0_reconstruct(frame, d0, edge_dims)
-        rep.record(
-            "k0_reconstruction",
-            case,
-            all(rec[x] == D.dim(x) for x in P.elements),
-        )
+        # K_0 round trip on the random poset, then on B[2]; D is drawn before D2
         b2 = b_interval(2)
+        D = rand_admissible_diagram(P, ctx, rng)
         D2 = rand_admissible_diagram(b2.poset, ctx, rng, ambient=5)
-        fr2 = star_frame(b2)
-        d0b, edb = k0_decompose(D2, fr2)
-        recb = k0_reconstruct(fr2, d0b, edb)
-        rep.record(
-            "k0_reconstruction_B2",
-            case,
-            all(recb[x] == D2.dim(x) for x in b2.poset.elements),
-        )
+        for check, diagram, fr in (("k0_reconstruction", D, frame), ("k0_reconstruction_B2", D2, star_frame(b2))):
+            rec = k0_reconstruct(fr, *k0_decompose(diagram, fr))
+            rep.record(check, case, all(rec[x] == diagram.dim(x) for x in fr.poset.elements))
         p01 = preindex_k0(D2, [b2.base_points[0], b2.base_points[1]])
         p12 = preindex_k0(D2, [b2.base_points[1], b2.base_points[2]])
         p02 = preindex_k0(D2, [b2.base_points[0], b2.base_points[2]])

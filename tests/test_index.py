@@ -267,7 +267,7 @@ def test_verify_family_computes_each_translate_once(monkeypatch):
     assert len(calls) == len(set(calls)) == len(fam._translates)
     assert built and not built & set(calls[len(built):])
     # Fewer than one per (last arrow, lower face, subset of the lower face).
-    assert len(calls) < sum(2 ** (len(kept) - 1) - 1 for kept in fam.faces() if len(kept) > 1)
+    assert len(calls) < sum(2 ** (len(kept) - 1) - 1 for kept in fam.faces if len(kept) > 1)
 
 
 def ref_entries(chain):
@@ -314,7 +314,7 @@ def ref_verify(fam):
     def record(check, simplex, ok, detail):
         report.append({"check": check, "simplex": simplex, "status": "pass" if ok else "fail", "detail": "" if ok else detail})
 
-    for kept in fam.faces():
+    for kept in fam.faces:
         m = len(kept) - 1
         if m == 0:
             continue
@@ -445,12 +445,12 @@ def test_a_passing_family_translates_once_per_face_and_tests_each_pair_once(monk
     monkeypatch.setattr(index_map, "leq", lambda L, M: tests.append((L, M)) or real_leq(L, M))
     fam = build_family(chain)
     # the least missing vertex is m for one subset of a face only, I = [m-1]
-    assert 0 < len(acts) <= sum(len(kept) > 1 for kept in fam.faces())
+    assert 0 < len(acts) <= sum(len(kept) > 1 for kept in fam.faces)
     assert family_passes(verify_family(fam))
     # every hypothesis (c) pair is tested by leq, once per distinct (L, M)
     pairs = {
         (fam.lattice(kept, I), fam.lattice(kept, J))
-        for kept in fam.faces()
+        for kept in fam.faces
         for I in nonempty_subsets(len(kept) - 1)
         for J in nonempty_subsets(len(kept) - 1)
         if I < J

@@ -272,3 +272,13 @@ def test_matrix_unboxes_as_from_rows(ctx):
         Matrix(ctx, 2, 2, flat)
     with pytest.raises(TypeError):
         Matrix(ctx, 1, 2, [1, 0.5])
+
+
+def test_matrix_shape_is_a_nonnegative_int():
+    """A negative count is refused, although its entry count matches, and so
+    is a float count, although no entry has to be read for it."""
+    with pytest.raises(ValueError, match="negative"):
+        Matrix(QQ, -1, -2, [1, 0])
+    with pytest.raises(TypeError):
+        Matrix(QQ, 0, 2.5, [])
+    assert Matrix(QQ, 0, 3, []).cols == 3

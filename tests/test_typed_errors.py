@@ -26,7 +26,9 @@ from tatekit import (
     Subspace,
     TateSpace,
     TruncSeries,
+    act,
     k0_reconstruct,
+    leq,
     omega,
     std_lattice,
     star_frame,
@@ -76,10 +78,15 @@ CASES = [
     ("Matrix.from_rows-ragged", lambda: Matrix.from_rows(QQ, [[1, 0], [1]]), ValueError),
     ("Matrix-mul-across-fields", lambda: Matrix.identity(QQ, 2) * Matrix.identity(F5, 2), FieldMismatch),
     ("Matrix-mul-shapes", lambda: Matrix.identity(QQ, 2) * Matrix.identity(QQ, 3), ValueError),
+    ("Matrix-mul-int", lambda: Matrix.from_rows(QQ, [[1]]) * 2, TypeError),
     ("Subspace.from_rows-cols", lambda: Subspace.from_rows(QQ, 3, [[1, 0]]), AmbientMismatch),
     ("subspace_contains-across-fields", lambda: subspace_contains(LINE, Subspace.from_rows(F5, 2, [])), FieldMismatch),
+    ("subspace_contains-int", lambda: subspace_contains(LINE, 5), TypeError),
     # laurent
     ("LaurentPoly-add-across-fields", lambda: t + LaurentPoly.one(F5), FieldMismatch),
+    ("LaurentPoly-plus-int", lambda: ONE + 1, TypeError),
+    ("LaurentPoly-times-int", lambda: ONE * 2, TypeError),
+    ("TruncSeries-times-int", lambda: TruncSeries(QQ, 0, [1], True) * 2, TypeError),
     ("TruncSeries-mul-across-fields", lambda: SERIES_Q * SERIES_F5, FieldMismatch),
     ("TruncSeries-zero-leading", lambda: TruncSeries(QQ, 0, [0, 1], exact=True), ZeroElement),
     ("LaurentMatrix.from_rows-not-square", lambda: LaurentMatrix.from_rows(QQ, [[ONE, ONE], [ONE]]), NonSquare),
@@ -88,13 +95,19 @@ CASES = [
     ("LaurentMatrix-entry-type", lambda: LaurentMatrix(QQ, 1, [1]), FieldMismatch),
     ("LaurentMatrix-mul-fields", lambda: GL2.matrix * LaurentMatrix.identity(F5, 2), FieldMismatch),
     ("LaurentMatrix-mul-ranks", lambda: GL2.matrix * LaurentMatrix.identity(QQ, 3), SpaceMismatch),
+    ("LaurentMatrix-mul-int", lambda: LaurentMatrix.identity(QQ, 2) * 2, TypeError),
+    ("LaurentMatrix.apply-ints", lambda: LaurentMatrix.identity(QQ, 2).apply([1, 2]), TypeError),
     ("LaurentMatrix-min_valuation-zero", lambda: LaurentMatrix(QQ, 1, [t - t]).min_valuation(), ZeroElement),
     ("Automorphism-MULT-no-series", lambda: Automorphism(Automorphism.MULT), ZeroElement),
     ("Automorphism-unknown-kind", lambda: Automorphism("shift", series=SERIES_Q), ValueError),
     ("compose-across-fields", lambda: MULT_T.compose(Automorphism.mult_by(LaurentPoly.t(F5))), FieldMismatch),
     ("compose-across-ranks", lambda: GL2.compose(MULT_T), SpaceMismatch),
+    ("compose-int", lambda: MULT_T.compose(5), TypeError),
     # lattice
     ("vec_to_row-across-fields", lambda: O.contains_vector([LaurentPoly.one(F5)]), FieldMismatch),
+    ("vec_to_row-int", lambda: O.contains_vector([1]), TypeError),
+    ("leq-int", lambda: leq(O, 5), TypeError),
+    ("act-int", lambda: act(MULT_T, 5), TypeError),
     ("Lattice-bounds-overlap", lambda: Lattice(V, 1, -2, Subspace.from_rows(QQ, 0, [])), ValueError),
     ("Lattice-wrong-ambient", lambda: Lattice(V, 1, 1, Subspace.from_rows(QQ, 3, [])), ValueError),
     ("std-shift-count", lambda: Lattice.std(V2, [0]), ValueError),
@@ -104,6 +117,7 @@ CASES = [
     ("AutChain-member-space", lambda: AutChain(V, [GL2]), SpaceMismatch),
     # detline
     ("omega-mode", lambda: omega(O, O, O, mode="twisted"), ValueError),
+    ("omega-int", lambda: omega(O, O, 5), TypeError),
     ("ExtElement-zero-scalar", lambda: ExtElement(MULT_T, QQ.zero(), "ungraded"), ZeroElement),
     ("ExtElement-mode", lambda: ExtElement(MULT_T, QQ.one(), "twisted"), ValueError),
     ("tame_symbol-of-zero", lambda: tame_symbol(t - t, t), ZeroElement),
