@@ -228,6 +228,8 @@ class ExtElement(_Frozen):
     __slots__ = ("g", "z", "mode")
 
     def __init__(self, g: Automorphism, z: Scalar, mode: str):
+        if not (isinstance(g, Automorphism) and isinstance(z, Scalar)):
+            raise TypeError("ExtElement needs an Automorphism and a Scalar, got %r, %r" % (g, z))
         if z.is_zero():
             raise ZeroElement("extension scalar must be nonzero")
         if mode not in (UNGRADED, GRADED):

@@ -72,6 +72,8 @@ DEFAULT_CHAIN_CAP = 4
 def index0(g: Automorphism) -> int:
     """The index of g on its own space with L = O^n: vdim(O^n) - vdim(gO^n),
     as every enclosing N cancels (module doc)."""
+    if not isinstance(g, Automorphism):
+        raise TypeError("expected Automorphism, got %r" % (g,))
     L = std_lattice(TateSpace(g.ctx, g.rank), 0)
     return L.vdim - act(g, L).vdim
 

@@ -17,9 +17,10 @@ the value canonical.  A ``LaurentMatrix`` product over Q first puts each
 operand over its common denominator (``fields._numerators``), so that its
 term products are int products and each result coefficient is divided once.
 Caller input is checked once, through ``FieldCtx.raw``, by the
-``LaurentPoly`` and ``TruncSeries`` constructors; the polynomials and series
-computed here are built unchecked.  ``terms``, ``coeffs`` and ``coeff`` box
-into ``Scalar`` on the way out.
+``LaurentPoly`` and ``TruncSeries`` constructors, and by ``LaurentMatrix``'s;
+the polynomials, series and matrices computed here are built unchecked, by
+``LaurentPoly._raw``, ``TruncSeries._raw`` and ``LaurentMatrix._raw``.
+``terms``, ``coeffs`` and ``coeff`` box into ``Scalar`` on the way out.
 
 Automorphisms of k((t))^n come in two finitely presented flavours:
 multiplication by a unit series (n = 1) and GL_n over k[t, 1/t] with monomial
@@ -72,10 +73,12 @@ def _negated(p, f):
     return {e: p - c for e, c in f.items()}
 
 
-def _check_ctx(x, y):
-    """Raise ``TypeError`` unless ``y`` is a polynomial or series, ``FieldMismatch`` unless over x's field."""
-    if not isinstance(y, (LaurentPoly, TruncSeries)):
-        raise TypeError("expected LaurentPoly or TruncSeries, got %r" % (y,))
+def _check_ctx(x, y, cls):
+    """Raise ``TypeError`` unless ``y`` is a ``cls``, ``FieldMismatch`` unless
+    it is over x's field.  A series read as a polynomial would lose its
+    unknown terms, so neither type stands in for the other."""
+    if not isinstance(y, cls):
+        raise TypeError("expected %s, got %r" % (cls.__name__, y))
     _same_field(x.ctx, y.ctx)
 
 
@@ -123,7 +126,7 @@ class LaurentPoly(_Value):
         return not self._terms
 
     def __add__(self, other):
-        _check_ctx(self, other)
+        _check_ctx(self, other, LaurentPoly)
         acc = dict(self._terms)
         for e, c in other._terms.items():
             acc[e] = acc.get(e, 0) + c
@@ -136,7 +139,7 @@ class LaurentPoly(_Value):
         return self + (-other)
 
     def __mul__(self, other):
-        _check_ctx(self, other)
+        _check_ctx(self, other, LaurentPoly)
         acc = {}
         _mac(acc, self._terms, other._terms)
         return LaurentPoly._raw(self.ctx, _reduced(self.ctx.modulus, acc))
@@ -236,7 +239,7 @@ class TruncSeries(_Value):
         return self.is_monomial() and self._terms.get(0) == 1
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
-        _check_ctx(self, other)
+        _check_ctx(self, other, TruncSeries)
         v = self.valuation + other.valuation
         known = [s.top - s.valuation for s in (self, other) if s.top is not None]
         if known:  # image reads self below v(self) + min(known) <= self.top: it cannot raise
@@ -286,9 +289,9 @@ class TruncSeries(_Value):
         """The product (self * poly) reduced modulo t^cutoff: the image of the
         polynomial under the multiplication, which raises InsufficientPrecision
         when an unknown coefficient of the series would contribute below it."""
+        _check_ctx(self, poly, LaurentPoly)
         if poly.is_zero():
             return poly
-        _check_ctx(self, poly)
         return LaurentPoly._raw(self.ctx, Automorphism.mult_by(self).image([poly._terms], cutoff)[0])
 
     def __hash__(self):
@@ -316,9 +319,20 @@ class LaurentMatrix(_Value):
             raise ValueError("need %d entries" % (n * n,))
         if not all(isinstance(e, LaurentPoly) and e.ctx == ctx for e in entries):
             raise FieldMismatch("entry outside %r" % (ctx,))
+        self._fill(ctx, n, entries)
+
+    def _fill(self, ctx, n, entries):
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "entries", entries)
+
+    @classmethod
+    def _raw(cls, ctx: FieldCtx, n: int, entries) -> "LaurentMatrix":
+        """A matrix on a tuple of n * n polynomials over ``ctx`` computed here;
+        nothing is checked."""
+        m = object.__new__(cls)
+        m._fill(ctx, n, entries)
+        return m
 
     @classmethod
     def from_rows(cls, ctx, rows):
@@ -364,7 +378,7 @@ class LaurentMatrix(_Value):
                 for k in range(n):
                     _mac(acc, x[i + k], y[k * n + j])
                 out.append(LaurentPoly._raw(self.ctx, _reduced(p, acc, dx * dy)))
-        return LaurentMatrix(self.ctx, n, out)
+        return LaurentMatrix._raw(self.ctx, n, tuple(out))
 
     def apply(self, vec):
         """Image of a vector of n LaurentPoly coordinates, by the ring's ``*`` and ``+``."""
@@ -447,7 +461,7 @@ def _det_and_inverse(m: LaurentMatrix):
     if not det.is_monomial():
         raise NotInvertibleInLaurentRing("determinant %s is not c*t^k" % det)
     divide = _divider(m.ctx.modulus, e)
-    return det, LaurentMatrix(m.ctx, n, [LaurentPoly._raw(m.ctx, divide(f)) for row in rows for f in row[n:]])
+    return det, LaurentMatrix._raw(m.ctx, n, tuple(LaurentPoly._raw(m.ctx, divide(f)) for row in rows for f in row[n:]))
 
 
 class Automorphism(_Value):

@@ -210,6 +210,8 @@ def det(m: Matrix) -> Scalar:
     whose leading column is new is not reduced, so triangular input costs
     O(nonzeros).
     """
+    if not isinstance(m, Matrix):
+        raise TypeError("expected Matrix, got %r" % (m,))
     if m.rows != m.cols:
         raise NonSquare("det of %dx%d" % (m.rows, m.cols))
     ctx, p = m.ctx, m.ctx.modulus
@@ -305,13 +307,6 @@ class Subspace(_Value):
     def contains_vector(self, vec) -> bool:
         return not self._remainder(self._vector(vec))
 
-    def _check(self, other: "Subspace"):
-        if not isinstance(other, Subspace):
-            raise TypeError("expected Subspace, got %r" % (other,))
-        if self.ambient_dim != other.ambient_dim:
-            raise AmbientMismatch("%d vs %d" % (self.ambient_dim, other.ambient_dim))
-        _same_field(self.ctx, other.ctx)
-
     def __hash__(self):
         return hash((self.ctx, self.ambient_dim, tuple(tuple(sorted(row.items())) for row in self._at.values())))
 
@@ -339,7 +334,11 @@ def _meet(ctx: FieldCtx, a, b, top):
 
 def subspace_contains(a: Subspace, b: Subspace) -> bool:
     """Whether every vector of b lies in a."""
-    a._check(b)
+    if not (isinstance(a, Subspace) and isinstance(b, Subspace)):
+        raise TypeError("expected two Subspaces, got %r, %r" % (a, b))
+    if a.ambient_dim != b.ambient_dim:
+        raise AmbientMismatch("%d vs %d" % (a.ambient_dim, b.ambient_dim))
+    _same_field(a.ctx, b.ctx)
     return not any(a._remainder(row) for row in b._at.values())
 
 

@@ -11,6 +11,7 @@ Weak monotonicity is what makes the degenerate simplices exist.
 from __future__ import annotations
 
 from itertools import combinations
+from operator import index
 
 from .errors import FrameMismatch
 from .linalg import Subspace, quotient_dim, subspace_contains
@@ -164,24 +165,28 @@ class FinSimplicialSet:
 
 
 def nerve(poset: FinPoset, dim_cap: int = DEFAULT_DIM_CAP) -> FinSimplicialSet:
-    """Nerve of a poset: n-simplices are weakly monotone (n+1)-chains."""
+    """Nerve of a poset: n-simplices are weakly monotone (n+1)-chains, up to
+    n = ``dim_cap``, a nonnegative integer."""
+    dim_cap = index(dim_cap)
+    if dim_cap < 0:
+        raise ValueError("dim_cap must be >= 0, got %d" % dim_cap)
     levels = [[(x,) for x in poset.elements]]
     for _ in range(dim_cap):
         levels.append([c + (y,) for c in levels[-1] for y in poset.elements if poset.leq(c[-1], y)])
-    index = [{c: i for i, c in enumerate(level)} for level in levels]
+    pos = [{c: i for i, c in enumerate(level)} for level in levels]
     faces = [None]
     degens = []
     for n in range(1, dim_cap + 1):
         faces.append(
             [
-                [index[n - 1][c[:i] + c[i + 1 :]] for c in levels[n]]
+                [pos[n - 1][c[:i] + c[i + 1 :]] for c in levels[n]]
                 for i in range(n + 1)
             ]
         )
     for n in range(dim_cap):
         degens.append(
             [
-                [index[n + 1][c[: i + 1] + c[i:]] for c in levels[n]]
+                [pos[n + 1][c[: i + 1] + c[i:]] for c in levels[n]]
                 for i in range(n + 1)
             ]
         )

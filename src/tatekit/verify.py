@@ -7,6 +7,10 @@ detail}.  All randomness flows from a single ``random.Random(seed)``
 every platform; records are sorted by (check, case) before they are
 returned.  The generators draw each value once, in a fixed order, and a
 refactor must keep that order: every later draw and check depends on it.
+They draw an integer in [a, b] as ``a + rng.randrange(b - a + 1)``, never
+through ``randint`` or a two-argument ``randrange``: CPython computes all
+three as ``a`` plus one ``_randbelow(b - a + 1)``, so the stream is the
+same, and the one-argument call skips their argument handling.
 """
 
 from __future__ import annotations
@@ -74,10 +78,10 @@ from .simplicial import (
 def _rand_raw(ctx: FieldCtx, rng: random.Random, nonzero=False):
     """The raw value of one random scalar: over F_p a residue, over Q an int in [-4, 4]."""
     if ctx.kind == "Fp":
-        return rng.randrange(1 if nonzero else 0, ctx.modulus)
-    val = rng.randint(-4, 4)
+        return rng.randrange(ctx.modulus - 1) + 1 if nonzero else rng.randrange(ctx.modulus)
+    val = rng.randrange(9) - 4
     while nonzero and val == 0:
-        val = rng.randint(-4, 4)
+        val = rng.randrange(9) - 4
     return val
 
 
@@ -87,9 +91,9 @@ def rand_scalar(ctx: FieldCtx, rng: random.Random, nonzero=False):
 
 def rand_unit_poly(ctx: FieldCtx, rng: random.Random, val_lo=-3, val_hi=3, extra=3):
     """A random unit of k((t)) with valuation in [val_lo, val_hi]."""
-    v = rng.randint(val_lo, val_hi)
+    v = val_lo + rng.randrange(val_hi - val_lo + 1)
     terms = {v: _rand_raw(ctx, rng, nonzero=True)}
-    for e in range(v + 1, v + 1 + rng.randint(0, extra)):
+    for e in range(v + 1, v + 1 + rng.randrange(extra + 1)):
         c = _rand_raw(ctx, rng)
         if c:
             terms[e] = c
@@ -100,32 +104,32 @@ def rand_lattice(space: TateSpace, rng: random.Random, bound=3) -> Lattice:
     """t^a O^n + the span of random rows of the window (a, b), drawn entry by
     entry, each nonzero one stored at its absolute slot."""
     ctx = space.ctx
-    a = rng.randint(-bound, bound)
-    b = rng.randint(-a, bound)
+    a = rng.randrange(2 * bound + 1) - bound
+    b = rng.randrange(a + bound + 1) - a
     dim, off = space.rank * (a + b), -b * space.rank
-    rows = [{off + j: x for j in range(dim) if (x := _rand_raw(ctx, rng))} for _ in range(rng.randint(0, dim))]
+    rows = [{off + j: x for j in range(dim) if (x := _rand_raw(ctx, rng))} for _ in range(rng.randrange(dim + 1))]
     return Lattice._make(space, a, _rref_rows(ctx, rows))
 
 
 def rand_gl(ctx: FieldCtx, n: int, rng: random.Random) -> Automorphism:
-    """Random GL_n over k[t,1/t] with monomial determinant: L * D * U."""
+    """Random GL_n over k[t,1/t] with monomial determinant: L * D * U, whose
+    factors are built unchecked; ``Automorphism.gl`` still runs its elimination."""
 
     def monomial():
-        return LaurentPoly._raw(ctx, {rng.randint(-2, 2): _rand_raw(ctx, rng, nonzero=True)})
+        return LaurentPoly._raw(ctx, {rng.randrange(5) - 2: _rand_raw(ctx, rng, nonzero=True)})
 
-    lower = [[LaurentPoly.zero(ctx) for _ in range(n)] for _ in range(n)]
-    upper = [[LaurentPoly.zero(ctx) for _ in range(n)] for _ in range(n)]
+    zero = LaurentPoly._raw(ctx, {})
+    lower = [LaurentPoly._raw(ctx, {0: 1}) if i == j else zero for i in range(n) for j in range(n)]
+    upper = list(lower)
     for i in range(n):
-        lower[i][i] = LaurentPoly.one(ctx)
-        upper[i][i] = LaurentPoly.one(ctx)
         for j in range(i):
             if rng.random() < 0.6:
-                lower[i][j] = monomial()
+                lower[i * n + j] = monomial()
             if rng.random() < 0.6:
-                upper[j][i] = monomial()
-    diag = LaurentMatrix.diagonal(ctx, [monomial() for _ in range(n)])
-    m = LaurentMatrix.from_rows(ctx, lower) * diag * LaurentMatrix.from_rows(ctx, upper)
-    return Automorphism.gl(m)
+                upper[j * n + i] = monomial()
+    diag = [monomial() if i == j else zero for i in range(n) for j in range(n)]
+    L, D, U = (LaurentMatrix._raw(ctx, n, tuple(entries)) for entries in (lower, diag, upper))
+    return Automorphism.gl(L * D * U)
 
 
 def rand_mult(ctx: FieldCtx, rng: random.Random, val_lo=-3, val_hi=3) -> Automorphism:
@@ -133,7 +137,7 @@ def rand_mult(ctx: FieldCtx, rng: random.Random, val_lo=-3, val_hi=3) -> Automor
 
 
 def rand_filtered_poset(rng: random.Random, max_elems=6) -> FinPoset:
-    m = rng.randint(2, max_elems - 1)
+    m = 2 + rng.randrange(max_elems - 2)
     pairs = []
     for i in range(m):
         for j in range(i + 1, m):
@@ -310,7 +314,7 @@ def suite_detline(cases=25, seed=0):
         quad = [rand_lattice(space, rng, 3) for _ in range(4)]
         rep.record("cocycle_ungraded", case, cocycle_check(*quad, mode=UNGRADED))
         rep.record("cocycle_graded", case, cocycle_check(*quad, mode=GRADED))
-        shifts = sorted(rng.randint(-3, 3) for _ in range(3))
+        shifts = sorted(rng.randrange(7) - 3 for _ in range(3))
         mono = [std_lattice(space, [s]) for s in reversed(shifts)]
         rep.record(
             "nested_monomial_omega", case, omega(*mono, mode=UNGRADED) == ctx.one()
@@ -348,7 +352,7 @@ def suite_detline(cases=25, seed=0):
         )
         # dimension torsor
         base = rand_lattice(space, rng, 2)
-        theory = DimensionTheory(base, rng.randint(-3, 3))
+        theory = DimensionTheory(base, rng.randrange(7) - 3)
         L = rand_lattice(space, rng, 2)
         M = join(L, rand_lattice(space, rng, 2))
         rep.record(
@@ -356,7 +360,7 @@ def suite_detline(cases=25, seed=0):
             case,
             theory.eval(M) - theory.eval(L) == quotient_dim_lattices(meet(L, M), M) - quotient_dim_lattices(meet(L, M), L),
         )
-        other = DimensionTheory(rand_lattice(space, rng, 2), rng.randint(-3, 3))
+        other = DimensionTheory(rand_lattice(space, rng, 2), rng.randrange(7) - 3)
         diffs = {
             theory.eval(X) - other.eval(X)
             for X in (rand_lattice(space, rng, 2) for _ in range(5))

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -388,6 +389,24 @@ def test_laurent_matrix_rank_is_a_nonnegative_int():
     with pytest.raises(ValueError, match="negative"):
         LaurentMatrix(QQ, -1, [one])
     assert LaurentMatrix(QQ, 0, []).n == 0  # refused later, by GL: "rank must be positive"
+
+
+def test_polynomial_and_series_arithmetic_refuse_each_other():
+    """Read as a polynomial, a series would lose its unknown terms: 1 plus
+    1 + t + O(t^2) would come out as 2 + t.  Each operation refuses the
+    other type with a TypeError that names the operand."""
+    one, s = LaurentPoly.one(QQ), TruncSeries(QQ, 0, [1, 1], False)
+    cases = [
+        (lambda: one + s, s),
+        (lambda: one * s, s),
+        (lambda: s * one, one),
+        (lambda: s.mul_poly_mod(s, 3), s),
+        (lambda: s.mul_poly_mod(5, 3), 5),
+    ]
+    for call, operand in cases:
+        with pytest.raises(TypeError, match=re.escape("got %r" % (operand,))):
+            call()
+    assert str(s.mul_poly_mod(one, 2)) == "1 + 1*t^1"
 
 
 def test_apply_checks_the_vector():

@@ -377,6 +377,24 @@ def kernel_inverse(m):
     return _det_and_inverse(m)[1]
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("ctx", [QQ, GF(3), GF(1000003)], ids=str)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_computed_matrices_equal_the_checked_constructor(ctx, n, data):
+    """The product and the GL inverse are built unchecked: each equals, and
+    hashes like, its entries passed through the checked ``LaurentMatrix``,
+    and each entry its terms passed through the checked ``LaurentPoly``."""
+    a = laurent_matrix(ctx, [[boxed(ctx, data.draw(term_dicts(ctx, 3))) for _ in range(n)] for _ in range(n)])
+    u = laurent_matrix(ctx, data.draw(unit_matrices(ctx, n)))
+    for m in (a * u, u * a, kernel_inverse(u)):
+        checked = LaurentMatrix(ctx, n, m.entries)
+        assert type(m.entries) is tuple and m == checked and hash(m) == hash(checked)
+        for f in m.entries:
+            g = LaurentPoly(ctx, f._terms)
+            assert f == g and hash(f) == hash(g)
+
+
 @st.composite
 def windows(draw, rank):
     """(a, b, dimension) of a source window t^-b O^n / t^a O^n."""

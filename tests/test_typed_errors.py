@@ -27,9 +27,13 @@ from tatekit import (
     TateSpace,
     TruncSeries,
     act,
+    det,
+    index0,
     k0_reconstruct,
     leq,
+    nerve,
     omega,
+    quotient_dim,
     std_lattice,
     star_frame,
     subspace_contains,
@@ -82,15 +86,24 @@ CASES = [
     ("Subspace.from_rows-cols", lambda: Subspace.from_rows(QQ, 3, [[1, 0]]), AmbientMismatch),
     ("subspace_contains-across-fields", lambda: subspace_contains(LINE, Subspace.from_rows(F5, 2, [])), FieldMismatch),
     ("subspace_contains-int", lambda: subspace_contains(LINE, 5), TypeError),
+    ("subspace_contains-int-first", lambda: subspace_contains(5, LINE), TypeError),
+    ("quotient_dim-int", lambda: quotient_dim(LINE, 5), TypeError),
+    ("det-int", lambda: det(5), TypeError),
     # laurent
     ("LaurentPoly-add-across-fields", lambda: t + LaurentPoly.one(F5), FieldMismatch),
     ("LaurentPoly-plus-int", lambda: ONE + 1, TypeError),
     ("LaurentPoly-times-int", lambda: ONE * 2, TypeError),
     ("TruncSeries-times-int", lambda: TruncSeries(QQ, 0, [1], True) * 2, TypeError),
+    ("LaurentPoly-plus-series", lambda: ONE + SERIES_Q, TypeError),
+    ("LaurentPoly-times-series", lambda: ONE * SERIES_Q, TypeError),
+    ("TruncSeries-times-poly", lambda: SERIES_Q * ONE, TypeError),
+    ("mul_poly_mod-int", lambda: SERIES_Q.mul_poly_mod(5, 3), TypeError),
+    ("mul_poly_mod-series", lambda: SERIES_Q.mul_poly_mod(SERIES_Q, 3), TypeError),
     ("TruncSeries-mul-across-fields", lambda: SERIES_Q * SERIES_F5, FieldMismatch),
     ("TruncSeries-zero-leading", lambda: TruncSeries(QQ, 0, [0, 1], exact=True), ZeroElement),
     ("LaurentMatrix.from_rows-not-square", lambda: LaurentMatrix.from_rows(QQ, [[ONE, ONE], [ONE]]), NonSquare),
     ("LaurentMatrix-entry-count", lambda: LaurentMatrix(QQ, 2, [ONE] * 3), ValueError),
+    ("LaurentMatrix.identity-negative-rank", lambda: LaurentMatrix.identity(QQ, -1), ValueError),
     ("LaurentMatrix-entry-field", lambda: LaurentMatrix(QQ, 1, [LaurentPoly.one(F5)]), FieldMismatch),
     ("LaurentMatrix-entry-type", lambda: LaurentMatrix(QQ, 1, [1]), FieldMismatch),
     ("LaurentMatrix-mul-fields", lambda: GL2.matrix * LaurentMatrix.identity(F5, 2), FieldMismatch),
@@ -114,15 +127,20 @@ CASES = [
     ("window_subspace-too-small", lambda: O.window_subspace(-1, 0), ValueError),
     ("LatticeChain-member-space", lambda: LatticeChain(V, [std_lattice(V2, 0)]), SpaceMismatch),
     # index_map
+    ("index0-int", lambda: index0(5), TypeError),
     ("AutChain-member-space", lambda: AutChain(V, [GL2]), SpaceMismatch),
     # detline
     ("omega-mode", lambda: omega(O, O, O, mode="twisted"), ValueError),
     ("omega-int", lambda: omega(O, O, 5), TypeError),
     ("ExtElement-zero-scalar", lambda: ExtElement(MULT_T, QQ.zero(), "ungraded"), ZeroElement),
     ("ExtElement-mode", lambda: ExtElement(MULT_T, QQ.one(), "twisted"), ValueError),
+    ("ExtElement-int-scalar", lambda: ExtElement(MULT_T, 5, "ungraded"), TypeError),
+    ("ExtElement-int-automorphism", lambda: ExtElement(5, QQ.one(), "ungraded"), TypeError),
     ("tame_symbol-of-zero", lambda: tame_symbol(t - t, t), ZeroElement),
     # simplicial
     ("FinPoset-duplicates", lambda: FinPoset([0, 0], []), ValueError),
+    ("nerve-negative-dim_cap", lambda: nerve(FinPoset.chain(1), -1), ValueError),
+    ("nerve-float-dim_cap", lambda: nerve(FinPoset.chain(1), 2.0), TypeError),
     ("BasedPoset-no-final-element", lambda: BasedPoset(ANTICHAIN, [0]), ValueError),
     ("BasedPoset-base-not-minimal", lambda: BasedPoset(CHAIN_POSET, [1]), ValueError),
     (

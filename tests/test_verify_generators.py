@@ -7,6 +7,11 @@ verbatim: a window ``Subspace`` over ``Scalar`` draws, handed to the public
 ``Lattice`` constructor, and ``LaurentPoly`` over ``Scalar`` terms.  Each
 generator and its reference run on cloned streams and must build equal
 objects and leave the stream in the same state, so the same draws were made.
+
+The generators draw through one-argument ``randrange``: ``CALL_SITES`` keeps
+each ``randint`` and two-argument ``randrange`` expression that ``verify``
+wrote before, verbatim, beside the form that replaced it, which must draw
+the same value and leave the same stream state at every call site.
 """
 
 import hashlib
@@ -171,6 +176,69 @@ def test_rand_admissible_diagram_matches_the_reference():
     assert rng.getstate() == twin.getstate()
 
 
+# (call site, parameter rows, the expression verify used before, the one it uses now)
+CALL_SITES = [
+    (
+        "_rand_raw-Fp",
+        [{"nonzero": z, "modulus": p} for z in (False, True) for p in (2, 3, 5, 7, 1000003, 2**61 - 1)],
+        lambda rng, nonzero, modulus: rng.randrange(1 if nonzero else 0, modulus),
+        lambda rng, nonzero, modulus: rng.randrange(modulus - 1) + 1 if nonzero else rng.randrange(modulus),
+    ),
+    ("_rand_raw-Q", [{}], lambda rng: rng.randint(-4, 4), lambda rng: rng.randrange(9) - 4),
+    ("_rand_raw-Q-retry", [{}], lambda rng: rng.randint(-4, 4), lambda rng: rng.randrange(9) - 4),
+    (
+        "rand_unit_poly-valuation",
+        [{"val_lo": lo, "val_hi": hi} for lo in (-5, -3, -2, 0, 7) for hi in (lo, lo + 1, 5, 10**12) if hi >= lo],
+        lambda rng, val_lo, val_hi: rng.randint(val_lo, val_hi),
+        lambda rng, val_lo, val_hi: val_lo + rng.randrange(val_hi - val_lo + 1),
+    ),
+    (
+        "rand_unit_poly-extra",
+        [{"extra": e} for e in (0, 1, 3, 6, 2**40)],
+        lambda rng, extra: rng.randint(0, extra),
+        lambda rng, extra: rng.randrange(extra + 1),
+    ),
+    (
+        "rand_lattice-a",
+        [{"bound": b} for b in (0, 1, 2, 3, 9)],
+        lambda rng, bound: rng.randint(-bound, bound),
+        lambda rng, bound: rng.randrange(2 * bound + 1) - bound,
+    ),
+    (
+        "rand_lattice-b",
+        [{"a": a, "bound": b} for b in (0, 1, 2, 3, 9) for a in range(-b, b + 1)],
+        lambda rng, a, bound: rng.randint(-a, bound),
+        lambda rng, a, bound: rng.randrange(a + bound + 1) - a,
+    ),
+    (
+        "rand_lattice-rows",
+        [{"dim": d} for d in (0, 1, 2, 5, 12, 18, 54)],
+        lambda rng, dim: rng.randint(0, dim),
+        lambda rng, dim: rng.randrange(dim + 1),
+    ),
+    ("rand_gl-monomial", [{}], lambda rng: rng.randint(-2, 2), lambda rng: rng.randrange(5) - 2),
+    (
+        "rand_filtered_poset",
+        [{"max_elems": m} for m in (3, 4, 6, 9, 40)],
+        lambda rng, max_elems: rng.randint(2, max_elems - 1),
+        lambda rng, max_elems: 2 + rng.randrange(max_elems - 2),
+    ),
+    ("suite_detline-shifts", [{}], lambda rng: rng.randint(-3, 3), lambda rng: rng.randrange(7) - 3),
+    ("suite_detline-theory", [{}], lambda rng: rng.randint(-3, 3), lambda rng: rng.randrange(7) - 3),
+    ("suite_detline-other", [{}], lambda rng: rng.randint(-3, 3), lambda rng: rng.randrange(7) - 3),
+]
+
+
+@pytest.mark.parametrize("rows, old, new", [site[1:] for site in CALL_SITES], ids=[site[0] for site in CALL_SITES])
+def test_one_argument_randrange_draws_as_the_earlier_expression(rows, old, new):
+    for seed in range(8):
+        rng, twin = _twins(seed)
+        for _ in range(DRAWS // 4):
+            for kwargs in rows:
+                assert new(rng, **kwargs) == old(twin, **kwargs)
+                assert rng.getstate() == twin.getstate()
+
+
 def input_digest():
     """sha256 of canonical JSON of a fixed draw sequence from ``random.Random(7)``:
     300 lattices, 100 units and 20 rank-2 automorphisms over GF(3).  Running
@@ -188,6 +256,31 @@ INPUT_DIGEST = "3b267d7942b9d5b5b5171dd549db3efa55300a2c90e33f909515d7a8f806998e
 
 def test_input_digest_is_pinned():
     assert input_digest() == INPUT_DIGEST
+
+
+def draws_digest():
+    """sha256 of canonical JSON of the draws ``input_digest`` leaves out, in
+    ``suite_simplicial``'s order from ``random.Random(7)``: 100 filtered
+    posets, each with an admissible diagram over it and one over B[2] in
+    k^5, the field cycling through ``FIELDS``.  The CI step "Verify draws
+    digest" prints and pins it."""
+    rng, b2 = random.Random(7), b_interval(2).poset
+    out = []
+    for k in range(100):
+        P = rand_filtered_poset(rng)
+        diagrams = [rand_admissible_diagram(P, FIELDS[k % 4], rng), rand_admissible_diagram(b2, FIELDS[k % 4], rng, 5)]
+        order = [[str(x), str(y)] for x in P.elements for y in P.elements if P.leq(x, y)]
+        spaces = [[D.assignment[x].basis for x in D.poset.elements] for D in diagrams]
+        out.append([order, [[[[str(c) for c in row] for row in S.row_list()] for S in D] for D in spaces]])
+    blob = json.dumps(out, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+DRAWS_DIGEST = "82f0e3cb7c78b185aaf2a4377013554e5677425b02d6c44a08866f99d250e1b7"
+
+
+def test_draws_digest_is_pinned():
+    assert draws_digest() == DRAWS_DIGEST
 
 
 if __name__ == "__main__":
