@@ -51,14 +51,15 @@ So an identity arrow (say g^-1 g) needs no rule of its own.
 The g_k-translates of the builder and of ``verify_family`` share one dict
 per family, keyed by (g, L) by value, so each act runs once per distinct
 input.  The full subset joins only its m+1 facets (|J| = m), which
-hypothesis (c) puts above every smaller subset.  Every hypothesis (c)
-record is the verdict of ``leq`` on its pair, computed once per distinct
-(L, M), as faces share their lattices by value.
+hypothesis (c) puts above every smaller subset, and sums them in one
+elimination.  Every hypothesis (c) record is the verdict of ``leq`` on its
+pair, computed once per distinct (L, M), as faces share their lattices by
+value.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations
 
 from .errors import ChainTooLong, DegenerateChain, NotNested, SpaceMismatch, UnknownFace
@@ -221,7 +222,7 @@ def build_family(chain: AutChain) -> LatticeFamily:
             elif i == m:
                 val = _once(translates, act, arrows[kept[-2:]], entries[lower[m], read])
             else:
-                val = reduce(join, [entries[kept, facet] for facet in read])
+                val = join(*(entries[kept, facet] for facet in read))
             entries[kept, key] = val
     return LatticeFamily(chain, entries, faces, arrows, translates)
 

@@ -15,22 +15,26 @@ the one constructor that tightens a.  No operation builds a window:
   slot M.a*n, reduces to 0 by M's rows: what is cut off lies in
   t^(M.a) O^n <= M.  A row of L below M's lowest pivot never reduces, so
   L.b > M.b needs no test of its own.
-* ``join(L, M)`` is spanned by both row sets cut at c*n, c = min(L.a, M.a),
-  over t^c O^n: that lies in the operand with the lower top, so it holds
-  what is cut off.
+* ``join(L, M, ...)`` is spanned by all the operands' row sets cut at c*n,
+  c the least top, over t^c O^n: that lies in the operand with the lowest
+  top, so it holds what is cut off.  Any number of lattices are summed in
+  one elimination.
 * ``meet(L, M)``, L.a <= M.a (the operands are swapped only when M has the
   lower top), has top M.a, as t^c O^n <= L, M iff c >= L.a, M.a.  Modulo
   t^(M.a) O^n its rows are the combinations of M's rows whose cut at L.a*n
   reduces to 0 by L's rows: one Zassenhaus elimination, ``linalg._meet``,
   with its left halves cut at L.a*n.
 
-``act`` hands the rows to ``Automorphism.image`` as they are; ``row_to_vec``
-reads a row as a Laurent vector, and ``window_subspace`` embeds a lattice in
-a window t^-b2 O^n / t^a2 O^n, with unit rows from slot a*n up.  A window
-whose rows are built may have at most ``MAX_WINDOW_DIM`` slots, a limit on
-the rows it can hold: a lattice's own, checked by ``Lattice``, ``std`` and
-``act``, and the one ``detline`` spans with quotient pivots.  A larger one
-raises ``WindowTooLarge`` before its rows are built.
+``act`` hands the rows to ``Automorphism.image`` as they are and keeps the
+result on the automorphism, keyed by the lattice object, so an act repeated
+on the same g and L runs once (``Automorphism`` says what is kept).
+``row_to_vec`` reads a row as a Laurent vector, and ``window_subspace``
+embeds a lattice in a window t^-b2 O^n / t^a2 O^n, with unit rows from slot
+a*n up.  A window whose rows are built may have at most ``MAX_WINDOW_DIM``
+slots, a limit on the rows it can hold: a lattice's own, checked by
+``Lattice``, ``std`` and ``act``, and the one ``detline`` spans with
+quotient pivots.  A larger one raises ``WindowTooLarge`` before its rows are
+built.
 
 The virtual dimension ``vdim(L) = dim(L / t^a O^n) - n*a`` is the dimension
 theory that is 0 at O^n: dim(L/N) - dim(O^n/N) for any common sub-lattice N.
@@ -239,10 +243,12 @@ def leq(L: Lattice, M: Lattice) -> bool:
     return not any(_reduce(p, M._at, row) for row in _cut(L._at.values(), M.a * L.space.rank))
 
 
-def join(L: Lattice, M: Lattice) -> Lattice:
-    _same_space(L, M)
-    a = min(L.a, M.a)
-    rows = _cut([*L._at.values(), *M._at.values()], a * L.space.rank)
+def join(L: Lattice, *others: Lattice) -> Lattice:
+    """L + M + ..., any number of lattices in one elimination (rule in the module doc)."""
+    lattices = (L, *others)
+    _same_space(*lattices)
+    a = min(M.a for M in lattices)
+    rows = _cut((row for M in lattices for row in M._at.values()), a * L.space.rank)
     return Lattice._make(L.space, a, _rref_rows(L.ctx, rows))
 
 
@@ -261,19 +267,25 @@ def quotient_dim_lattices(L: Lattice, M: Lattice) -> int:
 
 
 def act(g: Automorphism, L: Lattice) -> Lattice:
-    """The image lattice g L, tightened."""
+    """The image lattice g L, tightened; an act on the lattice g last acted
+    on, that very object, returns the translate kept on g."""
     if not (isinstance(g, Automorphism) and isinstance(L, Lattice)):
         raise TypeError("act needs an Automorphism and a Lattice, got %r, %r" % (g, L))
     space = L.space
     if g.ctx != space.ctx or g.rank != space.rank:
         raise SpaceMismatch("automorphism of rank %d on %r" % (g.rank, space))
+    last, gL = g._last
+    if last is L:
+        return gL
     vg, vginv = g.valuations()
     a2, n = L.a - vginv, space.rank
     _window_dim(space, a2, L.b - vg)
     # t^e e_i with L.a <= e < a2 - v(g) lies in t^a O^n, an implicit pivot of
     # L, yet its image can reach below t^a2; the range is empty for MultBy.
     rows = [*L._at.values(), *({s: 1} for s in range(L.a * n, (a2 - vg) * n))]
-    return Lattice._make(space, a2, _rref_rows(space.ctx, g.image(rows, a2)))
+    gL = Lattice._make(space, a2, _rref_rows(space.ctx, g.image(rows, a2)))
+    object.__setattr__(g, "_last", (L, gL))
+    return gL
 
 
 class LatticeChain(_Frozen):

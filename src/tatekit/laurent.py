@@ -136,7 +136,8 @@ class LaurentPoly(_Value):
         return LaurentPoly._raw(self.ctx, _negated(self.ctx.modulus, self._terms))
 
     def __sub__(self, other):
-        return self + (-other)
+        _check_ctx(self, other, LaurentPoly)
+        return self + -other
 
     def __mul__(self, other):
         _check_ctx(self, other, LaurentPoly)
@@ -471,9 +472,15 @@ class Automorphism(_Value):
     into the multiplication by its entry, which only has to be nonzero, as
     every nonzero Laurent polynomial is a unit of k((t)).  ``inverse`` and
     ``compose`` of GL run no elimination; the hash is kept on first use.
+
+    ``lattice.act`` keeps its last result in ``_last``: the pair (L, gL) of
+    the lattice it was given, that very object, and its translate.  One pair
+    is kept per automorphism, for as long as the automorphism lives or until
+    the next act on another lattice replaces it; an act on L itself returns
+    the kept gL.  Both are immutable and hold no reference back to g.
     """
 
-    __slots__ = ("kind", "series", "matrix", "_det", "_inverse", "_hash")
+    __slots__ = ("kind", "series", "matrix", "_det", "_inverse", "_hash", "_last")
     _fields = attrgetter("kind", "series", "matrix")
 
     MULT = "mult"
@@ -484,6 +491,8 @@ class Automorphism(_Value):
         if kind == self.MULT:
             if series is None:
                 raise ZeroElement("MultBy needs a unit series")
+            if not isinstance(series, TruncSeries):
+                raise TypeError("MultBy needs a TruncSeries, got %r" % (series,))
         elif kind == self.GL:
             if not isinstance(matrix, LaurentMatrix):
                 raise TypeError("GL needs a LaurentMatrix, got %r" % (matrix,))
@@ -505,6 +514,7 @@ class Automorphism(_Value):
         object.__setattr__(self, "_det", det)
         object.__setattr__(self, "_inverse", inverse)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_last", (None, None))
 
     @classmethod
     def _gl(cls, matrix: LaurentMatrix, det: LaurentPoly, inverse: LaurentMatrix) -> "Automorphism":

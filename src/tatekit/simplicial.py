@@ -302,17 +302,20 @@ def _tree_paths(edges, vertices):
     memoised search enters each vertex once, so a directed cycle ends it; a
     table then may miss targets, but it holds no false one."""
     paths = {}
+    return {x: _visit(x, edges, paths) for x in vertices}
 
-    def visit(x):
-        if x not in paths:
-            paths[x] = out = {x: []}
-            for a, b in edges:
-                if a == x:
-                    for z, rest in visit(b).items():
-                        out.setdefault(z, [(a, b), *rest])
-        return paths[x]
 
-    return {x: visit(x) for x in vertices}
+def _visit(x, edges, paths):
+    """x's table in ``paths``, built on first entry.  A module function, not
+    a closure: a closure that calls itself is a reference cycle, left for the
+    cyclic collector on every call."""
+    if x not in paths:
+        paths[x] = out = {x: []}
+        for a, b in edges:
+            if a == x:
+                for z, rest in _visit(b, edges, paths).items():
+                    out.setdefault(z, [(a, b), *rest])
+    return paths[x]
 
 
 def is_admissible_tree(graph: OrientedGraph, tree_edges) -> bool:

@@ -239,7 +239,7 @@ def suite_index(cases=50, seed=0):
         ok = True
         for _ in range(10):
             L = rand_lattice(space, rng, 2)
-            N = join(join(L, act(g, L)), rand_lattice(space, rng, 2))
+            N = join(L, act(g, L), rand_lattice(space, rng, 2))
             if index0_with(g, L, N) != want:
                 ok = False
                 break

@@ -1,5 +1,6 @@
 """``ex_poset`` and ``sd_maps_into_poset`` as they were before both moved onto
-the index/up-set kernel, ``simplicial._monotone``, kept as test references.
+the index/up-set kernel, ``simplicial._monotone``, kept as test references,
+and ``_tree_paths`` as it was before its search left the closure.
 
 Each grows one dict per candidate family and asks ``poset.leq`` once per
 relation, so they share no code with ``_monotone``: ``ref_ex_poset`` imposes
@@ -44,3 +45,20 @@ def ref_sd_maps_into_poset(poset, n):
                     nxt.append(g)
         out = nxt
     return out
+
+
+def ref_tree_paths(edges, vertices):
+    """``simplicial._tree_paths`` as it was written before, a memoised
+    recursive search through a closure that refers to itself."""
+    paths = {}
+
+    def visit(x):
+        if x not in paths:
+            paths[x] = out = {x: []}
+            for a, b in edges:
+                if a == x:
+                    for z, rest in visit(b).items():
+                        out.setdefault(z, [(a, b), *rest])
+        return paths[x]
+
+    return {x: visit(x) for x in vertices}

@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -338,3 +339,64 @@ def test_lattice_rejects_a_subspace_over_another_field():
     # A separately built context of the same field is the same field.
     L = Lattice(TateSpace(GF(5), 1), 1, 1, Subspace.from_rows(F5, 2, [[1, 2]]))
     assert L.window_subspace(L.a, L.b).dim == 1 and L.ctx == F5
+
+
+@pytest.mark.parametrize("ctx", [QQ, GF(3)], ids=["Q", "GF3"])
+def test_join_of_many_equals_the_pairwise_fold(ctx):
+    """``join`` sums any number of lattices in one elimination: the same
+    lattice as joining them two at a time, and the same refusal of a
+    foreign operand, wherever it stands."""
+    rng = random.Random(36)
+    for _ in range(150):
+        space = TateSpace(ctx, 1 + rng.randrange(2))
+        lattices = [rand_lattice(space, rng, 2) for _ in range(1 + rng.randrange(4))]
+        assert join(*lattices) == reduce(join, lattices)
+        other = rand_lattice(TateSpace(ctx, 3 - space.rank), rng, 1)
+        for foreign, error in ((5, TypeError), (other, SpaceMismatch)):
+            spoilt = list(lattices)
+            spoilt.insert(rng.randrange(len(spoilt) + 1), foreign)
+            with pytest.raises(error):
+                join(*spoilt)
+            with pytest.raises(error):
+                reduce(join, spoilt)
+
+
+def _counting_images(monkeypatch):
+    calls = []
+    image = Automorphism.image
+    monkeypatch.setattr(Automorphism, "image", lambda g, rows, a: calls.append(g) or image(g, rows, a))
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["mult", "gl"])
+def test_act_keeps_the_translate_of_the_lattice_it_last_acted_on(kind, monkeypatch):
+    """A repeated act on the same objects returns the kept translate; an
+    equal but distinct lattice is acted on afresh and replaces it."""
+    rng = random.Random(7)
+    ctx = GF(3)
+    space = TateSpace(ctx, 1 if kind == "mult" else 2)
+    g = rand_mult(ctx, rng) if kind == "mult" else rand_gl(ctx, 2, rng)
+    L = rand_lattice(space, rng, 2)
+    calls = _counting_images(monkeypatch)
+    gL = act(g, L)
+    assert act(g, L) is gL and len(calls) == 1
+    twin = lattice_from_json(ctx, L.to_json_dict())
+    assert twin == L and twin is not L
+    g_twin = act(g, twin)
+    assert g_twin == gL and g_twin is not gL and len(calls) == 2
+    assert act(g, L) is not gL and len(calls) == 3
+
+
+@pytest.mark.parametrize("ctx", [QQ, GF(3)], ids=["Q", "GF3"])
+def test_a_kept_translate_equals_the_act_of_a_fresh_equal_automorphism(ctx):
+    """The kept pair is no part of an automorphism's value: g still equals
+    and hashes like a fresh copy, whose act agrees with every kept one."""
+    rng = random.Random(11)
+    for k in range(60):
+        space = TateSpace(ctx, 1 + k % 2)
+        g = rand_mult(ctx, rng) if space.rank == 1 else rand_gl(ctx, 2, rng)
+        fresh = Automorphism.mult_by(g.series) if space.rank == 1 else Automorphism.gl(g.matrix)
+        L = rand_lattice(space, rng, 2)
+        act(g, L)
+        assert act(g, L) == act(fresh, L) == act(fresh, lattice_from_json(ctx, L.to_json_dict()))
+        assert g == fresh and hash(g) == hash(fresh)

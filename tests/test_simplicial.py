@@ -31,12 +31,13 @@ from tatekit.errors import FrameMismatch
 from tatekit.simplicial import (
     _ex_rows,
     _sd_map_rows,
+    _tree_paths,
     ex_degeneracy,
     ex_face,
     sd_maps_into_poset,
 )
 from tatekit.verify import _same_rows, rand_admissible_diagram, rand_filtered_poset
-from simplicial_ref import ref_ex_poset, ref_sd_maps_into_poset
+from simplicial_ref import ref_ex_poset, ref_sd_maps_into_poset, ref_tree_paths
 
 
 def _same_families(got, want) -> bool:
@@ -437,3 +438,17 @@ def test_dot_export():
     dot = to_dot(order_graph(P), tree_edges=[(0, 1)])
     assert dot.startswith("digraph")
     assert '"0" -> "1" [style=bold];' in dot
+
+
+def test_tree_paths_match_the_recursive_reference():
+    """``_tree_paths`` builds the tables the self-referencing closure built,
+    in the same order, on trees and on edge lists with cycles, self-loops,
+    repeated edges and endpoints outside the vertex list."""
+    rng = random.Random(300)
+    for _ in range(3000):
+        n = 1 + rng.randrange(7)
+        verts = list(range(n))
+        rng.shuffle(verts)
+        edges = [(rng.randrange(n + 1), rng.randrange(n + 1)) for _ in range(rng.randrange(10))]
+        got, want = _tree_paths(edges, verts), ref_tree_paths(edges, verts)
+        assert got == want and [list(t) for t in got.values()] == [list(t) for t in want.values()]

@@ -6,6 +6,8 @@ exception it must raise.  The rows cover the field, linear-algebra, Laurent,
 lattice, index, determinant-line and simplicial layers in that order.
 """
 
+import re
+
 import pytest
 
 from tatekit import (
@@ -93,6 +95,9 @@ CASES = [
     ("LaurentPoly-add-across-fields", lambda: t + LaurentPoly.one(F5), FieldMismatch),
     ("LaurentPoly-plus-int", lambda: ONE + 1, TypeError),
     ("LaurentPoly-times-int", lambda: ONE * 2, TypeError),
+    ("LaurentPoly-minus-int", lambda: ONE - 5, TypeError),
+    ("LaurentPoly-minus-series", lambda: ONE - SERIES_Q, TypeError),
+    ("LaurentPoly-minus-across-fields", lambda: ONE - LaurentPoly.one(F5), FieldMismatch),
     ("TruncSeries-times-int", lambda: TruncSeries(QQ, 0, [1], True) * 2, TypeError),
     ("LaurentPoly-plus-series", lambda: ONE + SERIES_Q, TypeError),
     ("LaurentPoly-times-series", lambda: ONE * SERIES_Q, TypeError),
@@ -112,6 +117,8 @@ CASES = [
     ("LaurentMatrix.apply-ints", lambda: LaurentMatrix.identity(QQ, 2).apply([1, 2]), TypeError),
     ("LaurentMatrix-min_valuation-zero", lambda: LaurentMatrix(QQ, 1, [t - t]).min_valuation(), ZeroElement),
     ("Automorphism-MULT-no-series", lambda: Automorphism(Automorphism.MULT), ZeroElement),
+    ("Automorphism-MULT-poly-series", lambda: Automorphism(Automorphism.MULT, series=ONE), TypeError),
+    ("Automorphism-MULT-int-series", lambda: Automorphism(Automorphism.MULT, series=5), TypeError),
     ("Automorphism-unknown-kind", lambda: Automorphism("shift", series=SERIES_Q), ValueError),
     ("compose-across-fields", lambda: MULT_T.compose(Automorphism.mult_by(LaurentPoly.t(F5))), FieldMismatch),
     ("compose-across-ranks", lambda: GL2.compose(MULT_T), SpaceMismatch),
@@ -157,6 +164,23 @@ CASES = [
 @pytest.mark.parametrize("call, error", [case[1:] for case in CASES], ids=[case[0] for case in CASES])
 def test_refusal_raises_its_type(call, error):
     with pytest.raises(error):
+        call()
+
+
+# A refused operand of the wrong type is named in the message as it was given.
+NAMED = [
+    ("LaurentPoly-plus-int", lambda: ONE + 5, 5),
+    ("LaurentPoly-times-int", lambda: ONE * 5, 5),
+    ("LaurentPoly-minus-int", lambda: ONE - 5, 5),
+    ("LaurentPoly-minus-series", lambda: ONE - SERIES_Q, SERIES_Q),
+    ("Automorphism-MULT-poly-series", lambda: Automorphism(Automorphism.MULT, series=ONE), ONE),
+    ("Automorphism-MULT-int-series", lambda: Automorphism(Automorphism.MULT, series=5), 5),
+]
+
+
+@pytest.mark.parametrize("call, operand", [case[1:] for case in NAMED], ids=[case[0] for case in NAMED])
+def test_refusal_names_the_operand_as_given(call, operand):
+    with pytest.raises(TypeError, match=re.escape("got %r" % (operand,)) + "$"):
         call()
 
 

@@ -11,7 +11,8 @@ objects and leave the stream in the same state, so the same draws were made.
 The generators draw through one-argument ``randrange``: ``CALL_SITES`` keeps
 each ``randint`` and two-argument ``randrange`` expression that ``verify``
 wrote before, verbatim, beside the form that replaced it, which must draw
-the same value and leave the same stream state at every call site.
+the same value and leave the same stream state at every call site: both
+make the same calls to the generator core, which ``_Logged`` records.
 """
 
 import hashlib
@@ -229,14 +230,46 @@ CALL_SITES = [
 ]
 
 
+class _Logged(random.Random):
+    """A stream that logs every call to its generator core, ``getrandbits``
+    and ``random``.  Overriding ``getrandbits`` keeps
+    ``_randbelow_with_getrandbits``, so ``randrange`` and ``randint`` draw
+    through it.  Two streams in one state that log the same calls, with the
+    same results, consumed the same words and are again in one state: the
+    check ``getstate()`` makes, without building its 625-entry tuple."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.log = []
+
+    def getrandbits(self, k):
+        x = super().getrandbits(k)
+        self.log.append((k, x))
+        return x
+
+    def random(self):
+        x = super().random()
+        self.log.append(x)
+        return x
+
+
+def test_the_logged_stream_draws_through_getrandbits():
+    assert _Logged._randbelow is random.Random._randbelow_with_getrandbits
+    rng = _Logged(0)
+    assert rng.randrange(10) == random.Random(0).randrange(10) and rng.log
+
+
 @pytest.mark.parametrize("rows, old, new", [site[1:] for site in CALL_SITES], ids=[site[0] for site in CALL_SITES])
 def test_one_argument_randrange_draws_as_the_earlier_expression(rows, old, new):
     for seed in range(8):
-        rng, twin = _twins(seed)
+        rng, twin = _Logged(seed), _Logged(seed)
         for _ in range(DRAWS // 4):
             for kwargs in rows:
                 assert new(rng, **kwargs) == old(twin, **kwargs)
-                assert rng.getstate() == twin.getstate()
+                assert rng.log == twin.log
+                rng.log.clear()
+                twin.log.clear()
+        assert rng.getstate() == twin.getstate()
 
 
 def input_digest():
